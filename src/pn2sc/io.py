@@ -22,15 +22,19 @@ are not stored::
     }
 
 Writing is canonical: children are sorted by (kind, name, uid), uids are
-assigned in preorder over the sorted tree, next lists are ascending, and
-the encoder settings are fixed, so equal models produce identical bytes.
-Readers accept any well-formed document but reject unknown fields.
+assigned in preorder over the sorted tree and next lists are ascending, so
+equal models produce identical bytes. The writer emits the bytes of
+``json.dumps(payload, indent=2)`` directly and iteratively, so statecharts
+of any depth can be written. Readers accept any well-formed document but
+reject unknown fields; a document nested deeper than the ``json`` module
+can parse is rejected with a DocumentError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .model import ElementKind, ModelStore
 from .reduce import ReductionResult
@@ -94,6 +98,11 @@ def _decode(data: bytes | str) -> object:
         raise DocumentError(
             f"JSON parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
+        ) from None
+    except RecursionError:
+        raise DocumentError(
+            "document nests too deeply to read: its JSON nesting exceeds "
+            "the json module's recursion limit"
         ) from None
 
 
@@ -260,18 +269,24 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
             )
         return []
 
+    # One preorder pass over the sorted tree numbers the nodes (a node's uid
+    # is its preorder index); the ScNodes are then built bottom-up, in
+    # reverse preorder, so every child exists before its parent.
+    order: list[int] = []
+    child_lists: list[list[int]] = []
     uids: dict[int, int] = {}
-
-    def number(eid: int) -> None:
-        uids[eid] = len(uids)
-        for child in children_of(eid):
-            number(child)
-
-    number(roots[0])
+    stack = [roots[0]]
+    while stack:
+        eid = stack.pop()
+        uids[eid] = len(order)
+        order.append(eid)
+        children = children_of(eid)
+        child_lists.append(children)
+        stack.extend(reversed(children))
 
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-
-    def build(eid: int) -> ScNode:
+    built: dict[int, ScNode] = {}
+    for eid, children in zip(reversed(order), reversed(child_lists)):
         kind = sc.kind_of(eid)
         counts[_KIND_TO_COUNT_KEY[kind]] += 1
         nxt = ()
@@ -282,34 +297,95 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
                 raise DocumentError(
                     f"element {eid} links outside the containment tree"
                 ) from None
-        return ScNode(
+        built[eid] = ScNode(
             uid=uids[eid],
             kind=kind.value,
             name=sc.name_of(eid),
-            children=tuple(build(c) for c in children_of(eid)),
+            children=tuple(built.pop(c) for c in children),
             next=nxt,
         )
+    return StatechartDocument(built[roots[0]], counts)
 
-    return StatechartDocument(build(roots[0]), counts)
+
+def _level_pieces(depth: int) -> tuple[bytes, ...]:
+    """Fixed byte pieces of a node at tree depth ``depth`` (root: depth 0).
+
+    With ``indent=2`` a node at depth d opens at JSON nesting 2d + 1 (each
+    tree level is one object inside one ``children`` list), so its keys
+    sit at indent 2d + 2 and its list items at 2d + 3.
+    """
+    close = "\n" + "  " * (2 * depth + 1)
+    keys = close + "  "
+    items = keys + "  "
+    return tuple(text.encode("ascii") for text in (
+        "{" + keys + '"uid": ',
+        "," + keys + '"kind": ',
+        "," + keys + '"name": ',
+        "," + keys + '"next": ',
+        "," + keys + '"children": ',
+        "[" + items,
+        "," + items,
+        keys + "]",
+        "[]" + close + "}",
+        keys + "]" + close + "}",
+    ))
 
 
 def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
-    def encode(node: ScNode) -> dict:
-        payload: dict[str, object] = {
-            "uid": node.uid,
-            "kind": node.kind,
-            "name": node.name,
-        }
-        if node.kind in _LINKED_KIND_NAMES:
-            payload["next"] = list(node.next)
-        payload["children"] = [encode(c) for c in node.children]
-        return payload
+    """Encode a document to exactly the bytes of
+    ``json.dumps(payload, indent=2) + "\\n"``, where ``payload`` holds each
+    node's fields in the order uid, kind, name, next (Basic and HyperEdge
+    only), children.
 
-    payload = {
-        "root": encode(doc.root),
-        "counts": {key: doc.counts[key] for key in _COUNT_KEYS},
-    }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    The text is written directly, with an explicit stack instead of
+    recursion, so documents of any depth encode. It is collected as ASCII
+    byte pieces and joined once, so the output is never held twice (as str
+    and as bytes). Indentation and separator pieces are built once per
+    depth and shared by every node at that depth.
+    """
+    encode_str = encode_basestring_ascii
+    linked = _LINKED_KIND_NAMES
+    levels: list[tuple[bytes, ...]] = []
+    out = [b'{\n  "root": ']
+    # Items are (node, depth) pairs to encode, or literal text to append.
+    stack: list[tuple[ScNode, int] | bytes] = [(doc.root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is bytes:
+            out.append(item)
+            continue
+        node, depth = item
+        if depth == len(levels):
+            levels.append(_level_pieces(depth))
+        (head, kind_key, name_key, next_key, children_key, list_open,
+         list_sep, next_close, leaf_close, branch_close) = levels[depth]
+        out += (head, b"%d" % node.uid, kind_key,
+                encode_str(node.kind).encode("ascii"),
+                name_key, encode_str(node.name).encode("ascii"))
+        if node.kind in linked:
+            out.append(next_key)
+            if node.next:
+                uids = list_sep.join([b"%d" % uid for uid in node.next])
+                out += (list_open, uids, next_close)
+            else:
+                out.append(b"[]")
+        out.append(children_key)
+        children = node.children
+        if not children:
+            out.append(leaf_close)
+            continue
+        out.append(list_open)
+        stack.append(branch_close)
+        child_depth = depth + 1
+        for position in range(len(children) - 1, 0, -1):
+            stack.append((children[position], child_depth))
+            stack.append(list_sep)
+        stack.append((children[0], child_depth))
+    counts = ",\n    ".join(
+        f'"{key}": {doc.counts[key]}' for key in _COUNT_KEYS
+    )
+    out.append(f',\n  "counts": {{\n    {counts}\n  }}\n}}\n'.encode("ascii"))
+    return b"".join(out)
 
 
 def write_statechart(sc: ModelStore, result: ReductionResult) -> bytes:

@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
+from pn2sc.io import (
+    PetriNetDocument,
+    PlaceSpec,
+    ScNode,
+    StatechartDocument,
+    TransitionSpec,
+)
 from pn2sc.model import ElementKind, ModelStore
 
 
@@ -85,3 +94,50 @@ def assert_single_tree(sc: ModelStore, top: int) -> None:
         container = sc.ref(basic, "rcontains")
         assert container is not None
         assert sc.kind_of(container) is ElementKind.OR
+
+
+def reference_statechart_bytes(doc: StatechartDocument) -> bytes:
+    """Reference encoder for statechart documents: ``json.dumps`` with
+    ``indent=2`` over a plain dict payload, plus a trailing newline."""
+
+    def encode(node: ScNode) -> dict:
+        payload: dict[str, object] = {
+            "uid": node.uid,
+            "kind": node.kind,
+            "name": node.name,
+        }
+        if node.kind in ("Basic", "HyperEdge"):
+            payload["next"] = list(node.next)
+        payload["children"] = [encode(c) for c in node.children]
+        return payload
+
+    payload = {
+        "root": encode(doc.root),
+        "counts": {
+            key: doc.counts[key]
+            for key in ("statechart", "and", "or", "basic", "hyperedge")
+        },
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def nested_fork_join_net(depth: int) -> PetriNetDocument:
+    """One fork/join spine nested ``depth`` deep (3 * depth + 1 places).
+
+    Each level wraps the level inside it in ``s -> {x, entry}``,
+    ``{x, exit} -> e``; the fixpoint reduces it one level per round and
+    the statechart nests about two levels per spine level.
+    """
+    places = [PlaceSpec("p0", "p0")]
+    transitions: list[TransitionSpec] = []
+    entry = exit_ = "p0"
+    for _ in range(depth):
+        start, side, end = (f"p{len(places) + k}" for k in range(3))
+        places += [PlaceSpec(pid, pid) for pid in (start, side, end)]
+        fork, join = f"t{len(transitions)}", f"t{len(transitions) + 1}"
+        transitions += [
+            TransitionSpec(fork, fork, (start,), (side, entry)),
+            TransitionSpec(join, join, (side, exit_), (end,)),
+        ]
+        entry, exit_ = start, end
+    return PetriNetDocument(tuple(places), tuple(transitions))

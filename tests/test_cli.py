@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import nested_fork_join_net
 from pn2sc.cli import main
 from pn2sc.generate import generate_known_corpus
 from pn2sc.io import petri_net_to_bytes
@@ -122,3 +123,24 @@ def test_bench_rejects_bad_sizes():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
+    net = nested_fork_join_net(260)
+    assert len(net.places) == 781
+    src = tmp_path / "spine260.json"
+    src.write_bytes(petri_net_to_bytes(net))
+    out = tmp_path / "out.json"
+    assert main(["transform", str(src), "-o", str(out)]) == 0
+    # The tree is too deep for json.loads; "counts" is the last member.
+    text = out.read_text()
+    counts = json.loads("{" + text[text.rindex('"counts"'):])["counts"]
+    assert counts["statechart"] == 1
+    assert counts["basic"] == len(net.places)
+    assert counts["hyperedge"] == len(net.transitions)
+    capsys.readouterr()
+    assert main(["validate", str(out), str(out)]) == 65
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "nests too deeply" in err
+    assert "Traceback" not in err

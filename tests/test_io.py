@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from helpers import build_net
+from helpers import build_net, nested_fork_join_net, reference_statechart_bytes
 from pn2sc import io as scio
+from pn2sc.generate import GenSpec, generate_known_corpus, generate_sp_net
 from pn2sc.model import ElementKind
 from pn2sc.reduce import create_statechart
 from pn2sc.validate import validate_full
@@ -160,3 +162,55 @@ def test_hand_written_expected_document_is_usable():
     expected = scio.read_statechart(text)
     sc, _ = _chain_statechart()
     assert validate_full(sc, expected).passed
+
+
+def _shuffled(doc: scio.PetriNetDocument, seed: int) -> scio.PetriNetDocument:
+    rng = random.Random(seed)
+    places, transitions = list(doc.places), list(doc.transitions)
+    rng.shuffle(places)
+    rng.shuffle(transitions)
+    return scio.PetriNetDocument(tuple(places), tuple(transitions))
+
+
+def _escape_net() -> scio.PetriNetDocument:
+    """A fork/join block whose names need every kind of JSON escape."""
+    names = ['quo"te', "back\\slash", "tab\there", "new\nline", "nul\x00",
+             "Größe €", "emoji \U0001F600"]
+    places = tuple(scio.PlaceSpec(f"p{i}", n) for i, n in enumerate(names))
+    transitions = (
+        scio.TransitionSpec("t0", 'fork "\\\t"', ("p0",), ("p1", "p2")),
+        scio.TransitionSpec("t1", "join \n\x00", ("p1", "p2"), ("p3",)),
+        scio.TransitionSpec("t2", "ß \U0001F680", ("p3",), ("p4",)),
+        scio.TransitionSpec("t3", "", ("p4",), ("p5", "p6")),
+    )
+    return scio.PetriNetDocument(places, transitions)
+
+
+def _writer_cases():
+    for fx in generate_known_corpus():
+        if fx.expected is not None:
+            yield pytest.param(lambda fx=fx: fx.net, id=f"fixture-{fx.name}")
+    for places, seed in ((5, 0), (60, 1), (400, 2), (2000, 3)):
+        yield pytest.param(
+            lambda p=places, s=seed: generate_sp_net(GenSpec(p, s)),
+            id=f"sp{places}_{seed}",
+        )
+    yield pytest.param(
+        lambda: _shuffled(generate_sp_net(GenSpec(400, 7)), seed=7),
+        id="sp400_7-shuffled",
+    )
+    for depth in (1, 10, 60, 200):
+        yield pytest.param(
+            lambda d=depth: nested_fork_join_net(d), id=f"spine{depth}"
+        )
+    yield pytest.param(_escape_net, id="escaped-names")
+
+
+@pytest.mark.parametrize("make_net", _writer_cases())
+def test_writer_bytes_match_json_dumps_reference(make_net):
+    sc, result = create_statechart(scio.store_from_petri_net(make_net()))
+    assert result.ok
+    doc = scio.document_from_statechart(sc)
+    assert scio.statechart_document_to_bytes(doc) == (
+        reference_statechart_bytes(doc)
+    )
