@@ -5,7 +5,7 @@ AND/OR reduction rules applied to a fixpoint, JSON serialization, a
 series-parallel benchmark generator, and a structural validator.
 """
 
-from .generate import Fixture, GenSpec, generate_known_corpus, generate_sp_net
+from .generate import GenSpec, generate_sp_net
 from .init import TraceError, TraceMap, initialize_statechart
 from .io import (
     DocumentError,
@@ -37,7 +37,6 @@ from .validate import (
 
 __all__ = [
     "ElementKind",
-    "Fixture",
     "GenSpec",
     "LivenessError",
     "ModelError",
@@ -58,7 +57,6 @@ __all__ = [
     "create_statechart",
     "create_top",
     "fixpoint",
-    "generate_known_corpus",
     "generate_sp_net",
     "initialize_statechart",
     "or_rule",

@@ -1,4 +1,4 @@
-"""Deterministic benchmark nets and hand-checked fixture nets.
+"""Deterministic series-parallel benchmark nets.
 
 Benchmark nets are series-parallel by construction: starting from a single
 place, a randomly chosen place is repeatedly expanded either into a
@@ -23,13 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .io import (
-    PetriNetDocument,
-    PlaceSpec,
-    ScNode,
-    StatechartDocument,
-    TransitionSpec,
-)
+from .io import PetriNetDocument, PlaceSpec, TransitionSpec
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -142,141 +136,3 @@ def generate_sp_net(spec: GenSpec) -> PetriNetDocument:
     )
     return PetriNetDocument(places, transitions)
 
-
-# --- hand-checked fixtures ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fixture:
-    """A small net paired with its hand-derived expected statechart, or
-    with ``expected=None`` when the net must come out irreducible."""
-
-    name: str
-    net: PetriNetDocument
-    expected: StatechartDocument | None
-
-
-def _net(places: list[str], transitions: list[tuple[str, list[str], list[str]]]):
-    return PetriNetDocument(
-        tuple(PlaceSpec(p, p) for p in places),
-        tuple(
-            TransitionSpec(t, t, tuple(pre), tuple(post))
-            for t, pre, post in transitions
-        ),
-    )
-
-
-def _doc(root: ScNode) -> StatechartDocument:
-    counts = {"statechart": 0, "and": 0, "or": 0, "basic": 0, "hyperedge": 0}
-    key = {
-        "Statechart": "statechart",
-        "AND": "and",
-        "OR": "or",
-        "Basic": "basic",
-        "HyperEdge": "hyperedge",
-    }
-
-    def walk(node: ScNode) -> None:
-        counts[key[node.kind]] += 1
-        for child in node.children:
-            walk(child)
-
-    walk(root)
-    return StatechartDocument(root, counts)
-
-
-def _chain_fixture() -> Fixture:
-    net = _net(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-    expected = _doc(
-        ScNode(0, "Statechart", "", (
-            ScNode(1, "AND", "", (
-                ScNode(2, "OR", "", (
-                    ScNode(3, "Basic", "P1", (), (5,)),
-                    ScNode(4, "Basic", "P2", (), ()),
-                    ScNode(5, "HyperEdge", "T1", (), (4,)),
-                )),
-            )),
-        ))
-    )
-    return Fixture("chain", net, expected)
-
-
-def _self_loop_fixture() -> Fixture:
-    net = _net(["P"], [("T", ["P"], ["P"])])
-    expected = _doc(
-        ScNode(0, "Statechart", "", (
-            ScNode(1, "AND", "", (
-                ScNode(2, "OR", "", (
-                    ScNode(3, "Basic", "P", (), (4,)),
-                    ScNode(4, "HyperEdge", "T", (), (3,)),
-                )),
-            )),
-        ))
-    )
-    return Fixture("self_loop", net, expected)
-
-
-def _fork_join_fixture() -> Fixture:
-    net = _net(
-        ["P0", "P1", "P2", "P3"],
-        [("T1", ["P0"], ["P1", "P2"]), ("T2", ["P1", "P2"], ["P3"])],
-    )
-    expected = _doc(
-        ScNode(0, "Statechart", "", (
-            ScNode(1, "AND", "", (
-                ScNode(2, "OR", "", (
-                    ScNode(3, "AND", "", (
-                        ScNode(4, "OR", "", (
-                            ScNode(5, "Basic", "P1", (), (11,)),
-                        )),
-                        ScNode(6, "OR", "", (
-                            ScNode(7, "Basic", "P2", (), (11,)),
-                        )),
-                    )),
-                    ScNode(8, "Basic", "P0", (), (10,)),
-                    ScNode(9, "Basic", "P3", (), ()),
-                    ScNode(10, "HyperEdge", "T1", (), (5, 7)),
-                    ScNode(11, "HyperEdge", "T2", (), (9,)),
-                )),
-            )),
-        ))
-    )
-    return Fixture("fork_join", net, expected)
-
-
-def _double_arc_fixture() -> Fixture:
-    # two transitions running between the same pair of places; the first
-    # sequence merge turns the second transition into a self-loop, which
-    # then collapses on its own
-    net = _net(
-        ["Q", "R"],
-        [("T1", ["Q"], ["R"]), ("T2", ["Q"], ["R"])],
-    )
-    expected = _doc(
-        ScNode(0, "Statechart", "", (
-            ScNode(1, "AND", "", (
-                ScNode(2, "OR", "", (
-                    ScNode(3, "Basic", "Q", (), (5, 6)),
-                    ScNode(4, "Basic", "R", (), ()),
-                    ScNode(5, "HyperEdge", "T1", (), (4,)),
-                    ScNode(6, "HyperEdge", "T2", (), (4,)),
-                )),
-            )),
-        ))
-    )
-    return Fixture("double_arc", net, expected)
-
-
-def _isolated_places_fixture() -> Fixture:
-    return Fixture("two_isolated_places", _net(["P1", "P2"], []), None)
-
-
-def generate_known_corpus() -> list[Fixture]:
-    """The fixed fixture nets with hand-derived expected outcomes."""
-    return [
-        _chain_fixture(),
-        _self_loop_fixture(),
-        _fork_join_fixture(),
-        _double_arc_fixture(),
-        _isolated_places_fixture(),
-    ]

@@ -21,18 +21,22 @@ are not stored::
                  "hyperedge": 1}
     }
 
-Writing is canonical: children are sorted by (kind, name, uid), uids are
-assigned in preorder over the sorted tree and next lists are ascending, so
-equal models produce identical bytes. The writer emits the bytes of
-``json.dumps(payload, indent=2)`` directly and iteratively, so statecharts
-of any depth can be written. Readers accept any well-formed document but
-reject unknown fields; a document nested deeper than the ``json`` module
-can parse is rejected with a DocumentError.
+Writing is canonical: children appear in structural order (see
+``rank_statecharts``, which the validator uses too), uids are assigned in
+preorder over the ordered tree and next lists are ascending, so equal
+models produce identical bytes whatever the order of their elements.
+(Sibling subtrees equal in kinds, names and links, which only repeated
+names can produce, keep the model's order.) The writer emits the bytes
+of ``json.dumps(payload, indent=2)`` directly and iteratively, so
+statecharts of any depth can be written. Readers accept any well-formed
+document but reject unknown fields; a document nested deeper than the
+``json`` module can parse is rejected with a DocumentError.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -50,6 +54,8 @@ __all__ = [
     "store_from_petri_net",
     "read_petri_net",
     "petri_net_to_bytes",
+    "RankedTrees",
+    "rank_statecharts",
     "document_from_statechart",
     "statechart_document_to_bytes",
     "write_statechart",
@@ -240,7 +246,172 @@ _KIND_TO_COUNT_KEY = {
     ElementKind.HYPER_EDGE: "hyperedge",
 }
 _KIND_BY_NAME = {kind.value: kind for kind in _KIND_TO_COUNT_KEY}
-_LINKED_KIND_NAMES = (ElementKind.BASIC.value, ElementKind.HYPER_EDGE.value)
+_LINKED_KINDS = (ElementKind.BASIC, ElementKind.HYPER_EDGE)
+_LINKED_KIND_NAMES = tuple(kind.value for kind in _LINKED_KINDS)
+_KIND_NAME = {kind: kind.value for kind in ElementKind}
+
+
+@dataclass
+class RankedTrees:
+    """The containment trees of one or more statechart models, flattened.
+
+    Nodes are numbered level by level, model after model, and every list
+    is indexed by node number. ``roots`` holds each model's root node.
+    Each ``children`` list is in canonical order, and ``links`` holds the
+    node numbers of a Basic's or HyperEdge's ``next`` targets.
+
+    Both kinds of rank are dense, distinct between levels and shared by
+    all models ranked together. Two nodes have equal ``paths`` ranks exactly
+    when the kinds and names from the root down to them are equal, and
+    equal ``ranks`` exactly when they sit at one depth and their subtrees
+    are equal in kinds, names and the name paths of the Basics each
+    HyperEdge links to and from.
+    """
+
+    roots: list[int] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=list)
+    names: list[str] = field(default_factory=list)
+    parents: list[int] = field(default_factory=list)
+    children: list[list[int]] = field(default_factory=list)
+    links: list[tuple[int, ...]] = field(default_factory=list)
+    paths: list[int] = field(default_factory=list)
+    ranks: list[int] = field(default_factory=list)
+
+
+def _rank_level(level: list[int], keys: list[tuple], out: list[int],
+                base: int) -> int:
+    """Rank the nodes of one level densely, from ``base`` up, in the
+    sorted order of their keys; return the first rank left unused."""
+    table = {key: rank for rank, key in enumerate(sorted(set(keys)), base)}
+    for node, key in zip(level, keys):
+        out[node] = table[key]
+    return base + len(table)
+
+
+def _append_tree(sc: ModelStore, trees: RankedTrees,
+                 levels: list[list[int]]) -> None:
+    """Append the containment tree of ``sc`` to the node lists of
+    ``trees``, and its node numbers to ``levels``, one list per depth."""
+    charts = sc.all_of_kind(ElementKind.STATECHART)
+    if len(charts) != 1:
+        raise DocumentError(
+            f"expected exactly one Statechart element, found {len(charts)}"
+        )
+    top = sc.ref(charts[0], "topState")
+    if top is None:
+        raise DocumentError("Statechart has no top state")
+    kinds, names, children, links = (
+        trees.kinds, trees.names, trees.children, trees.links
+    )
+    trees.roots.append(len(kinds))
+    node_of: dict[int, int] = {}
+    pending: list[tuple[int, int, tuple[int, ...]]] = []
+    # The children of one level are numbered, in order, right after it,
+    # so the children of a node form a consecutive range.
+    level, level_parents = [charts[0]], [-1]
+    depth = 0
+    while level:
+        start = len(kinds)
+        if depth == len(levels):
+            levels.append([])
+        levels[depth] += range(start, start + len(level))
+        trees.parents += level_parents
+        links += [()] * len(level)
+        below: list[int] = []
+        below_parents: list[int] = []
+        for node, eid in enumerate(level, start):
+            node_of[eid] = node
+            kind = sc.kind_of(eid)
+            kinds.append(_KIND_NAME[kind])
+            names.append(sc.name_of(eid))
+            if kind in _LINKED_KINDS:
+                pending.append((node, eid, sc.refs(eid, "next")))
+                children.append([])
+                continue
+            if kind is ElementKind.STATECHART:
+                kids: tuple[int, ...] = (top,)
+            else:
+                kids = sc.refs(eid, "contains")
+            first = start + len(level) + len(below)
+            children.append(list(range(first, first + len(kids))))
+            below += kids
+            below_parents += [node] * len(kids)
+        level, level_parents = below, below_parents
+        depth += 1
+    for node, eid, targets in pending:
+        try:
+            links[node] = tuple([node_of[t] for t in targets])
+        except KeyError:
+            raise DocumentError(
+                f"element {eid} links outside the containment tree"
+            ) from None
+
+
+def rank_statecharts(*models: ModelStore) -> RankedTrees:
+    """Rank the containment trees of ``models`` into one canonical form.
+
+    This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
+    and Ullman, with flat keys and no recursion:
+
+    1. One breadth-first walk of each model records every node's level,
+       parent, kind, name, children and links.
+    2. Top down, level by level, each node gets a name-path rank from its
+       parent's name-path rank, its kind and its name.
+    3. Bottom up, level by level, each node gets a structural rank from
+       its kind, its name, its link signatures and the sorted ranks of
+       its children. A HyperEdge's link signatures are the sorted
+       name-path ranks of the Basics it links to and from.
+
+    Every model must contain exactly one Statechart element with a top
+    state, and every link must stay inside the containment tree;
+    otherwise a DocumentError is raised.
+    """
+    trees = RankedTrees()
+    levels: list[list[int]] = []
+    for sc in models:
+        _append_tree(sc, trees, levels)
+    kinds, names, parents, children, links = (
+        trees.kinds, trees.names, trees.parents, trees.children, trees.links
+    )
+
+    count = len(kinds)
+    paths = trees.paths = [0] * count
+    base = 0
+    for level in levels:
+        base = _rank_level(level, [
+            (paths[parents[node]] if parents[node] >= 0 else -1,
+             kinds[node], names[node])
+            for node in level
+        ], paths, base)
+
+    hyper_edge = ElementKind.HYPER_EDGE.value
+    sources: dict[int, list[int]] = {}
+    for node, targets in enumerate(links):
+        if targets and kinds[node] != hyper_edge:
+            for target in targets:
+                sources.setdefault(target, []).append(node)
+
+    def signature(basics) -> tuple[int, ...]:
+        return tuple(sorted([paths[b] for b in basics]))
+
+    ranks = trees.ranks = [0] * count
+    base = 0
+    for level in reversed(levels):
+        keys = []
+        for node in level:
+            kids = children[node]
+            if kids:
+                kids.sort(key=ranks.__getitem__)
+                keys.append((kinds[node], names[node], (), (),
+                             tuple([ranks[kid] for kid in kids])))
+            elif kinds[node] == hyper_edge:
+                keys.append((kinds[node], names[node],
+                             signature(links[node]),
+                             signature(sources.get(node, ())), ()))
+            else:
+                keys.append((kinds[node], names[node], (), (), ()))
+        base = _rank_level(level, keys, ranks, base)
+    return trees
 
 
 def document_from_statechart(sc: ModelStore) -> StatechartDocument:
@@ -248,63 +419,36 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
 
     The model must contain exactly one Statechart element; the tree is the
     containment hierarchy reachable from it, with the top state as the
-    Statechart's single child.
+    Statechart's single child. Children appear in canonical order (see
+    ``rank_statecharts``) and a node's uid is its preorder index.
     """
-    roots = sc.all_of_kind(ElementKind.STATECHART)
-    if len(roots) != 1:
-        raise DocumentError(
-            f"expected exactly one Statechart element, found {len(roots)}"
-        )
-    top = sc.ref(roots[0], "topState")
-    if top is None:
-        raise DocumentError("Statechart has no top state")
-
-    def children_of(eid: int) -> list[int]:
-        if sc.kind_of(eid) is ElementKind.STATECHART:
-            return [top]
-        if sc.kind_of(eid) in (ElementKind.OR, ElementKind.AND):
-            return sorted(
-                sc.refs(eid, "contains"),
-                key=lambda c: (sc.kind_of(c).value, sc.name_of(c), c),
-            )
-        return []
-
-    # One preorder pass over the sorted tree numbers the nodes (a node's uid
-    # is its preorder index); the ScNodes are then built bottom-up, in
-    # reverse preorder, so every child exists before its parent.
+    trees = rank_statecharts(sc)
+    kinds, children, links = trees.kinds, trees.children, trees.links
     order: list[int] = []
-    child_lists: list[list[int]] = []
-    uids: dict[int, int] = {}
-    stack = [roots[0]]
+    uids = [0] * len(kinds)
+    stack = [trees.roots[0]]
     while stack:
-        eid = stack.pop()
-        uids[eid] = len(order)
-        order.append(eid)
-        children = children_of(eid)
-        child_lists.append(children)
-        stack.extend(reversed(children))
+        node = stack.pop()
+        uids[node] = len(order)
+        order.append(node)
+        stack.extend(reversed(children[node]))
 
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    built: dict[int, ScNode] = {}
-    for eid, children in zip(reversed(order), reversed(child_lists)):
-        kind = sc.kind_of(eid)
-        counts[_KIND_TO_COUNT_KEY[kind]] += 1
-        nxt = ()
-        if kind in (ElementKind.BASIC, ElementKind.HYPER_EDGE):
-            try:
-                nxt = tuple(sorted(uids[t] for t in sc.refs(eid, "next")))
-            except KeyError:
-                raise DocumentError(
-                    f"element {eid} links outside the containment tree"
-                ) from None
-        built[eid] = ScNode(
-            uid=uids[eid],
-            kind=kind.value,
-            name=sc.name_of(eid),
-            children=tuple(built.pop(c) for c in children),
-            next=nxt,
+    # Build bottom-up, in reverse preorder, so every child exists before
+    # its parent.
+    built: list[ScNode | None] = [None] * len(kinds)
+    for node in reversed(order):
+        built[node] = ScNode(
+            uid=uids[node],
+            kind=kinds[node],
+            name=trees.names[node],
+            children=tuple([built[kid] for kid in children[node]]),
+            next=tuple(sorted([uids[t] for t in links[node]])),
         )
-    return StatechartDocument(built[roots[0]], counts)
+    tally = Counter(kinds)
+    counts = {
+        key: tally[kind.value] for kind, key in _KIND_TO_COUNT_KEY.items()
+    }
+    return StatechartDocument(built[trees.roots[0]], counts)
 
 
 def _level_pieces(depth: int) -> tuple[bytes, ...]:

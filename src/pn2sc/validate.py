@@ -3,10 +3,12 @@
 Two rigor levels: ``Counts`` compares per-kind element totals only, while
 ``Full`` looks for a containment-tree isomorphism matching kind and name at
 every node and, under it, equality of every hyperedge's next and rnext
-sets. Trees are compared through canonical forms (children sorted by a
-recursively computed key), so duplicate names are handled without a
-backtracking search; genuinely indistinguishable siblings may be matched
-either way.
+sets, where a linked Basic is identified by its name path from the root.
+``Full`` ranks both models into the canonical form the writer uses
+(``pn2sc.io.rank_statecharts``) and compares the ranks of the two roots,
+so duplicate names need no backtracking search and no tree walk recurses.
+Only a failed comparison looks for the discrepancies; genuinely
+indistinguishable siblings may be matched either way.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
+from .io import RankedTrees, rank_statecharts
 from .model import ElementKind, ModelStore
 
 _COMPARED_KINDS = (
@@ -64,231 +67,146 @@ def validate_counts(actual: ModelStore, expected: ModelStore) -> ValidationRepor
     return ValidationReport(ValidationLevel.COUNTS, tuple(found))
 
 
-class _Node:
-    __slots__ = ("kind", "name", "children", "path", "next_sig", "rnext_sig",
-                 "key")
-
-    def __init__(self, kind: str, name: str):
-        self.kind = kind
-        self.name = name
-        self.children: list[_Node] = []
-        self.path: tuple[tuple[str, str], ...] = ()
-        self.next_sig: tuple = ()
-        self.rnext_sig: tuple = ()
-        self.key: tuple = ()
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}({self.name})"
+def _label(trees: RankedTrees, node: int) -> str:
+    return f"{trees.kinds[node]}({trees.names[node]})"
 
 
-def _build_tree(sc: ModelStore) -> _Node:
-    roots = sc.all_of_kind(ElementKind.STATECHART)
-    if len(roots) != 1:
-        raise ValueError(
-            f"not a statechart model: {len(roots)} Statechart elements"
-        )
-    top = sc.ref(roots[0], "topState")
-    if top is None:
-        raise ValueError("not a statechart model: no top state")
-
-    nodes: dict[int, _Node] = {}
-
-    def build(eid: int, path: tuple[tuple[str, str], ...]) -> _Node:
-        kind = sc.kind_of(eid)
-        node = _Node(kind.value, sc.name_of(eid))
-        node.path = path
-        nodes[eid] = node
-        if kind is ElementKind.STATECHART:
-            child_ids = [top]
-        elif kind in (ElementKind.OR, ElementKind.AND):
-            child_ids = list(sc.refs(eid, "contains"))
-        else:
-            child_ids = []
-        here = path + ((kind.value, sc.name_of(eid)),)
-        node.children = [build(c, here) for c in child_ids]
-        return node
-
-    root = build(roots[0], ())
-
-    # hyperedge link signatures use the target's name plus its container
-    # path, so same-named Basics in different containers stay distinct
-    def target_sig(basic: int) -> tuple:
-        node = nodes.get(basic)
-        if node is None:
-            # linked Basic outside the tree: identify it by name only
-            return (sc.name_of(basic), ("<detached>",))
-        return (node.name, node.path)
-
-    for eid, node in nodes.items():
-        if node.kind != ElementKind.HYPER_EDGE.value:
-            continue
-        node.next_sig = tuple(
-            sorted(target_sig(b) for b in sc.refs(eid, "next"))
-        )
-        node.rnext_sig = tuple(
-            sorted(target_sig(b) for b in sc.refs(eid, "rnext"))
-        )
-
-    def canonicalize(node: _Node) -> tuple:
-        for child in node.children:
-            canonicalize(child)
-        node.children.sort(key=lambda c: c.key)
-        node.key = (
-            node.kind,
-            node.name,
-            node.next_sig,
-            node.rnext_sig,
-            tuple(c.key for c in node.children),
-        )
-        return node.key
-
-    canonicalize(root)
-    return root
+def _path(trees: RankedTrees, node: int) -> str:
+    """The labels from the root down to ``node``, or ``<root>`` for -1."""
+    labels = []
+    while node >= 0:
+        labels.append(_label(trees, node))
+        node = trees.parents[node]
+    return "/".join(reversed(labels)) or "<root>"
 
 
-def _flatten(root: _Node) -> list[_Node]:
-    out = [root]
-    stack = [root]
+def _first_unequal(nodes_a: list[int], nodes_e: list[int],
+                   order: list[int]) -> tuple[int, int] | None:
+    """The first pair that differs in ``order`` once both lists are sorted
+    by it, or None."""
+    pairs = zip(sorted(nodes_a, key=order.__getitem__),
+                sorted(nodes_e, key=order.__getitem__))
+    return next(((a, e) for a, e in pairs if order[a] != order[e]), None)
+
+
+def _label_mismatches(trees: RankedTrees,
+                      first_expected: int) -> list[Discrepancy]:
+    """Compare, for each kind and name, how often and where it occurs.
+
+    Nodes numbered from ``first_expected`` on belong to the expected
+    model. A HyperEdge found at the same places in both models that still
+    ranks differently links different Basics.
+    """
+    actual: dict[tuple[str, str], list[int]] = {}
+    expected: dict[tuple[str, str], list[int]] = {}
+    for node, label in enumerate(zip(trees.kinds, trees.names)):
+        side = actual if node < first_expected else expected
+        side.setdefault(label, []).append(node)
+    found = []
+    for label in sorted(actual.keys() | expected.keys()):
+        text = f"{label[0]}({label[1]})"
+        nodes_a = actual.get(label, [])
+        nodes_e = expected.get(label, [])
+        if len(nodes_a) < len(nodes_e):
+            found.append(Discrepancy(
+                "missing-node", f"{text}: {len(nodes_e) - len(nodes_a)} "
+                f"occurrence(s) missing",
+            ))
+        elif len(nodes_a) > len(nodes_e):
+            found.append(Discrepancy(
+                "extra-node", f"{text}: {len(nodes_a) - len(nodes_e)} "
+                f"unexpected occurrence(s)",
+            ))
+        elif moved := _first_unequal(nodes_a, nodes_e, trees.paths):
+            found.append(Discrepancy(
+                "wrong-container",
+                f"{text} contained under "
+                f"{_path(trees, trees.parents[moved[0]])}, expected "
+                f"{_path(trees, trees.parents[moved[1]])}",
+            ))
+        elif label[0] == ElementKind.HYPER_EDGE.value and _first_unequal(
+            nodes_a, nodes_e, trees.ranks
+        ):
+            found.append(Discrepancy(
+                "next-set-mismatch",
+                f"{text} links a different set of Basics than expected",
+            ))
+    return found
+
+
+def _first_divergence(trees: RankedTrees, actual: int,
+                      expected: int) -> list[Discrepancy]:
+    """Descend into subtrees of unequal rank and report the first
+    difference on each divergent branch.
+
+    ``actual`` and ``expected`` share a kind and a name, as do the pairs
+    descended into: children of equal rank pair off, the rest pair by kind
+    and name, and what is left over is missing or extra.
+    """
+    ranks, kinds, names = trees.ranks, trees.kinds, trees.names
+    found: list[Discrepancy] = []
+    stack = [(actual, expected)]
     while stack:
-        node = stack.pop()
-        out.extend(node.children)
-        stack.extend(node.children)
-    return out
-
-
-def _fmt_path(path: tuple[tuple[str, str], ...]) -> str:
-    if not path:
-        return "<root>"
-    return "/".join(f"{kind}({name})" for kind, name in path)
-
-
-def _first_divergence(actual: _Node, expected: _Node,
-                      found: list[Discrepancy]) -> None:
-    """Descend into canonically unequal subtrees and report the first
-    difference on each divergent branch."""
-    if actual.key == expected.key:
-        return
-    if (actual.kind, actual.name) != (expected.kind, expected.name):
-        found.append(Discrepancy(
-            "missing-node",
-            f"expected {expected.label} under {_fmt_path(expected.path)}, "
-            f"found {actual.label}",
-        ))
-        return
-    if actual.kind == ElementKind.HYPER_EDGE.value and (
-        actual.next_sig != expected.next_sig
-        or actual.rnext_sig != expected.rnext_sig
-    ):
-        found.append(Discrepancy(
-            "next-set-mismatch",
-            f"{actual.label} under {_fmt_path(actual.path)} links different "
-            f"Basics than expected",
-        ))
-        return
-    by_key_a = Counter(c.key for c in actual.children)
-    by_key_e = Counter(c.key for c in expected.children)
-    # pair off children with identical canonical keys, then match the rest
-    # by (kind, name) and recurse into those pairs
-    surplus_a = []
-    budget = dict(by_key_e)
-    for child in actual.children:
-        if budget.get(child.key, 0) > 0:
-            budget[child.key] -= 1
-        else:
-            surplus_a.append(child)
-    surplus_e = []
-    budget = dict(by_key_a)
-    for child in expected.children:
-        if budget.get(child.key, 0) > 0:
-            budget[child.key] -= 1
-        else:
-            surplus_e.append(child)
-    for child_a in list(surplus_a):
-        partner = next(
-            (c for c in surplus_e
-             if (c.kind, c.name) == (child_a.kind, child_a.name)),
-            None,
-        )
-        if partner is not None:
-            surplus_a.remove(child_a)
-            surplus_e.remove(partner)
-            _first_divergence(child_a, partner, found)
-    for child in surplus_e:
-        found.append(Discrepancy(
-            "missing-node",
-            f"{child.label} missing under {_fmt_path(expected.path)}"
-            f"/{expected.label}",
-        ))
-    for child in surplus_a:
-        found.append(Discrepancy(
-            "extra-node",
-            f"unexpected {child.label} under {_fmt_path(actual.path)}"
-            f"/{actual.label}",
-        ))
+        node_a, node_e = stack.pop()
+        if ranks[node_a] == ranks[node_e]:
+            continue
+        if kinds[node_a] == ElementKind.HYPER_EDGE.value:
+            found.append(Discrepancy(
+                "next-set-mismatch",
+                f"{_label(trees, node_a)} under "
+                f"{_path(trees, trees.parents[node_a])} links different "
+                f"Basics than expected",
+            ))
+            continue
+        budget = Counter(ranks[kid] for kid in trees.children[node_e])
+        surplus_a = []
+        for kid in trees.children[node_a]:
+            if budget[ranks[kid]] > 0:
+                budget[ranks[kid]] -= 1
+            else:
+                surplus_a.append(kid)
+        # what is left of the budget is the expected children nobody matched
+        unmatched: dict[tuple[str, str], list[int]] = {}
+        for kid in trees.children[node_e]:
+            if budget[ranks[kid]] > 0:
+                budget[ranks[kid]] -= 1
+                unmatched.setdefault((kinds[kid], names[kid]), []).append(kid)
+        pairs = []
+        for kid in surplus_a:
+            partners = unmatched.get((kinds[kid], names[kid]))
+            if partners:
+                pairs.append((kid, partners.pop(0)))
+            else:
+                found.append(Discrepancy(
+                    "extra-node",
+                    f"unexpected {_label(trees, kid)} under "
+                    f"{_path(trees, node_a)}",
+                ))
+        for partners in unmatched.values():
+            for kid in partners:
+                found.append(Discrepancy(
+                    "missing-node",
+                    f"{_label(trees, kid)} missing under "
+                    f"{_path(trees, node_e)}",
+                ))
+        stack += reversed(pairs)
+    return found
 
 
 def validate_full(actual: ModelStore, expected: ModelStore) -> ValidationReport:
-    """Compare containment trees and hyperedge link sets."""
-    tree_a = _build_tree(actual)
-    tree_e = _build_tree(expected)
-    found: list[Discrepancy] = []
+    """Compare containment trees and hyperedge link sets.
 
-    all_a = _flatten(tree_a)
-    all_e = _flatten(tree_e)
-    names_a = Counter((n.kind, n.name) for n in all_a)
-    names_e = Counter((n.kind, n.name) for n in all_e)
-    for (kind, name), want in sorted(names_e.items()):
-        got = names_a.get((kind, name), 0)
-        if got < want:
-            found.append(Discrepancy(
-                "missing-node", f"{kind}({name}): {want - got} occurrence(s) "
-                f"missing",
-            ))
-    for (kind, name), got in sorted(names_a.items()):
-        want = names_e.get((kind, name), 0)
-        if got > want:
-            found.append(Discrepancy(
-                "extra-node", f"{kind}({name}): {got - want} unexpected "
-                f"occurrence(s)",
-            ))
-
-    group_a: dict[tuple[str, str], list[_Node]] = {}
-    for node in all_a:
-        group_a.setdefault((node.kind, node.name), []).append(node)
-    group_e: dict[tuple[str, str], list[_Node]] = {}
-    for node in all_e:
-        group_e.setdefault((node.kind, node.name), []).append(node)
-
-    for label in sorted(set(group_a) & set(group_e)):
-        nodes_a = group_a[label]
-        nodes_e = group_e[label]
-        if len(nodes_a) != len(nodes_e):
-            continue  # already reported as missing/extra
-        paths_a = sorted(n.path for n in nodes_a)
-        paths_e = sorted(n.path for n in nodes_e)
-        if paths_a != paths_e:
-            found.append(Discrepancy(
-                "wrong-container",
-                f"{label[0]}({label[1]}) contained under "
-                f"{_fmt_path(paths_a[0])}, expected "
-                f"{_fmt_path(paths_e[0])}",
-            ))
-            continue
-        if label[0] == ElementKind.HYPER_EDGE.value:
-            sigs_a = sorted((n.next_sig, n.rnext_sig) for n in nodes_a)
-            sigs_e = sorted((n.next_sig, n.rnext_sig) for n in nodes_e)
-            if sigs_a != sigs_e:
-                found.append(Discrepancy(
-                    "next-set-mismatch",
-                    f"{label[0]}({label[1]}) links a different set of "
-                    f"Basics than expected",
-                ))
-
-    if not found and tree_a.key != tree_e.key:
-        _first_divergence(tree_a, tree_e, found)
-        if not found:  # canonically unequal but not localized: be explicit
-            found.append(Discrepancy(
-                "missing-node", "containment trees differ structurally",
-            ))
+    Both models are ranked together (``rank_statecharts``); they match
+    when their roots have equal ranks. Only when they do not are the
+    discrepancies looked for: first kind by kind and name by name, and
+    where that finds none, by descending the two trees. Raises ValueError
+    (a DocumentError) unless each model holds one Statechart with a top
+    state and keeps its links inside the containment tree.
+    """
+    trees = rank_statecharts(actual, expected)
+    root_a, root_e = trees.roots
+    found = []
+    if trees.ranks[root_a] != trees.ranks[root_e]:
+        found = (_label_mismatches(trees, root_e)
+                 or _first_divergence(trees, root_a, root_e))
     return ValidationReport(ValidationLevel.FULL, tuple(found))

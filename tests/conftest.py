@@ -4,19 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pn2sc.generate import Fixture, generate_known_corpus
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@pytest.fixture(scope="session")
-def corpus() -> list[Fixture]:
-    return generate_known_corpus()
-
-
-@pytest.fixture(scope="session")
-def reducible_corpus(corpus: list[Fixture]) -> list[Fixture]:
-    return [fx for fx in corpus if fx.expected is not None]
+from helpers import GOLDEN_DIR
 
 
 @pytest.fixture(scope="session")

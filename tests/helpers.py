@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from pathlib import Path
 
 from pn2sc.io import (
     PetriNetDocument,
@@ -10,8 +12,22 @@ from pn2sc.io import (
     ScNode,
     StatechartDocument,
     TransitionSpec,
+    parse_petri_net,
+    parse_statechart,
 )
 from pn2sc.model import ElementKind, ModelStore
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    """A fixture net with its expected statechart, or with
+    ``expected=None`` when the net must come out irreducible."""
+
+    name: str
+    net: PetriNetDocument
+    expected: StatechartDocument | None
 
 
 def build_net(
@@ -121,23 +137,58 @@ def reference_statechart_bytes(doc: StatechartDocument) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-def nested_fork_join_net(depth: int) -> PetriNetDocument:
-    """One fork/join spine nested ``depth`` deep (3 * depth + 1 places).
+def nested_fork_join_net(*depths: int) -> PetriNetDocument:
+    """Fork/join spines side by side under one top fork and join.
 
-    Each level wraps the level inside it in ``s -> {x, entry}``,
-    ``{x, exit} -> e``; the fixpoint reduces it one level per round and
-    the statechart nests about two levels per spine level.
+    A spine of depth d has 3 * d + 1 places: each level wraps the level
+    inside it in ``s -> {x, entry}``, ``{x, exit} -> e``. The fixpoint
+    reduces a spine one level per round, and the statechart nests about
+    two levels per spine level. One spine alone has no top fork.
     """
-    places = [PlaceSpec("p0", "p0")]
+    places: list[PlaceSpec] = []
     transitions: list[TransitionSpec] = []
-    entry = exit_ = "p0"
-    for _ in range(depth):
-        start, side, end = (f"p{len(places) + k}" for k in range(3))
-        places += [PlaceSpec(pid, pid) for pid in (start, side, end)]
-        fork, join = f"t{len(transitions)}", f"t{len(transitions) + 1}"
-        transitions += [
-            TransitionSpec(fork, fork, (start,), (side, entry)),
-            TransitionSpec(join, join, (side, exit_), (end,)),
-        ]
-        entry, exit_ = start, end
+
+    def place() -> str:
+        pid = f"p{len(places)}"
+        places.append(PlaceSpec(pid, pid))
+        return pid
+
+    def transition(pre: list[str], post: list[str]) -> None:
+        tid = f"t{len(transitions)}"
+        transitions.append(TransitionSpec(tid, tid, tuple(pre), tuple(post)))
+
+    ends = []
+    for depth in depths:
+        entry = exit_ = place()
+        for _ in range(depth):
+            start, side, end = place(), place(), place()
+            transition([start], [side, entry])
+            transition([side, exit_], [end])
+            entry, exit_ = start, end
+        ends.append((entry, exit_))
+    if len(ends) > 1:
+        top, bottom = place(), place()
+        transition([top], [entry for entry, _ in ends])
+        transition([exit_ for _, exit_ in ends], [bottom])
     return PetriNetDocument(tuple(places), tuple(transitions))
+
+
+def load_corpus() -> list[CorpusEntry]:
+    """The fixture corpus in ``tests/golden``, sorted by name.
+
+    Every ``<name>.net.json`` is an entry; its expected statechart is
+    ``<name>.statechart.json``, or ``None`` where that file is absent
+    because the net must come out irreducible.
+    """
+    entries = []
+    for net_path in sorted(GOLDEN_DIR.glob("*.net.json")):
+        name = net_path.name.removesuffix(".net.json")
+        chart_path = GOLDEN_DIR / f"{name}.statechart.json"
+        expected = (
+            parse_statechart(chart_path.read_bytes())
+            if chart_path.exists() else None
+        )
+        entries.append(
+            CorpusEntry(name, parse_petri_net(net_path.read_bytes()), expected)
+        )
+    return entries

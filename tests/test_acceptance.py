@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import time
 
-from helpers import nca_oracle
+from helpers import load_corpus, nca_oracle
 from pn2sc.cli import main, run_bench
-from pn2sc.generate import GenSpec, generate_known_corpus, generate_sp_net
+from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import petri_net_to_bytes, store_from_petri_net, write_statechart
 from pn2sc.model import ElementKind
 from pn2sc.reduce import (
@@ -34,7 +34,7 @@ T = ElementKind.TRANSITION
 
 
 def _fixture(name: str):
-    return next(fx for fx in generate_known_corpus() if fx.name == name)
+    return next(fx for fx in load_corpus() if fx.name == name)
 
 
 def _transform_fixture(name: str):

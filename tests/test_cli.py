@@ -4,16 +4,15 @@ import json
 
 import pytest
 
-from helpers import nested_fork_join_net
+from helpers import load_corpus, nested_fork_join_net
 from pn2sc.cli import main
-from pn2sc.generate import generate_known_corpus
 from pn2sc.io import petri_net_to_bytes
 
 
 @pytest.fixture()
 def net_file(tmp_path):
     def write(name: str):
-        fx = next(f for f in generate_known_corpus() if f.name == name)
+        fx = next(f for f in load_corpus() if f.name == name)
         path = tmp_path / f"{name}.json"
         path.write_bytes(petri_net_to_bytes(fx.net))
         return path

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pn2sc.generate import GenSpec, SplitMix64, generate_known_corpus, generate_sp_net
+from helpers import load_corpus
+from pn2sc.generate import GenSpec, SplitMix64, generate_sp_net
 from pn2sc.io import petri_net_to_bytes, store_from_petri_net
 from pn2sc.model import ElementKind
 from pn2sc.reduce import create_statechart
@@ -76,8 +77,8 @@ def test_size_envelope_and_reducibility(target, seed, branch_max, prob):
 
 
 def test_known_corpus_shape():
-    corpus = generate_known_corpus()
-    assert len(corpus) >= 5
+    corpus = load_corpus()
+    assert len(corpus) == 5
     names = [fx.name for fx in corpus]
     assert len(set(names)) == len(names)
     chain = next(fx for fx in corpus if fx.name == "chain")
@@ -98,7 +99,7 @@ def test_known_corpus_shape():
 def test_corpus_nets_transform_to_expected_outcome(golden_dir):
     from pn2sc.io import statechart_document_to_bytes, write_statechart
 
-    for fx in generate_known_corpus():
+    for fx in load_corpus():
         pn = store_from_petri_net(fx.net)
         sc, result = create_statechart(pn)
         if fx.expected is None:

@@ -5,9 +5,14 @@ import random
 
 import pytest
 
-from helpers import build_net, nested_fork_join_net, reference_statechart_bytes
+from helpers import (
+    build_net,
+    load_corpus,
+    nested_fork_join_net,
+    reference_statechart_bytes,
+)
 from pn2sc import io as scio
-from pn2sc.generate import GenSpec, generate_known_corpus, generate_sp_net
+from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.model import ElementKind
 from pn2sc.reduce import create_statechart
 from pn2sc.validate import validate_full
@@ -187,7 +192,7 @@ def _escape_net() -> scio.PetriNetDocument:
 
 
 def _writer_cases():
-    for fx in generate_known_corpus():
+    for fx in load_corpus():
         if fx.expected is not None:
             yield pytest.param(lambda fx=fx: fx.net, id=f"fixture-{fx.name}")
     for places, seed in ((5, 0), (60, 1), (400, 2), (2000, 3)):
@@ -214,3 +219,27 @@ def test_writer_bytes_match_json_dumps_reference(make_net):
     assert scio.statechart_document_to_bytes(doc) == (
         reference_statechart_bytes(doc)
     )
+
+
+def _order_cases():
+    for places in (20, 100, 1000):
+        for seed in (0, 1, 2):
+            yield pytest.param(
+                lambda p=places, s=seed: generate_sp_net(GenSpec(p, s)),
+                id=f"sp{places}_{seed}",
+            )
+    yield pytest.param(lambda: nested_fork_join_net(12), id="spine12")
+    yield pytest.param(lambda: nested_fork_join_net(8, 8), id="spines8x2")
+
+
+@pytest.mark.parametrize("make_net", _order_cases())
+def test_output_does_not_depend_on_input_order(make_net):
+    net = make_net()
+    sc, result = create_statechart(scio.store_from_petri_net(net))
+    data = scio.write_statechart(sc, result)
+    for seed in range(3):
+        shuffled, shuffled_result = create_statechart(
+            scio.store_from_petri_net(_shuffled(net, seed))
+        )
+        assert scio.write_statechart(shuffled, shuffled_result) == data
+        assert validate_full(shuffled, sc).passed

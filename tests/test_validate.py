@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import build_net
-from pn2sc.generate import generate_known_corpus
-from pn2sc.io import store_from_petri_net, store_from_statechart
+from helpers import build_net, load_corpus, nested_fork_join_net
+from pn2sc.io import (
+    document_from_statechart,
+    store_from_petri_net,
+    store_from_statechart,
+)
 from pn2sc.model import ElementKind
 from pn2sc.reduce import create_statechart
 from pn2sc.validate import (
@@ -54,7 +57,7 @@ class TestCounts:
     def test_chain_against_expected_tallies(self):
         sc = chain_statechart()
         expected = store_from_statechart(
-            next(fx for fx in generate_known_corpus() if fx.name == "chain")
+            next(fx for fx in load_corpus() if fx.name == "chain")
             .expected
         )
         assert validate_counts(sc, expected).passed
@@ -67,7 +70,7 @@ class TestFull:
         assert report.level is ValidationLevel.FULL
 
     def test_reflexive_over_corpus(self):
-        for fx in generate_known_corpus():
+        for fx in load_corpus():
             if fx.expected is None:
                 continue
             pn = store_from_petri_net(fx.net)
@@ -118,7 +121,7 @@ class TestFull:
         assert any(d.kind == "wrong-container" for d in report.discrepancies)
 
     def test_full_pass_implies_counts_pass(self):
-        for fx in generate_known_corpus():
+        for fx in load_corpus():
             if fx.expected is None:
                 continue
             pn = store_from_petri_net(fx.net)
@@ -158,3 +161,24 @@ class TestFull:
         sc, _ = create_statechart(pn)  # irreducible: no Statechart element
         with pytest.raises(ValueError):
             validate_full(sc, chain_statechart())
+
+
+def test_deep_trees_rank_without_recursion():
+    # A recursive walk or a nested-tuple key would pass the interpreter's
+    # recursion limit on these trees; the models stay in memory because
+    # their files are too deep for json.loads.
+    def transformed(*depths):
+        sc, result = create_statechart(
+            store_from_petri_net(nested_fork_join_net(*depths))
+        )
+        assert result.ok
+        return sc
+
+    assert validate_full(transformed(300), transformed(300)).passed
+    # two spines of one shape side by side: siblings that differ only in
+    # the names deep inside them
+    twins = transformed(300, 300)
+    doc = document_from_statechart(twins)
+    assert doc.counts["basic"] == 2 * (3 * 300 + 1) + 2
+    assert validate_full(twins, twins).passed
+    assert not validate_full(twins, transformed(300, 299)).passed
