@@ -1,7 +1,7 @@
 """Command-line frontend: transform, validate, generate, bench.
 
 Exit codes: 0 success, 1 failed validation, 2 irreducible input net,
-64 usage errors, 65 unreadable or malformed input.
+64 usage errors, 65 unreadable or malformed input, 70 internal errors.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EX_VALIDATION_FAILED = 1
 EX_IRREDUCIBLE = 2
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -190,6 +191,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -423,10 +423,16 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
     ``rank_statecharts``) and a node's uid is its preorder index.
     """
     trees = rank_statecharts(sc)
-    kinds, children, links = trees.kinds, trees.children, trees.links
+    # Keep only what the document needs; the ranks, paths and parents
+    # are freed before the nodes are built.
+    kinds, names, children, links = (
+        trees.kinds, trees.names, trees.children, trees.links
+    )
+    root = trees.roots[0]
+    del trees
     order: list[int] = []
     uids = [0] * len(kinds)
-    stack = [trees.roots[0]]
+    stack = [root]
     while stack:
         node = stack.pop()
         uids[node] = len(order)
@@ -440,7 +446,7 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
         built[node] = ScNode(
             uid=uids[node],
             kind=kinds[node],
-            name=trees.names[node],
+            name=names[node],
             children=tuple([built[kid] for kid in children[node]]),
             next=tuple(sorted([uids[t] for t in links[node]])),
         )
@@ -448,7 +454,7 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
     counts = {
         key: tally[kind.value] for kind, key in _KIND_TO_COUNT_KEY.items()
     }
-    return StatechartDocument(built[trees.roots[0]], counts)
+    return StatechartDocument(built[root], counts)
 
 
 def _level_pieces(depth: int) -> tuple[bytes, ...]:

@@ -8,6 +8,11 @@ one value; assigning a new container steals the element from its previous
 one. Deleting an element clears every reference to it before it disappears,
 so no live slot ever points at a dead element.
 
+Adding a container to an element first walks up from the new container
+to make sure containment stays a tree; the walk is skipped when the child
+is a Basic or a HyperEdge, because a leaf contains nothing and so cannot
+close a cycle.
+
 Element ids are monotonically assigned and never reused, which makes
 creation order recoverable and all iteration deterministic.
 
@@ -16,6 +21,7 @@ A store is single-writer: mutate it from one thread of control only.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from enum import Enum
 
 
@@ -72,6 +78,8 @@ _H = ElementKind.HYPER_EDGE
 _S = ElementKind.STATECHART
 
 _CONTAINABLE = frozenset({_B, _O, _A, _H})
+_LEAF_KINDS = (_B, _H)
+_NO_VALUES: KeysView[int] = {}.keys()
 
 #: owner kind -> slot -> allowed target kinds
 ALLOWED_SLOTS: dict[ElementKind, dict[str, frozenset[ElementKind]]] = {
@@ -179,6 +187,17 @@ class ModelStore:
         self._check_slot(el.kind, slot)
         values = el.slots.get(slot)
         return frozenset(values) if values else frozenset()
+
+    def view(self, owner: int, slot: str) -> KeysView[int]:
+        """A read-only view of a live element's slot values in insertion
+        order, for hot read paths.
+
+        Nothing is copied and neither the element's liveness nor the slot's
+        name is checked. The view follows later changes to the slot, except
+        that a slot that never held a value gives a fixed empty view.
+        """
+        values = self._elements[owner].slots.get(slot)
+        return _NO_VALUES if values is None else values.keys()
 
     def ref(self, owner: int, slot: str) -> int | None:
         """The value of a single-valued slot, or None."""
@@ -301,6 +320,8 @@ class ModelStore:
 
     def _guard_containment_cycle(self, owner: int, slot: str, target: int) -> None:
         container, child = (owner, target) if slot == "contains" else (target, owner)
+        if self._elements[child].kind in _LEAF_KINDS:
+            return
         node: int | None = container
         while node is not None:
             if node == child:

@@ -9,6 +9,15 @@ surviving top-level OR in a Statechart with an AND top state and assigns
 every hyperedge to the nearest compound state containing all Basics it
 connects.
 
+Each rule's precondition and rewrite is written once, for one transition
+(``_and_step``, ``_or_step``). ``and_rule`` and ``or_rule`` run one of
+them over every transition, and ``fixpoint`` runs rounds of the three
+passes (AND on pre-places, AND on post-places, OR) from a worklist: a
+pass visits only the transitions next to a place that an earlier firing
+changed, in ascending id. It fires exactly the rules, in exactly the
+order, that full scans of every transition in every pass would fire, so
+element ids and output are the same either way.
+
 Wherever the rules need "the first" element of an unordered collection,
 the minimum element id is used, so runs are reproducible.
 """
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, Union
 
 from .init import TraceMap, initialize_statechart
@@ -78,24 +88,80 @@ _HYPER_EDGE = ElementKind.HYPER_EDGE
 _STATECHART = ElementKind.STATECHART
 
 
-def pret(pn: ModelStore, place: int) -> frozenset[int]:
-    """The place's pre-transitions as a set."""
-    return pn.refs_as_set(place, "pret")
+def _and_step(
+    pn: ModelStore,
+    sc: ModelStore,
+    side: Side,
+    trace: TraceMap,
+    transition: int,
+    on_fire: FiringObserver | None,
+) -> int | None:
+    """Apply the AND rule to one live transition if it matches; return the
+    surviving place, or None when the transition does not match."""
+    companions = pn.view(transition, side.value)
+    if len(companions) <= 1:
+        return None
+    ordered = sorted(companions)
+    survivor = ordered[0]
+    pre_set = pn.view(survivor, "pret")
+    post_set = pn.view(survivor, "postt")
+    for other in ordered[1:]:
+        if (pn.view(other, "pret") != pre_set
+                or pn.view(other, "postt") != post_set):
+            return None
+    new_or = sc.create(_OR)
+    new_and = sc.create(_AND)
+    for place in ordered:
+        sc.add_ref(new_and, "contains", trace.or_for(place))
+    sc.add_ref(new_or, "contains", new_and)
+    trace.place_to_or[survivor] = new_or
+    for other in ordered[1:]:
+        pn.delete(other)
+    if on_fire is not None:
+        on_fire(AndFiring(transition, side, len(ordered)))
+    return survivor
 
 
-def postt(pn: ModelStore, place: int) -> frozenset[int]:
-    """The place's post-transitions as a set."""
-    return pn.refs_as_set(place, "postt")
-
-
-def prep(pn: ModelStore, transition: int) -> frozenset[int]:
-    """The transition's pre-places as a set."""
-    return pn.refs_as_set(transition, "prep")
-
-
-def postp(pn: ModelStore, transition: int) -> frozenset[int]:
-    """The transition's post-places as a set."""
-    return pn.refs_as_set(transition, "postp")
+def _or_step(
+    pn: ModelStore,
+    sc: ModelStore,
+    trace: TraceMap,
+    transition: int,
+    on_fire: FiringObserver | None,
+) -> int | None:
+    """Apply the OR rule to one live transition if it matches; return the
+    surviving place q, or None when the transition does not match."""
+    preps = pn.view(transition, "prep")
+    if len(preps) != 1:
+        return None
+    postps = pn.view(transition, "postp")
+    if len(postps) != 1:
+        return None
+    (q,) = preps
+    (r,) = postps
+    if q != r:
+        # r is a co-output of a producer of q exactly when that producer
+        # is also a producer of r; likewise for co-inputs and consumers
+        if not pn.view(q, "pret").isdisjoint(pn.view(r, "pret")):
+            return None
+        if not pn.view(q, "postt").isdisjoint(pn.view(r, "postt")):
+            return None
+        merger = trace.or_for(q)
+        mergee = trace.or_for(r)
+        for producer in pn.refs(r, "pret"):
+            pn.add_ref(q, "pret", producer)
+        for consumer in pn.refs(r, "postt"):
+            pn.add_ref(q, "postt", consumer)
+        pn.delete(r)
+        # adding to the merger steals each child from the mergee, so
+        # iterate over a copy
+        for child in sc.refs(mergee, "contains"):
+            sc.add_ref(merger, "contains", child)
+        sc.delete(mergee)
+    pn.delete(transition)
+    if on_fire is not None:
+        on_fire(OrFiring(transition, identity=q == r))
+    return q
 
 
 def and_rule(
@@ -117,31 +183,11 @@ def and_rule(
     """
     applied = False
     for transition in pn.all_of_kind(_TRANSITION):
-        if not pn.is_live(transition):
-            continue
-        companions = pn.refs(transition, side.value)
-        if len(companions) <= 1:
-            continue
-        ordered = sorted(companions)
-        survivor = ordered[0]
-        pre_set = pret(pn, survivor)
-        post_set = postt(pn, survivor)
-        if not all(
-            pret(pn, other) == pre_set and postt(pn, other) == post_set
-            for other in ordered[1:]
+        if (
+            pn.is_live(transition)
+            and _and_step(pn, sc, side, trace, transition, on_fire) is not None
         ):
-            continue
-        new_or = sc.create(_OR)
-        new_and = sc.create(_AND)
-        for place in ordered:
-            sc.add_ref(new_and, "contains", trace.or_for(place))
-        sc.add_ref(new_or, "contains", new_and)
-        trace.place_to_or[survivor] = new_or
-        for other in ordered[1:]:
-            pn.delete(other)
-        applied = True
-        if on_fire is not None:
-            on_fire(AndFiring(transition, side, len(ordered)))
+            applied = True
     return applied
 
 
@@ -164,38 +210,11 @@ def or_rule(
     """
     applied = False
     for transition in pn.all_of_kind(_TRANSITION):
-        if not pn.is_live(transition):
-            continue
-        preps = pn.refs(transition, "prep")
-        if len(preps) != 1:
-            continue
-        postps = pn.refs(transition, "postp")
-        if len(postps) != 1:
-            continue
-        q = preps[0]
-        r = postps[0]
-        if q != r:
-            if any(r in postp(pn, producer) for producer in pn.refs(q, "pret")):
-                continue
-            if any(r in prep(pn, consumer) for consumer in pn.refs(q, "postt")):
-                continue
-        merger = trace.or_for(q)
-        mergee = trace.or_for(r)
-        if q != r:
-            for producer in pn.refs(r, "pret"):
-                pn.add_ref(q, "pret", producer)
-            for consumer in pn.refs(r, "postt"):
-                pn.add_ref(q, "postt", consumer)
-            pn.delete(r)
-            # adding to the merger steals each child from the mergee, so
-            # iterate over a copy
-            for child in sc.refs(mergee, "contains"):
-                sc.add_ref(merger, "contains", child)
-            sc.delete(mergee)
-        pn.delete(transition)
-        applied = True
-        if on_fire is not None:
-            on_fire(OrFiring(transition, identity=q == r))
+        if (
+            pn.is_live(transition)
+            and _or_step(pn, sc, trace, transition, on_fire) is not None
+        ):
+            applied = True
     return applied
 
 
@@ -207,11 +226,51 @@ def fixpoint(
 ) -> None:
     """Apply [AND on pre-places, AND on post-places, OR] rounds until none
     of the three passes fires. Terminates because every firing strictly
-    shrinks the net."""
+    shrinks the net.
+
+    The firings, and their order, are exactly those of running
+    ``and_rule(PRE)``, ``and_rule(POST)`` and ``or_rule`` in rounds, but
+    each pass visits only its dirty transitions, in ascending id. A rule
+    check reads only a transition's arcs and the pre- and post-transition
+    sets of the places on them, and a firing changes those only for the
+    transitions next to the surviving place. Those are marked dirty for
+    every pass: for the running pass, a transition above the cursor is
+    still visited in this pass, and one at or below it waits for the next
+    round, just where a full scan would next look at it. A transition
+    leaves a pass's dirty set only when that pass checks it, so every
+    transition a pass skips would fail its check on unchanged inputs.
+    """
+    steps: tuple[Callable[[int], int | None], ...] = (
+        lambda t: _and_step(pn, sc, Side.PRE, trace, t, on_fire),
+        lambda t: _and_step(pn, sc, Side.POST, trace, t, on_fire),
+        lambda t: _or_step(pn, sc, trace, t, on_fire),
+    )
+    dirty = [set(pn.all_of_kind(_TRANSITION)) for _ in steps]
     while True:
-        fired = and_rule(pn, sc, Side.PRE, trace, on_fire)
-        fired = and_rule(pn, sc, Side.POST, trace, on_fire) or fired
-        fired = or_rule(pn, sc, trace, on_fire) or fired
+        fired = False
+        for current, step in enumerate(steps):
+            queued = dirty[current]
+            dirty[current] = set()
+            heap = sorted(queued)
+            while heap:
+                cursor = heappop(heap)
+                if not pn.is_live(cursor):
+                    continue
+                place = step(cursor)
+                if place is None:
+                    continue
+                fired = True
+                touched = [*pn.view(place, "pret"), *pn.view(place, "postt")]
+                for index, pending in enumerate(dirty):
+                    if index != current:
+                        pending.update(touched)
+                        continue
+                    for transition in touched:
+                        if transition <= cursor:
+                            pending.add(transition)
+                        elif transition not in queued:
+                            queued.add(transition)
+                            heappush(heap, transition)
         if not fired:
             return
 
@@ -251,21 +310,16 @@ def create_top(pn: ModelStore, sc: ModelStore) -> ReductionResult:
     )
 
 
-def _ancestor_chain(sc: ModelStore, element: int) -> list[int]:
-    chain = []
-    node = sc.ref(element, "rcontains")
-    while node is not None:
-        chain.append(node)
-        node = sc.ref(node, "rcontains")
-    return chain
-
-
 def assign_hyperedges(sc: ModelStore) -> None:
     """Contain every hyperedge in the nearest compound state that is an
     ancestor of all Basics on its next and rnext links.
 
-    Hyperedges connected to nothing go directly into the top AND state.
-    Requires a successfully created top state.
+    One walk down from the top state records every state's parent and
+    depth. Each hyperedge then starts from the parent of one linked Basic
+    and, for every other linked Basic, climbs from the deeper side until
+    it meets that Basic's parent. Hyperedges connected to nothing go
+    directly into the top AND state. Requires a successfully created top
+    state.
     """
     statecharts = sc.all_of_kind(_STATECHART)
     if len(statecharts) != 1:
@@ -276,26 +330,34 @@ def assign_hyperedges(sc: ModelStore) -> None:
     top = sc.ref(statecharts[0], "topState")
     if top is None:
         raise ReductionError("Statechart has no top state")
+    parent: dict[int, int] = {}
+    depth = {top: 0}
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        below = depth[node] + 1
+        for child in sc.view(node, "contains"):
+            parent[child] = node
+            depth[child] = below
+            stack.append(child)
     for edge in sc.all_of_kind(_HYPER_EDGE):
-        members = sc.refs_as_set(edge, "next") | sc.refs_as_set(edge, "rnext")
-        if not members:
-            sc.set_ref(edge, "rcontains", top)
-            continue
-        anchor = min(members)
-        others = [
-            frozenset(_ancestor_chain(sc, member))
-            for member in members
-            if member != anchor
-        ]
-        for candidate in _ancestor_chain(sc, anchor):
-            if all(candidate in ancestors for ancestors in others):
-                sc.set_ref(edge, "rcontains", candidate)
-                break
-        else:
-            raise ReductionError(
-                f"no common ancestor for hyperedge {edge}; "
-                f"containment is not a single tree"
-            )
+        container: int | None = None
+        for member in (*sc.view(edge, "next"), *sc.view(edge, "rnext")):
+            other = parent.get(member)
+            if other is None:
+                raise ReductionError(
+                    f"no common ancestor for hyperedge {edge}; "
+                    f"containment is not a single tree"
+                )
+            if container is None:
+                container = other
+                continue
+            while container != other:
+                if depth[container] >= depth[other]:
+                    container = parent[container]
+                else:
+                    other = parent[other]
+        sc.set_ref(edge, "rcontains", top if container is None else container)
 
 
 def create_statechart(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,9 @@ from pn2sc.io import (
     parse_petri_net,
     parse_statechart,
 )
+from pn2sc.init import TraceMap
 from pn2sc.model import ElementKind, ModelStore
+from pn2sc.reduce import FiringObserver, Side, and_rule, or_rule
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -112,6 +115,23 @@ def assert_single_tree(sc: ModelStore, top: int) -> None:
         assert sc.kind_of(container) is ElementKind.OR
 
 
+def scan_fixpoint(
+    pn: ModelStore,
+    sc: ModelStore,
+    trace: TraceMap,
+    on_fire: FiringObserver | None = None,
+) -> None:
+    """Reference reduction loop: full passes of the AND rule on
+    pre-places, the AND rule on post-places and the OR rule, in rounds,
+    until a round fires nothing."""
+    while True:
+        fired = and_rule(pn, sc, Side.PRE, trace, on_fire)
+        fired = and_rule(pn, sc, Side.POST, trace, on_fire) or fired
+        fired = or_rule(pn, sc, trace, on_fire) or fired
+        if not fired:
+            return
+
+
 def reference_statechart_bytes(doc: StatechartDocument) -> bytes:
     """Reference encoder for statechart documents: ``json.dumps`` with
     ``indent=2`` over a plain dict payload, plus a trailing newline."""
@@ -171,6 +191,37 @@ def nested_fork_join_net(*depths: int) -> PetriNetDocument:
         transition([top], [entry for entry, _ in ends])
         transition([exit_ for _, exit_ in ends], [bottom])
     return PetriNetDocument(tuple(places), tuple(transitions))
+
+
+def shuffled_net(doc: PetriNetDocument, seed: int) -> PetriNetDocument:
+    """The same net with its places and transitions in a seeded random
+    order."""
+    rng = random.Random(seed)
+    places, transitions = list(doc.places), list(doc.transitions)
+    rng.shuffle(places)
+    rng.shuffle(transitions)
+    return PetriNetDocument(tuple(places), tuple(transitions))
+
+
+def disjoint_union(left: PetriNetDocument,
+                   right: PetriNetDocument) -> PetriNetDocument:
+    """Two nets side by side, unconnected; ids and names get an ``a`` or
+    ``b`` prefix so that they stay unique."""
+
+    def tagged(doc: PetriNetDocument, tag: str):
+        places = tuple(PlaceSpec(tag + p.id, tag + p.name) for p in doc.places)
+        transitions = tuple(
+            TransitionSpec(tag + t.id, tag + t.name,
+                           tuple(tag + p for p in t.pre),
+                           tuple(tag + p for p in t.post))
+            for t in doc.transitions
+        )
+        return places, transitions
+
+    left_places, left_transitions = tagged(left, "a")
+    right_places, right_transitions = tagged(right, "b")
+    return PetriNetDocument(left_places + right_places,
+                            left_transitions + right_transitions)
 
 
 def load_corpus() -> list[CorpusEntry]:

@@ -143,3 +143,20 @@ def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "nests too deeply" in err
     assert "Traceback" not in err
+
+
+def test_unexpected_error_exits_70_with_one_line(tmp_path, net_file, capsys,
+                                                 monkeypatch):
+    def broken(pn):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("pn2sc.cli.create_statechart", broken)
+    out = tmp_path / "out.json"
+    code = main(["transform", str(net_file("chain")), "-o", str(out)])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: internal: RuntimeError: boom second line"
+    ]
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 
@@ -10,6 +9,7 @@ from helpers import (
     load_corpus,
     nested_fork_join_net,
     reference_statechart_bytes,
+    shuffled_net,
 )
 from pn2sc import io as scio
 from pn2sc.generate import GenSpec, generate_sp_net
@@ -169,14 +169,6 @@ def test_hand_written_expected_document_is_usable():
     assert validate_full(sc, expected).passed
 
 
-def _shuffled(doc: scio.PetriNetDocument, seed: int) -> scio.PetriNetDocument:
-    rng = random.Random(seed)
-    places, transitions = list(doc.places), list(doc.transitions)
-    rng.shuffle(places)
-    rng.shuffle(transitions)
-    return scio.PetriNetDocument(tuple(places), tuple(transitions))
-
-
 def _escape_net() -> scio.PetriNetDocument:
     """A fork/join block whose names need every kind of JSON escape."""
     names = ['quo"te', "back\\slash", "tab\there", "new\nline", "nul\x00",
@@ -201,7 +193,7 @@ def _writer_cases():
             id=f"sp{places}_{seed}",
         )
     yield pytest.param(
-        lambda: _shuffled(generate_sp_net(GenSpec(400, 7)), seed=7),
+        lambda: shuffled_net(generate_sp_net(GenSpec(400, 7)), seed=7),
         id="sp400_7-shuffled",
     )
     for depth in (1, 10, 60, 200):
@@ -239,7 +231,7 @@ def test_output_does_not_depend_on_input_order(make_net):
     data = scio.write_statechart(sc, result)
     for seed in range(3):
         shuffled, shuffled_result = create_statechart(
-            scio.store_from_petri_net(_shuffled(net, seed))
+            scio.store_from_petri_net(shuffled_net(net, seed))
         )
         assert scio.write_statechart(shuffled, shuffled_result) == data
         assert validate_full(shuffled, sc).passed

@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_single_tree, build_net, nca_oracle
+from helpers import (
+    assert_single_tree,
+    build_net,
+    disjoint_union,
+    load_corpus,
+    nca_oracle,
+    nested_fork_join_net,
+    scan_fixpoint,
+    shuffled_net,
+)
+from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.init import initialize_statechart
-from pn2sc.io import write_statechart
+from pn2sc.io import store_from_petri_net, write_statechart
 from pn2sc.model import ElementKind
 from pn2sc.reduce import (
     AndFiring,
@@ -375,3 +387,75 @@ def test_pipeline_on_arbitrary_nets(net):
             assert sc.ref(edge, "rcontains") == nca_oracle(sc, edge)
     sc.check_invariants()
     pn.check_invariants()
+
+
+def _reduced(reduce_net, pn):
+    """Reduce ``pn`` with ``reduce_net``; return the firing events and either
+    the written statechart or, for an irreducible net, the result."""
+    sc, trace = initialize_statechart(pn)
+    events = []
+    reduce_net(pn, sc, trace, events.append)
+    result = create_top(pn, sc)
+    if not result.ok:
+        return events, result
+    assign_hyperedges(sc)
+    return events, write_statechart(sc, result)
+
+
+def _assert_same_as_scan(make_store):
+    worklist = _reduced(fixpoint, make_store())
+    scan = _reduced(scan_fixpoint, make_store())
+    assert worklist[0] == scan[0]
+    assert worklist[1] == scan[1]
+
+
+def _differential_cases():
+    for places in (100, 1000):
+        net = generate_sp_net(GenSpec(places, 3))
+        yield pytest.param(net, id=f"sp{places}")
+        yield pytest.param(
+            shuffled_net(net, places), id=f"sp{places}-shuffled"
+        )
+    for depths in ((1,), (5,), (40,), (3, 7), (12, 30, 20)):
+        yield pytest.param(
+            nested_fork_join_net(*depths),
+            id="spines" + "-".join(map(str, depths)),
+        )
+    yield pytest.param(
+        disjoint_union(nested_fork_join_net(6), nested_fork_join_net(9)),
+        id="two-spines-disjoint",
+    )
+    for entry in load_corpus():
+        yield pytest.param(entry.net, id=f"golden-{entry.name}")
+
+
+@pytest.mark.parametrize("net", _differential_cases())
+def test_worklist_fires_like_the_scan(net):
+    _assert_same_as_scan(lambda: store_from_petri_net(net))
+
+
+def test_disjoint_spines_are_irreducible():
+    net = disjoint_union(nested_fork_join_net(6), nested_fork_join_net(9))
+    _, result = _reduced(fixpoint, store_from_petri_net(net))
+    assert result.status is ReductionStatus.IRREDUCIBLE
+    assert result.top_or_count == 2
+
+
+@given(arbitrary_nets())
+@settings(max_examples=200, deadline=None)
+def test_worklist_fires_like_the_scan_on_arbitrary_nets(net):
+    _assert_same_as_scan(lambda: build_net(*net)[0])
+
+
+def test_deep_spine_reduces_in_linear_time():
+    pn = store_from_petri_net(nested_fork_join_net(1500))
+    started = time.perf_counter()
+    sc, result = create_statechart(pn)
+    elapsed = time.perf_counter() - started
+    assert result.ok
+    assert elapsed < 10.0, f"depth-1500 spine took {elapsed:.1f} s"
+    edges = sc.all_of_kind(H)
+    sample = edges[:: max(1, len(edges) // 60)]
+    assert len(sample) >= 50
+    for edge in sample:
+        assert sc.ref(edge, "rcontains") == nca_oracle(sc, edge)
