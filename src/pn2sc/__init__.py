@@ -11,6 +11,7 @@ from .io import (
     DocumentError,
     PetriNetDocument,
     StatechartDocument,
+    parse_statechart,
     read_petri_net,
     read_statechart,
     write_statechart,
@@ -60,6 +61,7 @@ __all__ = [
     "generate_sp_net",
     "initialize_statechart",
     "or_rule",
+    "parse_statechart",
     "read_petri_net",
     "read_statechart",
     "validate_counts",

@@ -93,8 +93,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    actual = scio.read_statechart(_read_file(args.actual))
-    expected = scio.read_statechart(_read_file(args.expected))
+    actual = scio.parse_statechart(_read_file(args.actual))
+    expected = scio.parse_statechart(_read_file(args.expected))
     check = validate_counts if args.counts_only else validate_full
     report = check(actual, expected)
     for item in report.discrepancies:

@@ -28,15 +28,24 @@ models produce identical bytes whatever the order of their elements.
 (Sibling subtrees equal in kinds, names and links, which only repeated
 names can produce, keep the model's order.) The writer emits the bytes
 of ``json.dumps(payload, indent=2)`` directly and iteratively, so
-statecharts of any depth can be written. Readers accept any well-formed
-document but reject unknown fields; a document nested deeper than the
-``json`` module can parse is rejected with a DocumentError.
+statecharts of any depth can be written.
+
+In memory a statechart document is flat (``StatechartDocument``): per-node
+lists of uids, kinds, names, children and links, numbered depth by depth.
+The reader fills them in one breadth-first pass, the writer walks them
+with an explicit stack, and ``rank_statecharts`` ranks them as they stand,
+so ``pn2sc validate`` goes from bytes to ranks without building a
+``ModelStore``; ``store_from_statechart`` builds one, with no recursion,
+for callers that want a store. Readers accept any well-formed document but
+reject unknown fields; a document nested deeper than the ``json`` module
+can parse is rejected with a DocumentError.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -48,7 +57,6 @@ __all__ = [
     "PlaceSpec",
     "TransitionSpec",
     "PetriNetDocument",
-    "ScNode",
     "StatechartDocument",
     "parse_petri_net",
     "store_from_petri_net",
@@ -223,18 +231,32 @@ def petri_net_to_bytes(doc: PetriNetDocument) -> bytes:
 
 
 @dataclass(frozen=True)
-class ScNode:
-    uid: int
-    kind: str
-    name: str
-    children: tuple["ScNode", ...] = ()
-    next: tuple[int, ...] = field(default=())
-
-
-@dataclass(frozen=True)
 class StatechartDocument:
-    root: ScNode
+    """A statechart's containment tree as flat lists indexed by node number.
+
+    Node 0 is the Statechart. Nodes are numbered depth by depth: the nodes
+    of each depth form one contiguous range that follows the shallower
+    ones. ``uids`` holds each node's uid, ``children`` the node numbers of
+    its children in order, and ``links`` the node numbers of a Basic's or
+    HyperEdge's ``next`` targets, without repeats (empty for other kinds).
+    ``counts`` is the per-kind tally of the tree, under the file's keys.
+
+    ``parse_statechart`` numbers the nodes breadth-first in file order.
+    ``document_from_statechart`` gives the canonical document: children in
+    rank order, uids in preorder and links in ascending uid order.
+    """
+
+    uids: list[int]
+    kinds: list[str]
+    names: list[str]
+    children: list[Sequence[int]]
+    links: list[tuple[int, ...]]
     counts: dict[str, int]
+
+    def count_of_kind(self, kind: ElementKind) -> int:
+        """The tally of one kind, as ``ModelStore.count_of_kind`` gives it
+        for a store."""
+        return self.counts.get(_KIND_TO_COUNT_KEY.get(kind, ""), 0)
 
 
 _COUNT_KEYS = ("statechart", "and", "or", "basic", "hyperedge")
@@ -249,6 +271,66 @@ _KIND_BY_NAME = {kind.value: kind for kind in _KIND_TO_COUNT_KEY}
 _LINKED_KINDS = (ElementKind.BASIC, ElementKind.HYPER_EDGE)
 _LINKED_KIND_NAMES = tuple(kind.value for kind in _LINKED_KINDS)
 _KIND_NAME = {kind: kind.value for kind in ElementKind}
+_NODE_FIELDS = ("uid", "kind", "name", "children")
+_LINKED_NODE_FIELDS = ("uid", "kind", "name", "next", "children")
+_NODE_KEYS = frozenset(_NODE_FIELDS)
+_LINKED_NODE_KEYS = frozenset(_LINKED_NODE_FIELDS)
+
+
+def _counts(kinds: list[str]) -> dict[str, int]:
+    tally = Counter(kinds)
+    return {key: tally[kind.value] for kind, key in _KIND_TO_COUNT_KEY.items()}
+
+
+def _store_document(sc: ModelStore) -> StatechartDocument:
+    """Flatten the containment tree of a statechart model breadth-first, in
+    containment order; the uids are the element ids.
+
+    The model must contain exactly one Statechart element with a top
+    state, and every link must stay inside the containment tree;
+    otherwise a DocumentError is raised.
+    """
+    charts = sc.all_of_kind(ElementKind.STATECHART)
+    if len(charts) != 1:
+        raise DocumentError(
+            f"expected exactly one Statechart element, found {len(charts)}"
+        )
+    top = sc.ref(charts[0], "topState")
+    if top is None:
+        raise DocumentError("Statechart has no top state")
+    kinds: list[str] = []
+    names: list[str] = []
+    children: list[Sequence[int]] = []
+    node_of: dict[int, int] = {}
+    pending: list[tuple[int, int, tuple[int, ...]]] = []
+    # ``uids`` is also the queue: appending a node's children as it is
+    # read numbers every node breadth-first.
+    uids = [charts[0]]
+    for node, eid in enumerate(uids):
+        node_of[eid] = node
+        kind = sc.kind_of(eid)
+        kinds.append(_KIND_NAME[kind])
+        names.append(sc.name_of(eid))
+        if kind in _LINKED_KINDS:
+            pending.append((node, eid, sc.refs(eid, "next")))
+            children.append(())
+            continue
+        first = len(uids)
+        if kind is ElementKind.STATECHART:
+            uids.append(top)
+        else:
+            uids += sc.view(eid, "contains")
+        children.append(range(first, len(uids)) if len(uids) > first else ())
+    links: list[tuple[int, ...]] = [()] * len(uids)
+    for node, eid, targets in pending:
+        try:
+            links[node] = tuple([node_of[t] for t in targets])
+        except KeyError:
+            raise DocumentError(
+                f"element {eid} links outside the containment tree"
+            ) from None
+    return StatechartDocument(uids, kinds, names, children, links,
+                              _counts(kinds))
 
 
 @dataclass
@@ -272,7 +354,7 @@ class RankedTrees:
     kinds: list[str] = field(default_factory=list)
     names: list[str] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
-    children: list[list[int]] = field(default_factory=list)
+    children: list[Sequence[int]] = field(default_factory=list)
     links: list[tuple[int, ...]] = field(default_factory=list)
     paths: list[int] = field(default_factory=list)
     ranks: list[int] = field(default_factory=list)
@@ -288,73 +370,52 @@ def _rank_level(level: list[int], keys: list[tuple], out: list[int],
     return base + len(table)
 
 
-def _append_tree(sc: ModelStore, trees: RankedTrees,
-                 levels: list[list[int]]) -> None:
-    """Append the containment tree of ``sc`` to the node lists of
-    ``trees``, and its node numbers to ``levels``, one list per depth."""
-    charts = sc.all_of_kind(ElementKind.STATECHART)
-    if len(charts) != 1:
-        raise DocumentError(
-            f"expected exactly one Statechart element, found {len(charts)}"
-        )
-    top = sc.ref(charts[0], "topState")
-    if top is None:
-        raise DocumentError("Statechart has no top state")
-    kinds, names, children, links = (
-        trees.kinds, trees.names, trees.children, trees.links
-    )
-    trees.roots.append(len(kinds))
-    node_of: dict[int, int] = {}
-    pending: list[tuple[int, int, tuple[int, ...]]] = []
-    # The children of one level are numbered, in order, right after it,
-    # so the children of a node form a consecutive range.
-    level, level_parents = [charts[0]], [-1]
-    depth = 0
-    while level:
-        start = len(kinds)
+def _append_document(doc: StatechartDocument, trees: RankedTrees,
+                     levels: list[list[int]]) -> None:
+    """Append the nodes of ``doc`` to the node lists of ``trees``, after
+    the nodes already there, and its node numbers to ``levels``, one list
+    per depth."""
+    offset = len(trees.kinds)
+    trees.roots.append(offset)
+    trees.kinds += doc.kinds
+    trees.names += doc.names
+    children = trees.children
+    if offset:
+        children += [[offset + kid for kid in kids] if kids else ()
+                     for kids in doc.children]
+        trees.links += [tuple([offset + t for t in targets]) if targets
+                        else () for targets in doc.links]
+    else:
+        # Shared, not copied: ranking replaces a children list, and
+        # never changes one.
+        children += doc.children
+        trees.links += doc.links
+    parents = trees.parents
+    parents += [-1] * len(doc.kinds)
+    # Each depth is one contiguous range, and the next depth holds exactly
+    # the children of this one.
+    start, end, depth = offset, offset + 1, 0
+    while start < end:
         if depth == len(levels):
             levels.append([])
-        levels[depth] += range(start, start + len(level))
-        trees.parents += level_parents
-        links += [()] * len(level)
-        below: list[int] = []
-        below_parents: list[int] = []
-        for node, eid in enumerate(level, start):
-            node_of[eid] = node
-            kind = sc.kind_of(eid)
-            kinds.append(_KIND_NAME[kind])
-            names.append(sc.name_of(eid))
-            if kind in _LINKED_KINDS:
-                pending.append((node, eid, sc.refs(eid, "next")))
-                children.append([])
-                continue
-            if kind is ElementKind.STATECHART:
-                kids: tuple[int, ...] = (top,)
-            else:
-                kids = sc.refs(eid, "contains")
-            first = start + len(level) + len(below)
-            children.append(list(range(first, first + len(kids))))
-            below += kids
-            below_parents += [node] * len(kids)
-        level, level_parents = below, below_parents
-        depth += 1
-    for node, eid, targets in pending:
-        try:
-            links[node] = tuple([node_of[t] for t in targets])
-        except KeyError:
-            raise DocumentError(
-                f"element {eid} links outside the containment tree"
-            ) from None
+        levels[depth] += range(start, end)
+        below = end
+        for node in range(start, end):
+            for kid in children[node]:
+                parents[kid] = node
+            below += len(children[node])
+        start, end, depth = end, below, depth + 1
 
 
-def rank_statecharts(*models: ModelStore) -> RankedTrees:
+def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     """Rank the containment trees of ``models`` into one canonical form.
 
     This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
     and Ullman, with flat keys and no recursion:
 
-    1. One breadth-first walk of each model records every node's level,
-       parent, kind, name, children and links.
+    1. Each model's tree is laid out depth by depth: a document as it
+       stands, a store flattened breadth-first. This records every
+       node's level, parent, kind, name, children and links.
     2. Top down, level by level, each node gets a name-path rank from its
        parent's name-path rank, its kind and its name.
     3. Bottom up, level by level, each node gets a structural rank from
@@ -362,14 +423,16 @@ def rank_statecharts(*models: ModelStore) -> RankedTrees:
        its children. A HyperEdge's link signatures are the sorted
        name-path ranks of the Basics it links to and from.
 
-    Every model must contain exactly one Statechart element with a top
+    Every store must contain exactly one Statechart element with a top
     state, and every link must stay inside the containment tree;
     otherwise a DocumentError is raised.
     """
     trees = RankedTrees()
     levels: list[list[int]] = []
-    for sc in models:
-        _append_tree(sc, trees, levels)
+    for model in models:
+        if isinstance(model, ModelStore):
+            model = _store_document(model)
+        _append_document(model, trees, levels)
     kinds, names, parents, children, links = (
         trees.kinds, trees.names, trees.parents, trees.children, trees.links
     )
@@ -401,7 +464,7 @@ def rank_statecharts(*models: ModelStore) -> RankedTrees:
         for node in level:
             kids = children[node]
             if kids:
-                kids.sort(key=ranks.__getitem__)
+                children[node] = kids = sorted(kids, key=ranks.__getitem__)
                 keys.append((kinds[node], names[node], (), (),
                              tuple([ranks[kid] for kid in kids])))
             elif kinds[node] == hyper_edge:
@@ -420,41 +483,29 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
     The model must contain exactly one Statechart element; the tree is the
     containment hierarchy reachable from it, with the top state as the
     Statechart's single child. Children appear in canonical order (see
-    ``rank_statecharts``) and a node's uid is its preorder index.
+    ``rank_statecharts``), a node's uid is its preorder index and each
+    node's links are in ascending uid order.
     """
     trees = rank_statecharts(sc)
     # Keep only what the document needs; the ranks, paths and parents
-    # are freed before the nodes are built.
+    # are freed before the uids are numbered.
     kinds, names, children, links = (
         trees.kinds, trees.names, trees.children, trees.links
     )
-    root = trees.roots[0]
     del trees
-    order: list[int] = []
     uids = [0] * len(kinds)
-    stack = [root]
+    stack = [0]
+    uid = 0
     while stack:
         node = stack.pop()
-        uids[node] = len(order)
-        order.append(node)
-        stack.extend(reversed(children[node]))
-
-    # Build bottom-up, in reverse preorder, so every child exists before
-    # its parent.
-    built: list[ScNode | None] = [None] * len(kinds)
-    for node in reversed(order):
-        built[node] = ScNode(
-            uid=uids[node],
-            kind=kinds[node],
-            name=names[node],
-            children=tuple([built[kid] for kid in children[node]]),
-            next=tuple(sorted([uids[t] for t in links[node]])),
-        )
-    tally = Counter(kinds)
-    counts = {
-        key: tally[kind.value] for kind, key in _KIND_TO_COUNT_KEY.items()
-    }
-    return StatechartDocument(built[root], counts)
+        uids[node] = uid
+        uid += 1
+        stack += reversed(children[node])
+    for node, targets in enumerate(links):
+        if len(targets) > 1:
+            links[node] = tuple(sorted(targets, key=uids.__getitem__))
+    return StatechartDocument(uids, kinds, names, children, links,
+                              _counts(kinds))
 
 
 def _level_pieces(depth: int) -> tuple[bytes, ...]:
@@ -485,7 +536,7 @@ def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
     """Encode a document to exactly the bytes of
     ``json.dumps(payload, indent=2) + "\\n"``, where ``payload`` holds each
     node's fields in the order uid, kind, name, next (Basic and HyperEdge
-    only), children.
+    only), children, with children and next in the document's order.
 
     The text is written directly, with an explicit stack instead of
     recursion, so documents of any depth encode. It is collected as ASCII
@@ -495,10 +546,16 @@ def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
     """
     encode_str = encode_basestring_ascii
     linked = _LINKED_KIND_NAMES
+    uids, kinds, names, children, links = (
+        doc.uids, doc.kinds, doc.names, doc.children, doc.links
+    )
+    kind_text = {
+        kind: encode_str(kind).encode("ascii") for kind in _KIND_BY_NAME
+    }
     levels: list[tuple[bytes, ...]] = []
     out = [b'{\n  "root": ']
     # Items are (node, depth) pairs to encode, or literal text to append.
-    stack: list[tuple[ScNode, int] | bytes] = [(doc.root, 0)]
+    stack: list[tuple[int, int] | bytes] = [(0, 0)]
     while stack:
         item = stack.pop()
         if type(item) is bytes:
@@ -509,28 +566,29 @@ def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
             levels.append(_level_pieces(depth))
         (head, kind_key, name_key, next_key, children_key, list_open,
          list_sep, next_close, leaf_close, branch_close) = levels[depth]
-        out += (head, b"%d" % node.uid, kind_key,
-                encode_str(node.kind).encode("ascii"),
-                name_key, encode_str(node.name).encode("ascii"))
-        if node.kind in linked:
+        kind = kinds[node]
+        out += (head, b"%d" % uids[node], kind_key, kind_text[kind],
+                name_key, encode_str(names[node]).encode("ascii"))
+        if kind in linked:
             out.append(next_key)
-            if node.next:
-                uids = list_sep.join([b"%d" % uid for uid in node.next])
-                out += (list_open, uids, next_close)
+            targets = links[node]
+            if targets:
+                text = list_sep.join([b"%d" % uids[t] for t in targets])
+                out += (list_open, text, next_close)
             else:
                 out.append(b"[]")
         out.append(children_key)
-        children = node.children
-        if not children:
+        kids = children[node]
+        if not kids:
             out.append(leaf_close)
             continue
         out.append(list_open)
         stack.append(branch_close)
         child_depth = depth + 1
-        for position in range(len(children) - 1, 0, -1):
-            stack.append((children[position], child_depth))
+        for position in range(len(kids) - 1, 0, -1):
+            stack.append((kids[position], child_depth))
             stack.append(list_sep)
-        stack.append((children[0], child_depth))
+        stack.append((kids[0], child_depth))
     counts = ",\n    ".join(
         f'"{key}": {doc.counts[key]}' for key in _COUNT_KEYS
     )
@@ -551,7 +609,12 @@ def write_statechart(sc: ModelStore, result: ReductionResult) -> bytes:
 
 
 def parse_statechart(data: bytes | str) -> StatechartDocument:
-    """Parse and schema-check a statechart document."""
+    """Parse and schema-check a statechart document.
+
+    One breadth-first pass over the output of ``json.loads`` fills the
+    document's lists, so no depth of tree needs recursion here. Repeated
+    uids in a ``next`` list count once.
+    """
     raw = _expect_object(_decode(data), "document", ("root", "counts"))
     counts_raw = _expect_object(raw["counts"], "counts", _COUNT_KEYS)
     counts = {}
@@ -561,100 +624,115 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
             raise DocumentError(f"count {key!r} must be an integer")
         counts[key] = value
 
-    seen_uids: set[int] = set()
-    tally = dict.fromkeys(_COUNT_KEYS, 0)
-    uid_kinds: dict[int, ElementKind] = {}
-    pending_next: list[tuple[int, ElementKind, tuple[int, ...]]] = []
-
-    def parse_node(value: object, at_root: bool) -> ScNode:
-        keys = ("uid", "kind", "name", "children")
-        if isinstance(value, dict) and value.get("kind") in _LINKED_KIND_NAMES:
-            keys = ("uid", "kind", "name", "next", "children")
-        node = _expect_object(value, "node", keys)
-        uid = node["uid"]
-        if not isinstance(uid, int) or isinstance(uid, bool) or uid < 0:
+    uids: list[int] = []
+    kinds: list[str] = []
+    names: list[str] = []
+    children: list[Sequence[int]] = []
+    node_of: dict[int, int] = {}
+    pending: list[tuple[int, list[int]]] = []
+    # ``queue`` holds the raw nodes; appending a node's children as it is
+    # read numbers every node breadth-first.
+    queue = [raw["root"]]
+    for node, value in enumerate(queue):
+        # json.loads yields only exact dict, list, str and int types (bool
+        # aside), so the type tests below are exact.
+        linked = (type(value) is dict
+                  and value.get("kind") in _LINKED_KIND_NAMES)
+        keys = _LINKED_NODE_KEYS if linked else _NODE_KEYS
+        if type(value) is not dict or value.keys() != keys:
+            _expect_object(value, "node",
+                           _LINKED_NODE_FIELDS if linked else _NODE_FIELDS)
+        uid = value["uid"]
+        if type(uid) is not int or uid < 0:
             raise DocumentError("node uid must be a non-negative integer")
-        if uid in seen_uids:
+        if uid in node_of:
             raise DocumentError(f"duplicate uid {uid}")
-        seen_uids.add(uid)
-        kind_name = _expect_str(node["kind"], "node kind")
-        kind = _KIND_BY_NAME.get(kind_name)
-        if kind is None:
-            raise DocumentError(f"unknown kind {kind_name!r}")
-        if (kind is ElementKind.STATECHART) != at_root:
+        node_of[uid] = node
+        kind = value["kind"]
+        if type(kind) is not str:
+            raise DocumentError("node kind must be a string")
+        if kind not in _KIND_BY_NAME:
+            raise DocumentError(f"unknown kind {kind!r}")
+        if (kind == "Statechart") != (node == 0):
             raise DocumentError(
                 "Statechart must appear exactly at the document root"
             )
-        name = _expect_str(node["name"], "node name")
-        raw_children = node["children"]
-        if not isinstance(raw_children, list):
+        name = value["name"]
+        if type(name) is not str:
+            raise DocumentError("node name must be a string")
+        raw_children = value["children"]
+        if type(raw_children) is not list:
             raise DocumentError("children must be a list")
-        nxt: tuple[int, ...] = ()
-        if kind_name in _LINKED_KIND_NAMES:
-            raw_next = node["next"]
-            if not isinstance(raw_next, list) or not all(
-                isinstance(u, int) and not isinstance(u, bool)
-                for u in raw_next
+        if linked:
+            raw_next = value["next"]
+            if type(raw_next) is not list or not all(
+                type(u) is int for u in raw_next
             ):
                 raise DocumentError("next must be a list of uids")
-            nxt = tuple(raw_next)
-            pending_next.append((uid, kind, nxt))
+            if raw_next:
+                pending.append((node, raw_next))
             if raw_children:
-                raise DocumentError(f"{kind_name} nodes cannot have children")
-        children = tuple(parse_node(c, at_root=False) for c in raw_children)
-        if kind is ElementKind.STATECHART:
-            if len(children) != 1 or children[0].kind != "AND":
-                raise DocumentError(
-                    "Statechart must have exactly one AND child (its top "
-                    "state)"
-                )
-        uid_kinds[uid] = kind
-        tally[_KIND_TO_COUNT_KEY[kind]] += 1
-        return ScNode(uid, kind_name, name, children, nxt)
+                raise DocumentError(f"{kind} nodes cannot have children")
+        uids.append(uid)
+        kinds.append(kind)
+        names.append(name)
+        if raw_children:
+            first = len(queue)
+            queue += raw_children
+            children.append(range(first, len(queue)))
+        else:
+            children.append(())
+    del queue, raw
 
-    root = parse_node(raw["root"], at_root=True)
-    for owner, owner_kind, targets in pending_next:
-        want = (
-            ElementKind.BASIC
-            if owner_kind is ElementKind.HYPER_EDGE
-            else ElementKind.HYPER_EDGE
+    top = children[0]
+    if len(top) != 1 or kinds[top[0]] != "AND":
+        raise DocumentError(
+            "Statechart must have exactly one AND child (its top state)"
         )
+    links: list[tuple[int, ...]] = [()] * len(kinds)
+    for owner, targets in pending:
+        kind = kinds[owner]
+        want = "Basic" if kind == "HyperEdge" else "HyperEdge"
+        resolved = []
         for uid in targets:
-            if uid_kinds.get(uid) is not want:
+            target = node_of.get(uid)
+            if target is None or kinds[target] != want:
                 raise DocumentError(
-                    f"{owner_kind.value} {owner} links to uid {uid}, "
-                    f"which is not a {want.value} in the tree"
+                    f"{kind} {uids[owner]} links to uid {uid}, which is "
+                    f"not a {want} in the tree"
                 )
+            resolved.append(target)
+        links[owner] = tuple(
+            dict.fromkeys(resolved) if len(resolved) > 1 else resolved
+        )
+    tally = _counts(kinds)
     if tally != counts:
         raise DocumentError(
             f"counts object {counts} does not match the tree {tally}"
         )
-    return StatechartDocument(root, counts)
+    return StatechartDocument(uids, kinds, names, children, links, counts)
 
 
 def store_from_statechart(doc: StatechartDocument) -> ModelStore:
-    """Materialize a statechart document as a model store."""
+    """Materialize a statechart document as a model store.
+
+    Elements are created in node order. Containment is added deepest node
+    first, so a container has no container of its own yet when it takes
+    its children, and each cycle check stops at once.
+    """
     sc = ModelStore()
-    by_uid: dict[int, int] = {}
-    linked: list[tuple[int, tuple[int, ...]]] = []
-
-    def build(node: ScNode, container: int | None) -> None:
-        eid = sc.create(_KIND_BY_NAME[node.kind], node.name)
-        by_uid[node.uid] = eid
-        if container is not None:
-            if sc.kind_of(container) is ElementKind.STATECHART:
-                sc.set_ref(container, "topState", eid)
-            else:
-                sc.add_ref(container, "contains", eid)
-        if node.kind in _LINKED_KIND_NAMES:
-            linked.append((eid, node.next))
-        for child in node.children:
-            build(child, eid)
-
-    build(doc.root, None)
-    for eid, targets in linked:
-        for uid in targets:
-            sc.add_ref(eid, "next", by_uid[uid])
+    eids = [sc.create(_KIND_BY_NAME[kind], name)
+            for kind, name in zip(doc.kinds, doc.names)]
+    children = doc.children
+    for node in range(len(eids) - 1, 0, -1):
+        owner = eids[node]
+        for kid in children[node]:
+            sc.add_ref(owner, "contains", eids[kid])
+    for kid in children[0]:
+        sc.set_ref(eids[0], "topState", eids[kid])
+    for node, targets in enumerate(doc.links):
+        for target in targets:
+            sc.add_ref(eids[node], "next", eids[target])
     return sc
 
 

@@ -4,6 +4,8 @@ Two rigor levels: ``Counts`` compares per-kind element totals only, while
 ``Full`` looks for a containment-tree isomorphism matching kind and name at
 every node and, under it, equality of every hyperedge's next and rnext
 sets, where a linked Basic is identified by its name path from the root.
+Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
+or one of each; a document is compared as it stands, with no store built.
 ``Full`` ranks both models into the canonical form the writer uses
 (``pn2sc.io.rank_statecharts``) and compares the ranks of the two roots,
 so duplicate names need no backtracking search and no tree walk recurses.
@@ -17,8 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .io import RankedTrees, rank_statecharts
+from .io import RankedTrees, StatechartDocument, rank_statecharts
 from .model import ElementKind, ModelStore
+
+Statechart = ModelStore | StatechartDocument
 
 _COMPARED_KINDS = (
     ElementKind.STATECHART,
@@ -51,8 +55,9 @@ class ValidationReport:
         return not self.discrepancies
 
 
-def validate_counts(actual: ModelStore, expected: ModelStore) -> ValidationReport:
-    """Compare per-kind instance totals."""
+def validate_counts(actual: Statechart,
+                    expected: Statechart) -> ValidationReport:
+    """Compare per-kind instance totals (a document's ``counts``)."""
     found = []
     for kind in _COMPARED_KINDS:
         got = actual.count_of_kind(kind)
@@ -134,14 +139,20 @@ def _label_mismatches(trees: RankedTrees,
     return found
 
 
+def _child_ranks(trees: RankedTrees, node: int) -> Counter[int]:
+    return Counter([trees.ranks[kid] for kid in trees.children[node]])
+
+
 def _first_divergence(trees: RankedTrees, actual: int,
                       expected: int) -> list[Discrepancy]:
     """Descend into subtrees of unequal rank and report the first
     difference on each divergent branch.
 
     ``actual`` and ``expected`` share a kind and a name, as do the pairs
-    descended into: children of equal rank pair off, the rest pair by kind
-    and name, and what is left over is missing or extra.
+    descended into: children of equal rank pair off, and each other actual
+    child pairs with the unmatched expected child of its kind and name
+    whose children share the most ranks with its own (the first such one
+    in rank order). What is left over is missing or extra.
     """
     ranks, kinds, names = trees.ranks, trees.kinds, trees.names
     found: list[Discrepancy] = []
@@ -158,7 +169,7 @@ def _first_divergence(trees: RankedTrees, actual: int,
                 f"Basics than expected",
             ))
             continue
-        budget = Counter(ranks[kid] for kid in trees.children[node_e])
+        budget = _child_ranks(trees, node_e)
         surplus_a = []
         for kid in trees.children[node_a]:
             if budget[ranks[kid]] > 0:
@@ -175,7 +186,12 @@ def _first_divergence(trees: RankedTrees, actual: int,
         for kid in surplus_a:
             partners = unmatched.get((kinds[kid], names[kid]))
             if partners:
-                pairs.append((kid, partners.pop(0)))
+                mine = _child_ranks(trees, kid)
+                partner = max(partners, key=lambda other: (
+                    mine & _child_ranks(trees, other)
+                ).total())
+                partners.remove(partner)
+                pairs.append((kid, partner))
             else:
                 found.append(Discrepancy(
                     "extra-node",
@@ -193,15 +209,17 @@ def _first_divergence(trees: RankedTrees, actual: int,
     return found
 
 
-def validate_full(actual: ModelStore, expected: ModelStore) -> ValidationReport:
+def validate_full(actual: Statechart,
+                  expected: Statechart) -> ValidationReport:
     """Compare containment trees and hyperedge link sets.
 
     Both models are ranked together (``rank_statecharts``); they match
     when their roots have equal ranks. Only when they do not are the
     discrepancies looked for: first kind by kind and name by name, and
     where that finds none, by descending the two trees. Raises ValueError
-    (a DocumentError) unless each model holds one Statechart with a top
-    state and keeps its links inside the containment tree.
+    (a DocumentError) unless each store holds one Statechart with a top
+    state and keeps its links inside the containment tree; a parsed
+    document meets both by construction.
     """
     trees = rank_statecharts(actual, expected)
     root_a, root_e = trees.roots

@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     PetriNetDocument,
     PlaceSpec,
-    ScNode,
     StatechartDocument,
     TransitionSpec,
     parse_petri_net,
     parse_statechart,
+    statechart_document_to_bytes,
+    store_from_petri_net,
+    write_statechart,
 )
 from pn2sc.init import TraceMap
 from pn2sc.model import ElementKind, ModelStore
-from pn2sc.reduce import FiringObserver, Side, and_rule, or_rule
+from pn2sc.reduce import (
+    FiringObserver,
+    Side,
+    and_rule,
+    create_statechart,
+    or_rule,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -134,21 +144,22 @@ def scan_fixpoint(
 
 def reference_statechart_bytes(doc: StatechartDocument) -> bytes:
     """Reference encoder for statechart documents: ``json.dumps`` with
-    ``indent=2`` over a plain dict payload, plus a trailing newline."""
+    ``indent=2`` over a plain dict payload rebuilt from the document's
+    lists, plus a trailing newline."""
 
-    def encode(node: ScNode) -> dict:
+    def encode(node: int) -> dict:
         payload: dict[str, object] = {
-            "uid": node.uid,
-            "kind": node.kind,
-            "name": node.name,
+            "uid": doc.uids[node],
+            "kind": doc.kinds[node],
+            "name": doc.names[node],
         }
-        if node.kind in ("Basic", "HyperEdge"):
-            payload["next"] = list(node.next)
-        payload["children"] = [encode(c) for c in node.children]
+        if doc.kinds[node] in ("Basic", "HyperEdge"):
+            payload["next"] = [doc.uids[t] for t in doc.links[node]]
+        payload["children"] = [encode(c) for c in doc.children[node]]
         return payload
 
     payload = {
-        "root": encode(doc.root),
+        "root": encode(0),
         "counts": {
             key: doc.counts[key]
             for key in ("statechart", "and", "or", "basic", "hyperedge")
@@ -243,3 +254,109 @@ def load_corpus() -> list[CorpusEntry]:
             CorpusEntry(name, parse_petri_net(net_path.read_bytes()), expected)
         )
     return entries
+
+
+@functools.cache
+def statechart_cases() -> list[tuple[str, bytes]]:
+    """Written statecharts, by name: the golden ones, SP nets transformed
+    as generated and shuffled, and spines. Built once per session."""
+    cases = [
+        (f"golden-{fx.name}", (GOLDEN_DIR / f"{fx.name}.statechart.json")
+         .read_bytes())
+        for fx in load_corpus() if fx.expected is not None
+    ]
+    nets = [
+        ("sp60_0", generate_sp_net(GenSpec(60, 0))),
+        ("sp400_1", generate_sp_net(GenSpec(400, 1))),
+        ("sp400_1-shuffled",
+         shuffled_net(generate_sp_net(GenSpec(400, 1)), seed=5)),
+        ("spine1", nested_fork_join_net(1)),
+        ("spine12", nested_fork_join_net(12)),
+        ("spines5x9", nested_fork_join_net(5, 9)),
+    ]
+    for name, net in nets:
+        sc, result = create_statechart(store_from_petri_net(net))
+        cases.append((name, write_statechart(sc, result)))
+    return cases
+
+
+def json_nodes(doc: dict) -> list[tuple[dict, dict | None]]:
+    """Every node of a statechart JSON object with its parent, in
+    preorder."""
+    found = []
+    stack: list[tuple[dict, dict | None]] = [(doc["root"], None)]
+    while stack:
+        node, parent = stack.pop()
+        found.append((node, parent))
+        stack += [(kid, node) for kid in reversed(node["children"])]
+    return found
+
+
+#: Changes ``mutated_statechart`` makes. The first two keep the statechart
+#: equal; the others each make one difference.
+PARTNER_CHANGES = ("none", "reordered", "basic-renamed", "hyperedge-moved",
+                   "basic-moved", "link-dropped")
+
+
+def mutated_statechart(data: bytes, change: str, seed: int) -> bytes | None:
+    """A statechart file with one seeded change from ``PARTNER_CHANGES``,
+    or None where the chart offers no place for it (a Basic with no other
+    OR to move to, or no link to drop).
+
+    "reordered" shuffles every children list and renumbers the uids at
+    random; the moves take a node out of its parent and append it to
+    another OR (or, for a HyperEdge, another OR or AND).
+    """
+    rng = random.Random(seed)
+    doc = json.loads(data)
+    nodes = json_nodes(doc)
+
+    def pick(kind: str) -> tuple[dict, dict]:
+        return rng.choice([(n, p) for n, p in nodes if n["kind"] == kind])
+
+    if change == "reordered":
+        fresh = list(range(len(nodes)))
+        rng.shuffle(fresh)
+        uid_map = {node["uid"]: uid for (node, _), uid in zip(nodes, fresh)}
+        for node, _ in nodes:
+            rng.shuffle(node["children"])
+            node["uid"] = uid_map[node["uid"]]
+            if "next" in node:
+                node["next"] = [uid_map[uid] for uid in node["next"]]
+    elif change == "basic-renamed":
+        node, _ = pick("Basic")
+        node["name"] += ".renamed"
+    elif change in ("hyperedge-moved", "basic-moved"):
+        kind, hosts = (("HyperEdge", ("OR", "AND"))
+                       if change == "hyperedge-moved" else ("Basic", ("OR",)))
+        node, parent = pick(kind)
+        targets = [n for n, _ in nodes
+                   if n["kind"] in hosts and n is not parent]
+        if not targets:
+            return None
+        parent["children"] = [n for n in parent["children"] if n is not node]
+        rng.choice(targets)["children"].append(node)
+    elif change == "link-dropped":
+        linked = [n for n, _ in nodes if n.get("next")]
+        if not linked:
+            return None
+        node = rng.choice(linked)
+        node["next"].pop(rng.randrange(len(node["next"])))
+    elif change != "none":
+        raise ValueError(f"unknown change {change!r}")
+    return json.dumps(doc).encode("utf-8")
+
+
+def chain_document(depth: int) -> StatechartDocument:
+    """A statechart whose states nest ``depth`` levels below the root: a
+    chain of alternating AND and OR states that ends in one Basic."""
+    count = depth + 1
+    kinds = ["Statechart"] + [
+        "AND" if level % 2 else "OR" for level in range(1, depth)
+    ] + ["Basic"]
+    children = [range(node + 1, node + 2) for node in range(depth)] + [()]
+    counts = {"statechart": 1, "and": kinds.count("AND"),
+              "or": kinds.count("OR"), "basic": 1, "hyperedge": 0}
+    return StatechartDocument(list(range(count)), kinds, [""] * count,
+                              children, [()] * count, counts)
+

@@ -4,9 +4,15 @@ import json
 
 import pytest
 
-from helpers import load_corpus, nested_fork_join_net
+from helpers import (
+    chain_document,
+    load_corpus,
+    mutated_statechart,
+    nested_fork_join_net,
+)
 from pn2sc.cli import main
-from pn2sc.io import petri_net_to_bytes
+from pn2sc.io import petri_net_to_bytes, statechart_document_to_bytes
+from pn2sc.model import ModelStore
 
 
 @pytest.fixture()
@@ -160,3 +166,25 @@ def test_unexpected_error_exits_70_with_one_line(tmp_path, net_file, capsys,
     ]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_validate_builds_no_store(tmp_path, net_file, golden_dir, monkeypatch,
+                                  capsys):
+    out = tmp_path / "out.json"
+    assert main(["transform", str(net_file("fork_join")), "-o", str(out)]) == 0
+    mutated = tmp_path / "mutated.json"
+    mutated.write_bytes(mutated_statechart(out.read_bytes(), "basic-renamed",
+                                           seed=0))
+    deep = tmp_path / "chain400.json"
+    deep.write_bytes(statechart_document_to_bytes(chain_document(400)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate built a ModelStore")
+
+    monkeypatch.setattr(ModelStore, "create", refuse)
+    golden = str(golden_dir / "fork_join.statechart.json")
+    assert main(["validate", str(out), golden]) == 0
+    assert main(["validate", str(mutated), golden]) == 1
+    assert main(["validate", str(out), golden, "--counts-only"]) == 0
+    assert main(["validate", str(deep), str(deep)]) == 0
+    assert "error" not in capsys.readouterr().err

@@ -87,9 +87,10 @@ def test_known_corpus_shape():
         "statechart": 1, "and": 1, "or": 1, "basic": 2, "hyperedge": 1
     }
     fork_join = next(fx for fx in corpus if fx.name == "fork_join")
-    top_and = fork_join.expected.root.children[0]
+    doc = fork_join.expected
+    (top_and,) = doc.children[0]
     inner_kinds = [
-        child.kind for child in top_and.children[0].children
+        doc.kinds[child] for child in doc.children[doc.children[top_and][0]]
     ]
     assert inner_kinds.count("AND") == 1
     irreducible = [fx for fx in corpus if fx.expected is None]

@@ -5,11 +5,15 @@ import json
 import pytest
 
 from helpers import (
+    GOLDEN_DIR,
+    PARTNER_CHANGES,
     build_net,
     load_corpus,
+    mutated_statechart,
     nested_fork_join_net,
     reference_statechart_bytes,
     shuffled_net,
+    statechart_cases,
 )
 from pn2sc import io as scio
 from pn2sc.generate import GenSpec, generate_sp_net
@@ -235,3 +239,43 @@ def test_output_does_not_depend_on_input_order(make_net):
         )
         assert scio.write_statechart(shuffled, shuffled_result) == data
         assert validate_full(shuffled, sc).passed
+
+
+@pytest.mark.parametrize("name, data", statechart_cases(),
+                         ids=[name for name, _ in statechart_cases()])
+def test_store_flattens_back_to_the_document(name, data):
+    # Written files read back to the same bytes, and a store built from a
+    # document lays out as that document: same node numbers, lists and
+    # ranks. The store's elements are numbered in node order, so its uids
+    # map back to the document's.
+    assert scio.statechart_document_to_bytes(scio.parse_statechart(data)) == (
+        data
+    )
+    for change in PARTNER_CHANGES:
+        partner = mutated_statechart(data, change, seed=1)
+        if partner is None:
+            continue
+        doc = scio.parse_statechart(partner)
+        store = scio.store_from_statechart(doc)
+        flat = scio._store_document(store)
+        assert [doc.uids[eid] for eid in flat.uids] == doc.uids
+        assert (flat.kinds, flat.names, flat.children, flat.links,
+                flat.counts) == (doc.kinds, doc.names, doc.children,
+                                 doc.links, doc.counts)
+        assert scio.rank_statecharts(store) == scio.rank_statecharts(doc)
+
+
+def test_parse_numbers_nodes_breadth_first():
+    doc = scio.parse_statechart(
+        (GOLDEN_DIR / "fork_join.statechart.json").read_bytes()
+    )
+    assert doc.kinds[:4] == ["Statechart", "AND", "OR", "AND"]
+    assert [list(kids) for kids in doc.children[:4]] == [
+        [1], [2], [3, 4, 5, 6, 7], [8, 9],
+    ]
+    assert doc.uids[:4] == [0, 1, 2, 3]
+    assert sorted(doc.uids) == list(range(len(doc.uids)))
+    edge = doc.kinds.index("HyperEdge")
+    assert [doc.kinds[t] for t in doc.links[edge]] == ["Basic", "Basic"]
+    assert doc.count_of_kind(ElementKind.BASIC) == doc.counts["basic"] == 4
+    assert doc.count_of_kind(ElementKind.PLACE) == 0

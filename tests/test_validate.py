@@ -1,14 +1,28 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from helpers import build_net, load_corpus, nested_fork_join_net
+from helpers import (
+    PARTNER_CHANGES,
+    build_net,
+    chain_document,
+    json_nodes,
+    load_corpus,
+    mutated_statechart,
+    nested_fork_join_net,
+    statechart_cases,
+)
 from pn2sc.io import (
     document_from_statechart,
+    parse_statechart,
+    read_statechart,
+    statechart_document_to_bytes,
     store_from_petri_net,
     store_from_statechart,
 )
-from pn2sc.model import ElementKind
+from pn2sc.model import ElementKind, ModelStore
 from pn2sc.reduce import create_statechart
 from pn2sc.validate import (
     ValidationLevel,
@@ -182,3 +196,89 @@ def test_deep_trees_rank_without_recursion():
     assert doc.counts["basic"] == 2 * (3 * 300 + 1) + 2
     assert validate_full(twins, twins).passed
     assert not validate_full(twins, transformed(300, 299)).passed
+
+
+def _twin_regions(move: bool) -> ModelStore:
+    """A top AND over two unnamed ORs, holding Basics a1-a3 and b1-b3;
+    with ``move``, a1 sits in the second OR instead."""
+    sc = ModelStore()
+    chart, top = sc.create(ElementKind.STATECHART), sc.create(AND)
+    sc.set_ref(chart, "topState", top)
+    regions = []
+    for names in (("a1", "a2", "a3"), ("b1", "b2", "b3")):
+        region = sc.create(OR)
+        sc.add_ref(top, "contains", region)
+        for name in names:
+            sc.add_ref(region, "contains", sc.create(B, name))
+        regions.append(region)
+    if move:
+        a1 = next(b for b in sc.all_of_kind(B) if sc.name_of(b) == "a1")
+        sc.set_ref(a1, "rcontains", regions[1])
+    return sc
+
+
+def test_basic_moved_between_twin_ors_is_one_move():
+    # Both ORs have the name path Statechart()/AND()/OR(), so only the
+    # descent sees the move; it must pair each OR with its likeness.
+    def as_document(sc: ModelStore):
+        return parse_statechart(
+            statechart_document_to_bytes(document_from_statechart(sc))
+        )
+
+    actual, expected = _twin_regions(True), _twin_regions(False)
+    region = "Statechart()/AND()/OR()"
+    for report in (validate_full(actual, expected),
+                   validate_full(as_document(actual), as_document(expected))):
+        assert sorted((d.kind, d.detail) for d in report.discrepancies) == [
+            ("extra-node", f"unexpected Basic(a1) under {region}"),
+            ("missing-node", f"Basic(a1) missing under {region}"),
+        ]
+
+
+@pytest.mark.parametrize("name, data", statechart_cases(),
+                         ids=[name for name, _ in statechart_cases()])
+def test_document_and_store_routes_agree(name, data):
+    for change in PARTNER_CHANGES:
+        for seed in range(3):
+            partner = mutated_statechart(data, change, seed)
+            if partner is None:
+                continue
+            for actual, expected in ((partner, data), (data, partner)):
+                by_document = validate_full(parse_statechart(actual),
+                                            parse_statechart(expected))
+                by_store = validate_full(read_statechart(actual),
+                                         read_statechart(expected))
+                assert by_document == by_store, (change, seed)
+                assert by_document.passed == (change in ("none", "reordered"))
+                assert validate_counts(
+                    parse_statechart(actual), parse_statechart(expected)
+                ) == validate_counts(
+                    read_statechart(actual), read_statechart(expected)
+                )
+
+
+def test_repeated_next_uids_count_once(golden_dir):
+    golden = (golden_dir / "fork_join.statechart.json").read_bytes()
+    for base in (golden, mutated_statechart(golden, "link-dropped", 0)):
+        doc = json.loads(base)
+        for node, _ in json_nodes(doc):
+            if node.get("next"):
+                node["next"] += node["next"]
+        repeated = json.dumps(doc)
+        assert parse_statechart(repeated) == parse_statechart(base)
+        for route in (parse_statechart, read_statechart):
+            for pair in ((repeated, golden), (golden, repeated)):
+                plain = tuple(base if side is repeated else side
+                              for side in pair)
+                assert validate_full(*map(route, pair)) == validate_full(
+                    *map(route, plain)
+                )
+
+
+def test_deep_documents_read_and_validate_without_recursion():
+    doc = chain_document(3000)
+    store = store_from_statechart(doc)
+    assert validate_full(doc, store).passed
+    assert validate_full(store, doc).passed
+    deeper = chain_document(3001)
+    assert not validate_full(doc, deeper).passed
