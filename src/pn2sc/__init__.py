@@ -1,12 +1,13 @@
 """Petri net to hierarchical statechart transformation.
 
-A typed in-memory model store, an element-wise initialization pass, the
-AND/OR reduction rules applied to a fixpoint, JSON serialization, a
-series-parallel benchmark generator, and a structural validator.
+A typed in-memory model store, a one-pass initialization that maps each
+place to its OR state, the AND/OR reduction rules applied to a fixpoint,
+JSON serialization, a series-parallel benchmark generator, and a
+structural validator.
 """
 
 from .generate import GenSpec, generate_sp_net
-from .init import TraceError, TraceMap, initialize_statechart
+from .init import initialize_statechart
 from .io import (
     DocumentError,
     PetriNetDocument,
@@ -49,8 +50,6 @@ __all__ = [
     "ReductionStatus",
     "Side",
     "StatechartDocument",
-    "TraceError",
-    "TraceMap",
     "ValidationLevel",
     "ValidationReport",
     "and_rule",

@@ -125,9 +125,9 @@ def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
         for _ in range(reps):
             pn = scio.store_from_petri_net(doc)
             t0 = time.perf_counter()
-            sc, trace = initialize_statechart(pn)
+            sc, or_of_place = initialize_statechart(pn)
             t1 = time.perf_counter()
-            fixpoint(pn, sc, trace)
+            fixpoint(pn, sc, or_of_place)
             result = create_top(pn, sc)
             if result.ok:
                 assign_hyperedges(sc)

@@ -1,95 +1,41 @@
-"""Element-wise initialization pass from a Petri net to statechart parts.
+"""Initialization pass from a Petri net to statechart parts.
 
 Every place becomes an OR state wrapping one Basic state, every transition
 becomes a HyperEdge, and the net's arcs are mirrored as next/rnext links
-between Basics and HyperEdges. The correspondence is recorded in a
-:class:`TraceMap` that the reduction rules consume and update.
+between Basics and HyperEdges. The pass returns the new statechart store
+and a plain dict from place id to the id of its OR, which the reduction
+rules read and rewrite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import ElementKind, ModelError, ModelStore
+from .model import ElementKind, ModelStore
 
 
-class TraceError(ModelError):
-    """The traceability map lost coverage of a live element."""
+def initialize_statechart(pn: ModelStore) -> tuple[ModelStore, dict[int, int]]:
+    """Build the statechart parts of a whole net in one pass.
 
-
-@dataclass
-class TraceMap:
-    """Source-to-target correspondence carried through the transformation.
-
-    ``place_to_or`` is rewritten while reduction rules fire; entries for
-    deleted places are kept stale rather than purged. The other two maps
-    are write-once.
-    """
-
-    place_to_or: dict[int, int] = field(default_factory=dict)
-    place_to_basic: dict[int, int] = field(default_factory=dict)
-    transition_to_hyperedge: dict[int, int] = field(default_factory=dict)
-
-    def or_for(self, place: int) -> int:
-        try:
-            return self.place_to_or[place]
-        except KeyError:
-            raise TraceError(f"no OR recorded for place {place}") from None
-
-
-def rule_transition2hyperedge(
-    pn: ModelStore, sc: ModelStore, trace: TraceMap, transition: int
-) -> int:
-    """Create (once) the HyperEdge for a transition and return its id."""
-    known = trace.transition_to_hyperedge.get(transition)
-    if known is not None:
-        return known
-    if pn.kind_of(transition) is not ElementKind.TRANSITION:
-        raise ModelError(f"element {transition} is not a Transition")
-    edge = sc.create(ElementKind.HYPER_EDGE, pn.name_of(transition))
-    trace.transition_to_hyperedge[transition] = edge
-    return edge
-
-
-def rule_place2basic_and_or(
-    pn: ModelStore, sc: ModelStore, trace: TraceMap, place: int
-) -> tuple[int, int]:
-    """Create (once) the OR/Basic pair for a place and wire its arcs.
-
-    The Basic takes the place's name and sits inside the OR. Incoming arcs
-    become rnext links and outgoing arcs become next links to the
-    hyperedges of the adjacent transitions, creating those lazily.
-    """
-    known = trace.place_to_basic.get(place)
-    if known is not None:
-        return trace.place_to_or[place], known
-    if pn.kind_of(place) is not ElementKind.PLACE:
-        raise ModelError(f"element {place} is not a Place")
-    or_state = sc.create(ElementKind.OR)
-    basic = sc.create(ElementKind.BASIC, pn.name_of(place))
-    sc.set_ref(basic, "rcontains", or_state)
-    for transition in pn.refs(place, "pret"):
-        sc.add_ref(basic, "rnext",
-                   rule_transition2hyperedge(pn, sc, trace, transition))
-    for transition in pn.refs(place, "postt"):
-        sc.add_ref(basic, "next",
-                   rule_transition2hyperedge(pn, sc, trace, transition))
-    trace.place_to_or[place] = or_state
-    trace.place_to_basic[place] = basic
-    return or_state, basic
-
-
-def initialize_statechart(pn: ModelStore) -> tuple[ModelStore, TraceMap]:
-    """Run the initialization pass over a whole net.
-
-    Places are visited in ascending id order; transitions not reachable
-    from any place are swept afterwards so that every transition ends up
-    with a hyperedge.
+    Places are visited in ascending id. Each gets its OR, then its Basic;
+    the HyperEdge of an adjacent transition is created when the transition
+    is first seen, producers (``pret``) before consumers (``postt``).
+    Transitions that no place touches get their HyperEdges last, in
+    ascending id.
     """
     sc = ModelStore()
-    trace = TraceMap()
+    or_of_place: dict[int, int] = {}
+    edge_of: dict[int, int] = {}
     for place in pn.all_of_kind(ElementKind.PLACE):
-        rule_place2basic_and_or(pn, sc, trace, place)
+        or_state = or_of_place[place] = sc.create(ElementKind.OR)
+        basic = sc.create(ElementKind.BASIC, pn.name_of(place))
+        sc.add_ref(basic, "rcontains", or_state)
+        for arcs, link in (("pret", "rnext"), ("postt", "next")):
+            for transition in pn.view(place, arcs):
+                edge = edge_of.get(transition)
+                if edge is None:
+                    edge = edge_of[transition] = sc.create(
+                        ElementKind.HYPER_EDGE, pn.name_of(transition))
+                sc.add_ref(basic, link, edge)
     for transition in pn.all_of_kind(ElementKind.TRANSITION):
-        rule_transition2hyperedge(pn, sc, trace, transition)
-    return sc, trace
+        if transition not in edge_of:
+            sc.create(ElementKind.HYPER_EDGE, pn.name_of(transition))
+    return sc, or_of_place

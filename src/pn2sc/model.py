@@ -42,17 +42,8 @@ class ElementKind(Enum):
     HYPER_EDGE = "HyperEdge"
     STATECHART = "Statechart"
 
-    @property
-    def is_compound(self) -> bool:
-        return self in COMPOUND_KINDS
-
-    @property
-    def is_state(self) -> bool:
-        return self in STATE_KINDS
-
 
 COMPOUND_KINDS = frozenset({ElementKind.OR, ElementKind.AND})
-STATE_KINDS = frozenset({ElementKind.BASIC, ElementKind.OR, ElementKind.AND})
 
 #: slot name -> opposite slot name (None: no opposite side is maintained)
 OPPOSITE_SLOT: dict[str, str | None] = {

@@ -18,6 +18,10 @@ changed, in ascending id. It fires exactly the rules, in exactly the
 order, that full scans of every transition in every pass would fire, so
 element ids and output are the same either way.
 
+The rules find each place's OR state in ``or_of_place``, the plain dict
+from place id to OR id that ``initialize_statechart`` returns, and
+rewrite it when they merge places; entries of deleted places go stale.
+
 Wherever the rules need "the first" element of an unordered collection,
 the minimum element id is used, so runs are reproducible.
 """
@@ -29,7 +33,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Union
 
-from .init import TraceMap, initialize_statechart
+from .init import initialize_statechart
 from .model import ElementKind, ModelStore
 
 
@@ -92,7 +96,7 @@ def _and_step(
     pn: ModelStore,
     sc: ModelStore,
     side: Side,
-    trace: TraceMap,
+    or_of_place: dict[int, int],
     transition: int,
     on_fire: FiringObserver | None,
 ) -> int | None:
@@ -112,9 +116,9 @@ def _and_step(
     new_or = sc.create(_OR)
     new_and = sc.create(_AND)
     for place in ordered:
-        sc.add_ref(new_and, "contains", trace.or_for(place))
+        sc.add_ref(new_and, "contains", or_of_place[place])
     sc.add_ref(new_or, "contains", new_and)
-    trace.place_to_or[survivor] = new_or
+    or_of_place[survivor] = new_or
     for other in ordered[1:]:
         pn.delete(other)
     if on_fire is not None:
@@ -125,7 +129,7 @@ def _and_step(
 def _or_step(
     pn: ModelStore,
     sc: ModelStore,
-    trace: TraceMap,
+    or_of_place: dict[int, int],
     transition: int,
     on_fire: FiringObserver | None,
 ) -> int | None:
@@ -146,8 +150,8 @@ def _or_step(
             return None
         if not pn.view(q, "postt").isdisjoint(pn.view(r, "postt")):
             return None
-        merger = trace.or_for(q)
-        mergee = trace.or_for(r)
+        merger = or_of_place[q]
+        mergee = or_of_place[r]
         for producer in pn.refs(r, "pret"):
             pn.add_ref(q, "pret", producer)
         for consumer in pn.refs(r, "postt"):
@@ -168,7 +172,7 @@ def and_rule(
     pn: ModelStore,
     sc: ModelStore,
     side: Side,
-    trace: TraceMap,
+    or_of_place: dict[int, int],
     on_fire: FiringObserver | None = None,
 ) -> bool:
     """One pass of the AND rule over a snapshot of all transitions.
@@ -177,16 +181,14 @@ def and_rule(
     pre-place (POST: post-place) and all of them share identical pre- and
     post-transition sets. The minimum-id place survives; the others are
     deleted after their OR states are grouped under a fresh AND inside a
-    fresh OR, which becomes the survivor's mapped OR.
+    fresh OR, which becomes the survivor's OR in ``or_of_place``.
 
     Returns True iff at least one transition matched.
     """
     applied = False
     for transition in pn.all_of_kind(_TRANSITION):
-        if (
-            pn.is_live(transition)
-            and _and_step(pn, sc, side, trace, transition, on_fire) is not None
-        ):
+        if pn.is_live(transition) and _and_step(
+                pn, sc, side, or_of_place, transition, on_fire) is not None:
             applied = True
     return applied
 
@@ -194,7 +196,7 @@ def and_rule(
 def or_rule(
     pn: ModelStore,
     sc: ModelStore,
-    trace: TraceMap,
+    or_of_place: dict[int, int],
     on_fire: FiringObserver | None = None,
 ) -> bool:
     """One pass of the OR rule over a snapshot of all transitions.
@@ -210,10 +212,8 @@ def or_rule(
     """
     applied = False
     for transition in pn.all_of_kind(_TRANSITION):
-        if (
-            pn.is_live(transition)
-            and _or_step(pn, sc, trace, transition, on_fire) is not None
-        ):
+        if pn.is_live(transition) and _or_step(
+                pn, sc, or_of_place, transition, on_fire) is not None:
             applied = True
     return applied
 
@@ -221,7 +221,7 @@ def or_rule(
 def fixpoint(
     pn: ModelStore,
     sc: ModelStore,
-    trace: TraceMap,
+    or_of_place: dict[int, int],
     on_fire: FiringObserver | None = None,
 ) -> None:
     """Apply [AND on pre-places, AND on post-places, OR] rounds until none
@@ -241,9 +241,9 @@ def fixpoint(
     transition a pass skips would fail its check on unchanged inputs.
     """
     steps: tuple[Callable[[int], int | None], ...] = (
-        lambda t: _and_step(pn, sc, Side.PRE, trace, t, on_fire),
-        lambda t: _and_step(pn, sc, Side.POST, trace, t, on_fire),
-        lambda t: _or_step(pn, sc, trace, t, on_fire),
+        lambda t: _and_step(pn, sc, Side.PRE, or_of_place, t, on_fire),
+        lambda t: _and_step(pn, sc, Side.POST, or_of_place, t, on_fire),
+        lambda t: _or_step(pn, sc, or_of_place, t, on_fire),
     )
     dirty = [set(pn.all_of_kind(_TRANSITION)) for _ in steps]
     while True:
@@ -365,8 +365,8 @@ def create_statechart(
 ) -> tuple[ModelStore, ReductionResult]:
     """Full pipeline: initialize, reduce to fixpoint, create the top state,
     and (on success) assign hyperedge containers."""
-    sc, trace = initialize_statechart(pn)
-    fixpoint(pn, sc, trace, on_fire)
+    sc, or_of_place = initialize_statechart(pn)
+    fixpoint(pn, sc, or_of_place, on_fire)
     result = create_top(pn, sc)
     if result.ok:
         assign_hyperedges(sc)

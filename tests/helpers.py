@@ -20,7 +20,6 @@ from pn2sc.io import (
     store_from_petri_net,
     write_statechart,
 )
-from pn2sc.init import TraceMap
 from pn2sc.model import ElementKind, ModelStore
 from pn2sc.reduce import (
     FiringObserver,
@@ -63,6 +62,14 @@ def build_net(
 
 def kind_counts(store: ModelStore) -> dict[str, int]:
     return {kind.value: store.count_of_kind(kind) for kind in ElementKind}
+
+
+def element_named(store: ModelStore, kind: ElementKind, name: str) -> int:
+    """The one live element of ``kind`` called ``name``."""
+    (found,) = [
+        eid for eid in store.all_of_kind(kind) if store.name_of(eid) == name
+    ]
+    return found
 
 
 def ancestors_of(sc: ModelStore, element: int) -> list[int]:
@@ -128,16 +135,16 @@ def assert_single_tree(sc: ModelStore, top: int) -> None:
 def scan_fixpoint(
     pn: ModelStore,
     sc: ModelStore,
-    trace: TraceMap,
+    or_of_place: dict[int, int],
     on_fire: FiringObserver | None = None,
 ) -> None:
     """Reference reduction loop: full passes of the AND rule on
     pre-places, the AND rule on post-places and the OR rule, in rounds,
     until a round fires nothing."""
     while True:
-        fired = and_rule(pn, sc, Side.PRE, trace, on_fire)
-        fired = and_rule(pn, sc, Side.POST, trace, on_fire) or fired
-        fired = or_rule(pn, sc, trace, on_fire) or fired
+        fired = and_rule(pn, sc, Side.PRE, or_of_place, on_fire)
+        fired = and_rule(pn, sc, Side.POST, or_of_place, on_fire) or fired
+        fired = or_rule(pn, sc, or_of_place, on_fire) or fired
         if not fired:
             return
 

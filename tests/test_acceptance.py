@@ -80,7 +80,7 @@ def test_criterion_3_per_firing_deltas():
     checked = 0
     for seed in SEEDS:
         pn = store_from_petri_net(generate_sp_net(GenSpec(1_000, seed)))
-        sc, trace = initialize_statechart(pn)
+        sc, or_of_place = initialize_statechart(pn)
         state = {
             "counts": (sc.count_of_kind(OR), sc.count_of_kind(AND),
                        pn.count_of_kind(P), pn.count_of_kind(T))
@@ -101,7 +101,7 @@ def test_criterion_3_per_firing_deltas():
             state["counts"] = after
             checked += 1
 
-        fixpoint(pn, sc, trace, observe)
+        fixpoint(pn, sc, or_of_place, observe)
         assert create_top(pn, sc).ok
     print(f"\ncriterion 3 PASS: {checked} firings matched the per-rule "
           f"count deltas exactly")

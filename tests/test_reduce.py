@@ -10,6 +10,7 @@ from helpers import (
     assert_single_tree,
     build_net,
     disjoint_union,
+    element_named,
     load_corpus,
     nca_oracle,
     nested_fork_join_net,
@@ -50,52 +51,53 @@ FORK_JOIN = (
 
 def initialized(places, transitions):
     pn, ids = build_net(places, transitions)
-    sc, trace = initialize_statechart(pn)
-    return pn, sc, trace, ids
+    sc, or_of_place = initialize_statechart(pn)
+    return pn, sc, or_of_place, ids
 
 
 class TestAndRule:
     def test_parallel_collapse_on_post_side(self):
-        pn, sc, trace, ids = initialized(*FORK_JOIN)
-        or_p1 = trace.place_to_or[ids["P1"]]
-        or_p2 = trace.place_to_or[ids["P2"]]
-        assert and_rule(pn, sc, Side.POST, trace) is True
+        pn, sc, or_of_place, ids = initialized(*FORK_JOIN)
+        or_p1 = or_of_place[ids["P1"]]
+        or_p2 = or_of_place[ids["P2"]]
+        assert and_rule(pn, sc, Side.POST, or_of_place) is True
         assert not pn.is_live(ids["P2"])
         assert pn.refs(ids["T1"], "postp") == (ids["P1"],)
         assert pn.refs(ids["T2"], "prep") == (ids["P1"],)
-        new_or = trace.place_to_or[ids["P1"]]
+        new_or = or_of_place[ids["P1"]]
         assert new_or != or_p1
         (new_and,) = sc.refs(new_or, "contains")
         assert sc.kind_of(new_and) is AND
         assert sc.refs(new_and, "contains") == (or_p1, or_p2)
 
     def test_pre_side_matches_at_join(self):
-        pn, sc, trace, ids = initialized(*FORK_JOIN)
-        assert and_rule(pn, sc, Side.PRE, trace) is True
+        pn, sc, or_of_place, ids = initialized(*FORK_JOIN)
+        assert and_rule(pn, sc, Side.PRE, or_of_place) is True
         assert not pn.is_live(ids["P2"])
         assert pn.is_live(ids["P1"])
 
     def test_single_place_side_is_no_match(self):
-        pn, sc, trace, _ = initialized(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-        assert and_rule(pn, sc, Side.PRE, trace) is False
-        assert and_rule(pn, sc, Side.POST, trace) is False
+        pn, sc, or_of_place, _ = initialized(
+            ["P1", "P2"], [("T1", ["P1"], ["P2"])])
+        assert and_rule(pn, sc, Side.PRE, or_of_place) is False
+        assert and_rule(pn, sc, Side.POST, or_of_place) is False
         assert pn.count_of_kind(P) == 2
 
     def test_differing_pre_transition_sets_block_match(self):
-        pn, sc, trace, ids = initialized(
+        pn, sc, or_of_place, ids = initialized(
             ["P1", "P2"],
             [("Ta", [], ["P1"]), ("Tb", [], ["P2"]), ("T", ["P1", "P2"], [])],
         )
-        assert and_rule(pn, sc, Side.PRE, trace) is False
+        assert and_rule(pn, sc, Side.PRE, or_of_place) is False
         assert pn.count_of_kind(P) == 2
         assert pn.count_of_kind(T) == 3
 
     def test_firing_delta(self):
-        pn, sc, trace, _ = initialized(*FORK_JOIN)
+        pn, sc, or_of_place, _ = initialized(*FORK_JOIN)
         before = (sc.count_of_kind(OR), sc.count_of_kind(AND),
                   pn.count_of_kind(P), pn.count_of_kind(T))
         events = []
-        and_rule(pn, sc, Side.PRE, trace, events.append)
+        and_rule(pn, sc, Side.PRE, or_of_place, events.append)
         assert events == [AndFiring(transition=pn.all_of_kind(T)[-1],
                                     side=Side.PRE, merged_places=2)]
         after = (sc.count_of_kind(OR), sc.count_of_kind(AND),
@@ -107,25 +109,26 @@ class TestAndRule:
 
 class TestOrRule:
     def test_sequence_collapse(self):
-        pn, sc, trace, ids = initialized(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-        b1 = trace.place_to_basic[ids["P1"]]
-        b2 = trace.place_to_basic[ids["P2"]]
-        assert or_rule(pn, sc, trace) is True
+        pn, sc, or_of_place, ids = initialized(
+            ["P1", "P2"], [("T1", ["P1"], ["P2"])])
+        b1 = element_named(sc, B, "P1")
+        b2 = element_named(sc, B, "P2")
+        assert or_rule(pn, sc, or_of_place) is True
         assert pn.all_of_kind(P) == [ids["P1"]]
         assert pn.all_of_kind(T) == []
         assert pn.refs(ids["P1"], "pret") == ()
         assert pn.refs(ids["P1"], "postt") == ()
-        merged_or = trace.place_to_or[ids["P1"]]
+        merged_or = or_of_place[ids["P1"]]
         assert sc.refs_as_set(merged_or, "contains") == {b1, b2}
         assert sc.count_of_kind(OR) == 1
 
     def test_self_loop_identity_branch(self):
-        pn, sc, trace, ids = initialized(["P"], [("T", ["P"], ["P"])])
-        basic = trace.place_to_basic[ids["P"]]
-        assert or_rule(pn, sc, trace) is True
+        pn, sc, or_of_place, ids = initialized(["P"], [("T", ["P"], ["P"])])
+        basic = element_named(sc, B, "P")
+        assert or_rule(pn, sc, or_of_place) is True
         assert pn.is_live(ids["P"])
         assert pn.all_of_kind(T) == []
-        or_state = trace.place_to_or[ids["P"]]
+        or_state = or_of_place[ids["P"]]
         assert sc.refs(or_state, "contains") == (basic,)
         assert sc.count_of_kind(OR) == 1
 
@@ -133,11 +136,11 @@ class TestOrRule:
         # mechanically evaluated on the literal match condition: the lower
         # transition merges R into Q and turns the other transition into a
         # self-loop, which then fires via the identity branch
-        pn, sc, trace, ids = initialized(
+        pn, sc, or_of_place, ids = initialized(
             ["Q", "R"], [("T1", ["Q"], ["R"]), ("T2", ["Q"], ["R"])]
         )
         events = []
-        assert or_rule(pn, sc, trace, events.append) is True
+        assert or_rule(pn, sc, or_of_place, events.append) is True
         assert events == [
             OrFiring(ids["T1"], identity=False),
             OrFiring(ids["T2"], identity=True),
@@ -147,26 +150,27 @@ class TestOrRule:
         assert sc.count_of_kind(OR) == 1
 
     def test_blocked_when_co_outputs_of_shared_producer(self):
-        pn, sc, trace, _ = initialized(
+        pn, sc, or_of_place, _ = initialized(
             ["Q", "R"], [("TF", [], ["Q", "R"]), ("T", ["Q"], ["R"])]
         )
-        assert or_rule(pn, sc, trace) is False
+        assert or_rule(pn, sc, or_of_place) is False
         assert pn.count_of_kind(P) == 2
         assert pn.count_of_kind(T) == 2
 
     def test_blocked_when_co_inputs_of_shared_consumer(self):
-        pn, sc, trace, _ = initialized(
+        pn, sc, or_of_place, _ = initialized(
             ["Q", "R"], [("TJ", ["Q", "R"], []), ("T", ["Q"], ["R"])]
         )
-        assert or_rule(pn, sc, trace) is False
+        assert or_rule(pn, sc, or_of_place) is False
         assert pn.count_of_kind(P) == 2
         assert pn.count_of_kind(T) == 2
 
     def test_merge_delta(self):
-        pn, sc, trace, _ = initialized(["P1", "P2"], [("T1", ["P1"], ["P2"])])
+        pn, sc, or_of_place, _ = initialized(
+            ["P1", "P2"], [("T1", ["P1"], ["P2"])])
         before = (sc.count_of_kind(OR), sc.count_of_kind(AND),
                   pn.count_of_kind(P), pn.count_of_kind(T))
-        or_rule(pn, sc, trace)
+        or_rule(pn, sc, or_of_place)
         after = (sc.count_of_kind(OR), sc.count_of_kind(AND),
                  pn.count_of_kind(P), pn.count_of_kind(T))
         assert after == (before[0] - 1, before[1], before[2] - 1, before[3] - 1)
@@ -174,9 +178,9 @@ class TestOrRule:
 
 class TestFixpoint:
     def test_already_reduced_net_is_stable(self):
-        pn, sc, trace, _ = initialized(["P"], [])
+        pn, sc, or_of_place, _ = initialized(["P"], [])
         events = []
-        fixpoint(pn, sc, trace, events.append)
+        fixpoint(pn, sc, or_of_place, events.append)
         assert events == []
 
     @pytest.mark.parametrize("length", [2, 3, 7, 20])
@@ -185,33 +189,34 @@ class TestFixpoint:
         transitions = [
             (f"T{i}", [f"P{i}"], [f"P{i + 1}"]) for i in range(length - 1)
         ]
-        pn, sc, trace, _ = initialized(places, transitions)
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, _ = initialized(places, transitions)
+        fixpoint(pn, sc, or_of_place)
         assert pn.count_of_kind(P) == 1
         assert pn.count_of_kind(T) == 0
         assert sc.count_of_kind(OR) == 1
 
     def test_fork_join_reduces_fully(self):
-        pn, sc, trace, _ = initialized(*FORK_JOIN)
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, _ = initialized(*FORK_JOIN)
+        fixpoint(pn, sc, or_of_place)
         assert pn.count_of_kind(P) == 1
         assert pn.count_of_kind(T) == 0
         assert sc.count_of_kind(OR) == 3
         assert sc.count_of_kind(AND) == 1
 
     def test_live_places_stay_traced_to_live_top_level_ors(self):
-        pn, sc, trace, _ = initialized(*FORK_JOIN)
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, _ = initialized(*FORK_JOIN)
+        fixpoint(pn, sc, or_of_place)
         for place in pn.all_of_kind(P):
-            or_state = trace.place_to_or[place]
+            or_state = or_of_place[place]
             assert sc.is_live(or_state)
             assert sc.ref(or_state, "rcontains") is None
 
 
 class TestCreateTop:
     def test_reduced_chain_gets_statechart_and_top(self):
-        pn, sc, trace, _ = initialized(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, _ = initialized(
+            ["P1", "P2"], [("T1", ["P1"], ["P2"])])
+        fixpoint(pn, sc, or_of_place)
         result = create_top(pn, sc)
         assert result.status is ReductionStatus.SUCCESS
         assert result.statechart_root is not None
@@ -222,8 +227,8 @@ class TestCreateTop:
         assert sc.kind_of(only_or) is OR
 
     def test_two_isolated_places_are_irreducible(self):
-        pn, sc, trace, _ = initialized(["P1", "P2"], [])
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, _ = initialized(["P1", "P2"], [])
+        fixpoint(pn, sc, or_of_place)
         result = create_top(pn, sc)
         assert result.status is ReductionStatus.IRREDUCIBLE
         assert result.statechart_root is None
@@ -234,7 +239,7 @@ class TestCreateTop:
         assert sc.count_of_kind(AND) == 0
 
     def test_empty_model_is_irreducible(self):
-        pn, sc, trace, _ = initialized([], [])
+        pn, sc, or_of_place, _ = initialized([], [])
         result = create_top(pn, sc)
         assert result.status is ReductionStatus.IRREDUCIBLE
         assert result.top_or_count == 0
@@ -242,43 +247,45 @@ class TestCreateTop:
 
 class TestAssignHyperedges:
     def test_chain_hyperedge_lands_in_merged_or(self):
-        pn, sc, trace, ids = initialized(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-        edge = trace.transition_to_hyperedge[ids["T1"]]
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, ids = initialized(
+            ["P1", "P2"], [("T1", ["P1"], ["P2"])])
+        edge = element_named(sc, H, "T1")
+        fixpoint(pn, sc, or_of_place)
         assert create_top(pn, sc).ok
         assign_hyperedges(sc)
-        assert sc.ref(edge, "rcontains") == trace.place_to_or[ids["P1"]]
+        assert sc.ref(edge, "rcontains") == or_of_place[ids["P1"]]
 
     def test_fork_join_hyperedges_land_in_outer_or(self):
-        pn, sc, trace, ids = initialized(*FORK_JOIN)
-        e1 = trace.transition_to_hyperedge[ids["T1"]]
-        e2 = trace.transition_to_hyperedge[ids["T2"]]
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, ids = initialized(*FORK_JOIN)
+        e1 = element_named(sc, H, "T1")
+        e2 = element_named(sc, H, "T2")
+        fixpoint(pn, sc, or_of_place)
         assert create_top(pn, sc).ok
         assign_hyperedges(sc)
-        outer = trace.place_to_or[ids["P0"]]
+        outer = or_of_place[ids["P0"]]
         assert sc.ref(e1, "rcontains") == outer
         assert sc.ref(e2, "rcontains") == outer
 
     def test_single_member_uses_immediate_container(self):
-        pn, sc, trace, ids = initialized(["P1", "P2"], [("T1", ["P1"], [])])
-        edge = trace.transition_to_hyperedge[ids["T1"]]
+        pn, sc, or_of_place, ids = initialized(
+            ["P1", "P2"], [("T1", ["P1"], [])])
+        edge = element_named(sc, H, "T1")
         # P2 is unconnected, so this net cannot reduce; connect it first
         pn.delete(ids["P2"])
-        fixpoint(pn, sc, trace)
+        fixpoint(pn, sc, or_of_place)
         # drop the orphaned OR so exactly one top OR remains
-        orphan = trace.place_to_or[ids["P2"]]
-        sc.delete(trace.place_to_basic[ids["P2"]])
+        orphan = or_of_place[ids["P2"]]
+        sc.delete(element_named(sc, B, "P2"))
         sc.delete(orphan)
         assert create_top(pn, sc).ok
         assign_hyperedges(sc)
-        basic = trace.place_to_basic[ids["P1"]]
+        basic = element_named(sc, B, "P1")
         assert sc.ref(edge, "rcontains") == sc.ref(basic, "rcontains")
 
     def test_unconnected_hyperedge_goes_to_top(self):
-        pn, sc, trace, ids = initialized(["P"], [("T", [], [])])
-        edge = trace.transition_to_hyperedge[ids["T"]]
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, ids = initialized(["P"], [("T", [], [])])
+        edge = element_named(sc, H, "T")
+        fixpoint(pn, sc, or_of_place)
         result = create_top(pn, sc)
         assert result.ok
         assign_hyperedges(sc)
@@ -286,8 +293,8 @@ class TestAssignHyperedges:
         assert sc.ref(edge, "rcontains") == top
 
     def test_requires_created_top(self):
-        pn, sc, trace, _ = initialized(["P1", "P2"], [])
-        fixpoint(pn, sc, trace)
+        pn, sc, or_of_place, _ = initialized(["P1", "P2"], [])
+        fixpoint(pn, sc, or_of_place)
         with pytest.raises(ReductionError):
             assign_hyperedges(sc)
 
@@ -320,10 +327,10 @@ class TestCreateStatechart:
 
     def test_conservation_of_basics_and_hyperedges(self):
         pn, _ = build_net(*FORK_JOIN)
-        sc, trace = initialize_statechart(pn)
+        sc, or_of_place = initialize_statechart(pn)
         basics_before = sc.all_of_kind(B)
         edges_before = sc.all_of_kind(H)
-        fixpoint(pn, sc, trace)
+        fixpoint(pn, sc, or_of_place)
         result = create_top(pn, sc)
         assert result.ok
         assign_hyperedges(sc)
@@ -369,9 +376,9 @@ def arbitrary_nets(draw):
 def test_pipeline_on_arbitrary_nets(net):
     names, transitions = net
     pn, _ = build_net(names, transitions)
-    sc, trace = initialize_statechart(pn)
+    sc, or_of_place = initialize_statechart(pn)
     events = []
-    fixpoint(pn, sc, trace, events.append)
+    fixpoint(pn, sc, or_of_place, events.append)
     assert len(events) <= len(names) + len(transitions)
     result = create_top(pn, sc)
     # conservation regardless of outcome
@@ -392,9 +399,9 @@ def test_pipeline_on_arbitrary_nets(net):
 def _reduced(reduce_net, pn):
     """Reduce ``pn`` with ``reduce_net``; return the firing events and either
     the written statechart or, for an irreducible net, the result."""
-    sc, trace = initialize_statechart(pn)
+    sc, or_of_place = initialize_statechart(pn)
     events = []
-    reduce_net(pn, sc, trace, events.append)
+    reduce_net(pn, sc, or_of_place, events.append)
     result = create_top(pn, sc)
     if not result.ok:
         return events, result
