@@ -2,10 +2,12 @@
 
 A typed in-memory model store, a one-pass initialization that maps each
 place to its OR state, the AND/OR reduction rules applied to a fixpoint,
-JSON serialization, a series-parallel benchmark generator, and a
-structural validator.
+the same transformation on flat int-indexed lists (``transform_net``,
+which ``pn2sc transform`` runs), JSON serialization, a series-parallel
+benchmark generator, and a structural validator.
 """
 
+from .flat import transform_net
 from .generate import GenSpec, generate_sp_net
 from .init import initialize_statechart
 from .io import (
@@ -63,6 +65,7 @@ __all__ = [
     "parse_statechart",
     "read_petri_net",
     "read_statechart",
+    "transform_net",
     "validate_counts",
     "validate_full",
     "write_statechart",

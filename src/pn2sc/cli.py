@@ -14,9 +14,8 @@ import time
 from pathlib import Path
 
 from . import io as scio
+from .flat import FlatModel, transform_net
 from .generate import GenSpec, generate_sp_net
-from .init import initialize_statechart
-from .reduce import assign_hyperedges, create_statechart, create_top, fixpoint
 from .validate import validate_counts, validate_full
 
 EX_OK = 0
@@ -78,9 +77,8 @@ def _read_file(path: str) -> bytes:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    pn = scio.read_petri_net(_read_file(args.input))
-    sc, result = create_statechart(pn)
-    if not result.ok:
+    doc, result = transform_net(scio.parse_petri_net(_read_file(args.input)))
+    if doc is None:
         print(
             f"irreducible: {result.top_or_count} top-level OR states; "
             f"{result.remaining_places} places and "
@@ -88,7 +86,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EX_IRREDUCIBLE
-    Path(args.output).write_bytes(scio.write_statechart(sc, result))
+    Path(args.output).write_bytes(scio.statechart_document_to_bytes(doc))
     return EX_OK
 
 
@@ -116,21 +114,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
-    """Time init and reduction phases; returns one row per size with the
-    median over ``reps`` runs, in milliseconds."""
+    """Time the phases ``transform`` runs on flat lists: ``init_ms`` builds
+    the ``FlatModel``, ``reduce_ms`` runs its fixpoint, top state and
+    hyperedge assignment, and ``total_ms`` is their sum. Returns one row
+    per size with the median over ``reps`` runs, in milliseconds."""
     rows = []
     for size in sizes:
         doc = generate_sp_net(GenSpec(size, seed))
         init_ms, reduce_ms, total_ms = [], [], []
         for _ in range(reps):
-            pn = scio.store_from_petri_net(doc)
             t0 = time.perf_counter()
-            sc, or_of_place = initialize_statechart(pn)
+            model = FlatModel(doc)
             t1 = time.perf_counter()
-            fixpoint(pn, sc, or_of_place)
-            result = create_top(pn, sc)
-            if result.ok:
-                assign_hyperedges(sc)
+            model.fixpoint()
+            if model.create_top().ok:
+                model.assign_hyperedges()
             t2 = time.perf_counter()
             init_ms.append((t1 - t0) * 1000.0)
             reduce_ms.append((t2 - t1) * 1000.0)
@@ -150,8 +148,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError:
         raise _UsageError(f"bad --sizes value: {args.sizes!r}") from None
-    if not sizes or args.reps < 1:
-        raise _UsageError("need at least one size and one repetition")
+    if not sizes or min(sizes) < 1 or args.reps < 1:
+        raise _UsageError("need at least one size and one repetition, "
+                          "and every size at least 1")
     rows = run_bench(sizes, args.reps, args.seed)
     header = f"{'size':>8}  {'init_ms':>10}  {'reduce_ms':>10}  {'total_ms':>10}"
     print(header, file=sys.stderr)

@@ -1,0 +1,385 @@
+"""The transformation on flat int-indexed lists, with no ``ModelStore``.
+
+``pn2sc transform`` runs this module: ``transform_net`` takes a parsed
+``PetriNetDocument`` and returns the canonical ``StatechartDocument``
+(or None) with the ``ReductionResult``. It gives exactly the firings,
+element numbers and output bytes of the store route in ``init.py`` and
+``reduce.py`` (``create_statechart`` then ``write_statechart``), which
+stays as the reference implementation.
+
+The net is held as per-transition sets of pre- and post-places and
+per-place sets of producing and consuming transitions. Places are
+numbered 0, 1, ... in file order and transitions after them, as
+``store_from_petri_net`` numbers them, so a firing event names the same
+transition number by either route; inside this module transition ``t``
+is list index ``t - place_count``. A deleted element's sets become None.
+
+The statechart is held as per-element lists of kinds, names and ordered
+children, numbered as the store numbers them: each place's OR then its
+Basic, each HyperEdge when its transition is first seen, a new OR and
+then a new AND for each AND firing, and finally the Statechart and its
+top AND. Children keep the order of the store's ``contains`` slot, so
+sibling subtrees that rank equal (only repeated names make them) come
+out in the same order too. ``or_of_place`` is a list. Links never change
+during the reduction, so they are read from the net's original arcs when
+the document is built.
+
+The reduction keeps ``fixpoint``'s worklist and its firing order, with
+finer marks. A firing marks, for each of the three passes, the
+transitions whose check it may turn from failing to passing:
+
+- an AND firing: every neighbour of the surviving place, for all passes;
+- an OR firing that merges ``r`` into ``q``: the transitions that were
+  next to ``r`` (their arcs changed), for all passes; for the AND-pre
+  pass also ``q``'s consumers with at least two pre-places, and for the
+  AND-post pass ``q``'s producers with at least two post-places. The OR
+  check of any other neighbour of ``q`` can only start failing, because
+  ``q``'s sets only grow, apart from losing the fired transition, which
+  no other place holds;
+- an OR firing on a self-loop of ``q``: only those consumers and
+  producers of ``q``, for their AND passes.
+
+A transition with at most one place on a side never matches AND on that
+side again, because arcs never grow. The consumers and producers with at
+least two places on the side that holds ``q`` are therefore kept in a
+per-place index, updated when places are deleted and moved from ``r`` to
+``q`` on an OR merge. No firing walks every neighbour of ``q``, so the
+reduction of one place's fan-out is linear, not quadratic.
+"""
+
+from __future__ import annotations
+
+from heapq import heappop, heappush
+
+from .io import PetriNetDocument, StatechartDocument, _counts, canonical_document
+from .reduce import (
+    AndFiring,
+    FiringObserver,
+    OrFiring,
+    ReductionResult,
+    ReductionStatus,
+    Side,
+)
+
+_OR = "OR"
+_AND = "AND"
+_BASIC = "Basic"
+_HYPER_EDGE = "HyperEdge"
+_STATECHART = "Statechart"
+
+
+class FlatModel:
+    """A Petri net and its statechart under construction, as flat lists.
+
+    Building one is the initialization; ``fixpoint``, ``create_top``,
+    ``assign_hyperedges`` and ``document`` then do what their namesakes in
+    ``reduce.py`` and ``io.py`` do to a pair of stores.
+    """
+
+    def __init__(self, net: PetriNetDocument) -> None:
+        places = net.places
+        transitions = net.transitions
+        number = {place.id: index for index, place in enumerate(places)}
+        self.pre = pre = [tuple([number[p] for p in t.pre])
+                          for t in transitions]
+        self.post = post = [tuple([number[p] for p in t.post])
+                            for t in transitions]
+        producers: list[list[int]] = [[] for _ in places]
+        consumers: list[list[int]] = [[] for _ in places]
+        for t, targets in enumerate(post):
+            for p in targets:
+                producers[p].append(t)
+        for t, sources in enumerate(pre):
+            for p in sources:
+                consumers[p].append(t)
+        self.consumers = consumers
+
+        kinds: list[str] = []
+        names: list[str] = []
+        children: list[list[int] | tuple[()]] = []
+        or_of_place = [0] * len(places)
+        edge_of = [-1] * len(transitions)
+        edges: list[int] = []  # transitions in HyperEdge creation order
+
+        def new_edge(t: int) -> None:
+            edge_of[t] = len(kinds)
+            kinds.append(_HYPER_EDGE)
+            names.append(transitions[t].name)
+            children.append(())
+            edges.append(t)
+
+        for p, place in enumerate(places):
+            or_state = or_of_place[p] = len(kinds)
+            kinds += (_OR, _BASIC)
+            names += ("", place.name)
+            children += ([or_state + 1], ())
+            for t in producers[p]:
+                if edge_of[t] < 0:
+                    new_edge(t)
+            for t in consumers[p]:
+                if edge_of[t] < 0:
+                    new_edge(t)
+        for t in range(len(transitions)):
+            if edge_of[t] < 0:
+                new_edge(t)
+        self.kinds = kinds
+        self.names = names
+        self.children = children
+        self.or_of_place = or_of_place
+        self.basic_of = [or_state + 1 for or_state in or_of_place]
+        self.edge_of = edge_of
+        self.edges = edges
+        self.root = -1
+
+        self.t_pre: list[set[int] | None] = [set(s) for s in pre]
+        self.t_post: list[set[int] | None] = [set(s) for s in post]
+        self.p_pre: list[set[int] | None] = [set(s) for s in producers]
+        self.p_post: list[set[int] | None] = [set(s) for s in consumers]
+        # place -> its consumers with >= 2 pre-places (producers with >= 2
+        # post-places): the only neighbours of q whose AND checks an OR
+        # merge into q can change
+        self.multi_consumers: dict[int, set[int]] = {}
+        self.multi_producers: dict[int, set[int]] = {}
+        for index, sides in ((self.multi_consumers, pre),
+                             (self.multi_producers, post)):
+            for t, side in enumerate(sides):
+                if len(side) > 1:
+                    for p in side:
+                        index.setdefault(p, set()).add(t)
+
+    def fixpoint(self, on_fire: FiringObserver | None = None) -> None:
+        """Run ``reduce.fixpoint``'s rounds of [AND on pre-places, AND on
+        post-places, OR] from a worklist, firing the same transitions in
+        the same order, with the finer marks of the module docstring."""
+        kinds, names, children = self.kinds, self.names, self.children
+        or_of_place = self.or_of_place
+        t_pre, t_post = self.t_pre, self.t_post
+        p_pre, p_post = self.p_pre, self.p_post
+        multi_consumers = self.multi_consumers
+        multi_producers = self.multi_producers
+        offset = len(p_pre)
+
+        def and_step(t: int, side_places: list, side: Side):
+            places = side_places[t]
+            if len(places) <= 1:
+                return None
+            ordered = sorted(places)
+            survivor = ordered[0]
+            pre_set = p_pre[survivor]
+            post_set = p_post[survivor]
+            dead = ordered[1:]
+            for other in dead:
+                if p_pre[other] != pre_set or p_post[other] != post_set:
+                    return None
+            new_or = len(kinds)
+            kinds.extend((_OR, _AND))
+            names.extend(("", ""))
+            children.extend(([new_or + 1], [or_of_place[p] for p in ordered]))
+            or_of_place[survivor] = new_or
+            for other in dead:
+                p_pre[other] = p_post[other] = None
+                multi_consumers.pop(other, None)
+                multi_producers.pop(other, None)
+            # Every dead place had the survivor's neighbours, so only
+            # their arcs shrink.
+            gone = set(dead)
+            for arcs_of, neighbours, index in (
+                    (t_pre, post_set, multi_consumers),
+                    (t_post, pre_set, multi_producers)):
+                multi = index.get(survivor)
+                for u in neighbours:
+                    arcs = arcs_of[u]
+                    arcs -= gone
+                    if multi and len(arcs) < 2:
+                        multi.discard(u)
+            if on_fire is not None:
+                on_fire(AndFiring(offset + t, side, len(ordered)))
+            touched = pre_set | post_set
+            return touched, touched, touched
+
+        def or_step(t: int):
+            pre = t_pre[t]
+            if len(pre) != 1:
+                return None
+            post = t_post[t]
+            if len(post) != 1:
+                return None
+            (q,) = pre
+            (r,) = post
+            q_pre = p_pre[q]
+            q_post = p_post[q]
+            if q == r:
+                q_pre.discard(t)
+                q_post.discard(t)
+                marks = (multi_consumers.get(q, ()),
+                         multi_producers.get(q, ()), ())
+            else:
+                r_pre = p_pre[r]
+                r_post = p_post[r]
+                if not q_pre.isdisjoint(r_pre) or not q_post.isdisjoint(
+                        r_post):
+                    return None
+                q_post.discard(t)
+                r_pre.discard(t)
+                for u in r_pre:
+                    arcs = t_post[u]
+                    arcs.discard(r)
+                    arcs.add(q)
+                for u in r_post:
+                    arcs = t_pre[u]
+                    arcs.discard(r)
+                    arcs.add(q)
+                q_pre |= r_pre
+                q_post |= r_post
+                p_pre[r] = p_post[r] = None
+                for index in (multi_consumers, multi_producers):
+                    moved = index.pop(r, None)
+                    if moved:
+                        index.setdefault(q, set()).update(moved)
+                merger = or_of_place[q]
+                mergee = or_of_place[r]
+                children[merger] += children[mergee]
+                children[mergee] = ()
+                changed = r_pre | r_post
+                marks = (changed | multi_consumers.get(q, set()),
+                         changed | multi_producers.get(q, set()), changed)
+            t_pre[t] = t_post[t] = None
+            if on_fire is not None:
+                on_fire(OrFiring(offset + t, identity=q == r))
+            return marks
+
+        steps = (
+            lambda t: and_step(t, t_pre, Side.PRE),
+            lambda t: and_step(t, t_post, Side.POST),
+            or_step,
+        )
+        dirty = [set(range(len(t_pre))) for _ in steps]
+        while True:
+            fired = False
+            for current, step in enumerate(steps):
+                queued = dirty[current]
+                dirty[current] = set()
+                heap = sorted(queued)
+                while heap:
+                    cursor = heappop(heap)
+                    if t_pre[cursor] is None:
+                        continue
+                    marks = step(cursor)
+                    if marks is None:
+                        continue
+                    fired = True
+                    for index, touched in enumerate(marks):
+                        pending = dirty[index]
+                        if index != current:
+                            pending.update(touched)
+                            continue
+                        for u in touched:
+                            if u <= cursor:
+                                pending.add(u)
+                            elif u not in queued:
+                                queued.add(u)
+                                heappush(heap, u)
+            if not fired:
+                return
+
+    def create_top(self) -> ReductionResult:
+        """Wrap the one live place's OR, the only container-less OR, in a
+        Statechart with an AND top state, as ``reduce.create_top`` does;
+        with more or fewer live places, report the net irreducible."""
+        live = [p for p, arcs in enumerate(self.p_pre) if arcs is not None]
+        remaining_transitions = len(self.t_pre) - self.t_pre.count(None)
+        if len(live) != 1:
+            return ReductionResult(ReductionStatus.IRREDUCIBLE, None,
+                                   len(live), remaining_transitions,
+                                   len(live))
+        root = self.root = len(self.kinds)
+        self.kinds += (_STATECHART, _AND)
+        self.names += ("", "")
+        self.children += ([root + 1], [self.or_of_place[live[0]]])
+        return ReductionResult(ReductionStatus.SUCCESS, root, 1,
+                               remaining_transitions, 1)
+
+    def assign_hyperedges(self) -> None:
+        """Append every HyperEdge, in element order, to the nearest state
+        that contains all the Basics it links, as
+        ``reduce.assign_hyperedges`` does. Needs ``create_top``'s success.
+        """
+        children = self.children
+        top = self.root + 1
+        parent = [-1] * len(children)
+        depth = [0] * len(children)
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            below = depth[node] + 1
+            for child in children[node]:
+                parent[child] = node
+                depth[child] = below
+                stack.append(child)
+        basic_of, edge_of, pre, post = (
+            self.basic_of, self.edge_of, self.pre, self.post)
+        for t in self.edges:
+            container = -1
+            for p in pre[t] + post[t]:
+                other = parent[basic_of[p]]
+                if container < 0:
+                    container = other
+                    continue
+                while container != other:
+                    if depth[container] >= depth[other]:
+                        container = parent[container]
+                    else:
+                        other = parent[other]
+            children[top if container < 0 else container].append(edge_of[t])
+
+    def document(self) -> StatechartDocument:
+        """The canonical document of the finished statechart.
+
+        The tree is laid out breadth-first in containment order, as
+        ``document_from_statechart`` lays out a store, and then ranked by
+        ``canonical_document``.
+        """
+        children = self.children
+        node_of = [-1] * len(children)
+        tree_children: list = []
+        # ``order`` is also the queue: appending a node's children as it is
+        # read numbers every node breadth-first.
+        order = [self.root]
+        for node, element in enumerate(order):
+            node_of[element] = node
+            kids = children[element]
+            if kids:
+                first = len(order)
+                order += kids
+                tree_children.append(range(first, len(order)))
+            else:
+                tree_children.append(())
+        kinds = [self.kinds[element] for element in order]
+        names = [self.names[element] for element in order]
+        links: list[tuple[int, ...]] = [()] * len(order)
+        basic_of, edge_of = self.basic_of, self.edge_of
+        for p, consumers in enumerate(self.consumers):
+            if consumers:
+                links[node_of[basic_of[p]]] = tuple(
+                    [node_of[edge_of[t]] for t in consumers])
+        for t, targets in enumerate(self.post):
+            if targets:
+                links[node_of[edge_of[t]]] = tuple(
+                    [node_of[basic_of[p]] for p in targets])
+        return canonical_document(StatechartDocument(
+            order, kinds, names, tree_children, links, _counts(kinds)))
+
+
+def transform_net(
+    net: PetriNetDocument, on_fire: FiringObserver | None = None
+) -> tuple[StatechartDocument | None, ReductionResult]:
+    """Initialize, reduce to a fixpoint, create the top state and assign
+    the hyperedges on flat lists; return the canonical document (None
+    when the net is irreducible) and the result."""
+    model = FlatModel(net)
+    model.fixpoint(on_fire)
+    result = model.create_top()
+    if not result.ok:
+        return None, result
+    model.assign_hyperedges()
+    return model.document(), result

@@ -36,7 +36,11 @@ The reader fills them in one breadth-first pass, the writer walks them
 with an explicit stack, and ``rank_statecharts`` ranks them as they stand,
 so ``pn2sc validate`` goes from bytes to ranks without building a
 ``ModelStore``; ``store_from_statechart`` builds one, with no recursion,
-for callers that want a store. Readers accept any well-formed document but
+for callers that want a store. ``canonical_document`` puts any document
+in the canonical written form. Both transform routes end in it:
+``document_from_statechart`` lays out a store, and ``flat.transform_net``
+(what ``pn2sc transform`` runs) lays out its flat lists, breadth-first in
+containment order. Readers accept any well-formed document but
 reject unknown fields; a document nested deeper than the ``json`` module
 can parse is rejected with a DocumentError.
 """
@@ -64,6 +68,7 @@ __all__ = [
     "petri_net_to_bytes",
     "RankedTrees",
     "rank_statecharts",
+    "canonical_document",
     "document_from_statechart",
     "statechart_document_to_bytes",
     "write_statechart",
@@ -477,16 +482,12 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     return trees
 
 
-def document_from_statechart(sc: ModelStore) -> StatechartDocument:
-    """Build the canonical document for a statechart model.
-
-    The model must contain exactly one Statechart element; the tree is the
-    containment hierarchy reachable from it, with the top state as the
-    Statechart's single child. Children appear in canonical order (see
-    ``rank_statecharts``), a node's uid is its preorder index and each
-    node's links are in ascending uid order.
+def canonical_document(doc: StatechartDocument) -> StatechartDocument:
+    """The canonical form of a document: children in canonical order (see
+    ``rank_statecharts``), a node's uid its preorder index and each node's
+    links in ascending uid order. ``doc`` itself is not changed.
     """
-    trees = rank_statecharts(sc)
+    trees = rank_statecharts(doc)
     # Keep only what the document needs; the ranks, paths and parents
     # are freed before the uids are numbered.
     kinds, names, children, links = (
@@ -505,7 +506,18 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
     return StatechartDocument(uids, kinds, names, children, links,
-                              _counts(kinds))
+                              doc.counts)
+
+
+def document_from_statechart(sc: ModelStore) -> StatechartDocument:
+    """Build the canonical document for a statechart model.
+
+    The model must contain exactly one Statechart element; the tree is the
+    containment hierarchy reachable from it, with the top state as the
+    Statechart's single child, laid out breadth-first in containment order
+    and then put in canonical form by ``canonical_document``.
+    """
+    return canonical_document(_store_document(sc))
 
 
 def _level_pieces(depth: int) -> tuple[bytes, ...]:

@@ -22,6 +22,12 @@ The rules find each place's OR state in ``or_of_place``, the plain dict
 from place id to OR id that ``initialize_statechart`` returns, and
 rewrite it when they merge places; entries of deleted places go stale.
 
+These functions on ``ModelStore`` pairs are the reference implementation.
+``pn2sc transform`` runs ``flat.transform_net`` instead, which fires the
+same rules in the same order on flat lists, with finer worklist marks;
+``fixpoint`` here marks every neighbour of the surviving place, so it is
+quadratic in the fan-out of one place.
+
 Wherever the rules need "the first" element of an unordered collection,
 the minimum element id is used, so runs are reproducible.
 """

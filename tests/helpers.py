@@ -8,6 +8,9 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
+from hypothesis import strategies as st
+
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     PetriNetDocument,
@@ -367,3 +370,94 @@ def chain_document(depth: int) -> StatechartDocument:
     return StatechartDocument(list(range(count)), kinds, [""] * count,
                               children, [()] * count, counts)
 
+
+
+def choice_net(branches: int) -> PetriNetDocument:
+    """A choice place ``q`` with ``branches`` branches ``q -> t_i -> r_i ->
+    u_i -> s``. Every OR firing at ``q`` adds to its fan-out, which makes
+    this the net on which marking every neighbour of ``q`` is quadratic."""
+    places = [PlaceSpec("q", "q"), PlaceSpec("s", "s")] + [
+        PlaceSpec(f"r{i}", f"r{i}") for i in range(branches)
+    ]
+    transitions = [
+        TransitionSpec(f"t{i}", f"t{i}", ("q",), (f"r{i}",))
+        for i in range(branches)
+    ] + [
+        TransitionSpec(f"u{i}", f"u{i}", (f"r{i}",), ("s",))
+        for i in range(branches)
+    ]
+    return PetriNetDocument(tuple(places), tuple(transitions))
+
+
+def renamed(doc: PetriNetDocument, name: str) -> PetriNetDocument:
+    """The same net with every place and transition called ``name``; ids
+    stay unique. Sibling subtrees then tie in rank, and their order
+    follows the model."""
+    return PetriNetDocument(
+        tuple(PlaceSpec(p.id, name) for p in doc.places),
+        tuple(TransitionSpec(t.id, name, t.pre, t.post)
+              for t in doc.transitions),
+    )
+
+
+def differential_nets():
+    """Nets on which two reduction routes must agree, as pytest params:
+    SP nets plain and shuffled, spines, a disjoint union of two spines
+    (irreducible), choice nets, an SP net whose names all repeat, and the
+    golden corpus."""
+    for places in (100, 1000):
+        net = generate_sp_net(GenSpec(places, 3))
+        yield pytest.param(net, id=f"sp{places}")
+        yield pytest.param(
+            shuffled_net(net, places), id=f"sp{places}-shuffled"
+        )
+    for depths in ((1,), (5,), (40,), (3, 7), (12, 30, 20)):
+        yield pytest.param(
+            nested_fork_join_net(*depths),
+            id="spines" + "-".join(map(str, depths)),
+        )
+    yield pytest.param(
+        disjoint_union(nested_fork_join_net(6), nested_fork_join_net(9)),
+        id="two-spines-disjoint",
+    )
+    for branches in (20, 200):
+        yield pytest.param(choice_net(branches), id=f"choice{branches}")
+    yield pytest.param(renamed(generate_sp_net(GenSpec(300, 4)), "x"),
+                       id="sp300-one-name")
+    # An OR merge moves a join with two pre-places over to the surviving
+    # place; a later firing at that place must still wake the join.
+    yield pytest.param(net_document(
+        [f"p{i}" for i in range(7)],
+        [("t0", [], []), ("t1", ["p4", "p5"], ["p2"]), ("t2", ["p5"], ["p1"]),
+         ("t3", [], ["p0", "p4", "p5"]), ("t4", ["p3"], ["p3"]),
+         ("t5", [], []), ("t6", ["p3", "p6"], ["p5"])],
+    ), id="join-moved-by-merge")
+    for entry in load_corpus():
+        yield pytest.param(entry.net, id=f"golden-{entry.name}")
+
+
+@st.composite
+def arbitrary_nets(draw):
+    """Small nets as ``build_net`` arguments: up to 7 places and 7
+    transitions with any arcs, self-loops and empty sides included."""
+    n_places = draw(st.integers(0, 7))
+    n_transitions = draw(st.integers(0, 7))
+    names = [f"p{i}" for i in range(n_places)]
+    transitions = []
+    for i in range(n_transitions):
+        pre = sorted(draw(st.sets(st.sampled_from(names)))) if names else []
+        post = sorted(draw(st.sets(st.sampled_from(names)))) if names else []
+        transitions.append((f"t{i}", pre, post))
+    return names, transitions
+
+
+def net_document(places: list[str],
+                 transitions: list[tuple[str, list[str], list[str]]]
+                 ) -> PetriNetDocument:
+    """The document of the net that ``build_net`` builds from the same
+    arguments; names double as ids."""
+    return PetriNetDocument(
+        tuple(PlaceSpec(name, name) for name in places),
+        tuple(TransitionSpec(name, name, tuple(pre), tuple(post))
+              for name, pre, post in transitions),
+    )

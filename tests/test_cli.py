@@ -124,6 +124,7 @@ def test_bench_json_schema(capsys):
 def test_bench_rejects_bad_sizes():
     assert main(["bench", "--sizes", "ten"]) == 64
     assert main(["bench", "--sizes", "10", "--reps", "0"]) == 64
+    assert main(["bench", "--sizes", "0"]) == 64
 
 
 def test_help_exits_zero():
@@ -153,10 +154,10 @@ def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
 
 def test_unexpected_error_exits_70_with_one_line(tmp_path, net_file, capsys,
                                                  monkeypatch):
-    def broken(pn):
+    def broken(net):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setattr("pn2sc.cli.create_statechart", broken)
+    monkeypatch.setattr("pn2sc.cli.transform_net", broken)
     out = tmp_path / "out.json"
     code = main(["transform", str(net_file("chain")), "-o", str(out)])
     assert code == 70
@@ -188,3 +189,28 @@ def test_validate_builds_no_store(tmp_path, net_file, golden_dir, monkeypatch,
     assert main(["validate", str(out), golden, "--counts-only"]) == 0
     assert main(["validate", str(deep), str(deep)]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_transform_builds_no_store(tmp_path, net_file, golden_dir,
+                                   monkeypatch, capsys):
+    fixtures = load_corpus()
+    inputs = {fx.name: net_file(fx.name) for fx in fixtures}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform built a ModelStore")
+
+    monkeypatch.setattr(ModelStore, "create", refuse)
+    for fx in fixtures:
+        out = tmp_path / f"{fx.name}.out.json"
+        code = main(["transform", str(inputs[fx.name]), "-o", str(out)])
+        if fx.expected is None:
+            assert code == 2
+            assert not out.exists()
+            continue
+        assert code == 0
+        golden = golden_dir / f"{fx.name}.statechart.json"
+        assert out.read_bytes() == golden.read_bytes()
+    assert capsys.readouterr().err.splitlines() == [
+        "irreducible: 2 top-level OR states; 2 places and 0 transitions "
+        "remain"
+    ]

@@ -1,0 +1,78 @@
+"""The flat transform core against the store pipeline it replaces on the
+CLI path: same firings, same bytes, same irreducible counts."""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+from hypothesis import given, settings
+
+from helpers import (
+    GOLDEN_DIR,
+    arbitrary_nets,
+    choice_net,
+    differential_nets,
+    net_document,
+)
+from pn2sc.flat import transform_net
+from pn2sc.io import (
+    PetriNetDocument,
+    canonical_document,
+    parse_statechart,
+    statechart_document_to_bytes,
+    store_from_petri_net,
+    write_statechart,
+)
+from pn2sc.reduce import create_statechart
+
+
+def _store_route(net: PetriNetDocument):
+    events = []
+    sc, result = create_statechart(store_from_petri_net(net), events.append)
+    return events, result, write_statechart(sc, result) if result.ok else None
+
+
+def _flat_route(net: PetriNetDocument):
+    events = []
+    doc, result = transform_net(net, events.append)
+    return (events, result,
+            statechart_document_to_bytes(doc) if doc is not None else None)
+
+
+def _assert_same_as_store(net: PetriNetDocument) -> None:
+    store_events, store_result, store_bytes = _store_route(net)
+    flat_events, flat_result, flat_bytes = _flat_route(net)
+    assert flat_events == store_events
+    assert flat_result == store_result
+    assert flat_bytes == store_bytes
+
+
+@pytest.mark.parametrize("net", differential_nets())
+def test_flat_core_fires_like_the_store(net):
+    _assert_same_as_store(net)
+
+
+@given(arbitrary_nets())
+@settings(max_examples=200, deadline=None)
+def test_flat_core_fires_like_the_store_on_arbitrary_nets(net):
+    _assert_same_as_store(net_document(*net))
+
+
+def test_choice_net_reduces_in_linear_time():
+    net = choice_net(8000)
+    started = time.perf_counter()
+    doc, result = transform_net(net)
+    elapsed = time.perf_counter() - started
+    assert result.ok
+    assert elapsed < 5.0, f"8000-branch choice net took {elapsed:.1f} s"
+    assert doc.counts["basic"] == len(net.places)
+    assert doc.counts["hyperedge"] == len(net.transitions)
+
+
+@pytest.mark.parametrize(
+    "name", ["chain", "double_arc", "fork_join", "self_loop"])
+def test_canonical_document_of_a_written_file_is_itself(name):
+    data = (GOLDEN_DIR / f"{name}.statechart.json").read_bytes()
+    doc = parse_statechart(data)
+    assert statechart_document_to_bytes(canonical_document(doc)) == data

@@ -4,20 +4,18 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
+    arbitrary_nets,
     assert_single_tree,
     build_net,
+    differential_nets,
     disjoint_union,
     element_named,
-    load_corpus,
     nca_oracle,
     nested_fork_join_net,
     scan_fixpoint,
-    shuffled_net,
 )
-from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.init import initialize_statechart
 from pn2sc.io import store_from_petri_net, write_statechart
 from pn2sc.model import ElementKind
@@ -358,19 +356,6 @@ class TestCreateStatechart:
                 assert sc.ref(edge, "rcontains") == nca_oracle(sc, edge)
 
 
-@st.composite
-def arbitrary_nets(draw):
-    n_places = draw(st.integers(0, 7))
-    n_transitions = draw(st.integers(0, 7))
-    names = [f"p{i}" for i in range(n_places)]
-    transitions = []
-    for i in range(n_transitions):
-        pre = sorted(draw(st.sets(st.sampled_from(names)))) if names else []
-        post = sorted(draw(st.sets(st.sampled_from(names)))) if names else []
-        transitions.append((f"t{i}", pre, post))
-    return names, transitions
-
-
 @given(arbitrary_nets())
 @settings(max_examples=120, deadline=None)
 def test_pipeline_on_arbitrary_nets(net):
@@ -416,27 +401,7 @@ def _assert_same_as_scan(make_store):
     assert worklist[1] == scan[1]
 
 
-def _differential_cases():
-    for places in (100, 1000):
-        net = generate_sp_net(GenSpec(places, 3))
-        yield pytest.param(net, id=f"sp{places}")
-        yield pytest.param(
-            shuffled_net(net, places), id=f"sp{places}-shuffled"
-        )
-    for depths in ((1,), (5,), (40,), (3, 7), (12, 30, 20)):
-        yield pytest.param(
-            nested_fork_join_net(*depths),
-            id="spines" + "-".join(map(str, depths)),
-        )
-    yield pytest.param(
-        disjoint_union(nested_fork_join_net(6), nested_fork_join_net(9)),
-        id="two-spines-disjoint",
-    )
-    for entry in load_corpus():
-        yield pytest.param(entry.net, id=f"golden-{entry.name}")
-
-
-@pytest.mark.parametrize("net", _differential_cases())
+@pytest.mark.parametrize("net", differential_nets())
 def test_worklist_fires_like_the_scan(net):
     _assert_same_as_scan(lambda: store_from_petri_net(net))
 
