@@ -24,9 +24,9 @@ out in the same order too. ``or_of_place`` is a list. Links never change
 during the reduction, so they are read from the net's original arcs when
 the document is built.
 
-The reduction keeps ``fixpoint``'s worklist and its firing order, with
-finer marks. A firing marks, for each of the three passes, the
-transitions whose check it may turn from failing to passing:
+The reduction runs ``reduce.run_rounds`` with finer marks than
+``reduce.fixpoint`` gives it. A firing marks, for each of the three
+passes, the transitions whose check it may turn from failing to passing:
 
 - an AND firing: every neighbour of the surviving place, for all passes;
 - an OR firing that merges ``r`` into ``q``: the transitions that were
@@ -49,9 +49,13 @@ reduction of one place's fan-out is linear, not quadratic.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
-from .io import PetriNetDocument, StatechartDocument, _counts, canonical_document
+from .io import (
+    PetriNetDocument,
+    StatechartDocument,
+    canonical_document,
+    kind_counts,
+)
+from .model import ElementKind
 from .reduce import (
     AndFiring,
     FiringObserver,
@@ -59,13 +63,14 @@ from .reduce import (
     ReductionResult,
     ReductionStatus,
     Side,
+    run_rounds,
 )
 
-_OR = "OR"
-_AND = "AND"
-_BASIC = "Basic"
-_HYPER_EDGE = "HyperEdge"
-_STATECHART = "Statechart"
+_OR = ElementKind.OR.value
+_AND = ElementKind.AND.value
+_BASIC = ElementKind.BASIC.value
+_HYPER_EDGE = ElementKind.HYPER_EDGE.value
+_STATECHART = ElementKind.STATECHART.value
 
 
 class FlatModel:
@@ -73,7 +78,8 @@ class FlatModel:
 
     Building one is the initialization; ``fixpoint``, ``create_top``,
     ``assign_hyperedges`` and ``document`` then do what their namesakes in
-    ``reduce.py`` and ``io.py`` do to a pair of stores.
+    ``reduce.py`` and ``io.py`` do to a pair of stores, and ``reduce``
+    runs the middle three.
     """
 
     def __init__(self, net: PetriNetDocument) -> None:
@@ -148,9 +154,9 @@ class FlatModel:
                         index.setdefault(p, set()).add(t)
 
     def fixpoint(self, on_fire: FiringObserver | None = None) -> None:
-        """Run ``reduce.fixpoint``'s rounds of [AND on pre-places, AND on
-        post-places, OR] from a worklist, firing the same transitions in
-        the same order, with the finer marks of the module docstring."""
+        """Fire what ``reduce.fixpoint`` fires, in the same order, through
+        ``reduce.run_rounds`` with the finer marks of the module docstring.
+        """
         kinds, names, children = self.kinds, self.names, self.children
         or_of_place = self.or_of_place
         t_pre, t_post = self.t_pre, self.t_post
@@ -161,7 +167,7 @@ class FlatModel:
 
         def and_step(t: int, side_places: list, side: Side):
             places = side_places[t]
-            if len(places) <= 1:
+            if places is None or len(places) <= 1:
                 return None
             ordered = sorted(places)
             survivor = ordered[0]
@@ -199,7 +205,7 @@ class FlatModel:
 
         def or_step(t: int):
             pre = t_pre[t]
-            if len(pre) != 1:
+            if pre is None or len(pre) != 1:
                 return None
             post = t_post[t]
             if len(post) != 1:
@@ -248,39 +254,11 @@ class FlatModel:
                 on_fire(OrFiring(offset + t, identity=q == r))
             return marks
 
-        steps = (
+        run_rounds((
             lambda t: and_step(t, t_pre, Side.PRE),
             lambda t: and_step(t, t_post, Side.POST),
             or_step,
-        )
-        dirty = [set(range(len(t_pre))) for _ in steps]
-        while True:
-            fired = False
-            for current, step in enumerate(steps):
-                queued = dirty[current]
-                dirty[current] = set()
-                heap = sorted(queued)
-                while heap:
-                    cursor = heappop(heap)
-                    if t_pre[cursor] is None:
-                        continue
-                    marks = step(cursor)
-                    if marks is None:
-                        continue
-                    fired = True
-                    for index, touched in enumerate(marks):
-                        pending = dirty[index]
-                        if index != current:
-                            pending.update(touched)
-                            continue
-                        for u in touched:
-                            if u <= cursor:
-                                pending.add(u)
-                            elif u not in queued:
-                                queued.add(u)
-                                heappush(heap, u)
-            if not fired:
-                return
+        ), range(len(t_pre)))
 
     def create_top(self) -> ReductionResult:
         """Wrap the one live place's OR, the only container-less OR, in a
@@ -367,7 +345,16 @@ class FlatModel:
                 links[node_of[edge_of[t]]] = tuple(
                     [node_of[basic_of[p]] for p in targets])
         return canonical_document(StatechartDocument(
-            order, kinds, names, tree_children, links, _counts(kinds)))
+            order, kinds, names, tree_children, links, kind_counts(kinds)))
+
+    def reduce(self, on_fire: FiringObserver | None = None) -> ReductionResult:
+        """Reduce to a fixpoint, create the top state and, on success,
+        assign the hyperedges; return the result."""
+        self.fixpoint(on_fire)
+        result = self.create_top()
+        if result.ok:
+            self.assign_hyperedges()
+        return result
 
 
 def transform_net(
@@ -377,9 +364,5 @@ def transform_net(
     the hyperedges on flat lists; return the canonical document (None
     when the net is irreducible) and the result."""
     model = FlatModel(net)
-    model.fixpoint(on_fire)
-    result = model.create_top()
-    if not result.ok:
-        return None, result
-    model.assign_hyperedges()
-    return model.document(), result
+    result = model.reduce(on_fire)
+    return model.document() if result.ok else None, result

@@ -69,6 +69,8 @@ __all__ = [
     "RankedTrees",
     "rank_statecharts",
     "canonical_document",
+    "STATECHART_KINDS",
+    "kind_counts",
     "document_from_statechart",
     "statechart_document_to_bytes",
     "write_statechart",
@@ -247,8 +249,9 @@ class StatechartDocument:
     ``counts`` is the per-kind tally of the tree, under the file's keys.
 
     ``parse_statechart`` numbers the nodes breadth-first in file order.
-    ``document_from_statechart`` gives the canonical document: children in
-    rank order, uids in preorder and links in ascending uid order.
+    ``canonical_document`` gives the canonical document: children in rank
+    order, uids in preorder and links in ascending uid order. Both
+    transform routes end in it.
     """
 
     uids: list[int]
@@ -261,30 +264,28 @@ class StatechartDocument:
     def count_of_kind(self, kind: ElementKind) -> int:
         """The tally of one kind, as ``ModelStore.count_of_kind`` gives it
         for a store."""
-        return self.counts.get(_KIND_TO_COUNT_KEY.get(kind, ""), 0)
+        return self.counts.get(kind.value.lower(), 0)
 
 
-_COUNT_KEYS = ("statechart", "and", "or", "basic", "hyperedge")
-_KIND_TO_COUNT_KEY = {
-    ElementKind.STATECHART: "statechart",
-    ElementKind.AND: "and",
-    ElementKind.OR: "or",
-    ElementKind.BASIC: "basic",
-    ElementKind.HYPER_EDGE: "hyperedge",
-}
-_KIND_BY_NAME = {kind.value: kind for kind in _KIND_TO_COUNT_KEY}
+#: The kinds a statechart file holds, in the order of its counts object.
+STATECHART_KINDS = (ElementKind.STATECHART, ElementKind.AND, ElementKind.OR,
+                    ElementKind.BASIC, ElementKind.HYPER_EDGE)
+_COUNT_KEYS = tuple(kind.value.lower() for kind in STATECHART_KINDS)
+_KIND_BY_NAME = {kind.value: kind for kind in STATECHART_KINDS}
 _LINKED_KINDS = (ElementKind.BASIC, ElementKind.HYPER_EDGE)
 _LINKED_KIND_NAMES = tuple(kind.value for kind in _LINKED_KINDS)
-_KIND_NAME = {kind: kind.value for kind in ElementKind}
 _NODE_FIELDS = ("uid", "kind", "name", "children")
 _LINKED_NODE_FIELDS = ("uid", "kind", "name", "next", "children")
 _NODE_KEYS = frozenset(_NODE_FIELDS)
 _LINKED_NODE_KEYS = frozenset(_LINKED_NODE_FIELDS)
 
 
-def _counts(kinds: list[str]) -> dict[str, int]:
+def kind_counts(kinds: list[str]) -> dict[str, int]:
+    """The counts object of a statechart whose nodes have the kind names
+    ``kinds``: each statechart kind's tally under its count key, the
+    lower-cased kind name, in file order."""
     tally = Counter(kinds)
-    return {key: tally[kind.value] for kind, key in _KIND_TO_COUNT_KEY.items()}
+    return {kind.value.lower(): tally[kind.value] for kind in STATECHART_KINDS}
 
 
 def _store_document(sc: ModelStore) -> StatechartDocument:
@@ -314,7 +315,7 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
     for node, eid in enumerate(uids):
         node_of[eid] = node
         kind = sc.kind_of(eid)
-        kinds.append(_KIND_NAME[kind])
+        kinds.append(kind.value)
         names.append(sc.name_of(eid))
         if kind in _LINKED_KINDS:
             pending.append((node, eid, sc.refs(eid, "next")))
@@ -335,7 +336,7 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
                 f"element {eid} links outside the containment tree"
             ) from None
     return StatechartDocument(uids, kinds, names, children, links,
-                              _counts(kinds))
+                              kind_counts(kinds))
 
 
 @dataclass
@@ -717,7 +718,7 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
         links[owner] = tuple(
             dict.fromkeys(resolved) if len(resolved) > 1 else resolved
         )
-    tally = _counts(kinds)
+    tally = kind_counts(kinds)
     if tally != counts:
         raise DocumentError(
             f"counts object {counts} does not match the tree {tally}"

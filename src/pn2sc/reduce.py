@@ -11,12 +11,12 @@ connects.
 
 Each rule's precondition and rewrite is written once, for one transition
 (``_and_step``, ``_or_step``). ``and_rule`` and ``or_rule`` run one of
-them over every transition, and ``fixpoint`` runs rounds of the three
-passes (AND on pre-places, AND on post-places, OR) from a worklist: a
-pass visits only the transitions next to a place that an earlier firing
-changed, in ascending id. It fires exactly the rules, in exactly the
-order, that full scans of every transition in every pass would fire, so
-element ids and output are the same either way.
+them over every transition, and ``fixpoint`` hands all three to
+``run_rounds``, the worklist loop that ``flat.FlatModel`` runs too. A
+firing here marks every transition next to the surviving place, for
+every pass: a rule check reads only a transition's arcs and the pre- and
+post-transition sets of the places on them, and a firing changes those
+only for the transitions next to the surviving place.
 
 The rules find each place's OR state in ``or_of_place``, the plain dict
 from place id to OR id that ``initialize_statechart`` returns, and
@@ -24,9 +24,8 @@ rewrite it when they merge places; entries of deleted places go stale.
 
 These functions on ``ModelStore`` pairs are the reference implementation.
 ``pn2sc transform`` runs ``flat.transform_net`` instead, which fires the
-same rules in the same order on flat lists, with finer worklist marks;
-``fixpoint`` here marks every neighbour of the surviving place, so it is
-quadratic in the fan-out of one place.
+same rules in the same order on flat lists, with finer marks; the marks
+here make ``fixpoint`` quadratic in the fan-out of one place.
 
 Wherever the rules need "the first" element of an unordered collection,
 the minimum element id is used, so runs are reproducible.
@@ -37,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Callable, Union
+from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .init import initialize_statechart
 from .model import ElementKind, ModelStore
@@ -105,9 +104,11 @@ def _and_step(
     or_of_place: dict[int, int],
     transition: int,
     on_fire: FiringObserver | None,
-) -> int | None:
-    """Apply the AND rule to one live transition if it matches; return the
-    surviving place, or None when the transition does not match."""
+) -> tuple[tuple[int, ...], ...] | None:
+    """Apply the AND rule to one transition if it is live and matches;
+    return ``_marks`` of the surviving place, or None."""
+    if not pn.is_live(transition):
+        return None
     companions = pn.view(transition, side.value)
     if len(companions) <= 1:
         return None
@@ -129,7 +130,7 @@ def _and_step(
         pn.delete(other)
     if on_fire is not None:
         on_fire(AndFiring(transition, side, len(ordered)))
-    return survivor
+    return _marks(pn, survivor)
 
 
 def _or_step(
@@ -138,9 +139,11 @@ def _or_step(
     or_of_place: dict[int, int],
     transition: int,
     on_fire: FiringObserver | None,
-) -> int | None:
-    """Apply the OR rule to one live transition if it matches; return the
-    surviving place q, or None when the transition does not match."""
+) -> tuple[tuple[int, ...], ...] | None:
+    """Apply the OR rule to one transition if it is live and matches;
+    return ``_marks`` of the surviving place q, or None."""
+    if not pn.is_live(transition):
+        return None
     preps = pn.view(transition, "prep")
     if len(preps) != 1:
         return None
@@ -171,7 +174,22 @@ def _or_step(
     pn.delete(transition)
     if on_fire is not None:
         on_fire(OrFiring(transition, identity=q == r))
-    return q
+    return _marks(pn, q)
+
+
+def _marks(pn: ModelStore, place: int) -> tuple[tuple[int, ...], ...]:
+    """Every transition next to ``place``, for each of the three passes."""
+    touched = (*pn.view(place, "pret"), *pn.view(place, "postt"))
+    return touched, touched, touched
+
+
+def _one_pass(pn: ModelStore, step: Callable[[int], object]) -> bool:
+    """Run ``step`` on every transition; True iff it fired at least once."""
+    applied = False
+    for transition in pn.all_of_kind(_TRANSITION):
+        if step(transition) is not None:
+            applied = True
+    return applied
 
 
 def and_rule(
@@ -191,12 +209,8 @@ def and_rule(
 
     Returns True iff at least one transition matched.
     """
-    applied = False
-    for transition in pn.all_of_kind(_TRANSITION):
-        if pn.is_live(transition) and _and_step(
-                pn, sc, side, or_of_place, transition, on_fire) is not None:
-            applied = True
-    return applied
+    return _one_pass(
+        pn, lambda t: _and_step(pn, sc, side, or_of_place, t, on_fire))
 
 
 def or_rule(
@@ -216,42 +230,34 @@ def or_rule(
 
     Returns True iff at least one transition matched.
     """
-    applied = False
-    for transition in pn.all_of_kind(_TRANSITION):
-        if pn.is_live(transition) and _or_step(
-                pn, sc, or_of_place, transition, on_fire) is not None:
-            applied = True
-    return applied
+    return _one_pass(
+        pn, lambda t: _or_step(pn, sc, or_of_place, t, on_fire))
 
 
-def fixpoint(
-    pn: ModelStore,
-    sc: ModelStore,
-    or_of_place: dict[int, int],
-    on_fire: FiringObserver | None = None,
+def run_rounds(
+    steps: Sequence[Callable[[int], Sequence[Iterable[int]] | None]],
+    transitions: Collection[int],
 ) -> None:
-    """Apply [AND on pre-places, AND on post-places, OR] rounds until none
-    of the three passes fires. Terminates because every firing strictly
-    shrinks the net.
+    """Run rounds of the passes ``steps`` until a round fires nothing.
 
-    The firings, and their order, are exactly those of running
-    ``and_rule(PRE)``, ``and_rule(POST)`` and ``or_rule`` in rounds, but
-    each pass visits only its dirty transitions, in ascending id. A rule
-    check reads only a transition's arcs and the pre- and post-transition
-    sets of the places on them, and a firing changes those only for the
-    transitions next to the surviving place. Those are marked dirty for
-    every pass: for the running pass, a transition above the cursor is
-    still visited in this pass, and one at or below it waits for the next
-    round, just where a full scan would next look at it. A transition
-    leaves a pass's dirty set only when that pass checks it, so every
-    transition a pass skips would fail its check on unchanged inputs.
+    A step checks one transition number against its rule and fires the
+    rule on a match. It returns None when the transition is dead or does
+    not match, and otherwise one collection per pass of the transitions
+    to mark dirty. At the start every transition is dirty for every pass,
+    and a pass checks its dirty transitions in ascending number, popping
+    them from a heap.
+
+    The firings, and their order, are exactly those of rounds of full
+    passes that check every transition in ascending number, provided a
+    firing marks, for every pass, each transition whose check it may turn
+    from failing to passing. A transition marked for the running pass
+    above the cursor is still checked in this pass, and one at or below
+    it waits for the next round, just where a full scan would next look
+    at it. A transition leaves a pass's dirty set only when that pass
+    checks it, so every transition a pass skips would fail its check.
+    Every firing shrinks the net, so the rounds end.
     """
-    steps: tuple[Callable[[int], int | None], ...] = (
-        lambda t: _and_step(pn, sc, Side.PRE, or_of_place, t, on_fire),
-        lambda t: _and_step(pn, sc, Side.POST, or_of_place, t, on_fire),
-        lambda t: _or_step(pn, sc, or_of_place, t, on_fire),
-    )
-    dirty = [set(pn.all_of_kind(_TRANSITION)) for _ in steps]
+    dirty = [set(transitions) for _ in steps]
     while True:
         fired = False
         for current, step in enumerate(steps):
@@ -260,14 +266,12 @@ def fixpoint(
             heap = sorted(queued)
             while heap:
                 cursor = heappop(heap)
-                if not pn.is_live(cursor):
-                    continue
-                place = step(cursor)
-                if place is None:
+                marks = step(cursor)
+                if marks is None:
                     continue
                 fired = True
-                touched = [*pn.view(place, "pret"), *pn.view(place, "postt")]
-                for index, pending in enumerate(dirty):
+                for index, touched in enumerate(marks):
+                    pending = dirty[index]
                     if index != current:
                         pending.update(touched)
                         continue
@@ -279,6 +283,21 @@ def fixpoint(
                             heappush(heap, transition)
         if not fired:
             return
+
+
+def fixpoint(
+    pn: ModelStore,
+    sc: ModelStore,
+    or_of_place: dict[int, int],
+    on_fire: FiringObserver | None = None,
+) -> None:
+    """Apply [AND on pre-places, AND on post-places, OR] rounds through
+    ``run_rounds`` until none of the three passes fires."""
+    run_rounds((
+        lambda t: _and_step(pn, sc, Side.PRE, or_of_place, t, on_fire),
+        lambda t: _and_step(pn, sc, Side.POST, or_of_place, t, on_fire),
+        lambda t: _or_step(pn, sc, or_of_place, t, on_fire),
+    ), pn.all_of_kind(_TRANSITION))
 
 
 def create_top(pn: ModelStore, sc: ModelStore) -> ReductionResult:

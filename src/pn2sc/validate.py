@@ -19,18 +19,15 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .io import RankedTrees, StatechartDocument, rank_statecharts
+from .io import (
+    STATECHART_KINDS,
+    RankedTrees,
+    StatechartDocument,
+    rank_statecharts,
+)
 from .model import ElementKind, ModelStore
 
 Statechart = ModelStore | StatechartDocument
-
-_COMPARED_KINDS = (
-    ElementKind.STATECHART,
-    ElementKind.AND,
-    ElementKind.OR,
-    ElementKind.BASIC,
-    ElementKind.HYPER_EDGE,
-)
 
 
 class ValidationLevel(Enum):
@@ -59,7 +56,7 @@ def validate_counts(actual: Statechart,
                     expected: Statechart) -> ValidationReport:
     """Compare per-kind instance totals (a document's ``counts``)."""
     found = []
-    for kind in _COMPARED_KINDS:
+    for kind in STATECHART_KINDS:
         got = actual.count_of_kind(kind)
         want = expected.count_of_kind(kind)
         if got != want:

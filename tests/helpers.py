@@ -45,21 +45,28 @@ class CorpusEntry:
     expected: StatechartDocument | None
 
 
+def net_document(places: list[str],
+                 transitions: list[tuple[str, list[str], list[str]]]
+                 ) -> PetriNetDocument:
+    """A Petri net document from place names and (name, pre names, post
+    names) triples; names double as ids."""
+    return PetriNetDocument(
+        tuple(PlaceSpec(name, name) for name in places),
+        tuple(TransitionSpec(name, name, tuple(pre), tuple(post))
+              for name, pre, post in transitions),
+    )
+
+
 def build_net(
     places: list[str], transitions: list[tuple[str, list[str], list[str]]]
 ) -> tuple[ModelStore, dict[str, int]]:
-    """Build a Petri net store from (name, pre names, post names) triples."""
-    pn = ModelStore()
-    ids: dict[str, int] = {}
-    for name in places:
-        ids[name] = pn.create(ElementKind.PLACE, name)
-    for name, pre, post in transitions:
-        tid = pn.create(ElementKind.TRANSITION, name)
-        ids[name] = tid
-        for p in pre:
-            pn.add_ref(tid, "prep", ids[p])
-        for p in post:
-            pn.add_ref(tid, "postp", ids[p])
+    """The store of ``net_document(places, transitions)`` and the id of
+    every place and transition by name (places first, then transitions,
+    in argument order)."""
+    pn = store_from_petri_net(net_document(places, transitions))
+    ids = {pn.name_of(eid): eid
+           for kind in (ElementKind.PLACE, ElementKind.TRANSITION)
+           for eid in pn.all_of_kind(kind)}
     return pn, ids
 
 
@@ -401,7 +408,7 @@ def renamed(doc: PetriNetDocument, name: str) -> PetriNetDocument:
 
 
 def differential_nets():
-    """Nets on which two reduction routes must agree, as pytest params:
+    """Nets on which the reduction routes must agree, as pytest params:
     SP nets plain and shuffled, spines, a disjoint union of two spines
     (irreducible), choice nets, an SP net whose names all repeat, and the
     golden corpus."""
@@ -449,15 +456,3 @@ def arbitrary_nets(draw):
         post = sorted(draw(st.sets(st.sampled_from(names)))) if names else []
         transitions.append((f"t{i}", pre, post))
     return names, transitions
-
-
-def net_document(places: list[str],
-                 transitions: list[tuple[str, list[str], list[str]]]
-                 ) -> PetriNetDocument:
-    """The document of the net that ``build_net`` builds from the same
-    arguments; names double as ids."""
-    return PetriNetDocument(
-        tuple(PlaceSpec(name, name) for name in places),
-        tuple(TransitionSpec(name, name, tuple(pre), tuple(post))
-              for name, pre, post in transitions),
-    )

@@ -279,3 +279,6 @@ def test_parse_numbers_nodes_breadth_first():
     assert [doc.kinds[t] for t in doc.links[edge]] == ["Basic", "Basic"]
     assert doc.count_of_kind(ElementKind.BASIC) == doc.counts["basic"] == 4
     assert doc.count_of_kind(ElementKind.PLACE) == 0
+    store = scio.store_from_statechart(doc)
+    for kind in ElementKind:
+        assert doc.count_of_kind(kind) == store.count_of_kind(kind), kind

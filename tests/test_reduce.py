@@ -14,10 +14,11 @@ from helpers import (
     element_named,
     nca_oracle,
     nested_fork_join_net,
+    net_document,
     scan_fixpoint,
 )
 from pn2sc.init import initialize_statechart
-from pn2sc.io import store_from_petri_net, write_statechart
+from pn2sc.io import PetriNetDocument, store_from_petri_net, write_statechart
 from pn2sc.model import ElementKind
 from pn2sc.reduce import (
     AndFiring,
@@ -381,34 +382,35 @@ def test_pipeline_on_arbitrary_nets(net):
     pn.check_invariants()
 
 
-def _reduced(reduce_net, pn):
-    """Reduce ``pn`` with ``reduce_net``; return the firing events and either
-    the written statechart or, for an irreducible net, the result."""
+def _reduced(reduce_net, net: PetriNetDocument):
+    """Reduce ``net`` on a store pair with ``reduce_net``; return the firing
+    events, the result and the written statechart (None when the net is
+    irreducible)."""
+    pn = store_from_petri_net(net)
     sc, or_of_place = initialize_statechart(pn)
     events = []
     reduce_net(pn, sc, or_of_place, events.append)
     result = create_top(pn, sc)
     if not result.ok:
-        return events, result
+        return events, result, None
     assign_hyperedges(sc)
-    return events, write_statechart(sc, result)
+    return events, result, write_statechart(sc, result)
 
 
-def _assert_same_as_scan(make_store):
-    worklist = _reduced(fixpoint, make_store())
-    scan = _reduced(scan_fixpoint, make_store())
-    assert worklist[0] == scan[0]
-    assert worklist[1] == scan[1]
+def _assert_same_as_scan(net: PetriNetDocument) -> None:
+    """The store worklist gives the scan's firing events, its result and its
+    bytes; ``test_flat`` holds the flat core to the store route."""
+    assert _reduced(fixpoint, net) == _reduced(scan_fixpoint, net)
 
 
 @pytest.mark.parametrize("net", differential_nets())
 def test_worklist_fires_like_the_scan(net):
-    _assert_same_as_scan(lambda: store_from_petri_net(net))
+    _assert_same_as_scan(net)
 
 
 def test_disjoint_spines_are_irreducible():
     net = disjoint_union(nested_fork_join_net(6), nested_fork_join_net(9))
-    _, result = _reduced(fixpoint, store_from_petri_net(net))
+    _, result, _ = _reduced(fixpoint, net)
     assert result.status is ReductionStatus.IRREDUCIBLE
     assert result.top_or_count == 2
 
@@ -416,7 +418,7 @@ def test_disjoint_spines_are_irreducible():
 @given(arbitrary_nets())
 @settings(max_examples=200, deadline=None)
 def test_worklist_fires_like_the_scan_on_arbitrary_nets(net):
-    _assert_same_as_scan(lambda: build_net(*net)[0])
+    _assert_same_as_scan(net_document(*net))
 
 
 def test_deep_spine_reduces_in_linear_time():
