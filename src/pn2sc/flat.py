@@ -25,19 +25,15 @@ during the reduction, so they are read from the net's original arcs when
 the document is built.
 
 The reduction runs ``reduce.run_rounds`` with finer marks than
-``reduce.fixpoint`` gives it. A firing marks, for each of the three
-passes, the transitions whose check it may turn from failing to passing:
+``reduce.fixpoint`` gives it. A firing marks, for the other two passes,
+the transitions whose check it may turn from failing to passing:
 
-- an AND firing: every neighbour of the surviving place, for all passes;
-- an OR firing that merges ``r`` into ``q``: the transitions that were
-  next to ``r`` (their arcs changed), for all passes; for the AND-pre
-  pass also ``q``'s consumers with at least two pre-places, and for the
-  AND-post pass ``q``'s producers with at least two post-places. The OR
-  check of any other neighbour of ``q`` can only start failing, because
-  ``q``'s sets only grow, apart from losing the fired transition, which
-  no other place holds;
-- an OR firing on a self-loop of ``q``: only those consumers and
-  producers of ``q``, for their AND passes.
+- an AND firing: every neighbour of the surviving place;
+- an OR firing, a merge of ``r`` into ``q`` or a self-loop on ``q``:
+  ``q``'s consumers with at least two pre-places for the AND-pre pass,
+  and its producers with at least two post-places for the AND-post
+  pass. Only ``q``'s sets change, and a transition that had ``r`` on a
+  side has ``q`` there instead.
 
 A transition with at most one place on a side never matches AND on that
 side again, because arcs never grow. The consumers and producers with at
@@ -217,8 +213,6 @@ class FlatModel:
             if q == r:
                 q_pre.discard(t)
                 q_post.discard(t)
-                marks = (multi_consumers.get(q, ()),
-                         multi_producers.get(q, ()), ())
             else:
                 r_pre = p_pre[r]
                 r_post = p_post[r]
@@ -246,13 +240,11 @@ class FlatModel:
                 mergee = or_of_place[r]
                 children[merger] += children[mergee]
                 children[mergee] = ()
-                changed = r_pre | r_post
-                marks = (changed | multi_consumers.get(q, set()),
-                         changed | multi_producers.get(q, set()), changed)
             t_pre[t] = t_post[t] = None
             if on_fire is not None:
                 on_fire(OrFiring(offset + t, identity=q == r))
-            return marks
+            return (multi_consumers.get(q, ()), multi_producers.get(q, ()),
+                    ())
 
         run_rounds((
             lambda t: and_step(t, t_pre, Side.PRE),

@@ -41,8 +41,8 @@ in the canonical written form. Both transform routes end in it:
 ``document_from_statechart`` lays out a store, and ``flat.transform_net``
 (what ``pn2sc transform`` runs) lays out its flat lists, breadth-first in
 containment order. Readers accept any well-formed document but
-reject unknown fields; a document nested deeper than the ``json`` module
-can parse is rejected with a DocumentError.
+reject unknown fields; a document nested too deep for the ``json``
+module, or with an integer over Python's digit limit, is a DocumentError.
 """
 
 from __future__ import annotations
@@ -120,6 +120,9 @@ def _decode(data: bytes | str) -> object:
             f"JSON parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        reason = str(exc).partition(";")[0]
+        raise DocumentError(f"JSON integer not readable: {reason}") from None
     except RecursionError:
         raise DocumentError(
             "document nests too deeply to read: its JSON nesting exceeds "

@@ -12,11 +12,11 @@ connects.
 Each rule's precondition and rewrite is written once, for one transition
 (``_and_step``, ``_or_step``). ``and_rule`` and ``or_rule`` run one of
 them over every transition, and ``fixpoint`` hands all three to
-``run_rounds``, the worklist loop that ``flat.FlatModel`` runs too. A
-firing here marks every transition next to the surviving place, for
-every pass: a rule check reads only a transition's arcs and the pre- and
-post-transition sets of the places on them, and a firing changes those
-only for the transitions next to the surviving place.
+``run_rounds``, the loop of sorted sweeps that ``flat.FlatModel`` runs
+too. A firing here marks every transition next to the surviving place
+for the other passes: a rule check reads only a transition's arcs and
+the pre- and post-transition sets of the places on them, and a firing
+changes those only for the transitions next to the surviving place.
 
 The rules find each place's OR state in ``or_of_place``, the plain dict
 from place id to OR id that ``initialize_statechart`` returns, and
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .init import initialize_statechart
@@ -243,44 +242,49 @@ def run_rounds(
     A step checks one transition number against its rule and fires the
     rule on a match. It returns None when the transition is dead or does
     not match, and otherwise one collection per pass of the transitions
-    to mark dirty. At the start every transition is dirty for every pass,
-    and a pass checks its dirty transitions in ascending number, popping
-    them from a heap.
+    to mark dirty. At the start every transition is dirty for every pass.
+    A pass is a sweep: it takes its dirty set, empties it, and checks
+    the set's transitions in ascending number. A firing adds its marks
+    to the dirty sets of the other passes only.
 
     The firings, and their order, are exactly those of rounds of full
     passes that check every transition in ascending number, provided a
-    firing marks, for every pass, each transition whose check it may turn
-    from failing to passing. A transition marked for the running pass
-    above the cursor is still checked in this pass, and one at or below
-    it waits for the next round, just where a full scan would next look
-    at it. A transition leaves a pass's dirty set only when that pass
-    checks it, so every transition a pass skips would fail its check.
+    firing marks, for every other pass, each transition whose check it
+    may turn from failing to passing. The loop keeps the invariant that
+    a transition missing from a pass's dirty set would fail that pass's
+    check. Its own pass cannot break it, because no firing of the AND
+    and OR rules turns a check of its own pass from failing to passing:
+
+    - AND: the deleted places' pre- and post-transition sets equal the
+      survivor's, and every live place keeps its sets. A transition that
+      had a deleted place on a side also had the survivor there, so each
+      side keeps its distinct pairs of sets and never grows: a side
+      whose places differed still differs.
+    - OR merge of ``r`` into ``q``: the fired transition is in no other
+      place's sets. A transition with ``q`` and ``r`` on one side would
+      make them share a neighbour, failing the disjointness check. So
+      every other transition keeps its arity, and the merge only grows
+      the intersections that an OR check tests; a check that becomes a
+      self-loop on ``q`` tested the fired transition's sets and passed.
+    - OR identity: the removed self-loop on ``q`` is in no other place's
+      sets, so no other OR check changes.
+
     Every firing shrinks the net, so the rounds end.
     """
     dirty = [set(transitions) for _ in steps]
     while True:
         fired = False
         for current, step in enumerate(steps):
-            queued = dirty[current]
-            dirty[current] = set()
-            heap = sorted(queued)
-            while heap:
-                cursor = heappop(heap)
-                marks = step(cursor)
+            sweep = sorted(dirty[current])
+            dirty[current].clear()
+            for transition in sweep:
+                marks = step(transition)
                 if marks is None:
                     continue
                 fired = True
                 for index, touched in enumerate(marks):
-                    pending = dirty[index]
                     if index != current:
-                        pending.update(touched)
-                        continue
-                    for transition in touched:
-                        if transition <= cursor:
-                            pending.add(transition)
-                        elif transition not in queued:
-                            queued.add(transition)
-                            heappush(heap, transition)
+                        dirty[index].update(touched)
         if not fired:
             return
 

@@ -52,11 +52,26 @@ def test_transform_missing_input_is_data_error(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_transform_malformed_input_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    '{"places": oops',
+    '{"places": [], "transitions": [], "extra": ' + "7" * 5001 + "}",
+], ids=["truncated", "5001-digit-int"])
+def test_transform_malformed_input_is_data_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"places": oops')
+    bad.write_text(text)
     code = main(["transform", str(bad), "-o", str(tmp_path / "out.json")])
     assert code == 65
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_validate_long_integer_is_data_error(tmp_path, golden_dir, capsys):
+    golden = golden_dir / "chain.statechart.json"
+    doc = json.loads(golden.read_text())
+    doc["root"]["uid"] = "LONG"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"LONG"', "7" * 5001))
+    assert main(["validate", str(bad), str(golden)]) == 65
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -32,6 +32,7 @@ from pn2sc.reduce import (
     create_top,
     fixpoint,
     or_rule,
+    run_rounds,
 )
 
 P = ElementKind.PLACE
@@ -406,6 +407,27 @@ def _assert_same_as_scan(net: PetriNetDocument) -> None:
 @pytest.mark.parametrize("net", differential_nets())
 def test_worklist_fires_like_the_scan(net):
     _assert_same_as_scan(net)
+
+
+def test_run_rounds_sweeps_each_pass_in_order():
+    """Each pass checks its dirty transitions in ascending number, a mark
+    for another pass is checked in that pass's next sweep, a mark for the
+    running pass is dropped, and a round that fires nothing ends the run."""
+    calls = []
+    fires = {  # (pass, transition) -> marks for passes a and b
+        ("a", 2): ((5, 1), (4, 1)),
+        ("b", 4): ((3, 0), (2,)),
+    }
+
+    def step(name):
+        def check(transition):
+            calls.append((name, transition))
+            return fires.pop((name, transition), None)
+        return check
+
+    run_rounds((step("a"), step("b")), (4, 2, 0, 1, 3, 5))
+    first_round = [(name, t) for name in "ab" for t in range(6)]
+    assert calls == first_round + [("a", 0), ("a", 3)]
 
 
 def test_disjoint_spines_are_irreducible():
