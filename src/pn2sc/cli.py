@@ -7,11 +7,10 @@ Exit codes: 0 success, 1 failed validation, 2 irreducible input net,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
-import statistics
 import sys
 import time
-from pathlib import Path
 
 from . import io as scio
 from .flat import FlatModel, transform_net
@@ -71,9 +70,15 @@ def _build_parser() -> _Parser:
 
 def _read_file(path: str) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise scio.DocumentError(f"cannot read {path}: {exc}") from None
+
+
+def _write_file(path: str, data: bytes) -> None:
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
@@ -86,7 +91,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EX_IRREDUCIBLE
-    Path(args.output).write_bytes(scio.statechart_document_to_bytes(doc))
+    _write_file(args.output, scio.statechart_document_to_bytes(doc))
     return EX_OK
 
 
@@ -109,7 +114,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out = args.output or spec.file_name()
-    Path(out).write_bytes(scio.petri_net_to_bytes(generate_sp_net(spec)))
+    _write_file(out, scio.petri_net_to_bytes(generate_sp_net(spec)))
     return EX_OK
 
 
@@ -118,6 +123,8 @@ def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
     the ``FlatModel``, ``reduce_ms`` runs its fixpoint, top state and
     hyperedge assignment, and ``total_ms`` is their sum. Returns one row
     per size with the median over ``reps`` runs, in milliseconds."""
+    import statistics  # only bench needs it, and it is slow to import
+
     rows = []
     for size in sizes:
         doc = generate_sp_net(GenSpec(size, seed))
@@ -172,6 +179,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # The pipeline builds no reference cycles, so the cyclic collector
+    # would only walk its growing lists again and again. It is turned
+    # back on afterwards for callers that run main() in their own process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -193,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal: {type(exc).__name__}: {message}",
               file=sys.stderr)
         return EX_SOFTWARE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ with a final ``x ^= x >> 31``, all modulo 2**64. Bounded draws take the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .io import PetriNetDocument, PlaceSpec, TransitionSpec
 
@@ -51,8 +51,14 @@ class SplitMix64:
         return self.next_u64() < int(probability * (1 << 64))
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class _GenFields(NamedTuple):
+    target_places: int
+    seed: int
+    branch_factor_max: int = 4
+    parallel_prob: float = 0.5
+
+
+class GenSpec(_GenFields):
     """Parameters for one synthetic net.
 
     The generator stops expanding once the place count reaches
@@ -60,18 +66,22 @@ class GenSpec:
     ``branch_factor_max`` places.
     """
 
-    target_places: int
-    seed: int
-    branch_factor_max: int = 4
-    parallel_prob: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GenSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.target_places < 1:
             raise ValueError("target_places must be at least 1")
         if self.branch_factor_max < 2:
             raise ValueError("branch_factor_max must be at least 2")
         if not 0.0 <= self.parallel_prob <= 1.0:
             raise ValueError("parallel_prob must lie in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> GenSpec:
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
     def file_name(self) -> str:
         return f"sp{self.target_places}_{self.seed}.json"

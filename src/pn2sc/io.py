@@ -50,8 +50,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .model import ElementKind, ModelStore
 from .reduce import ReductionResult
@@ -87,22 +87,19 @@ class DocumentError(ValueError):
 # --- Petri net documents ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaceSpec:
+class PlaceSpec(NamedTuple):
     id: str
     name: str
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
+class TransitionSpec(NamedTuple):
     id: str
     name: str
     pre: tuple[str, ...]
     post: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PetriNetDocument:
+class PetriNetDocument(NamedTuple):
     places: tuple[PlaceSpec, ...]
     transitions: tuple[TransitionSpec, ...]
 
@@ -154,8 +151,27 @@ def _expect_str_list(value: object, what: str) -> tuple[str, ...]:
     return tuple(_expect_str(item, f"entry of {what}") for item in value)
 
 
+_PLACE_FIELDS = ("id", "name")
+_TRANSITION_FIELDS = ("id", "name", "pre", "post")
+_PLACE_KEYS = frozenset(_PLACE_FIELDS)
+_TRANSITION_KEYS = frozenset(_TRANSITION_FIELDS)
+
+
+def _distinct_known(pids: list, place_ids: frozenset[str]) -> bool:
+    """Whether ``pids`` holds only known place ids, none twice."""
+    try:
+        return place_ids.issuperset(pids) and len(set(pids)) == len(pids)
+    except TypeError:  # an unhashable entry
+        return False
+
+
 def parse_petri_net(data: bytes | str) -> PetriNetDocument:
-    """Parse and schema-check a Petri net document."""
+    """Parse and schema-check a Petri net document.
+
+    A well-formed entry is taken by one exact-key test and a few type and
+    membership tests. Any other entry goes through the field-by-field
+    checks, so the first fault in it names the DocumentError.
+    """
     raw = _expect_object(_decode(data), "document", ("places", "transitions"))
     if not isinstance(raw["places"], list) or not isinstance(
         raw["transitions"], list
@@ -169,17 +185,20 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
         seen_ids.add(eid)
         return eid
 
-    places = tuple(
-        PlaceSpec(
+    places = []
+    for item in raw["places"]:
+        if type(item) is dict and item.keys() == _PLACE_KEYS:
+            pid, name = item["id"], item["name"]
+            if type(pid) is str and type(name) is str and pid not in seen_ids:
+                seen_ids.add(pid)
+                places.append(PlaceSpec(pid, name))
+                continue
+        entry = _expect_object(item, "place", _PLACE_FIELDS)
+        places.append(PlaceSpec(
             claim(_expect_str(entry["id"], "place id")),
             _expect_str(entry["name"], "place name"),
-        )
-        for entry in (
-            _expect_object(item, "place", ("id", "name"))
-            for item in raw["places"]
-        )
-    )
-    place_ids = {p.id for p in places}
+        ))
+    place_ids = frozenset(seen_ids)
 
     def resolve(pid: str, owner: str) -> str:
         if pid not in place_ids:
@@ -190,7 +209,20 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
 
     transitions = []
     for item in raw["transitions"]:
-        entry = _expect_object(item, "transition", ("id", "name", "pre", "post"))
+        if type(item) is dict and item.keys() == _TRANSITION_KEYS:
+            tid, name, pre, post = (item["id"], item["name"], item["pre"],
+                                    item["post"])
+            if (type(tid) is str and type(name) is str
+                    and tid not in seen_ids
+                    and type(pre) is list and _distinct_known(pre, place_ids)
+                    and type(post) is list
+                    and _distinct_known(post, place_ids)):
+                seen_ids.add(tid)
+                transitions.append(
+                    TransitionSpec(tid, name, tuple(pre), tuple(post))
+                )
+                continue
+        entry = _expect_object(item, "transition", _TRANSITION_FIELDS)
         tid = claim(_expect_str(entry["id"], "transition id"))
         pre = _expect_str_list(entry["pre"], f"pre of {tid!r}")
         post = _expect_str_list(entry["post"], f"post of {tid!r}")
@@ -202,7 +234,7 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
         transitions.append(
             TransitionSpec(tid, _expect_str(entry["name"], "name"), pre, post)
         )
-    return PetriNetDocument(places, tuple(transitions))
+    return PetriNetDocument(tuple(places), tuple(transitions))
 
 
 def store_from_petri_net(doc: PetriNetDocument) -> ModelStore:
@@ -240,8 +272,7 @@ def petri_net_to_bytes(doc: PetriNetDocument) -> bytes:
 # --- Statechart documents ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatechartDocument:
+class StatechartDocument(NamedTuple):
     """A statechart's containment tree as flat lists indexed by node number.
 
     Node 0 is the Statechart. Nodes are numbered depth by depth: the nodes
@@ -342,8 +373,7 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
                               kind_counts(kinds))
 
 
-@dataclass
-class RankedTrees:
+class RankedTrees(NamedTuple):
     """The containment trees of one or more statechart models, flattened.
 
     Nodes are numbered level by level, model after model, and every list
@@ -359,14 +389,14 @@ class RankedTrees:
     HyperEdge links to and from.
     """
 
-    roots: list[int] = field(default_factory=list)
-    kinds: list[str] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
-    parents: list[int] = field(default_factory=list)
-    children: list[Sequence[int]] = field(default_factory=list)
-    links: list[tuple[int, ...]] = field(default_factory=list)
-    paths: list[int] = field(default_factory=list)
-    ranks: list[int] = field(default_factory=list)
+    roots: list[int]
+    kinds: list[str]
+    names: list[str]
+    parents: list[int]
+    children: list[Sequence[int]]
+    links: list[tuple[int, ...]]
+    paths: list[int]
+    ranks: list[int]
 
 
 def _rank_level(level: list[int], keys: list[tuple], out: list[int],
@@ -386,19 +416,19 @@ def _append_document(doc: StatechartDocument, trees: RankedTrees,
     per depth."""
     offset = len(trees.kinds)
     trees.roots.append(offset)
-    trees.kinds += doc.kinds
-    trees.names += doc.names
+    trees.kinds.extend(doc.kinds)
+    trees.names.extend(doc.names)
     children = trees.children
     if offset:
         children += [[offset + kid for kid in kids] if kids else ()
                      for kids in doc.children]
-        trees.links += [tuple([offset + t for t in targets]) if targets
-                        else () for targets in doc.links]
+        trees.links.extend([tuple([offset + t for t in targets]) if targets
+                            else () for targets in doc.links])
     else:
         # Shared, not copied: ranking replaces a children list, and
         # never changes one.
         children += doc.children
-        trees.links += doc.links
+        trees.links.extend(doc.links)
     parents = trees.parents
     parents += [-1] * len(doc.kinds)
     # Each depth is one contiguous range, and the next depth holds exactly
@@ -436,7 +466,7 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     state, and every link must stay inside the containment tree;
     otherwise a DocumentError is raised.
     """
-    trees = RankedTrees()
+    trees = RankedTrees([], [], [], [], [], [], [], [])
     levels: list[list[int]] = []
     for model in models:
         if isinstance(model, ModelStore):
@@ -447,7 +477,8 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     )
 
     count = len(kinds)
-    paths = trees.paths = [0] * count
+    paths = trees.paths
+    paths.extend([0] * count)
     base = 0
     for level in levels:
         base = _rank_level(level, [
@@ -466,7 +497,8 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     def signature(basics) -> tuple[int, ...]:
         return tuple(sorted([paths[b] for b in basics]))
 
-    ranks = trees.ranks = [0] * count
+    ranks = trees.ranks
+    ranks.extend([0] * count)
     base = 0
     for level in reversed(levels):
         keys = []

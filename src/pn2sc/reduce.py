@@ -33,9 +33,9 @@ the minimum element id is used, so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Iterable, Sequence, Union
+from typing import (Callable, Collection, Iterable, NamedTuple, Sequence,
+                    Union)
 
 from .init import initialize_statechart
 from .model import ElementKind, ModelStore
@@ -55,8 +55,7 @@ class ReductionStatus(Enum):
     IRREDUCIBLE = "Irreducible"
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     status: ReductionStatus
     statechart_root: int | None
     remaining_places: int
@@ -68,8 +67,7 @@ class ReductionResult:
         return self.status is ReductionStatus.SUCCESS
 
 
-@dataclass(frozen=True)
-class AndFiring:
+class AndFiring(NamedTuple):
     """One AND-rule application: ``merged_places`` places became parallel."""
 
     transition: int
@@ -77,8 +75,7 @@ class AndFiring:
     merged_places: int
 
 
-@dataclass(frozen=True)
-class OrFiring:
+class OrFiring(NamedTuple):
     """One OR-rule application; ``identity`` marks a collapsed self-loop."""
 
     transition: int

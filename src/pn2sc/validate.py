@@ -16,8 +16,8 @@ indistinguishable siblings may be matched either way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .io import (
     STATECHART_KINDS,
@@ -35,15 +35,13 @@ class ValidationLevel(Enum):
     FULL = "Full"
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     kind: str  # count-mismatch | missing-node | extra-node |
     #            wrong-container | next-set-mismatch
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     level: ValidationLevel
     discrepancies: tuple[Discrepancy, ...]
 

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from helpers import (
     mutated_statechart,
     nested_fork_join_net,
 )
+import pn2sc.cli
 from pn2sc.cli import main
 from pn2sc.io import petri_net_to_bytes, statechart_document_to_bytes
 from pn2sc.model import ModelStore
@@ -144,6 +150,54 @@ def test_bench_rejects_bad_sizes():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_command_runs_without_the_collector_and_restores_it(tmp_path,
+                                                            monkeypatch):
+    seen = []
+    real = pn2sc.cli.generate_sp_net
+
+    def spy(spec):
+        seen.append(gc.isenabled())
+        return real(spec)
+
+    monkeypatch.setattr("pn2sc.cli.generate_sp_net", spy)
+    assert gc.isenabled()
+    assert main(["generate", "--places", "10", "-o",
+                 str(tmp_path / "a.json")]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+    assert main(["generate", "--places", "0"]) == 64
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["--help"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this pn2sc."""
+    src = str(Path(pn2sc.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path
+                                              else "")}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, check=True)
+
+
+def test_cli_import_stays_lean():
+    probe = ("import sys; before = set(sys.modules); import pn2sc.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    imported = set(_python("-c", probe).stdout.split())
+    assert "pn2sc.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "statistics", "pathlib"}
+    # bench imports statistics when it runs.
+    rows = json.loads(_python("-m", "pn2sc.cli", "bench", "--sizes", "50",
+                              "--reps", "1").stdout)
+    assert [row["size"] for row in rows] == [50]
+    assert all(row["total_ms"] >= 0 for row in rows)
 
 
 def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):

@@ -74,6 +74,72 @@ def test_unknown_fields_rejected():
         scio.read_petri_net(data)
 
 
+
+_PLACES = [{"id": "a", "name": "a"}, {"id": "b", "name": "b"}]
+
+
+def _transition(**fields) -> list[dict]:
+    """Transition t from a to b, with ``fields`` changed; a field given as
+    ``...`` is left out."""
+    entry = {"id": "t", "name": "t", "pre": ["a"], "post": ["b"], **fields}
+    return [{k: v for k, v in entry.items() if v is not ...}]
+
+
+def _net(places=_PLACES, transitions=None) -> str:
+    """A net with places a and b and, unless given, transition t."""
+    return json.dumps({"places": places,
+                       "transitions": transitions or _transition()})
+
+
+@pytest.mark.parametrize("data, message", [
+    (_net(places=["a"]), "place must be an object"),
+    (_net(transitions=[["a"]]), "transition must be an object"),
+    (_net(places=[{"id": "a", "name": "a", "x": 1}]),
+     "place has unknown fields: ['x']"),
+    (_net(transitions=_transition(guard=True)),
+     "transition has unknown fields: ['guard']"),
+    (_net(places=[{"id": "a"}]), "place is missing fields: ['name']"),
+    (_net(transitions=_transition(post=...)),
+     "transition is missing fields: ['post']"),
+    (_net(places=[{"id": 1, "name": "a"}]), "place id must be a string"),
+    (_net(places=[{"id": "a", "name": None}]),
+     "place name must be a string"),
+    (_net(transitions=_transition(id=["t"])),
+     "transition id must be a string"),
+    (_net(transitions=_transition(name=0)), "name must be a string"),
+    (_net(transitions=_transition(pre=[0])),
+     "entry of pre of 't' must be a string"),
+    (_net(transitions=_transition(post=["b", ["a"]])),
+     "entry of post of 't' must be a string"),
+    (_net(transitions=_transition(pre="a")), "pre of 't' must be a list"),
+    (_net(transitions=_transition(post={"b": 1})),
+     "post of 't' must be a list"),
+    (_net(places=_PLACES + [{"id": "a", "name": "c"}]), "duplicate id 'a'"),
+    (_net(transitions=_transition(id="b")), "duplicate id 'b'"),
+    (_net(transitions=_transition() * 2), "duplicate id 't'"),
+    (_net(transitions=_transition(pre=["a", "a"])),
+     "duplicate pre entry on 't'"),
+    (_net(transitions=_transition(post=["b", "a", "b"])),
+     "duplicate post entry on 't'"),
+    (_net(transitions=_transition(post=["z"])),
+     "transition 't' references unknown place 'z'"),
+    # With several faults in one entry, the first check names the error.
+    (_net(transitions=_transition(id=1, pre="a")),
+     "transition id must be a string"),
+    (_net(transitions=_transition(name=0, post=["z"])),
+     "transition 't' references unknown place 'z'"),
+    (_net(transitions=_transition(pre=["z", "z"])),
+     "duplicate pre entry on 't'"),
+    (_net(transitions=_transition(pre=["z"], post=[3])),
+     "entry of post of 't' must be a string"),
+], ids=lambda value: None if isinstance(value, str) and value[:1] == "{"
+   else value)
+def test_malformed_petri_net_entry_message(data, message):
+    with pytest.raises(scio.DocumentError) as info:
+        scio.parse_petri_net(data)
+    assert str(info.value) == message
+
+
 def _chain_statechart():
     pn, _ = build_net(["P1", "P2"], [("T1", ["P1"], ["P2"])])
     return create_statechart(pn)
