@@ -1,36 +1,30 @@
 """Petri net to hierarchical statechart transformation.
 
-A typed in-memory model store, a one-pass initialization that maps each
-place to its OR state, the AND/OR reduction rules applied to a fixpoint,
-the same transformation on flat int-indexed lists (``transform_net``,
-which ``pn2sc transform`` runs), JSON serialization, a series-parallel
-benchmark generator, and a structural validator.
+The transformation that ``pn2sc transform`` runs, on flat int-indexed
+lists (``transform_net``), JSON reading and canonical writing, a
+series-parallel benchmark generator, and a structural validator. The
+same transformation on a ``ModelStore`` (``pn2sc.model``, ``init`` and
+``reduce``) is the tests' reference; nothing exported here imports it.
 """
 
-from .flat import transform_net
-from .generate import GenSpec, generate_sp_net
-from .init import initialize_statechart
-from .io import (
-    DocumentError,
-    PetriNetDocument,
-    StatechartDocument,
-    parse_statechart,
-    read_petri_net,
-    read_statechart,
-    write_statechart,
-)
-from .model import ElementKind, LivenessError, ModelError, ModelStore
-from .reduce import (
-    ReductionError,
+from .flat import (
+    AndFiring,
+    OrFiring,
     ReductionResult,
     ReductionStatus,
     Side,
-    and_rule,
-    assign_hyperedges,
-    create_statechart,
-    create_top,
-    fixpoint,
-    or_rule,
+    transform_net,
+)
+from .generate import GenSpec, generate_sp_net
+from .io import (
+    DocumentError,
+    ElementKind,
+    PetriNetDocument,
+    StatechartDocument,
+    parse_petri_net,
+    parse_statechart,
+    petri_net_to_bytes,
+    statechart_document_to_bytes,
 )
 from .validate import (
     ValidationLevel,
@@ -40,35 +34,26 @@ from .validate import (
 )
 
 __all__ = [
+    "AndFiring",
+    "DocumentError",
     "ElementKind",
     "GenSpec",
-    "LivenessError",
-    "ModelError",
-    "ModelStore",
-    "DocumentError",
+    "OrFiring",
     "PetriNetDocument",
-    "ReductionError",
     "ReductionResult",
     "ReductionStatus",
     "Side",
     "StatechartDocument",
     "ValidationLevel",
     "ValidationReport",
-    "and_rule",
-    "assign_hyperedges",
-    "create_statechart",
-    "create_top",
-    "fixpoint",
     "generate_sp_net",
-    "initialize_statechart",
-    "or_rule",
+    "parse_petri_net",
     "parse_statechart",
-    "read_petri_net",
-    "read_statechart",
+    "petri_net_to_bytes",
+    "statechart_document_to_bytes",
     "transform_net",
     "validate_counts",
     "validate_full",
-    "write_statechart",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

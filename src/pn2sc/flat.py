@@ -5,7 +5,8 @@
 (or None) with the ``ReductionResult``. It gives exactly the firings,
 element numbers and output bytes of the store route in ``init.py`` and
 ``reduce.py`` (``create_statechart`` then ``write_statechart``), which
-stays as the reference implementation.
+stays as the reference implementation. Both routes use the records and
+``run_rounds`` defined here, and nothing here imports the store.
 
 The net is held as per-transition sets of pre- and post-places and
 per-place sets of producing and consuming transitions. Places are
@@ -24,7 +25,7 @@ out in the same order too. ``or_of_place`` is a list. Links never change
 during the reduction, so they are read from the net's original arcs when
 the document is built.
 
-The reduction runs ``reduce.run_rounds`` with finer marks than
+The reduction runs ``run_rounds`` with finer marks than
 ``reduce.fixpoint`` gives it. A firing marks, for the other two passes,
 the transitions whose check it may turn from failing to passing:
 
@@ -45,28 +46,119 @@ reduction of one place's fan-out is linear, not quadratic.
 
 from __future__ import annotations
 
+from enum import Enum
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+
 from .io import (
+    ElementKind,
     PetriNetDocument,
     StatechartDocument,
     canonical_document,
     kind_counts,
 )
-from .model import ElementKind
-from .reduce import (
-    AndFiring,
-    FiringObserver,
-    OrFiring,
-    ReductionResult,
-    ReductionStatus,
-    Side,
-    run_rounds,
-)
+
+
+class Side(Enum):
+    PRE = "prep"
+    POST = "postp"
+
+
+class ReductionStatus(Enum):
+    SUCCESS = "Success"
+    IRREDUCIBLE = "Irreducible"
+
+
+class ReductionResult(NamedTuple):
+    status: ReductionStatus
+    statechart_root: int | None
+    remaining_places: int
+    remaining_transitions: int
+    top_or_count: int
+
+    @property
+    def ok(self) -> bool:
+        return self.status is ReductionStatus.SUCCESS
+
+
+class AndFiring(NamedTuple):
+    """One AND-rule application: ``merged_places`` places became parallel."""
+
+    transition: int
+    side: Side
+    merged_places: int
+
+
+class OrFiring(NamedTuple):
+    """One OR-rule application; ``identity`` marks a collapsed self-loop."""
+
+    transition: int
+    identity: bool
+
+
+Firing = AndFiring | OrFiring
+FiringObserver = Callable[[Firing], None]
 
 _OR = ElementKind.OR.value
 _AND = ElementKind.AND.value
 _BASIC = ElementKind.BASIC.value
 _HYPER_EDGE = ElementKind.HYPER_EDGE.value
 _STATECHART = ElementKind.STATECHART.value
+
+
+def run_rounds(
+    steps: Sequence[Callable[[int], Sequence[Iterable[int]] | None]],
+    transitions: Collection[int],
+) -> None:
+    """Run rounds of the passes ``steps`` until a round fires nothing.
+
+    A step checks one transition number against its rule and fires the
+    rule on a match. It returns None when the transition is dead or does
+    not match, and otherwise one collection per pass of the transitions
+    to mark dirty. At the start every transition is dirty for every pass.
+    A pass is a sweep: it takes its dirty set, empties it, and checks
+    the set's transitions in ascending number. A firing adds its marks
+    to the dirty sets of the other passes only.
+
+    The firings, and their order, are exactly those of rounds of full
+    passes that check every transition in ascending number, provided a
+    firing marks, for every other pass, each transition whose check it
+    may turn from failing to passing. The loop keeps the invariant that
+    a transition missing from a pass's dirty set would fail that pass's
+    check. Its own pass cannot break it, because no firing of the AND
+    and OR rules turns a check of its own pass from failing to passing:
+
+    - AND: the deleted places' pre- and post-transition sets equal the
+      survivor's, and every live place keeps its sets. A transition that
+      had a deleted place on a side also had the survivor there, so each
+      side keeps its distinct pairs of sets and never grows: a side
+      whose places differed still differs.
+    - OR merge of ``r`` into ``q``: the fired transition is in no other
+      place's sets. A transition with ``q`` and ``r`` on one side would
+      make them share a neighbour, failing the disjointness check. So
+      every other transition keeps its arity, and the merge only grows
+      the intersections that an OR check tests; a check that becomes a
+      self-loop on ``q`` tested the fired transition's sets and passed.
+    - OR identity: the removed self-loop on ``q`` is in no other place's
+      sets, so no other OR check changes.
+
+    Every firing shrinks the net, so the rounds end.
+    """
+    dirty = [set(transitions) for _ in steps]
+    while True:
+        fired = False
+        for current, step in enumerate(steps):
+            sweep = sorted(dirty[current])
+            dirty[current].clear()
+            for transition in sweep:
+                marks = step(transition)
+                if marks is None:
+                    continue
+                fired = True
+                for index, touched in enumerate(marks):
+                    if index != current:
+                        dirty[index].update(touched)
+        if not fired:
+            return
 
 
 class FlatModel:
@@ -151,7 +243,7 @@ class FlatModel:
 
     def fixpoint(self, on_fire: FiringObserver | None = None) -> None:
         """Fire what ``reduce.fixpoint`` fires, in the same order, through
-        ``reduce.run_rounds`` with the finer marks of the module docstring.
+        ``run_rounds`` with the finer marks of the module docstring.
         """
         kinds, names, children = self.kinds, self.names, self.children
         or_of_place = self.or_of_place

@@ -9,7 +9,8 @@ rules read and rewrite.
 
 from __future__ import annotations
 
-from .model import ElementKind, ModelStore
+from .io import ElementKind
+from .model import ModelStore
 
 
 def initialize_statechart(pn: ModelStore) -> tuple[ModelStore, dict[int, int]]:

@@ -41,8 +41,13 @@ in the canonical written form. Both transform routes end in it:
 ``document_from_statechart`` lays out a store, and ``flat.transform_net``
 (what ``pn2sc transform`` runs) lays out its flat lists, breadth-first in
 containment order. Readers accept any well-formed document but
-reject unknown fields; a document nested too deep for the ``json``
-module, or with an integer over Python's digit limit, is a DocumentError.
+reject unknown fields. A document nested past the default recursion
+limit is read again on a thread with a raised one (``_loads_deep``); one
+nested too deep even for that, or with an integer over Python's digit
+limit, is a DocumentError.
+
+The converters to and from ``ModelStore`` import ``pn2sc.model`` when
+they run, so importing this module loads no store code.
 """
 
 from __future__ import annotations
@@ -50,14 +55,17 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Sequence
+from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .model import ElementKind, ModelStore
-from .reduce import ReductionResult
+if TYPE_CHECKING:
+    from .flat import ReductionResult
+    from .model import ModelStore
 
 __all__ = [
     "DocumentError",
+    "ElementKind",
     "PlaceSpec",
     "TransitionSpec",
     "PetriNetDocument",
@@ -84,6 +92,18 @@ class DocumentError(ValueError):
     """A document failed to parse or violated its schema."""
 
 
+class ElementKind(Enum):
+    """The element kinds, by the names the file formats give them."""
+
+    PLACE = "Place"
+    TRANSITION = "Transition"
+    BASIC = "Basic"
+    OR = "OR"
+    AND = "AND"
+    HYPER_EDGE = "HyperEdge"
+    STATECHART = "Statechart"
+
+
 # --- Petri net documents ---------------------------------------------------
 
 
@@ -104,6 +124,51 @@ class PetriNetDocument(NamedTuple):
     transitions: tuple[TransitionSpec, ...]
 
 
+#: The recursion limit and thread stack that ``_loads_deep`` reads with:
+#: JSON nested 100 000 deep, that is statechart depth 50 000, whose
+#: indented file would run to terabytes. The json module's C scanner uses
+#: about 0.3 KB of stack per level, so the limit trips long before the
+#: stack runs out. Python 3.12 and 3.13 bound the scanner's recursion
+#: lower than this, whatever the limit.
+_DEEP_RECURSION_LIMIT = 100_000
+_DEEP_STACK_BYTES = 128 << 20
+
+
+def _loads_deep(text: str) -> object:
+    """``json.loads`` on a worker thread with a raised recursion limit and
+    a larger stack, for text nested past the default limit. Both are
+    process-wide, so calls must not overlap; both are restored
+    afterwards. Raises what ``json.loads`` raised there, or
+    RecursionError if no worker thread could be started."""
+    import sys
+    import threading
+
+    result: list = []
+    failure: list = []
+
+    def work() -> None:
+        try:
+            result.append(json.loads(text))
+        except Exception as exc:  # re-raised on the calling thread
+            failure.append(exc)
+
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    try:
+        sys.setrecursionlimit(_DEEP_RECURSION_LIMIT)
+        threading.stack_size(_DEEP_STACK_BYTES)
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join()
+    except RuntimeError:  # the stack cannot be resized or no thread starts
+        raise RecursionError from None
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    if failure:
+        raise failure[0]
+    return result[0]
+
+
 def _decode(data: bytes | str) -> object:
     if isinstance(data, bytes):
         try:
@@ -111,7 +176,10 @@ def _decode(data: bytes | str) -> object:
         except UnicodeDecodeError as exc:
             raise DocumentError(f"not valid UTF-8: {exc}") from None
     try:
-        return json.loads(data)
+        try:
+            return json.loads(data)
+        except RecursionError:
+            return _loads_deep(data)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"JSON parse error at line {exc.lineno} column {exc.colno}: "
@@ -239,6 +307,8 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
 
 def store_from_petri_net(doc: PetriNetDocument) -> ModelStore:
     """Materialize a document: places first, then transitions, then arcs."""
+    from .model import ModelStore
+
     pn = ModelStore()
     by_doc_id: dict[str, int] = {}
     for place in doc.places:
@@ -469,7 +539,7 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     trees = RankedTrees([], [], [], [], [], [], [], [])
     levels: list[list[int]] = []
     for model in models:
-        if isinstance(model, ModelStore):
+        if not isinstance(model, StatechartDocument):
             model = _store_document(model)
         _append_document(model, trees, levels)
     kinds, names, parents, children, links = (
@@ -768,6 +838,8 @@ def store_from_statechart(doc: StatechartDocument) -> ModelStore:
     first, so a container has no container of its own yet when it takes
     its children, and each cycle check stops at once.
     """
+    from .model import ModelStore
+
     sc = ModelStore()
     eids = [sc.create(_KIND_BY_NAME[kind], name)
             for kind, name in zip(doc.kinds, doc.names)]

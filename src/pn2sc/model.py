@@ -22,7 +22,8 @@ A store is single-writer: mutate it from one thread of control only.
 from __future__ import annotations
 
 from collections.abc import KeysView
-from enum import Enum
+
+from .io import ElementKind
 
 
 class ModelError(Exception):
@@ -31,16 +32,6 @@ class ModelError(Exception):
 
 class LivenessError(ModelError):
     """An operation referenced a deleted or never-created element."""
-
-
-class ElementKind(Enum):
-    PLACE = "Place"
-    TRANSITION = "Transition"
-    BASIC = "Basic"
-    OR = "OR"
-    AND = "AND"
-    HYPER_EDGE = "HyperEdge"
-    STATECHART = "Statechart"
 
 
 COMPOUND_KINDS = frozenset({ElementKind.OR, ElementKind.AND})

@@ -12,8 +12,8 @@ connects.
 Each rule's precondition and rewrite is written once, for one transition
 (``_and_step``, ``_or_step``). ``and_rule`` and ``or_rule`` run one of
 them over every transition, and ``fixpoint`` hands all three to
-``run_rounds``, the loop of sorted sweeps that ``flat.FlatModel`` runs
-too. A firing here marks every transition next to the surviving place
+``flat.run_rounds``, the loop of sorted sweeps that ``flat.FlatModel``
+runs too. A firing here marks every transition next to the surviving place
 for the other passes: a rule check reads only a transition's arcs and
 the pre- and post-transition sets of the places on them, and a firing
 changes those only for the transitions next to the surviving place.
@@ -33,57 +33,18 @@ the minimum element id is used, so runs are reproducible.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import (Callable, Collection, Iterable, NamedTuple, Sequence,
-                    Union)
+from typing import Callable
 
+from .flat import (AndFiring, FiringObserver, OrFiring, ReductionResult,
+                   ReductionStatus, Side, run_rounds)
 from .init import initialize_statechart
-from .model import ElementKind, ModelStore
+from .io import ElementKind
+from .model import ModelStore
 
 
 class ReductionError(Exception):
     """The reduction pipeline was driven from an illegal state."""
 
-
-class Side(Enum):
-    PRE = "prep"
-    POST = "postp"
-
-
-class ReductionStatus(Enum):
-    SUCCESS = "Success"
-    IRREDUCIBLE = "Irreducible"
-
-
-class ReductionResult(NamedTuple):
-    status: ReductionStatus
-    statechart_root: int | None
-    remaining_places: int
-    remaining_transitions: int
-    top_or_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.status is ReductionStatus.SUCCESS
-
-
-class AndFiring(NamedTuple):
-    """One AND-rule application: ``merged_places`` places became parallel."""
-
-    transition: int
-    side: Side
-    merged_places: int
-
-
-class OrFiring(NamedTuple):
-    """One OR-rule application; ``identity`` marks a collapsed self-loop."""
-
-    transition: int
-    identity: bool
-
-
-Firing = Union[AndFiring, OrFiring]
-FiringObserver = Callable[[Firing], None]
 
 _PLACE = ElementKind.PLACE
 _TRANSITION = ElementKind.TRANSITION
@@ -228,62 +189,6 @@ def or_rule(
     """
     return _one_pass(
         pn, lambda t: _or_step(pn, sc, or_of_place, t, on_fire))
-
-
-def run_rounds(
-    steps: Sequence[Callable[[int], Sequence[Iterable[int]] | None]],
-    transitions: Collection[int],
-) -> None:
-    """Run rounds of the passes ``steps`` until a round fires nothing.
-
-    A step checks one transition number against its rule and fires the
-    rule on a match. It returns None when the transition is dead or does
-    not match, and otherwise one collection per pass of the transitions
-    to mark dirty. At the start every transition is dirty for every pass.
-    A pass is a sweep: it takes its dirty set, empties it, and checks
-    the set's transitions in ascending number. A firing adds its marks
-    to the dirty sets of the other passes only.
-
-    The firings, and their order, are exactly those of rounds of full
-    passes that check every transition in ascending number, provided a
-    firing marks, for every other pass, each transition whose check it
-    may turn from failing to passing. The loop keeps the invariant that
-    a transition missing from a pass's dirty set would fail that pass's
-    check. Its own pass cannot break it, because no firing of the AND
-    and OR rules turns a check of its own pass from failing to passing:
-
-    - AND: the deleted places' pre- and post-transition sets equal the
-      survivor's, and every live place keeps its sets. A transition that
-      had a deleted place on a side also had the survivor there, so each
-      side keeps its distinct pairs of sets and never grows: a side
-      whose places differed still differs.
-    - OR merge of ``r`` into ``q``: the fired transition is in no other
-      place's sets. A transition with ``q`` and ``r`` on one side would
-      make them share a neighbour, failing the disjointness check. So
-      every other transition keeps its arity, and the merge only grows
-      the intersections that an OR check tests; a check that becomes a
-      self-loop on ``q`` tested the fired transition's sets and passed.
-    - OR identity: the removed self-loop on ``q`` is in no other place's
-      sets, so no other OR check changes.
-
-    Every firing shrinks the net, so the rounds end.
-    """
-    dirty = [set(transitions) for _ in steps]
-    while True:
-        fired = False
-        for current, step in enumerate(steps):
-            sweep = sorted(dirty[current])
-            dirty[current].clear()
-            for transition in sweep:
-                marks = step(transition)
-                if marks is None:
-                    continue
-                fired = True
-                for index, touched in enumerate(marks):
-                    if index != current:
-                        dirty[index].update(touched)
-        if not fired:
-            return
 
 
 def fixpoint(

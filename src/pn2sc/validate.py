@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .io import (
-    STATECHART_KINDS,
-    RankedTrees,
-    StatechartDocument,
-    rank_statecharts,
-)
-from .model import ElementKind, ModelStore
+from .io import STATECHART_KINDS, ElementKind, RankedTrees, rank_statecharts
 
-Statechart = ModelStore | StatechartDocument
+if TYPE_CHECKING:
+    from .io import StatechartDocument
+    from .model import ModelStore
+
+    Statechart = ModelStore | StatechartDocument
 
 
 class ValidationLevel(Enum):

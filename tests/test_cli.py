@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    GOLDEN_DIR,
     chain_document,
     load_corpus,
     mutated_statechart,
@@ -17,7 +24,11 @@ from helpers import (
 )
 import pn2sc.cli
 from pn2sc.cli import main
-from pn2sc.io import petri_net_to_bytes, statechart_document_to_bytes
+from pn2sc.io import (
+    _DEEP_RECURSION_LIMIT,
+    petri_net_to_bytes,
+    statechart_document_to_bytes,
+)
 from pn2sc.model import ModelStore
 
 
@@ -193,6 +204,8 @@ def test_cli_import_stays_lean():
     imported = set(_python("-c", probe).stdout.split())
     assert "pn2sc.cli" in imported
     assert not imported & {"dataclasses", "inspect", "statistics", "pathlib"}
+    # The CLI runs the flat route; the ModelStore reference stays unloaded.
+    assert not imported & {"pn2sc.model", "pn2sc.init", "pn2sc.reduce"}
     # bench imports statistics when it runs.
     rows = json.loads(_python("-m", "pn2sc.cli", "bench", "--sizes", "50",
                               "--reps", "1").stdout)
@@ -207,14 +220,20 @@ def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
     src.write_bytes(petri_net_to_bytes(net))
     out = tmp_path / "out.json"
     assert main(["transform", str(src), "-o", str(out)]) == 0
-    # The tree is too deep for json.loads; "counts" is the last member.
+    # The tree is too deep for json.loads under the default recursion
+    # limit; "counts" is the last member.
     text = out.read_text()
     counts = json.loads("{" + text[text.rindex('"counts"'):])["counts"]
     assert counts["statechart"] == 1
     assert counts["basic"] == len(net.places)
     assert counts["hyperedge"] == len(net.transitions)
-    capsys.readouterr()
-    assert main(["validate", str(out), str(out)]) == 65
+    assert main(["validate", str(out), str(out)]) == 0
+    assert "Full validation passed" in capsys.readouterr().out
+    nesting = _DEEP_RECURSION_LIMIT + 1
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"root": ' + "[" * nesting + "]" * nesting
+                    + ', "counts": {}}')
+    assert main(["validate", str(deep), str(out)]) == 65
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "nests too deeply" in err
@@ -283,3 +302,95 @@ def test_transform_builds_no_store(tmp_path, net_file, golden_dir,
         "irreducible: 2 top-level OR states; 2 places and 0 transitions "
         "remain"
     ]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10**6) | st.text(max_size=4)
+    | st.sampled_from(["AND", "OR", "Basic", "HyperEdge", "Statechart"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _like(value: object) -> st.SearchStrategy:
+    """Values of the type of ``value``; a list's own items reordered."""
+    if isinstance(value, str):
+        return st.text(max_size=4) | st.sampled_from(["AND", "OR", "Basic"])
+    if isinstance(value, int) and not isinstance(value, bool):
+        return st.integers(0, 30)
+    if isinstance(value, list):
+        return st.permutations(value).map(list)
+    return _JSON
+
+
+@st.composite
+def _edited(draw, data: bytes) -> bytes:
+    """``data`` with one JSON value replaced, deleted or duplicated."""
+    doc = json.loads(data)
+    holder = doc
+    while True:
+        key = draw(st.sampled_from(
+            sorted(holder) if isinstance(holder, dict) else range(len(holder))
+        ))
+        child = holder[key]
+        if not (isinstance(child, (dict, list)) and child
+                and draw(st.integers(0, 3))):  # go deeper 3 times in 4
+            break
+        holder = child
+    edit = draw(st.sampled_from(("replace", "delete", "duplicate")))
+    if edit == "replace":
+        holder[key] = draw(_like(holder[key]) | _JSON)
+    elif edit == "delete":
+        del holder[key]
+    elif isinstance(holder, dict):
+        holder[draw(st.text(max_size=8))] = copy.deepcopy(holder[key])
+    else:
+        holder.insert(key, copy.deepcopy(holder[key]))
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _garbled(draw, data: bytes) -> bytes:
+    """``data`` cut short, or with a few bytes spliced in."""
+    cut = draw(st.integers(0, len(data)))
+    if draw(st.booleans()):
+        return data[:cut]
+    end = draw(st.integers(cut, min(len(data), cut + 8)))
+    noise = draw(st.binary(max_size=4) | st.sampled_from(
+        [b"{", b"}", b"[", b"]", b'"', b",", b":", b"-", b"9" * 5000]))
+    return data[:cut] + noise + data[end:]
+
+
+_NETS = sorted(GOLDEN_DIR.glob("*.net.json"))
+_CHARTS = sorted(GOLDEN_DIR.glob("*.statechart.json"))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_input_exits_with_a_documented_code(data):
+    command = data.draw(st.sampled_from(("transform", "validate")))
+    golden = data.draw(st.sampled_from(_NETS if command == "transform"
+                                       else _CHARTS))
+    source = golden.read_bytes()
+    damaged = data.draw(_edited(source) | _garbled(source))
+    with tempfile.TemporaryDirectory() as where:
+        path = os.path.join(where, "input.json")
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        if command == "transform":
+            argv = ["transform", path, "-o", os.path.join(where, "out.json")]
+        else:
+            pair = [path, str(golden)]
+            if data.draw(st.booleans()):
+                pair.reverse()
+            argv = ["validate", *pair]
+            if data.draw(st.booleans()):
+                argv.append("--counts-only")
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 1, 2, 65}
+    if code in {2, 65}:
+        assert len(err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()

@@ -13,12 +13,14 @@ from helpers import (
     arbitrary_nets,
     choice_net,
     differential_nets,
+    nested_fork_join_net,
     net_document,
 )
 from pn2sc.flat import transform_net
 from pn2sc.io import (
     PetriNetDocument,
     canonical_document,
+    document_from_statechart,
     parse_statechart,
     statechart_document_to_bytes,
     store_from_petri_net,
@@ -68,6 +70,18 @@ def test_choice_net_reduces_in_linear_time():
     assert elapsed < 5.0, f"8000-branch choice net took {elapsed:.1f} s"
     assert doc.counts["basic"] == len(net.places)
     assert doc.counts["hyperedge"] == len(net.transitions)
+
+
+def test_deep_spine_gives_the_store_route_document():
+    net = nested_fork_join_net(1500)
+    started = time.perf_counter()
+    doc, result = transform_net(net)
+    elapsed = time.perf_counter() - started
+    assert result.ok
+    assert elapsed < 5.0, f"depth-1500 spine took {elapsed:.1f} s"
+    sc, store_result = create_statechart(store_from_petri_net(net))
+    assert result == store_result
+    assert doc == document_from_statechart(sc)
 
 
 @pytest.mark.parametrize(

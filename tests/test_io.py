@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -8,6 +10,7 @@ from helpers import (
     GOLDEN_DIR,
     PARTNER_CHANGES,
     build_net,
+    chain_document,
     load_corpus,
     mutated_statechart,
     nested_fork_join_net,
@@ -348,3 +351,18 @@ def test_parse_numbers_nodes_breadth_first():
     store = scio.store_from_statechart(doc)
     for kind in ElementKind:
         assert doc.count_of_kind(kind) == store.count_of_kind(kind), kind
+
+
+def test_deep_document_is_read_on_a_raised_limit():
+    # JSON nested about 1 200 deep: past the default recursion limit
+    doc = chain_document(600)
+    data = scio.statechart_document_to_bytes(doc)
+    limits = sys.getrecursionlimit(), threading.stack_size()
+    assert scio.parse_statechart(data) == doc
+    # the retry reports what it finds past the first attempt's limit
+    with pytest.raises(scio.DocumentError, match="JSON parse error"):
+        scio.parse_statechart(data[:-100])
+    nesting = scio._DEEP_RECURSION_LIMIT + 1
+    with pytest.raises(scio.DocumentError, match="nests too deeply"):
+        scio.parse_statechart("[" * nesting + "]" * nesting)
+    assert (sys.getrecursionlimit(), threading.stack_size()) == limits
