@@ -24,6 +24,10 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 
+#: ``validate`` prints at most this many discrepancies, then a count of
+#: the rest.
+MAX_PRINTED_DISCREPANCIES = 50
+
 
 class _UsageError(Exception):
     pass
@@ -100,8 +104,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     expected = scio.parse_statechart(_read_file(args.expected))
     check = validate_counts if args.counts_only else validate_full
     report = check(actual, expected)
-    for item in report.discrepancies:
+    for item in report.discrepancies[:MAX_PRINTED_DISCREPANCIES]:
         print(f"{item.kind}: {item.detail}")
+    hidden = len(report.discrepancies) - MAX_PRINTED_DISCREPANCIES
+    if hidden > 0:
+        print(f"... and {hidden} more")
     print(f"{report.level.value} validation "
           f"{'passed' if report.passed else 'failed'}")
     return EX_OK if report.passed else EX_VALIDATION_FAILED
@@ -194,10 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help and friends
         code = exc.code
         return code if isinstance(code, int) else EX_USAGE
-    except scio.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except OSError as exc:
+    except (scio.DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except Exception as exc:

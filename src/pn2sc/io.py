@@ -207,38 +207,39 @@ def _expect_object(value: object, what: str, keys: tuple[str, ...]) -> dict:
     return value
 
 
-def _expect_str(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise DocumentError(f"{what} must be a string")
-    return value
-
-
-def _expect_str_list(value: object, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise DocumentError(f"{what} must be a list")
-    return tuple(_expect_str(item, f"entry of {what}") for item in value)
-
-
 _PLACE_FIELDS = ("id", "name")
 _TRANSITION_FIELDS = ("id", "name", "pre", "post")
 _PLACE_KEYS = frozenset(_PLACE_FIELDS)
 _TRANSITION_KEYS = frozenset(_TRANSITION_FIELDS)
 
 
-def _distinct_known(pids: list, place_ids: frozenset[str]) -> bool:
-    """Whether ``pids`` holds only known place ids, none twice."""
-    try:
-        return place_ids.issuperset(pids) and len(set(pids)) == len(pids)
-    except TypeError:  # an unhashable entry
-        return False
+def _arc_fault(tid: str, pre: object, post: object,
+               place_ids: frozenset[str]) -> str:
+    """The message for the first fault in transition ``tid``'s arcs: each
+    side must be a list of strings, then hold no place twice and only
+    known places."""
+    sides = (("pre", pre), ("post", post))
+    for side, pids in sides:
+        if type(pids) is not list:
+            return f"{side} of {tid!r} must be a list"
+        if any(type(pid) is not str for pid in pids):
+            return f"entry of {side} of {tid!r} must be a string"
+    for side, pids in sides:
+        if len(set(pids)) != len(pids):
+            return f"duplicate {side} entry on {tid!r}"
+        for pid in pids:
+            if pid not in place_ids:
+                return f"transition {tid!r} references unknown place {pid!r}"
+    raise AssertionError(f"the arcs of {tid!r} have no fault")
 
 
 def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     """Parse and schema-check a Petri net document.
 
-    A well-formed entry is taken by one exact-key test and a few type and
-    membership tests. Any other entry goes through the field-by-field
-    checks, so the first fault in it names the DocumentError.
+    Each entry is checked once, in an order that makes its first fault
+    name the DocumentError: a place's id, that the id is new, its name; a
+    transition's id, that the id is new, its arcs (see ``_arc_fault``),
+    its name. json.loads yields only exact types, so the tests are exact.
     """
     raw = _expect_object(_decode(data), "document", ("places", "transitions"))
     if not isinstance(raw["places"], list) or not isinstance(
@@ -246,62 +247,45 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     ):
         raise DocumentError("'places' and 'transitions' must be lists")
     seen_ids: set[str] = set()
-
-    def claim(eid: str) -> str:
-        if eid in seen_ids:
-            raise DocumentError(f"duplicate id {eid!r}")
-        seen_ids.add(eid)
-        return eid
-
     places = []
     for item in raw["places"]:
-        if type(item) is dict and item.keys() == _PLACE_KEYS:
-            pid, name = item["id"], item["name"]
-            if type(pid) is str and type(name) is str and pid not in seen_ids:
-                seen_ids.add(pid)
-                places.append(PlaceSpec(pid, name))
-                continue
-        entry = _expect_object(item, "place", _PLACE_FIELDS)
-        places.append(PlaceSpec(
-            claim(_expect_str(entry["id"], "place id")),
-            _expect_str(entry["name"], "place name"),
-        ))
+        if type(item) is not dict or item.keys() != _PLACE_KEYS:
+            _expect_object(item, "place", _PLACE_FIELDS)
+        pid, name = item["id"], item["name"]
+        if type(pid) is not str:
+            raise DocumentError("place id must be a string")
+        if pid in seen_ids:
+            raise DocumentError(f"duplicate id {pid!r}")
+        if type(name) is not str:
+            raise DocumentError("place name must be a string")
+        seen_ids.add(pid)
+        places.append(PlaceSpec(pid, name))
     place_ids = frozenset(seen_ids)
-
-    def resolve(pid: str, owner: str) -> str:
-        if pid not in place_ids:
-            raise DocumentError(
-                f"transition {owner!r} references unknown place {pid!r}"
-            )
-        return pid
 
     transitions = []
     for item in raw["transitions"]:
-        if type(item) is dict and item.keys() == _TRANSITION_KEYS:
-            tid, name, pre, post = (item["id"], item["name"], item["pre"],
-                                    item["post"])
-            if (type(tid) is str and type(name) is str
-                    and tid not in seen_ids
-                    and type(pre) is list and _distinct_known(pre, place_ids)
-                    and type(post) is list
-                    and _distinct_known(post, place_ids)):
-                seen_ids.add(tid)
-                transitions.append(
-                    TransitionSpec(tid, name, tuple(pre), tuple(post))
-                )
-                continue
-        entry = _expect_object(item, "transition", _TRANSITION_FIELDS)
-        tid = claim(_expect_str(entry["id"], "transition id"))
-        pre = _expect_str_list(entry["pre"], f"pre of {tid!r}")
-        post = _expect_str_list(entry["post"], f"post of {tid!r}")
-        for bucket, pids in (("pre", pre), ("post", post)):
-            if len(set(pids)) != len(pids):
-                raise DocumentError(f"duplicate {bucket} entry on {tid!r}")
-            for pid in pids:
-                resolve(pid, tid)
-        transitions.append(
-            TransitionSpec(tid, _expect_str(entry["name"], "name"), pre, post)
-        )
+        if type(item) is not dict or item.keys() != _TRANSITION_KEYS:
+            _expect_object(item, "transition", _TRANSITION_FIELDS)
+        tid, name, pre, post = (item["id"], item["name"], item["pre"],
+                                item["post"])
+        if type(tid) is not str:
+            raise DocumentError("transition id must be a string")
+        if tid in seen_ids:
+            raise DocumentError(f"duplicate id {tid!r}")
+        try:
+            arcs_ok = (type(pre) is list and type(post) is list
+                       and place_ids.issuperset(pre)
+                       and place_ids.issuperset(post)
+                       and len(set(pre)) == len(pre)
+                       and len(set(post)) == len(post))
+        except TypeError:  # an unhashable entry
+            arcs_ok = False
+        if not arcs_ok:
+            raise DocumentError(_arc_fault(tid, pre, post, place_ids))
+        if type(name) is not str:
+            raise DocumentError("name must be a string")
+        seen_ids.add(tid)
+        transitions.append(TransitionSpec(tid, name, tuple(pre), tuple(post)))
     return PetriNetDocument(tuple(places), tuple(transitions))
 
 

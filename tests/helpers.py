@@ -273,6 +273,11 @@ def load_corpus() -> list[CorpusEntry]:
     return entries
 
 
+def corpus_entry(name: str) -> CorpusEntry:
+    """The fixture called ``name`` from ``load_corpus``."""
+    return next(fx for fx in load_corpus() if fx.name == name)
+
+
 @functools.cache
 def statechart_cases() -> list[tuple[str, bytes]]:
     """Written statecharts, by name: the golden ones, SP nets transformed

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import time
 
-from helpers import load_corpus, nca_oracle
+from helpers import corpus_entry, nca_oracle
 from pn2sc.cli import main, run_bench
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import petri_net_to_bytes, store_from_petri_net, write_statechart
@@ -33,12 +33,8 @@ P = ElementKind.PLACE
 T = ElementKind.TRANSITION
 
 
-def _fixture(name: str):
-    return next(fx for fx in load_corpus() if fx.name == name)
-
-
 def _transform_fixture(name: str):
-    pn = store_from_petri_net(_fixture(name).net)
+    pn = store_from_petri_net(corpus_entry(name).net)
     sc, result = create_statechart(pn)
     assert result.ok
     return sc, result
@@ -49,7 +45,7 @@ def test_criterion_1_golden_fixtures(tmp_path, golden_dir):
     for name in GOLDEN_FIXTURES:
         in_path = tmp_path / f"{name}.net.json"
         out_path = tmp_path / f"{name}.out.json"
-        in_path.write_bytes(petri_net_to_bytes(_fixture(name).net))
+        in_path.write_bytes(petri_net_to_bytes(corpus_entry(name).net))
         assert main(["transform", str(in_path), "-o", str(out_path)]) == 0
         golden = (golden_dir / f"{name}.statechart.json").read_bytes()
         assert out_path.read_bytes() == golden, f"{name} diverges from golden"
@@ -191,7 +187,7 @@ def test_criterion_6_performance_substitute(tmp_path):
 
 def test_criterion_7_determinism(tmp_path):
     in_path = tmp_path / "net.json"
-    in_path.write_bytes(petri_net_to_bytes(_fixture("fork_join").net))
+    in_path.write_bytes(petri_net_to_bytes(corpus_entry("fork_join").net))
     outputs = []
     for run in range(2):
         out_path = tmp_path / f"out{run}.json"
@@ -205,7 +201,7 @@ def test_criterion_7_determinism(tmp_path):
     # same net, fresh stores, through the library as well
     direct = [
         write_statechart(*create_statechart(
-            store_from_petri_net(_fixture("fork_join").net)
+            store_from_petri_net(corpus_entry("fork_join").net)
         ))
         for _ in range(2)
     ]
@@ -215,7 +211,7 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_irreducible_handling(tmp_path, capsys):
-    fx = _fixture("two_isolated_places")
+    fx = corpus_entry("two_isolated_places")
     in_path = tmp_path / "net.json"
     out_path = tmp_path / "out.json"
     in_path.write_bytes(petri_net_to_bytes(fx.net))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from helpers import (
     GOLDEN_DIR,
     chain_document,
+    corpus_entry,
     load_corpus,
     mutated_statechart,
     nested_fork_join_net,
@@ -26,18 +27,19 @@ import pn2sc.cli
 from pn2sc.cli import main
 from pn2sc.io import (
     _DEEP_RECURSION_LIMIT,
+    parse_statechart,
     petri_net_to_bytes,
     statechart_document_to_bytes,
 )
 from pn2sc.model import ModelStore
+from pn2sc.validate import validate_full
 
 
 @pytest.fixture()
 def net_file(tmp_path):
     def write(name: str):
-        fx = next(f for f in load_corpus() if f.name == name)
         path = tmp_path / f"{name}.json"
-        path.write_bytes(petri_net_to_bytes(fx.net))
+        path.write_bytes(petri_net_to_bytes(corpus_entry(name).net))
         return path
 
     return write
@@ -120,6 +122,24 @@ def test_validate_flags_mutated_model(tmp_path, net_file, golden_dir, capsys):
     assert code == 1
     output = capsys.readouterr().out
     assert "next-set-mismatch" in output
+
+
+def test_validate_caps_printed_discrepancies(tmp_path, golden_dir, capsys):
+    golden = golden_dir / "chain.statechart.json"
+    doc = json.loads(golden.read_text())
+    basics = doc["root"]["children"][0]["children"][0]["children"]
+    basics += [{"uid": 100 + i, "kind": "Basic", "name": f"X{i}",
+                "next": [], "children": []} for i in range(60)]
+    doc["counts"]["basic"] += 60
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    report = validate_full(parse_statechart(golden.read_bytes()),
+                           parse_statechart(wide.read_bytes()))
+    assert len(report.discrepancies) == 60
+    assert main(["validate", str(golden), str(wide)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == pn2sc.cli.MAX_PRINTED_DISCREPANCIES + 2
+    assert lines[-2:] == ["... and 10 more", "Full validation failed"]
 
 
 def test_generate_writes_deterministic_file(tmp_path):

@@ -11,6 +11,7 @@ from helpers import (
     PARTNER_CHANGES,
     build_net,
     chain_document,
+    corpus_entry,
     load_corpus,
     mutated_statechart,
     nested_fork_join_net,
@@ -135,6 +136,15 @@ def _net(places=_PLACES, transitions=None) -> str:
      "duplicate pre entry on 't'"),
     (_net(transitions=_transition(pre=["z"], post=[3])),
      "entry of post of 't' must be a string"),
+    (_net(places=_PLACES + [{"id": "a", "name": 5}]), "duplicate id 'a'"),
+    (_net(transitions=_transition() + _transition(pre="a")),
+     "duplicate id 't'"),
+    (_net(transitions=_transition(pre=["z"], post="b")),
+     "post of 't' must be a list"),
+    (_net(transitions=_transition(pre=["z"], post=["b", "b"])),
+     "transition 't' references unknown place 'z'"),
+    (_net(transitions=_transition(pre=[{"id": "a"}])),
+     "entry of pre of 't' must be a string"),
 ], ids=lambda value: None if isinstance(value, str) and value[:1] == "{"
    else value)
 def test_malformed_petri_net_entry_message(data, message):
@@ -144,8 +154,9 @@ def test_malformed_petri_net_entry_message(data, message):
 
 
 def _chain_statechart():
-    pn, _ = build_net(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-    return create_statechart(pn)
+    return create_statechart(
+        scio.store_from_petri_net(corpus_entry("chain").net)
+    )
 
 
 def test_write_statechart_counts():

@@ -9,6 +9,7 @@ from helpers import (
     arbitrary_nets,
     assert_single_tree,
     build_net,
+    corpus_entry,
     differential_nets,
     disjoint_union,
     element_named,
@@ -301,7 +302,7 @@ class TestAssignHyperedges:
 
 class TestCreateStatechart:
     def test_chain_counts(self):
-        pn, _ = build_net(["P1", "P2"], [("T1", ["P1"], ["P2"])])
+        pn = store_from_petri_net(corpus_entry("chain").net)
         sc, result = create_statechart(pn)
         assert result.ok
         counts = tuple(

@@ -8,6 +8,7 @@ from helpers import (
     PARTNER_CHANGES,
     build_net,
     chain_document,
+    corpus_entry,
     json_nodes,
     load_corpus,
     mutated_statechart,
@@ -36,21 +37,21 @@ AND = ElementKind.AND
 H = ElementKind.HYPER_EDGE
 
 
-def chain_statechart():
-    pn, _ = build_net(["P1", "P2"], [("T1", ["P1"], ["P2"])])
-    sc, result = create_statechart(pn)
+def golden_statechart(name: str) -> ModelStore:
+    """The store the reference route makes from golden net ``name``."""
+    sc, result = create_statechart(
+        store_from_petri_net(corpus_entry(name).net)
+    )
     assert result.ok
     return sc
+
+
+def chain_statechart():
+    return golden_statechart("chain")
 
 
 def fork_join_statechart():
-    pn, _ = build_net(
-        ["P0", "P1", "P2", "P3"],
-        [("T1", ["P0"], ["P1", "P2"]), ("T2", ["P1", "P2"], ["P3"])],
-    )
-    sc, result = create_statechart(pn)
-    assert result.ok
-    return sc
+    return golden_statechart("fork_join")
 
 
 class TestCounts:
@@ -70,10 +71,7 @@ class TestCounts:
 
     def test_chain_against_expected_tallies(self):
         sc = chain_statechart()
-        expected = store_from_statechart(
-            next(fx for fx in load_corpus() if fx.name == "chain")
-            .expected
-        )
+        expected = store_from_statechart(corpus_entry("chain").expected)
         assert validate_counts(sc, expected).passed
 
 
