@@ -24,6 +24,7 @@ from .io import (
     parse_petri_net,
     parse_statechart,
     petri_net_to_bytes,
+    statechart_document_chunks,
     statechart_document_to_bytes,
 )
 from .validate import (
@@ -50,6 +51,7 @@ __all__ = [
     "parse_petri_net",
     "parse_statechart",
     "petri_net_to_bytes",
+    "statechart_document_chunks",
     "statechart_document_to_bytes",
     "transform_net",
     "validate_counts",

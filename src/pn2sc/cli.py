@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
+from collections.abc import Iterable
 
 from . import io as scio
 from .flat import FlatModel, transform_net
@@ -80,9 +82,31 @@ def _read_file(path: str) -> bytes:
         raise scio.DocumentError(f"cannot read {path}: {exc}") from None
 
 
-def _write_file(path: str, data: bytes) -> None:
-    with open(path, "wb") as handle:
-        handle.write(data)
+def _write_file(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it
+    to ``path``. On any failure the temporary file is removed and ``path``
+    is left as it was, so no run leaves a partial output. A ``path`` that
+    exists but is no regular file, such as ``/dev/stdout`` or a pipe, is
+    written in place: a rename would replace it rather than write to it.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(target, "wb") as handle:
+            handle.writelines(chunks)
+        if not in_place:
+            os.replace(target, path)
+    except BaseException as exc:
+        if not in_place:
+            try:
+                os.unlink(target)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise scio.DocumentError(
+                f"cannot write {path}: {exc.strerror or exc}"
+            ) from None
+        raise
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
@@ -95,7 +119,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EX_IRREDUCIBLE
-    _write_file(args.output, scio.statechart_document_to_bytes(doc))
+    _write_file(args.output, scio.statechart_document_chunks(doc))
     return EX_OK
 
 
@@ -121,7 +145,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out = args.output or spec.file_name()
-    _write_file(out, scio.petri_net_to_bytes(generate_sp_net(spec)))
+    _write_file(out, [scio.petri_net_to_bytes(generate_sp_net(spec))])
     return EX_OK
 
 

@@ -28,7 +28,9 @@ models produce identical bytes whatever the order of their elements.
 (Sibling subtrees equal in kinds, names and links, which only repeated
 names can produce, keep the model's order.) The writer emits the bytes
 of ``json.dumps(payload, indent=2)`` directly and iteratively, so
-statecharts of any depth can be written.
+statecharts of any depth can be written, and hands them out in chunks of
+at most about 1 MB (``statechart_document_chunks``), so writing a file
+holds one chunk at a time whatever the size of the output.
 
 In memory a statechart document is flat (``StatechartDocument``): per-node
 lists of uids, kinds, names, children and links, numbered depth by depth.
@@ -54,8 +56,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
+from io import BytesIO
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -80,6 +83,7 @@ __all__ = [
     "STATECHART_KINDS",
     "kind_counts",
     "document_from_statechart",
+    "statechart_document_chunks",
     "statechart_document_to_bytes",
     "write_statechart",
     "parse_statechart",
@@ -610,92 +614,124 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
     return canonical_document(_store_document(sc))
 
 
-def _level_pieces(depth: int) -> tuple[bytes, ...]:
-    """Fixed byte pieces of a node at tree depth ``depth`` (root: depth 0).
-
-    With ``indent=2`` a node at depth d opens at JSON nesting 2d + 1 (each
-    tree level is one object inside one ``children`` list), so its keys
-    sit at indent 2d + 2 and its list items at 2d + 3.
-    """
-    close = "\n" + "  " * (2 * depth + 1)
-    keys = close + "  "
-    items = keys + "  "
-    return tuple(text.encode("ascii") for text in (
-        "{" + keys + '"uid": ',
-        "," + keys + '"kind": ',
-        "," + keys + '"name": ',
-        "," + keys + '"next": ',
-        "," + keys + '"children": ',
-        "[" + items,
-        "," + items,
-        keys + "]",
-        "[]" + close + "}",
-        keys + "]" + close + "}",
-    ))
+#: ``statechart_document_chunks`` joins what it holds into one chunk once
+#: it holds this many pieces or this many bytes. On shallow trees most of
+#: the memory held is the small piece objects themselves, so the pieces
+#: are capped as well as the bytes.
+_CHUNK_PIECES = 4096
+_CHUNK_BYTES = 1 << 20
 
 
-def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
+def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
     """Encode a document to exactly the bytes of
-    ``json.dumps(payload, indent=2) + "\\n"``, where ``payload`` holds each
-    node's fields in the order uid, kind, name, next (Basic and HyperEdge
-    only), children, with children and next in the document's order.
+    ``json.dumps(payload, indent=2) + "\\n"``, as a sequence of chunks.
+    ``payload`` holds each node's fields in the order uid, kind, name, next
+    (Basic and HyperEdge only), children, with children and next in the
+    document's order.
 
     The text is written directly, with an explicit stack instead of
     recursion, so documents of any depth encode. It is collected as ASCII
-    byte pieces and joined once, so the output is never held twice (as str
-    and as bytes). Indentation and separator pieces are built once per
-    depth and shared by every node at that depth.
+    byte pieces. After each node's text and each closing bracket, once the
+    pieces held number ``_CHUNK_PIECES`` or may reach ``_CHUNK_BYTES``
+    bytes (the count takes every line at its longest), they are joined
+    and handed out, so no chunk is longer than that bound plus one node's
+    text. The line breaks that indent the text are slices of one shared
+    run of spaces, three per depth, so the memory held grows with neither
+    the output nor the square of the depth.
     """
     encode_str = encode_basestring_ascii
     linked = _LINKED_KIND_NAMES
+    max_pieces, max_bytes = _CHUNK_PIECES, _CHUNK_BYTES
     uids, kinds, names, children, links = (
         doc.uids, doc.kinds, doc.names, doc.children, doc.links
     )
     kind_text = {
-        kind: encode_str(kind).encode("ascii") for kind in _KIND_BY_NAME
+        kind: b'"kind": %b,' % encode_str(kind).encode("ascii")
+        for kind in _KIND_BY_NAME
     }
-    levels: list[tuple[bytes, ...]] = []
-    out = [b'{\n  "root": ']
-    # Items are (node, depth) pairs to encode, or literal text to append.
-    stack: list[tuple[int, int] | bytes] = [(0, 0)]
+    # With indent=2 a node at tree depth d opens at JSON nesting 2d + 1
+    # (each tree level is one object inside one "children" list), so its
+    # closing brace sits at indent 4d + 2, its keys at 4d + 4 and its list
+    # items at 4d + 6. levels[d] holds those three line breaks and a bound
+    # on the bytes of one line at that depth, its text included, except a
+    # name.
+    pad = memoryview(b"")
+    levels: list[tuple[memoryview, memoryview, memoryview, int]] = []
+    out: list[bytes | memoryview] = [b'{\n  "root": ']
+    held = len(out[0])  # at least the bytes in out
+    # Items are (node, depth, after_sibling) triples to encode, or the
+    # depth of a node whose children list is to be closed.
+    stack: list[tuple[int, int, bool] | int] = [(0, 0, False)]
     while stack:
+        if held >= max_bytes or len(out) >= max_pieces:
+            yield b"".join(out)
+            out.clear()
+            held = 0
         item = stack.pop()
-        if type(item) is bytes:
-            out.append(item)
+        if type(item) is int:
+            close, keys, _, line = levels[item]
+            out += (keys, b"]", close, b"}")
+            held += 2 * line
             continue
-        node, depth = item
+        node, depth, after_sibling = item
         if depth == len(levels):
-            levels.append(_level_pieces(depth))
-        (head, kind_key, name_key, next_key, children_key, list_open,
-         list_sep, next_close, leaf_close, branch_close) = levels[depth]
+            width = 4 * depth + 7
+            if len(pad) < width:
+                pad = memoryview(b"\n" + b" " * (2 * width))
+            levels.append((pad[:width - 4], pad[:width - 2], pad[:width],
+                           width + 24))
+        close, keys, items, line = levels[depth]
+        if after_sibling:
+            out += (b",", close)
+        name = encode_str(names[node]).encode("ascii")
         kind = kinds[node]
-        out += (head, b"%d" % uids[node], kind_key, kind_text[kind],
-                name_key, encode_str(names[node]).encode("ascii"))
+        out += (b"{", keys, b'"uid": %d,' % uids[node], keys, kind_text[kind],
+                keys, b'"name": ', name)
+        # at most eight lines: the separator, uid, kind, name, next and its
+        # closing, children, and the closing brace or the first child's
+        # line break
+        held += 8 * line + len(name)
         if kind in linked:
-            out.append(next_key)
+            out += (b",", keys, b'"next": ')
             targets = links[node]
             if targets:
-                text = list_sep.join([b"%d" % uids[t] for t in targets])
-                out += (list_open, text, next_close)
+                out.append(b"[")
+                for target in targets:
+                    out += (items, b"%d" % uids[target], b",")
+                out[-1] = keys
+                out.append(b"]")
+                held += len(targets) * line
             else:
                 out.append(b"[]")
-        out.append(children_key)
+        out += (b",", keys, b'"children": ')
         kids = children[node]
-        if not kids:
-            out.append(leaf_close)
-            continue
-        out.append(list_open)
-        stack.append(branch_close)
-        child_depth = depth + 1
-        for position in range(len(kids) - 1, 0, -1):
-            stack.append((kids[position], child_depth))
-            stack.append(list_sep)
-        stack.append((kids[0], child_depth))
+        if kids:
+            out += (b"[", items)
+            stack.append(depth)
+            child_depth = depth + 1
+            for position in range(len(kids) - 1, 0, -1):
+                stack.append((kids[position], child_depth, True))
+            stack.append((kids[0], child_depth, False))
+        else:
+            out += (b"[]", close, b"}")
     counts = ",\n    ".join(
         f'"{key}": {doc.counts[key]}' for key in _COUNT_KEYS
     )
     out.append(f',\n  "counts": {{\n    {counts}\n  }}\n}}\n'.encode("ascii"))
-    return b"".join(out)
+    yield b"".join(out)
+
+
+def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
+    """The chunks of ``statechart_document_chunks(doc)`` in one ``bytes``
+    object, for callers that want the whole file in memory.
+
+    The chunks go into a ``BytesIO``, whose buffer grows in place and is
+    handed out without a copy, so the output is held once; ``b"".join``
+    would hold every chunk and their join together, twice the output.
+    """
+    buffer = BytesIO()
+    buffer.writelines(statechart_document_chunks(doc))
+    return buffer.getvalue()
 
 
 def write_statechart(sc: ModelStore, result: ReductionResult) -> bytes:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -24,6 +26,7 @@ from helpers import (
     nested_fork_join_net,
 )
 import pn2sc.cli
+import pn2sc.io
 from pn2sc.cli import main
 from pn2sc.io import (
     _DEEP_RECURSION_LIMIT,
@@ -275,6 +278,62 @@ def test_unexpected_error_exits_70_with_one_line(tmp_path, net_file, capsys,
     ]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, net_file, capsys,
+                                            monkeypatch):
+    chunks = pn2sc.io.statechart_document_chunks
+
+    def broken(doc):
+        yield next(chunks(doc))
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("pn2sc.io.statechart_document_chunks", broken)
+    src = net_file("fork_join")
+    out = tmp_path / "out.json"
+    assert main(["transform", str(src), "-o", str(out)]) == 70
+    assert not out.exists()
+    out.write_bytes(b"kept")
+    assert main(["transform", str(src), "-o", str(out)]) == 70
+    assert out.read_bytes() == b"kept"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "fork_join.json", "out.json"
+    ]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: internal: RuntimeError: boom"
+    ] * 2
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "in.json"], ["generate", "--places", "5"],
+])
+def test_unwritable_output_is_data_error(tmp_path, net_file, capsys,
+                                         monkeypatch, command):
+    net_file("chain").rename(tmp_path / "in.json")
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "-o", "missing_dir/out.json"]) == 65
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: cannot write missing_dir/out.json: "
+        + os.strerror(errno.ENOENT)
+    ]
+    assert list(tmp_path.iterdir()) == [tmp_path / "in.json"]
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path, net_file, golden_dir):
+    src = net_file("chain")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(pipe.read_bytes()), daemon=True
+    )
+    reader.start()
+    assert main(["transform", str(src), "-o", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [(golden_dir / "chain.statechart.json").read_bytes()]
+    assert sorted(tmp_path.iterdir()) == [src, pipe]
 
 
 def test_validate_builds_no_store(tmp_path, net_file, golden_dir, monkeypatch,

@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     GOLDEN_DIR,
@@ -20,6 +23,7 @@ from helpers import (
     statechart_cases,
 )
 from pn2sc import io as scio
+from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.model import ElementKind
 from pn2sc.reduce import create_statechart
@@ -295,6 +299,59 @@ def test_writer_bytes_match_json_dumps_reference(make_net):
     assert scio.statechart_document_to_bytes(doc) == (
         reference_statechart_bytes(doc)
     )
+
+
+def test_chunks_join_to_the_golden_bytes():
+    for fx in load_corpus():
+        if fx.expected is None:
+            continue
+        golden = (GOLDEN_DIR / f"{fx.name}.statechart.json").read_bytes()
+        doc, _ = transform_net(fx.net)
+        assert b"".join(scio.statechart_document_chunks(doc)) == golden
+        assert scio.statechart_document_to_bytes(doc) == golden
+        assert reference_statechart_bytes(doc) == golden
+
+
+_REDUCIBLE_NETS = (
+    st.builds(lambda places, seed: generate_sp_net(GenSpec(places, seed)),
+              st.integers(1, 300), st.integers(0, 2 ** 32))
+    | st.builds(nested_fork_join_net, st.integers(1, 30))
+    | st.builds(nested_fork_join_net, st.integers(1, 8), st.integers(1, 8))
+)
+
+
+@given(net=_REDUCIBLE_NETS, max_pieces=st.integers(1, 64),
+       max_bytes=st.integers(1, 4096))
+@settings(max_examples=80, deadline=None)
+def test_chunks_join_to_the_reference_bytes(net, max_pieces, max_bytes):
+    doc, result = transform_net(net)
+    assert result.ok
+    reference = reference_statechart_bytes(doc)
+    assert b"".join(scio.statechart_document_chunks(doc)) == reference
+    assert scio.statechart_document_to_bytes(doc) == reference
+    # small bounds split even these nets at many places
+    with mock.patch.multiple(scio, _CHUNK_PIECES=max_pieces,
+                             _CHUNK_BYTES=max_bytes):
+        chunks = list(scio.statechart_document_chunks(doc))
+    assert all(chunks)
+    assert b"".join(chunks) == reference
+    # every node is at least one piece, and no chunk joins more pieces
+    # than the cap
+    assert len(chunks) * max_pieces >= len(doc.uids)
+
+
+def test_chunks_of_a_deep_spine_stay_near_the_bound():
+    # too deep for the json.dumps reference; the bytes are checked above
+    doc, _ = transform_net(nested_fork_join_net(300))
+    chunks = list(scio.statechart_document_chunks(doc))
+    text = b"".join(chunks)
+    assert len(text) > 20 * scio._CHUNK_BYTES
+    # One node's text is its opening line, its uid, kind and name lines,
+    # one line per next target and two around them, its children line and
+    # its closing line; no line is longer than the longest of the file.
+    longest_line = max(map(len, text.split(b"\n"))) + 1
+    node_text = (8 + max(map(len, doc.links))) * longest_line
+    assert max(map(len, chunks)) <= scio._CHUNK_BYTES + node_text
 
 
 def _order_cases():
