@@ -10,6 +10,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 import time
 from collections.abc import Iterable
@@ -86,10 +87,14 @@ def _write_file(path: str, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then rename it
     to ``path``. On any failure the temporary file is removed and ``path``
     is left as it was, so no run leaves a partial output. A ``path`` that
-    exists but is no regular file, such as ``/dev/stdout`` or a pipe, is
-    written in place: a rename would replace it rather than write to it.
+    exists and is not itself a regular file, such as a symbolic link
+    (``/dev/stdout`` is one), a pipe or a device, is written in place: a
+    rename would replace it rather than write through it.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # missing; opening the temporary file reports the rest
+        in_place = False
     target = path if in_place else f"{path}.{os.getpid()}.tmp"
     try:
         with open(target, "wb") as handle:

@@ -635,7 +635,7 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
     pieces held number ``_CHUNK_PIECES`` or may reach ``_CHUNK_BYTES``
     bytes (the count takes every line at its longest), they are joined
     and handed out, so no chunk is longer than that bound plus one node's
-    text. The line breaks that indent the text are slices of one shared
+    text (and the counts, in the last). The line breaks that indent the text are slices of one shared
     run of spaces, three per depth, so the memory held grows with neither
     the output nor the square of the depth.
     """

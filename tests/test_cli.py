@@ -211,14 +211,17 @@ def test_command_runs_without_the_collector_and_restores_it(tmp_path,
         gc.enable()
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this pn2sc."""
+def _python(*args: str, **run_args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this pn2sc; ``run_args``
+    override the ``subprocess.run`` defaults."""
     src = str(Path(pn2sc.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path
                                               else "")}
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, check=True)
+    return subprocess.run([sys.executable, *args], **{
+        "capture_output": True, "text": True, "env": env, "check": True,
+        **run_args,
+    })
 
 
 def test_cli_import_stays_lean():
@@ -334,6 +337,32 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path, net_file, golden_dir):
     assert not reader.is_alive()
     assert received == [(golden_dir / "chain.statechart.json").read_bytes()]
     assert sorted(tmp_path.iterdir()) == [src, pipe]
+
+
+def test_output_through_a_symlink_is_written_in_place(tmp_path, net_file,
+                                                      golden_dir):
+    src = net_file("chain")
+    target = tmp_path / "target.json"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["transform", str(src), "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (
+        golden_dir / "chain.statechart.json").read_bytes()
+    assert sorted(tmp_path.iterdir()) == [src, link, target]
+
+
+def test_output_to_dev_stdout_reaches_redirected_stdout(tmp_path, net_file,
+                                                        golden_dir):
+    src = net_file("chain")
+    out = tmp_path / "out.json"
+    with open(out, "wb") as handle:
+        _python("-m", "pn2sc.cli", "transform", str(src), "-o", "/dev/stdout",
+                capture_output=False, stdout=handle)
+    assert out.read_bytes() == (
+        golden_dir / "chain.statechart.json").read_bytes()
+    assert sorted(tmp_path.iterdir()) == [src, out]
 
 
 def test_validate_builds_no_store(tmp_path, net_file, golden_dir, monkeypatch,
