@@ -26,6 +26,7 @@ from .io import (
     petri_net_to_bytes,
     statechart_document_chunks,
     statechart_document_to_bytes,
+    statechart_text,
 )
 from .validate import (
     ValidationLevel,
@@ -53,6 +54,7 @@ __all__ = [
     "petri_net_to_bytes",
     "statechart_document_chunks",
     "statechart_document_to_bytes",
+    "statechart_text",
     "transform_net",
     "validate_counts",
     "validate_full",

@@ -83,6 +83,30 @@ def _read_file(path: str) -> bytes:
         raise scio.DocumentError(f"cannot read {path}: {exc}") from None
 
 
+def _read_statechart(path: str) -> scio.StatechartDocument:
+    """Parse the statechart file at ``path``.
+
+    A regular file is read ``_CHUNK_BYTES`` at a time through
+    ``statechart_text``, so its indentation is never held. If that fails,
+    the file is read and parsed again as it stands, so that the error
+    names the file's own columns and offsets. Any other path, such as a
+    pipe, which cannot be read twice, is read as it stands at once."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # reading the path reports it
+        regular = False
+    if regular:
+        try:
+            with open(path, "rb") as handle:
+                text = scio.statechart_text(
+                    iter(lambda: handle.read(scio._CHUNK_BYTES), b"")
+                )
+            return scio.parse_statechart(text)
+        except (scio.DocumentError, OSError):
+            pass
+    return scio.parse_statechart(_read_file(path))
+
+
 def _write_file(path: str, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then rename it
     to ``path``. On any failure the temporary file is removed and ``path``
@@ -129,8 +153,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    actual = scio.parse_statechart(_read_file(args.actual))
-    expected = scio.parse_statechart(_read_file(args.expected))
+    actual = _read_statechart(args.actual)
+    expected = _read_statechart(args.expected)
     check = validate_counts if args.counts_only else validate_full
     report = check(actual, expected)
     for item in report.discrepancies[:MAX_PRINTED_DISCREPANCIES]:

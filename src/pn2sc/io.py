@@ -29,8 +29,12 @@ models produce identical bytes whatever the order of their elements.
 names can produce, keep the model's order.) The writer emits the bytes
 of ``json.dumps(payload, indent=2)`` directly and iteratively, so
 statecharts of any depth can be written, and hands them out in chunks of
-at most about 1 MB (``statechart_document_chunks``), so writing a file
-holds one chunk at a time whatever the size of the output.
+at most about 64 KB (``statechart_document_chunks``), so writing a file
+holds one chunk at a time whatever the size of the output. Almost all of
+a deep file is its indentation, so the counterpart ``statechart_text``
+reads a file's chunks back without the spaces that follow each line
+break: reading holds one chunk and the text that is left, which on
+four nested fork/join spines 60 to 100 deep is 195 KB of a 7.7 MB file.
 
 In memory a statechart document is flat (``StatechartDocument``): per-node
 lists of uids, kinds, names, children and links, numbered depth by depth.
@@ -55,8 +59,9 @@ they run, so importing this module loads no store code.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from io import BytesIO
 from json.encoder import encode_basestring_ascii
@@ -86,6 +91,7 @@ __all__ = [
     "statechart_document_chunks",
     "statechart_document_to_bytes",
     "write_statechart",
+    "statechart_text",
     "parse_statechart",
     "store_from_statechart",
     "read_statechart",
@@ -370,6 +376,7 @@ _NODE_FIELDS = ("uid", "kind", "name", "children")
 _LINKED_NODE_FIELDS = ("uid", "kind", "name", "next", "children")
 _NODE_KEYS = frozenset(_NODE_FIELDS)
 _LINKED_NODE_KEYS = frozenset(_LINKED_NODE_FIELDS)
+_INT_TYPE = frozenset((int,))  # exact: bool is a subclass, and rejected
 
 
 def kind_counts(kinds: list[str]) -> dict[str, int]:
@@ -478,8 +485,14 @@ def _append_document(doc: StatechartDocument, trees: RankedTrees,
     trees.names.extend(doc.names)
     children = trees.children
     if offset:
-        children += [[offset + kid for kid in kids] if kids else ()
-                     for kids in doc.children]
+        # A range, as the reader and the store layout give children, is
+        # shifted rather than copied.
+        children += [
+            range(kids.start + offset, kids.stop + offset, kids.step)
+            if type(kids) is range
+            else [offset + kid for kid in kids] if kids else ()
+            for kids in doc.children
+        ]
         trees.links.extend([tuple([offset + t for t in targets]) if targets
                             else () for targets in doc.links])
     else:
@@ -553,7 +566,7 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
                 sources.setdefault(target, []).append(node)
 
     def signature(basics) -> tuple[int, ...]:
-        return tuple(sorted([paths[b] for b in basics]))
+        return tuple(sorted(map(paths.__getitem__, basics)))
 
     ranks = trees.ranks
     ranks.extend([0] * count)
@@ -565,7 +578,7 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
             if kids:
                 children[node] = kids = sorted(kids, key=ranks.__getitem__)
                 keys.append((kinds[node], names[node], (), (),
-                             tuple([ranks[kid] for kid in kids])))
+                             tuple(map(ranks.__getitem__, kids))))
             elif kinds[node] == hyper_edge:
                 keys.append((kinds[node], names[node],
                              signature(links[node]),
@@ -617,9 +630,13 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
 #: ``statechart_document_chunks`` joins what it holds into one chunk once
 #: it holds this many pieces or this many bytes. On shallow trees most of
 #: the memory held is the small piece objects themselves, so the pieces
-#: are capped as well as the bytes.
+#: are capped as well as the bytes. ``pn2sc validate`` reads files in
+#: chunks of ``_CHUNK_BYTES`` too. ``statechart_text`` holds about 220
+#: bytes per line of the chunk it cuts, some four times the chunk on a
+#: shallow tree, so chunks of 1 MB made reading a 440 KB file cost more
+#: than reading it whole, and 64 KB do not.
 _CHUNK_PIECES = 4096
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 16
 
 
 def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
@@ -746,12 +763,47 @@ def write_statechart(sc: ModelStore, result: ReductionResult) -> bytes:
     return statechart_document_to_bytes(document_from_statechart(sc))
 
 
+_INDENT = re.compile(rb"\n +")
+
+
+def statechart_text(chunks: Iterable[bytes]) -> bytes:
+    """The bytes of a file, given as ``chunks``, without the spaces that
+    follow each line break, for ``parse_statechart``.
+
+    ``json.loads`` rejects a raw line break inside a string, so in a
+    document it can read every run dropped lies between two tokens. Each
+    line break stays, so the tokens stay apart, a document reads as the
+    same value and one it rejects stays rejected. Only the column and the
+    offset an error names move. The bytes 0x0A and 0x20 occur in no
+    multi-byte UTF-8 sequence, so the bytes can be cut before they are
+    decoded.
+
+    Each chunk is cut on its own, and a run split between two chunks is
+    dropped too: no chunk is joined to the next, so a file of one line is
+    read in time linear in its length.
+    """
+    out = BytesIO()
+    after_break = False
+    for chunk in chunks:
+        if after_break:
+            chunk = chunk.lstrip(b" ")
+            if not chunk:
+                continue
+        chunk = _INDENT.sub(b"\n", chunk)
+        out.write(chunk)
+        after_break = chunk.endswith(b"\n")
+    return out.getvalue()
+
+
 def parse_statechart(data: bytes | str) -> StatechartDocument:
     """Parse and schema-check a statechart document.
 
     One breadth-first pass over the output of ``json.loads`` fills the
     document's lists, so no depth of tree needs recursion here. Repeated
-    uids in a ``next`` list count once.
+    uids in a ``next`` list count once. ``data`` may be a file's bytes as
+    they stand or as ``statechart_text`` gives them: both give the same
+    document, and the same error, except for the column and the offset
+    that a parse error names.
     """
     raw = _expect_object(_decode(data), "document", ("root", "counts"))
     counts_raw = _expect_object(raw["counts"], "counts", _COUNT_KEYS)
@@ -803,8 +855,8 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
             raise DocumentError("children must be a list")
         if linked:
             raw_next = value["next"]
-            if type(raw_next) is not list or not all(
-                type(u) is int for u in raw_next
+            if type(raw_next) is not list or not _INT_TYPE.issuperset(
+                map(type, raw_next)
             ):
                 raise DocumentError("next must be a list of uids")
             if raw_next:

@@ -82,6 +82,9 @@ def _first_unequal(nodes_a: list[int], nodes_e: list[int],
                    order: list[int]) -> tuple[int, int] | None:
     """The first pair that differs in ``order`` once both lists are sorted
     by it, or None."""
+    if len(nodes_a) == 1 == len(nodes_e):  # most labels occur once
+        a, e = nodes_a[0], nodes_e[0]
+        return None if order[a] == order[e] else (a, e)
     pairs = zip(sorted(nodes_a, key=order.__getitem__),
                 sorted(nodes_e, key=order.__getitem__))
     return next(((a, e) for a, e in pairs if order[a] != order[e]), None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import functools
 import gc
 import json
 import os
@@ -12,6 +13,7 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,10 @@ from helpers import (
 import pn2sc.cli
 import pn2sc.io
 from pn2sc.cli import main
+from pn2sc.flat import transform_net
 from pn2sc.io import (
     _DEEP_RECURSION_LIMIT,
+    DocumentError,
     parse_statechart,
     petri_net_to_bytes,
     statechart_document_to_bytes,
@@ -455,7 +459,8 @@ def _edited(draw, data: bytes) -> bytes:
         holder[draw(st.text(max_size=8))] = copy.deepcopy(holder[key])
     else:
         holder.insert(key, copy.deepcopy(holder[key]))
-    return json.dumps(doc).encode()
+    return json.dumps(doc, indent=draw(st.sampled_from((None, 1, 2, "\t")))
+                      ).encode()
 
 
 @st.composite
@@ -471,17 +476,33 @@ def _garbled(draw, data: bytes) -> bytes:
 
 
 _NETS = sorted(GOLDEN_DIR.glob("*.net.json"))
-_CHARTS = sorted(GOLDEN_DIR.glob("*.statechart.json"))
+
+
+@functools.cache
+def _charts() -> list[tuple[bytes, bool]]:
+    """Statechart files to damage, each with whether it can be edited as
+    a value: the goldens, the output of a spine of depth 40, and a chain
+    nested past the default recursion limit, which is only garbled."""
+    spine, _ = transform_net(nested_fork_join_net(40))
+    return [
+        *((path.read_bytes(), True)
+          for path in sorted(GOLDEN_DIR.glob("*.statechart.json"))),
+        (statechart_document_to_bytes(spine), True),
+        (statechart_document_to_bytes(chain_document(600)), False),
+    ]
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_damaged_input_exits_with_a_documented_code(data):
     command = data.draw(st.sampled_from(("transform", "validate")))
-    golden = data.draw(st.sampled_from(_NETS if command == "transform"
-                                       else _CHARTS))
-    source = golden.read_bytes()
-    damaged = data.draw(_edited(source) | _garbled(source))
+    if command == "transform":
+        source = data.draw(st.sampled_from(_NETS)).read_bytes()
+        editable = True
+    else:
+        source, editable = data.draw(st.sampled_from(_charts()))
+    damaged = data.draw(_edited(source) | _garbled(source) if editable
+                        else _garbled(source))
     with tempfile.TemporaryDirectory() as where:
         path = os.path.join(where, "input.json")
         with open(path, "wb") as handle:
@@ -489,16 +510,58 @@ def test_damaged_input_exits_with_a_documented_code(data):
         if command == "transform":
             argv = ["transform", path, "-o", os.path.join(where, "out.json")]
         else:
-            pair = [path, str(golden)]
+            partner = os.path.join(where, "partner.json")
+            with open(partner, "wb") as handle:
+                handle.write(source)
+            pair = [path, partner]
             if data.draw(st.booleans()):
                 pair.reverse()
             argv = ["validate", *pair]
             if data.draw(st.booleans()):
                 argv.append("--counts-only")
+        chunk_bytes = data.draw(st.sampled_from(
+            (64, 4096, pn2sc.io._CHUNK_BYTES)))
         err = StringIO()
-        with redirect_stdout(StringIO()), redirect_stderr(err):
+        with (redirect_stdout(StringIO()), redirect_stderr(err),
+              mock.patch.object(pn2sc.io, "_CHUNK_BYTES", chunk_bytes)):
             code = main(argv)
     assert code in {0, 1, 2, 65}
     if code in {2, 65}:
         assert len(err.getvalue().splitlines()) == 1
     assert "Traceback" not in err.getvalue()
+    if command == "validate":
+        # the message names the file as it stands, not as it is read
+        try:
+            parse_statechart(damaged)
+        except DocumentError as exc:
+            assert (code, err.getvalue()) == (65, f"error: {exc}\n")
+        else:
+            assert code in {0, 1}
+
+
+@pytest.mark.parametrize("offset, byte, message", [
+    (1222, b"]", "JSON parse error at line 47 column 33: Expecting value"),
+    (300, b"\xff", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+     "in position 300: invalid start byte"),
+])
+def test_validate_names_the_column_and_offset_of_the_file(
+        tmp_path, golden_dir, capsys, offset, byte, message):
+    # Both follow indentation that validate drops as it reads: in the
+    # text it parses they sit at column 9 and at position 175.
+    golden = golden_dir / "fork_join.statechart.json"
+    data = golden.read_bytes()
+    damaged = tmp_path / "damaged.json"
+    damaged.write_bytes(data[:offset] + byte + data[offset + 1:])
+    for pair in ([damaged, golden], [golden, damaged]):
+        assert main(["validate", *map(str, pair)]) == 65
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # a pipe cannot be read twice, so it is read as it stands at once
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes,
+                              args=(damaged.read_bytes(),), daemon=True)
+    writer.start()
+    assert main(["validate", str(pipe), str(golden)]) == 65
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     build_net,
     chain_document,
     corpus_entry,
+    json_nodes,
     load_corpus,
     mutated_statechart,
     nested_fork_join_net,
@@ -231,6 +233,17 @@ def test_next_must_point_at_basics():
         scio.read_statechart(json.dumps(doc))
 
 
+@pytest.mark.parametrize("targets", [[True], [1, False], ["3"], [3.0], "3"])
+def test_next_must_be_a_list_of_integers(targets):
+    data = (GOLDEN_DIR / "chain.statechart.json").read_bytes()
+    doc = json.loads(data)
+    edge = next(node for node, _ in json_nodes(doc)
+                if node["kind"] == "HyperEdge")
+    edge["next"] = targets
+    with pytest.raises(scio.DocumentError, match="next must be a list"):
+        scio.parse_statechart(json.dumps(doc))
+
+
 def test_hand_written_expected_document_is_usable():
     text = """
     {
@@ -440,3 +453,118 @@ def test_deep_document_is_read_on_a_raised_limit():
     with pytest.raises(scio.DocumentError, match="nests too deeply"):
         scio.parse_statechart("[" * nesting + "]" * nesting)
     assert (sys.getrecursionlimit(), threading.stack_size()) == limits
+
+
+def _chunked(data: bytes, size: int) -> list[bytes]:
+    return [data[at:at + size] for at in range(0, len(data), size)]
+
+
+def _dumped(value: object, indent: int | str | None, ascii_only: bool,
+            crlf: bool) -> bytes:
+    text = json.dumps(value, indent=indent, ensure_ascii=ascii_only)
+    if crlf:  # a raw line break occurs only between tokens
+        text = text.replace("\n", "\r\n")
+    return text.encode("utf-8")
+
+
+_LAYOUTS = dict(indent=st.sampled_from((None, 1, 2, "\t")),
+                ascii_only=st.booleans(), crlf=st.booleans(),
+                size=st.integers(1, 7))
+_NAMES = st.text(max_size=6) | st.sampled_from(
+    ["two words", "  lead", "trail  ", "a\nb", "\n  indented", 'say "hi"',
+     "back\\slash", "café", "漢字", " "])
+_SCHART_NETS = (
+    st.builds(lambda places, seed: generate_sp_net(GenSpec(places, seed)),
+              st.integers(1, 40), st.integers(0, 2 ** 32))
+    | st.builds(nested_fork_join_net, st.integers(1, 6))
+)
+
+
+@given(net=_SCHART_NETS, names=st.data(), **_LAYOUTS)
+@settings(max_examples=150, deadline=None)
+def test_text_without_indentation_parses_to_the_same_document(
+        net, names, indent, ascii_only, crlf, size):
+    doc, _ = transform_net(net)
+    value = json.loads(scio.statechart_document_to_bytes(doc))
+    for node, _ in json_nodes(value):
+        node["name"] = names.draw(_NAMES)
+    data = _dumped(value, indent, ascii_only, crlf)
+    text = scio.statechart_text(_chunked(data, size))
+    assert text == scio.statechart_text([data])
+    if indent is None:  # one line, with nothing to drop
+        assert text == data
+    assert b"\n " not in text
+    assert text.count(b"\n") == data.count(b"\n")
+    assert scio.parse_statechart(text) == scio.parse_statechart(data)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | _NAMES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_NAMES, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@given(value=_JSON_VALUES, **_LAYOUTS)
+@settings(max_examples=300, deadline=None)
+def test_text_without_indentation_loads_to_the_same_value(
+        value, indent, ascii_only, crlf, size):
+    data = _dumped(value, indent, ascii_only, crlf)
+    assert json.loads(scio.statechart_text(_chunked(data, size))) == (
+        json.loads(data)
+    )
+
+
+def _loaded(data: bytes) -> tuple[bool, object]:
+    try:
+        return True, json.loads(data)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        return False, None
+
+
+@given(data=st.lists(st.sampled_from(
+    [b" ", b"\n", b"\r", b"\t", b'"', b"\\", b"n", b"1", b"-", b"[", b"]",
+     b"{", b"}", b":", b",", b"true", b"\xc3\xa9", b"\xc3"]), max_size=24
+).map(b"".join), size=st.integers(1, 7))
+@settings(max_examples=500, deadline=None)
+def test_text_without_indentation_accepts_exactly_what_json_accepts(data,
+                                                                    size):
+    assert _loaded(scio.statechart_text(_chunked(data, size))) == (
+        _loaded(data)
+    )
+
+
+def test_a_line_break_inside_a_name_is_still_rejected():
+    data = (GOLDEN_DIR / "chain.statechart.json").read_bytes()
+    assert data.count(b'"name": "P1"') == 1
+    broken = data.replace(b'"name": "P1"', b'"name": "P\n    1"')
+    text = scio.statechart_text(_chunked(broken, 3))
+    assert b'"P\n1"' in text
+    for raw in (broken, text):
+        with pytest.raises(scio.DocumentError,
+                           match="Invalid control character"):
+            scio.parse_statechart(raw)
+
+
+def test_reading_a_deep_spine_holds_neither_its_indentation_nor_its_bytes(
+        tmp_path):
+    path = tmp_path / "spine300.json"
+    doc, _ = transform_net(nested_fork_join_net(300))
+    with open(path, "wb") as handle:
+        handle.writelines(scio.statechart_document_chunks(doc))
+    del doc
+    assert path.stat().st_size > 23 << 20
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as handle:
+            text = scio.statechart_text(
+                iter(lambda: handle.read(scio._CHUNK_BYTES), b"")
+            )
+        read = scio.parse_statechart(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.counts["basic"] == 3 * 300 + 1
+    assert peak < 5 << 20, peak
