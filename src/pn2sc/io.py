@@ -628,14 +628,11 @@ def document_from_statechart(sc: ModelStore) -> StatechartDocument:
 
 
 #: ``statechart_document_chunks`` joins what it holds into one chunk once
-#: it holds this many pieces or this many bytes. On shallow trees most of
-#: the memory held is the small piece objects themselves, so the pieces
-#: are capped as well as the bytes. ``pn2sc validate`` reads files in
-#: chunks of ``_CHUNK_BYTES`` too. ``statechart_text`` holds about 220
+#: it may hold this many bytes. ``pn2sc validate`` reads files in chunks
+#: of ``_CHUNK_BYTES`` too. ``statechart_text`` holds about 220
 #: bytes per line of the chunk it cuts, some four times the chunk on a
 #: shallow tree, so chunks of 1 MB made reading a 440 KB file cost more
 #: than reading it whole, and 64 KB do not.
-_CHUNK_PIECES = 4096
 _CHUNK_BYTES = 1 << 16
 
 
@@ -649,16 +646,16 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
     The text is written directly, with an explicit stack instead of
     recursion, so documents of any depth encode. It is collected as ASCII
     byte pieces. After each node's text and each closing bracket, once the
-    pieces held number ``_CHUNK_PIECES`` or may reach ``_CHUNK_BYTES``
-    bytes (the count takes every line at its longest), they are joined
-    and handed out, so no chunk is longer than that bound plus one node's
-    text (and the counts, in the last). The line breaks that indent the text are slices of one shared
+    pieces held may reach ``_CHUNK_BYTES`` bytes (the count takes every
+    line at its longest), they are joined and handed out, so no chunk is
+    longer than that bound plus one node's text (and the counts, in the
+    last). The line breaks that indent the text are slices of one shared
     run of spaces, three per depth, so the memory held grows with neither
     the output nor the square of the depth.
     """
     encode_str = encode_basestring_ascii
     linked = _LINKED_KIND_NAMES
-    max_pieces, max_bytes = _CHUNK_PIECES, _CHUNK_BYTES
+    max_bytes = _CHUNK_BYTES
     uids, kinds, names, children, links = (
         doc.uids, doc.kinds, doc.names, doc.children, doc.links
     )
@@ -680,7 +677,7 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
     # depth of a node whose children list is to be closed.
     stack: list[tuple[int, int, bool] | int] = [(0, 0, False)]
     while stack:
-        if held >= max_bytes or len(out) >= max_pieces:
+        if held >= max_bytes:
             yield b"".join(out)
             out.clear()
             held = 0

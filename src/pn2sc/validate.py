@@ -139,6 +139,48 @@ def _child_ranks(trees: RankedTrees, node: int) -> Counter[int]:
     return Counter([trees.ranks[kid] for kid in trees.children[node]])
 
 
+class _Twins:
+    """The unmatched expected children of one kind and name under a node,
+    in rank order, that surplus actual children of that kind and name
+    pair with.
+
+    ``take`` hands out the twin whose children share the most ranks with
+    a given node's children, the first such one in rank order when
+    several or none share. The first time it has more than one twin to
+    choose from, it indexes them by child rank, so a choice costs the
+    twins that hold one of the node's child ranks, not all of them.
+    """
+
+    def __init__(self, trees: RankedTrees, kids: list[int]) -> None:
+        self.trees = trees
+        self.kids = kids  # a twin handed out becomes -1
+        self.first = 0  # no twin is left before this position
+        self.left = len(kids)
+        self.holders: dict[int, list[tuple[int, int]]] | None = None
+
+    def take(self, kid: int) -> int:
+        kids = self.kids
+        while kids[self.first] < 0:
+            self.first += 1
+        position = self.first
+        if self.left > 1:
+            if self.holders is None:
+                self.holders = {}
+                for at, twin in enumerate(kids):
+                    for rank, count in _child_ranks(self.trees, twin).items():
+                        self.holders.setdefault(rank, []).append((at, count))
+            shared: Counter[int] = Counter()
+            for rank, count in _child_ranks(self.trees, kid).items():
+                for at, held in self.holders.get(rank, ()):
+                    if kids[at] >= 0:
+                        shared[at] += min(count, held)
+            if shared:
+                position = max(shared, key=lambda at: (shared[at], -at))
+        self.left -= 1
+        partner, kids[position] = kids[position], -1
+        return partner
+
+
 def _first_divergence(trees: RankedTrees, actual: int,
                       expected: int) -> list[Discrepancy]:
     """Descend into subtrees of unequal rank and report the first
@@ -178,29 +220,27 @@ def _first_divergence(trees: RankedTrees, actual: int,
             if budget[ranks[kid]] > 0:
                 budget[ranks[kid]] -= 1
                 unmatched.setdefault((kinds[kid], names[kid]), []).append(kid)
+        twins_of = {label: _Twins(trees, kids)
+                    for label, kids in unmatched.items()}
         pairs = []
         for kid in surplus_a:
-            partners = unmatched.get((kinds[kid], names[kid]))
-            if partners:
-                mine = _child_ranks(trees, kid)
-                partner = max(partners, key=lambda other: (
-                    mine & _child_ranks(trees, other)
-                ).total())
-                partners.remove(partner)
-                pairs.append((kid, partner))
+            twins = twins_of.get((kinds[kid], names[kid]))
+            if twins and twins.left:
+                pairs.append((kid, twins.take(kid)))
             else:
                 found.append(Discrepancy(
                     "extra-node",
                     f"unexpected {_label(trees, kid)} under "
                     f"{_path(trees, node_a)}",
                 ))
-        for partners in unmatched.values():
-            for kid in partners:
-                found.append(Discrepancy(
-                    "missing-node",
-                    f"{_label(trees, kid)} missing under "
-                    f"{_path(trees, node_e)}",
-                ))
+        for kids in unmatched.values():
+            for kid in kids:
+                if kid >= 0:  # not handed out
+                    found.append(Discrepancy(
+                        "missing-node",
+                        f"{_label(trees, kid)} missing under "
+                        f"{_path(trees, node_e)}",
+                    ))
         stack += reversed(pairs)
     return found
 

@@ -9,6 +9,7 @@ import time
 
 from helpers import corpus_entry, nca_oracle
 from pn2sc.cli import main, run_bench
+from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import petri_net_to_bytes, store_from_petri_net, write_statechart
 from pn2sc.model import ElementKind
@@ -59,14 +60,11 @@ def test_criterion_2_count_laws():
     runs = 0
     for size in (100, 1_000, 10_000):
         for seed in SEEDS:
-            doc = generate_sp_net(GenSpec(size, seed))
-            pn = store_from_petri_net(doc)
-            in_places = pn.count_of_kind(P)
-            in_transitions = pn.count_of_kind(T)
-            sc, result = create_statechart(pn)
+            net = generate_sp_net(GenSpec(size, seed))
+            doc, result = transform_net(net)
             assert result.ok, f"size {size} seed {seed} irreducible"
-            assert sc.count_of_kind(B) == in_places
-            assert sc.count_of_kind(H) == in_transitions
+            assert doc.counts["basic"] == len(net.places)
+            assert doc.counts["hyperedge"] == len(net.transitions)
             runs += 1
     print(f"\ncriterion 2 PASS: {runs} runs, all Success with exact "
           f"Basic/HyperEdge conservation")

@@ -20,6 +20,7 @@ from helpers import (
     load_corpus,
     mutated_statechart,
     nested_fork_join_net,
+    net_document,
     reference_statechart_bytes,
     shuffled_net,
     statechart_cases,
@@ -331,31 +332,27 @@ _REDUCIBLE_NETS = (
 )
 
 
-@given(net=_REDUCIBLE_NETS, max_pieces=st.integers(1, 64),
-       max_bytes=st.integers(1, 4096))
+@given(net=_REDUCIBLE_NETS, max_bytes=st.integers(1, 4096))
 @settings(max_examples=80, deadline=None)
-def test_chunks_join_to_the_reference_bytes(net, max_pieces, max_bytes):
+def test_chunks_join_to_the_reference_bytes(net, max_bytes):
     doc, result = transform_net(net)
     assert result.ok
     reference = reference_statechart_bytes(doc)
     assert b"".join(scio.statechart_document_chunks(doc)) == reference
     assert scio.statechart_document_to_bytes(doc) == reference
     # small bounds split even these nets at many places
-    with mock.patch.multiple(scio, _CHUNK_PIECES=max_pieces,
-                             _CHUNK_BYTES=max_bytes):
+    with mock.patch.object(scio, "_CHUNK_BYTES", max_bytes):
         chunks = list(scio.statechart_document_chunks(doc))
     assert all(chunks)
     assert b"".join(chunks) == reference
     # A chunk is cut before the node or closing bracket that would take it
-    # past either bound, so it holds less than the bound plus one of those.
-    # Each node is at least 13 pieces, and one line per field at most.
+    # past the bound, so it holds less than the bound plus one of those,
+    # and a node is at most one line per field.
     node_text = (8 + max(map(len, doc.links))) * (
         max(map(len, reference.split(b"\n"))) + 1)
     counts_text = len(reference) - reference.rindex(b',\n  "counts"')
     for chunk in chunks[:-1]:
-        assert chunk.count(b'"uid": ') <= max_pieces // 13 + 1
         assert len(chunk) <= max_bytes + node_text
-    assert chunks[-1].count(b'"uid": ') <= max_pieces // 13 + 1
     assert len(chunks[-1]) <= max_bytes + node_text + counts_text
 
 
@@ -371,6 +368,27 @@ def test_chunks_of_a_deep_spine_stay_near_the_bound():
     longest_line = max(map(len, text.split(b"\n"))) + 1
     node_text = (8 + max(map(len, doc.links))) * longest_line
     assert max(map(len, chunks)) <= scio._CHUNK_BYTES + node_text
+
+
+def test_chunks_of_a_wide_hyperedge_stay_near_the_bound():
+    # A fork of 5 000 parallel places: the forking HyperEdge is one node
+    # of 5 000 next targets, some 15 000 pieces.
+    width = 5000
+    branches = [f"b{i}" for i in range(width)]
+    doc, result = transform_net(net_document(
+        ["s", "e", *branches], [("t0", ["s"], branches),
+                                ("t1", branches, ["e"])]))
+    assert result.ok
+    assert max(map(len, doc.links)) == width
+    reference = scio.statechart_document_to_bytes(doc)
+    chunks = list(scio.statechart_document_chunks(doc))
+    assert len(chunks) > 1
+    assert b"".join(chunks) == reference == reference_statechart_bytes(doc)
+    longest_line = max(map(len, reference.split(b"\n"))) + 1
+    node_text = (8 + width) * longest_line
+    counts_text = len(reference) - reference.rindex(b',\n  "counts"')
+    assert max(map(len, chunks[:-1])) <= scio._CHUNK_BYTES + node_text
+    assert len(chunks[-1]) <= scio._CHUNK_BYTES + node_text + counts_text
 
 
 def _order_cases():

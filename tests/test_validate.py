@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import time
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import (
     statechart_cases,
 )
 from pn2sc.io import (
+    StatechartDocument,
     document_from_statechart,
     parse_statechart,
     read_statechart,
@@ -231,6 +234,36 @@ def test_basic_moved_between_twin_ors_is_one_move():
             ("extra-node", f"unexpected Basic(a1) under {region}"),
             ("missing-node", f"Basic(a1) missing under {region}"),
         ]
+
+
+def _rotated_ors(width: int, shift: int) -> StatechartDocument:
+    """A top AND over ``width`` unnamed ORs; OR i holds Basics ``a{i}`` and
+    ``b{(i + shift) % width}``."""
+    kinds = ["Statechart", "AND"] + ["OR"] * width + ["Basic"] * (2 * width)
+    names = [""] * (width + 2)
+    children = [range(1, 2), range(2, width + 2)]
+    for i in range(width):
+        names += [f"a{i}", f"b{(i + shift) % width}"]
+        children.append(range(width + 2 + 2 * i, width + 4 + 2 * i))
+    children += [()] * (2 * width)
+    counts = {"statechart": 1, "and": 1, "or": width, "basic": 2 * width,
+              "hyperedge": 0}
+    return StatechartDocument(list(range(len(kinds))), kinds, names,
+                              children, [()] * len(kinds), counts)
+
+
+def test_wide_fork_of_twin_ors_fails_in_linear_time():
+    # Every OR has the name path Statechart()/AND()/OR(), so the descent
+    # pairs all of them; each shares a Basic with two partners.
+    width = 8000
+    actual, expected = _rotated_ors(width, 0), _rotated_ors(width, 1)
+    started = time.perf_counter()
+    report = validate_full(actual, expected)
+    elapsed = time.perf_counter() - started
+    assert Counter(d.kind for d in report.discrepancies) == {
+        "extra-node": width, "missing-node": width}
+    assert elapsed < 10, f"took {elapsed:.1f} s"
+    assert validate_full(actual, _rotated_ors(width, 0)).passed
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
