@@ -60,9 +60,11 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
+from itertools import compress, count
 from io import BytesIO
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -370,6 +372,10 @@ STATECHART_KINDS = (ElementKind.STATECHART, ElementKind.AND, ElementKind.OR,
                     ElementKind.BASIC, ElementKind.HYPER_EDGE)
 _COUNT_KEYS = tuple(kind.value.lower() for kind in STATECHART_KINDS)
 _KIND_BY_NAME = {kind.value: kind for kind in STATECHART_KINDS}
+#: One string object per kind name, which the reader stores for every node
+#: of that kind: it holds one object, not one per node, and ranking reads
+#: the same five objects throughout.
+_KIND_TEXTS = {kind.value: kind.value for kind in STATECHART_KINDS}
 _LINKED_KINDS = (ElementKind.BASIC, ElementKind.HYPER_EDGE)
 _LINKED_KIND_NAMES = tuple(kind.value for kind in _LINKED_KINDS)
 _NODE_FIELDS = ("uid", "kind", "name", "children")
@@ -441,17 +447,22 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
 class RankedTrees(NamedTuple):
     """The containment trees of one or more statechart models, flattened.
 
-    Nodes are numbered level by level, model after model, and every list
-    is indexed by node number. ``roots`` holds each model's root node.
-    Each ``children`` list is in canonical order, and ``links`` holds the
-    node numbers of a Basic's or HyperEdge's ``next`` targets.
+    Each model's nodes keep the numbers its document gives them, after the
+    nodes of the models before it, and every list is indexed by node
+    number. ``roots`` holds each model's root node, and each ``children``
+    list is in canonical order.
 
     Both kinds of rank are dense, distinct between levels and shared by
-    all models ranked together. Two nodes have equal ``paths`` ranks exactly
+    all models ranked together: ``paths`` ranks rise with depth and
+    ``ranks`` fall with it. Two nodes have equal ``paths`` ranks exactly
     when the kinds and names from the root down to them are equal, and
     equal ``ranks`` exactly when they sit at one depth and their subtrees
     are equal in kinds, names and the name paths of the Basics each
-    HyperEdge links to and from.
+    HyperEdge links to and from. Within a level, ``paths`` ranks follow
+    the order of (parent's ``paths`` rank, kind, name) and ``ranks`` the
+    order of (kind, name, the sorted ``paths`` ranks of the Basics a
+    HyperEdge links to, of those that link to it, the sorted ``ranks`` of
+    the children).
     """
 
     roots: list[int]
@@ -459,156 +470,299 @@ class RankedTrees(NamedTuple):
     names: list[str]
     parents: list[int]
     children: list[Sequence[int]]
-    links: list[tuple[int, ...]]
     paths: list[int]
     ranks: list[int]
 
 
-def _rank_level(level: list[int], keys: list[tuple], out: list[int],
-                base: int) -> int:
-    """Rank the nodes of one level densely, from ``base`` up, in the
-    sorted order of their keys; return the first rank left unused."""
-    table = {key: rank for rank, key in enumerate(sorted(set(keys)), base)}
-    for node, key in zip(level, keys):
-        out[node] = table[key]
-    return base + len(table)
+#: One depth of a laid-out document: its first node, the end of its range
+#: and its nodes that have children.
+_Level = tuple[int, int, list[int]]
 
 
-def _append_document(doc: StatechartDocument, trees: RankedTrees,
-                     levels: list[list[int]]) -> None:
-    """Append the nodes of ``doc`` to the node lists of ``trees``, after
-    the nodes already there, and its node numbers to ``levels``, one list
-    per depth."""
-    offset = len(trees.kinds)
-    trees.roots.append(offset)
-    trees.kinds.extend(doc.kinds)
-    trees.names.extend(doc.names)
-    children = trees.children
-    if offset:
-        # A range, as the reader and the store layout give children, is
-        # shifted rather than copied.
-        children += [
-            range(kids.start + offset, kids.stop + offset, kids.step)
-            if type(kids) is range
-            else [offset + kid for kid in kids] if kids else ()
-            for kids in doc.children
-        ]
-        trees.links.extend([tuple([offset + t for t in targets]) if targets
-                            else () for targets in doc.links])
-    else:
-        # Shared, not copied: ranking replaces a children list, and
-        # never changes one.
-        children += doc.children
-        trees.links.extend(doc.links)
-    parents = trees.parents
-    parents += [-1] * len(doc.kinds)
-    # Each depth is one contiguous range, and the next depth holds exactly
-    # the children of this one.
-    start, end, depth = offset, offset + 1, 0
+def _layout(children: list[Sequence[int]], offset: int,
+            parents: list[int]) -> list[_Level] | None:
+    """The levels of a document laid out as the reader, ``FlatModel`` and
+    ``_store_document`` lay one out: the children of each node a range
+    that starts where those of the node before it end. Node numbers are
+    shifted by ``offset``, and each node's parent is set in ``parents``.
+    None when the document is laid out any other way."""
+    levels: list[_Level] = []
+    containers = list(compress(range(len(children)), children))
+    start, end, expected, first = 0, 1, 1, 0
+    for at, node in enumerate(containers):
+        while node >= end:  # the first container of a deeper level
+            if expected == end:
+                return None
+            levels.append((start + offset, end + offset,
+                           containers[first:at]))
+            start, end, first = end, expected, at
+        kids = children[node]
+        if type(kids) is not range or kids.start != expected or (
+            kids.step != 1
+        ):
+            return None
+        parents[offset + expected:offset + kids.stop] = (
+            [offset + node] * len(kids))
+        expected = kids.stop
     while start < end:
-        if depth == len(levels):
-            levels.append([])
-        levels[depth] += range(start, end)
-        below = end
-        for node in range(start, end):
-            for kid in children[node]:
-                parents[kid] = node
-            below += len(children[node])
-        start, end, depth = end, below, depth + 1
+        levels.append((start + offset, end + offset, containers[first:]))
+        start, end, first = end, expected, len(containers)
+    return levels if start == len(children) else None
+
+
+def _laid_out(doc: StatechartDocument) -> tuple[StatechartDocument,
+                                                 list[int]]:
+    """A copy of ``doc`` laid out for ``_layout``: numbered breadth-first,
+    in children order. Node ``i`` of the copy is node ``order[i]`` of
+    ``doc``, and ``order`` is returned with the copy."""
+    children = doc.children
+    order = [0]
+    for node in order:
+        order += children[node]
+    position = [0] * len(order)
+    for at, node in enumerate(order):
+        position[node] = at
+    laid: list[Sequence[int]] = []
+    start = 1
+    for node in order:
+        size = len(children[node])
+        laid.append(range(start, start + size) if size else ())
+        start += size
+    links = [tuple([position[target] for target in doc.links[node]])
+             for node in order]
+    return StatechartDocument(
+        order, [doc.kinds[node] for node in order],
+        [doc.names[node] for node in order], laid, links, doc.counts,
+    ), order
+
+
+def _dense(keys: list, base: int, out: list[int],
+           spans: list[tuple[int, int]]) -> int:
+    """Rank ``keys`` densely from ``base`` up, in sorted key order, into
+    the ranges ``spans`` of ``out``, which hold one key each in turn.
+    Return the first rank left unused."""
+    table = dict(zip(sorted(set(keys)), count(base)))
+    at = 0
+    for start, end in spans:
+        out[start:end] = map(table.__getitem__, keys[at:at + end - start])
+        at += end - start
+    return base + len(table)
 
 
 def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     """Rank the containment trees of ``models`` into one canonical form.
 
     This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
-    and Ullman, with flat keys and no recursion:
+    and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
+    section 3.2), with integer keys and no recursion. A document is
+    ranked as it stands when it is laid out as the reader and the
+    transform lay one out (see ``_layout``), a store is flattened that
+    way, and any other document is renumbered breadth-first and given its
+    own numbers back at the end. Each level of each model is then one
+    range of nodes, whose children are the next range in order, so the
+    passes below read slices and never lay a tree out again:
 
-    1. Each model's tree is laid out depth by depth: a document as it
-       stands, a store flattened breadth-first. This records every
-       node's level, parent, kind, name, children and links.
-    2. Top down, level by level, each node gets a name-path rank from its
-       parent's name-path rank, its kind and its name.
-    3. Bottom up, level by level, each node gets a structural rank from
-       its kind, its name, its link signatures and the sorted ranks of
-       its children. A HyperEdge's link signatures are the sorted
-       name-path ranks of the Basics it links to and from.
+    1. Top down, a level at a time: each node's label is the rank of its
+       kind and name among the level's, and its name-path rank that of
+       one int made of its parent's name-path rank and its label.
+    2. One walk over the links of the Basics gathers, for each HyperEdge,
+       the name-path ranks of the Basics linking to it; with those of the
+       Basics it links to they make its signature. Only a HyperEdge whose
+       name recurs at its level needs one, so a walk over unique names
+       builds no lists.
+    3. Bottom up, a level at a time: each container's children are sorted
+       by rank, and the level's tails (each container's child ranks, each
+       signature) are ranked together. A node's structural key is then
+       one int, its label scaled above every tail rank plus its own, so
+       each level sorts and hashes ints.
 
     Every store must contain exactly one Statechart element with a top
     state, and every link must stay inside the containment tree;
     otherwise a DocumentError is raised.
     """
-    trees = RankedTrees([], [], [], [], [], [], [], [])
-    levels: list[list[int]] = []
-    for model in models:
-        if not isinstance(model, StatechartDocument):
-            model = _store_document(model)
-        _append_document(model, trees, levels)
-    kinds, names, parents, children, links = (
-        trees.kinds, trees.names, trees.parents, trees.children, trees.links
-    )
+    originals = [model if isinstance(model, StatechartDocument)
+                 else _store_document(model) for model in models]
+    roots = []
+    total = 0
+    for doc in originals:
+        roots.append(total)
+        total += len(doc.kinds)
+    parents = [-1] * total
+    docs = []
+    layouts = []
+    orders: list[list[int] | None] = []
+    for doc, offset in zip(originals, roots):
+        levels = _layout(doc.children, offset, parents)
+        order = None
+        if levels is None:
+            doc, order = _laid_out(doc)
+            levels = _layout(doc.children, offset, parents)
+        docs.append(doc)
+        layouts.append(levels)
+        orders.append(order)
+    kinds: list[str] = []
+    names: list[str] = []
+    for doc in docs:
+        kinds += doc.kinds
+        names += doc.names
+    depths = max(map(len, layouts), default=0)
+    kind_codes = {kind: code for code, kind in enumerate(sorted(set(kinds)))}
 
-    count = len(kinds)
-    paths = trees.paths
-    paths.extend([0] * count)
-    base = 0
-    for level in levels:
-        base = _rank_level(level, [
-            (paths[parents[node]] if parents[node] >= 0 else -1,
-             kinds[node], names[node])
-            for node in level
-        ], paths, base)
+    labels = [0] * total
+    paths = [0] * total
+    repeated = [False] * total  # another node of the level has its name
+    base = above = 0
+    for depth in range(depths):
+        spans = [levels[depth][:2] for levels in layouts
+                 if depth < len(levels)]
+        tally: Counter[str] = Counter()
+        for start, end in spans:
+            tally.update(names[start:end])
+        name_ranks = dict(zip(sorted(tally), count()))
+        width = len(name_ranks)
+        spread = len(kind_codes) * width  # above every label
+        keys: list[int] = []
+        for start, end in spans:
+            labels[start:end] = level = [
+                kind_codes[kind] * width + name_ranks[name]
+                for kind, name in zip(kinds[start:end], names[start:end])
+            ]
+            repeated[start:end] = [tally[name] > 1
+                                   for name in names[start:end]]
+            if depth:
+                level = [(paths[parent] - above) * spread + label
+                         for parent, label in zip(parents[start:end], level)]
+            keys += level
+        above = base
+        base = _dense(keys, base, paths, spans)
 
+    # Only a HyperEdge whose name is repeated at its level needs its
+    # signature: a label alone at its level ranks the node by itself.
     hyper_edge = ElementKind.HYPER_EDGE.value
-    sources: dict[int, list[int]] = {}
-    for node, targets in enumerate(links):
-        if targets and kinds[node] != hyper_edge:
-            for target in targets:
-                sources.setdefault(target, []).append(node)
+    signatures: dict[int, tuple[int, ...]] = {}
+    for doc, offset in zip(docs, roots):
+        links, doc_kinds = doc.links, doc.kinds
+        path_of = paths[offset:offset + len(links)]
+        shared = repeated[offset:offset + len(links)]
+        incoming: list[list[int] | None] = [None] * len(links)
+        edges = []
+        for node in compress(range(len(links)), links):
+            if doc_kinds[node] == hyper_edge:
+                if shared[node]:
+                    edges.append(node)
+                continue
+            path = path_of[node]
+            for target in links[node]:
+                if shared[target]:
+                    sources = incoming[target]
+                    if sources is None:
+                        incoming[target] = [path]
+                    else:
+                        sources.append(path)
+        # A signature is the sorted targets, -1, then the sorted sources,
+        # which sorts as the pair of them does.
+        for node in edges:
+            targets = links[node]
+            sources = incoming[node]
+            incoming[node] = None
+            if sources is None:
+                sources = ()
+            elif len(sources) > 1:
+                sources.sort()
+            signatures[offset + node] = (
+                (path_of[targets[0]], -1, *sources) if len(targets) == 1
+                else (*sorted([path_of[t] for t in targets]), -1, *sources)
+            )
+        for node in compress(range(len(links)), incoming):
+            if doc_kinds[node] == hyper_edge:
+                signatures[offset + node] = (-1, *sorted(incoming[node]))
+    linked = sorted(signatures)
 
-    def signature(basics) -> tuple[int, ...]:
-        return tuple(sorted(map(paths.__getitem__, basics)))
-
-    ranks = trees.ranks
-    ranks.extend([0] * count)
+    ranks = [0] * total
+    children: list[Sequence[int]] = [()] * total
+    rank_of = ranks.__getitem__
     base = 0
-    for level in reversed(levels):
+    for depth in range(depths - 1, -1, -1):
+        # The tails of the level: each container's children's ranks,
+        # sorted, and each linked HyperEdge's signature, in node order.
+        parts = []
+        tails = []
+        for levels, doc, offset in zip(layouts, docs, roots):
+            if depth >= len(levels):
+                continue
+            start, end, containers = levels[depth]
+            parts.append((start, end, containers, offset))
+            doc_children = doc.children
+            for node in containers:
+                kids = doc_children[node]
+                if offset:
+                    kids = range(kids.start + offset, kids.stop + offset)
+                if len(kids) > 1:
+                    kids = sorted(kids, key=rank_of)
+                    tails.append(tuple(map(rank_of, kids)))
+                else:
+                    tails.append((ranks[kids[0]],))
+                children[node + offset] = kids
+            tails += map(signatures.__getitem__,
+                         linked[bisect_left(linked, start):
+                                bisect_left(linked, end)])
+        # Each node's key is one int: its label times ``scale`` plus the
+        # rank of its tail among the level's, from 1, or 0 for none.
+        heads = dict(zip(sorted(set(tails)), count(1)))
+        scale = len(heads) + 1
+        ranked_tails = map(heads.__getitem__, tails)
         keys = []
-        for node in level:
-            kids = children[node]
-            if kids:
-                children[node] = kids = sorted(kids, key=ranks.__getitem__)
-                keys.append((kinds[node], names[node], (), (),
-                             tuple(map(ranks.__getitem__, kids))))
-            elif kinds[node] == hyper_edge:
-                keys.append((kinds[node], names[node],
-                             signature(links[node]),
-                             signature(sources.get(node, ())), ()))
-            else:
-                keys.append((kinds[node], names[node], (), (), ()))
-        base = _rank_level(level, keys, ranks, base)
-    return trees
+        for start, end, containers, offset in parts:
+            level = [label * scale for label in labels[start:end]]
+            for node in containers:
+                level[node + offset - start] += next(ranked_tails)
+            for node in linked[bisect_left(linked, start):
+                               bisect_left(linked, end)]:
+                level[node - start] += next(ranked_tails)
+            keys += level
+        base = _dense(keys, base, ranks, [part[:2] for part in parts])
+
+    # Give renumbered documents their own numbers back.
+    for doc, order, offset in zip(originals, orders, roots):
+        if order is None:
+            continue
+        end = offset + len(order)
+        back = [offset + node for node in order]
+        kinds[offset:end], names[offset:end] = doc.kinds, doc.names
+        for values in (paths, ranks):
+            for node, value in zip(back, values[offset:end]):
+                values[node] = value
+        for node, parent, kids in zip(back, parents[offset:end],
+                                      children[offset:end]):
+            parents[node] = back[parent - offset] if parent >= 0 else -1
+            children[node] = [back[kid - offset] for kid in kids]
+    return RankedTrees(roots, kinds, names, parents, children, paths, ranks)
 
 
 def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     """The canonical form of a document: children in canonical order (see
     ``rank_statecharts``), a node's uid its preorder index and each node's
     links in ascending uid order. ``doc`` itself is not changed.
+
+    A document laid out as the reader and ``FlatModel.document`` lay one
+    out is ranked as it stands. One preorder walk then numbers the uids,
+    and only the links of nodes with two or more targets are sorted.
     """
     trees = rank_statecharts(doc)
     # Keep only what the document needs; the ranks, paths and parents
     # are freed before the uids are numbered.
-    kinds, names, children, links = (
-        trees.kinds, trees.names, trees.children, trees.links
-    )
+    kinds, names, children = trees.kinds, trees.names, trees.children
     del trees
     uids = [0] * len(kinds)
     stack = [0]
-    uid = 0
-    while stack:
-        node = stack.pop()
+    pop = stack.pop
+    for uid in range(len(kinds)):
+        node = pop()
         uids[node] = uid
-        uid += 1
-        stack += reversed(children[node])
+        kids = children[node]
+        if kids:
+            stack += reversed(kids)
+    links = list(doc.links)
     for node, targets in enumerate(links):
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
@@ -838,8 +992,9 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
         kind = value["kind"]
         if type(kind) is not str:
             raise DocumentError("node kind must be a string")
-        if kind not in _KIND_BY_NAME:
+        if kind not in _KIND_TEXTS:
             raise DocumentError(f"unknown kind {kind!r}")
+        kind = _KIND_TEXTS[kind]
         if (kind == "Statechart") != (node == 0):
             raise DocumentError(
                 "Statechart must appear exactly at the document root"

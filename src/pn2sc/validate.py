@@ -148,7 +148,8 @@ class _Twins:
     a given node's children, the first such one in rank order when
     several or none share. The first time it has more than one twin to
     choose from, it indexes them by child rank, so a choice costs the
-    twins that hold one of the node's child ranks, not all of them.
+    twins that hold one of the node's child ranks, not all of them. A
+    rank that all twins hold equally often is left out of the index.
     """
 
     def __init__(self, trees: RankedTrees, kids: list[int]) -> None:
@@ -165,10 +166,18 @@ class _Twins:
         position = self.first
         if self.left > 1:
             if self.holders is None:
-                self.holders = {}
+                holders: dict[int, list[tuple[int, int]]] = {}
                 for at, twin in enumerate(kids):
                     for rank, count in _child_ranks(self.trees, twin).items():
-                        self.holders.setdefault(rank, []).append((at, count))
+                        holders.setdefault(rank, []).append((at, count))
+                # A rank every twin holds equally often adds the same to
+                # every score, so it changes no choice; left in, it would
+                # make every choice read every twin.
+                self.holders = {
+                    rank: held for rank, held in holders.items()
+                    if len(held) < len(kids)
+                    or len({count for _, count in held}) > 1
+                }
             shared: Counter[int] = Counter()
             for rank, count in _child_ranks(self.trees, kid).items():
                 for at, held in self.holders.get(rank, ()):

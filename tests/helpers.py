@@ -322,8 +322,8 @@ PARTNER_CHANGES = ("none", "reordered", "basic-renamed", "hyperedge-moved",
 
 def mutated_statechart(data: bytes, change: str, seed: int) -> bytes | None:
     """A statechart file with one seeded change from ``PARTNER_CHANGES``,
-    or None where the chart offers no place for it (a Basic with no other
-    OR to move to, or no link to drop).
+    or None where the chart offers no place for it (no node of the kind
+    to change, a Basic with no other OR to move to, or no link to drop).
 
     "reordered" shuffles every children list and renumbers the uids at
     random; the moves take a node out of its parent and append it to
@@ -333,8 +333,9 @@ def mutated_statechart(data: bytes, change: str, seed: int) -> bytes | None:
     doc = json.loads(data)
     nodes = json_nodes(doc)
 
-    def pick(kind: str) -> tuple[dict, dict]:
-        return rng.choice([(n, p) for n, p in nodes if n["kind"] == kind])
+    def pick(kind: str) -> tuple[dict, dict] | None:
+        found = [(n, p) for n, p in nodes if n["kind"] == kind]
+        return rng.choice(found) if found else None
 
     if change == "reordered":
         fresh = list(range(len(nodes)))
@@ -346,12 +347,17 @@ def mutated_statechart(data: bytes, change: str, seed: int) -> bytes | None:
             if "next" in node:
                 node["next"] = [uid_map[uid] for uid in node["next"]]
     elif change == "basic-renamed":
-        node, _ = pick("Basic")
-        node["name"] += ".renamed"
+        picked = pick("Basic")
+        if picked is None:
+            return None
+        picked[0]["name"] += ".renamed"
     elif change in ("hyperedge-moved", "basic-moved"):
         kind, hosts = (("HyperEdge", ("OR", "AND"))
                        if change == "hyperedge-moved" else ("Basic", ("OR",)))
-        node, parent = pick(kind)
+        picked = pick(kind)
+        if picked is None:
+            return None
+        node, parent = picked
         targets = [n for n, _ in nodes
                    if n["kind"] in hosts and n is not parent]
         if not targets:

@@ -34,8 +34,8 @@ RECORDS = [
                           "names": [""], "children": [()], "links": [()],
                           "counts": {"statechart": 1}}),
     (RankedTrees, {"roots": [0], "kinds": ["Statechart"], "names": [""],
-                   "parents": [-1], "children": [()], "links": [()],
-                   "paths": [0], "ranks": [0]}),
+                   "parents": [-1], "children": [()], "paths": [0],
+                   "ranks": [0]}),
     (ReductionResult, {"status": ReductionStatus.SUCCESS,
                        "statechart_root": 7, "remaining_places": 0,
                        "remaining_transitions": 0, "top_or_count": 1}),

@@ -236,17 +236,22 @@ def test_basic_moved_between_twin_ors_is_one_move():
         ]
 
 
-def _rotated_ors(width: int, shift: int) -> StatechartDocument:
+def _rotated_ors(width: int, shift: int,
+                 shared: tuple[str, ...] = ()) -> StatechartDocument:
     """A top AND over ``width`` unnamed ORs; OR i holds Basics ``a{i}`` and
-    ``b{(i + shift) % width}``."""
-    kinds = ["Statechart", "AND"] + ["OR"] * width + ["Basic"] * (2 * width)
+    ``b{(i + shift) % width}``, then one Basic for each name in
+    ``shared``."""
+    size = 2 + len(shared)  # Basics per OR
+    basics = size * width
+    kinds = ["Statechart", "AND"] + ["OR"] * width + ["Basic"] * basics
     names = [""] * (width + 2)
     children = [range(1, 2), range(2, width + 2)]
     for i in range(width):
-        names += [f"a{i}", f"b{(i + shift) % width}"]
-        children.append(range(width + 2 + 2 * i, width + 4 + 2 * i))
-    children += [()] * (2 * width)
-    counts = {"statechart": 1, "and": 1, "or": width, "basic": 2 * width,
+        names += [f"a{i}", f"b{(i + shift) % width}", *shared]
+        first = width + 2 + size * i
+        children.append(range(first, first + size))
+    children += [()] * basics
+    counts = {"statechart": 1, "and": 1, "or": width, "basic": basics,
               "hyperedge": 0}
     return StatechartDocument(list(range(len(kinds))), kinds, names,
                               children, [()] * len(kinds), counts)
@@ -264,6 +269,21 @@ def test_wide_fork_of_twin_ors_fails_in_linear_time():
         "extra-node": width, "missing-node": width}
     assert elapsed < 10, f"took {elapsed:.1f} s"
     assert validate_full(actual, _rotated_ors(width, 0)).passed
+
+
+def test_wide_fork_of_twin_ors_sharing_a_basic_fails_in_linear_time():
+    # Every OR also holds a Basic x, so every twin holds x's rank once:
+    # the rank index must not make each choice read all the twins.
+    width = 8000
+    actual = _rotated_ors(width, 0, ("x",))
+    expected = _rotated_ors(width, 1, ("x",))
+    started = time.perf_counter()
+    report = validate_full(actual, expected)
+    elapsed = time.perf_counter() - started
+    assert Counter(d.kind for d in report.discrepancies) == {
+        "extra-node": width, "missing-node": width}
+    assert elapsed < 10, f"took {elapsed:.1f} s"
+    assert validate_full(actual, _rotated_ors(width, 0, ("x",))).passed
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
