@@ -5,35 +5,11 @@ lists (``transform_net``), JSON reading and canonical writing, a
 series-parallel benchmark generator, and a structural validator. The
 same transformation on a ``ModelStore`` (``pn2sc.model``, ``init`` and
 ``reduce``) is the tests' reference; nothing exported here imports it.
-"""
 
-from .flat import (
-    AndFiring,
-    OrFiring,
-    ReductionResult,
-    ReductionStatus,
-    Side,
-    transform_net,
-)
-from .generate import GenSpec, generate_sp_net
-from .io import (
-    DocumentError,
-    ElementKind,
-    PetriNetDocument,
-    StatechartDocument,
-    parse_petri_net,
-    parse_statechart,
-    petri_net_to_bytes,
-    statechart_document_chunks,
-    statechart_document_to_bytes,
-    statechart_text,
-)
-from .validate import (
-    ValidationLevel,
-    ValidationReport,
-    validate_counts,
-    validate_full,
-)
+Importing this package loads none of its modules: each export is
+imported from its module on first use (PEP 562), so a command pays only
+for the modules it runs.
+"""
 
 __all__ = [
     "AndFiring",
@@ -61,3 +37,30 @@ __all__ = [
 ]
 
 __version__ = "0.2.0"
+
+#: The module that defines each export.
+_MODULES = {
+    "flat": ("AndFiring", "OrFiring", "ReductionResult", "ReductionStatus",
+             "Side", "transform_net"),
+    "generate": ("GenSpec", "generate_sp_net"),
+    "io": ("DocumentError", "ElementKind", "PetriNetDocument",
+           "StatechartDocument", "parse_petri_net", "parse_statechart",
+           "petri_net_to_bytes", "statechart_document_chunks",
+           "statechart_document_to_bytes", "statechart_text"),
+    "validate": ("ValidationLevel", "ValidationReport", "validate_counts",
+                 "validate_full"),
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import an export from its module the first time it is asked for.
+    Any other name raises AttributeError, so ``from pn2sc import io``
+    still imports the submodule."""
+    for module, names in _MODULES.items():
+        if name in names:
+            from importlib import import_module
+
+            value = getattr(import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,23 +2,26 @@
 
 Exit codes: 0 success, 1 failed validation, 2 irreducible input net,
 64 usage errors, 65 unreadable or malformed input, 70 internal errors.
+
+Arguments are read from one table, ``_COMMANDS``, which also renders
+``--help`` and the usage line. Only ``pn2sc.io`` loads with this module;
+each command imports the modules it runs when it runs, so ``transform``
+never loads the validator and ``validate`` never loads the transformation.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import stat
 import sys
 import time
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 from . import io as scio
-from .flat import FlatModel, transform_net
-from .generate import GenSpec, generate_sp_net
-from .validate import validate_counts, validate_full
 
 EX_OK = 0
 EX_VALIDATION_FAILED = 1
@@ -34,45 +37,6 @@ MAX_PRINTED_DISCREPANCIES = 50
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pn2sc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tr = sub.add_parser("transform", help="reduce a Petri net file to a "
-                          "statechart file")
-    p_tr.add_argument("input", help="Petri net JSON file")
-    p_tr.add_argument("-o", "--output", required=True,
-                      help="statechart JSON file to write")
-
-    p_val = sub.add_parser("validate", help="compare a produced statechart "
-                           "against an expected one")
-    p_val.add_argument("actual")
-    p_val.add_argument("expected")
-    p_val.add_argument("--counts-only", action="store_true",
-                       help="compare per-kind element counts only")
-
-    p_gen = sub.add_parser("generate", help="write a synthetic benchmark net")
-    p_gen.add_argument("--places", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--branch-factor-max", type=int, default=4)
-    p_gen.add_argument("--parallel-prob", type=float, default=0.5)
-    p_gen.add_argument("-o", "--output",
-                       help="output file (default: sp<places>_<seed>.json)")
-
-    p_bench = sub.add_parser("bench", help="time the transformation across "
-                             "net sizes")
-    p_bench.add_argument("--sizes", default="5000,10000,40000",
-                         help="comma separated place counts")
-    p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    return parser
 
 
 def _read_file(path: str) -> bytes:
@@ -138,7 +102,9 @@ def _write_file(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: SimpleNamespace) -> int:
+    from .flat import transform_net
+
     doc, result = transform_net(scio.parse_petri_net(_read_file(args.input)))
     if doc is None:
         print(
@@ -152,7 +118,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
+    from .validate import validate_counts, validate_full
+
     actual = _read_statechart(args.actual)
     expected = _read_statechart(args.expected)
     check = validate_counts if args.counts_only else validate_full
@@ -167,7 +135,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EX_OK if report.passed else EX_VALIDATION_FAILED
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: SimpleNamespace) -> int:
+    from .generate import GenSpec, generate_sp_net
+
     try:
         spec = GenSpec(args.places, args.seed, args.branch_factor_max,
                        args.parallel_prob)
@@ -184,6 +154,9 @@ def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
     hyperedge assignment, and ``total_ms`` is their sum. Returns one row
     per size with the median over ``reps`` runs, in milliseconds."""
     import statistics  # only bench needs it, and it is slow to import
+
+    from .flat import FlatModel
+    from .generate import GenSpec, generate_sp_net
 
     rows = []
     for size in sizes:
@@ -208,7 +181,7 @@ def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
     return rows
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: SimpleNamespace) -> int:
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError:
@@ -229,31 +202,254 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EX_OK
 
 
+#: Every command: its function, its help line, its positionals as
+#: (dest, help), and its options as (flags, dest, convert, default,
+#: required, help). An option whose convert is None takes no value and
+#: sets True.
 _COMMANDS = {
-    "transform": _cmd_transform,
-    "validate": _cmd_validate,
-    "generate": _cmd_generate,
-    "bench": _cmd_bench,
+    "transform": (
+        _cmd_transform, "reduce a Petri net file to a statechart file",
+        [("input", "Petri net JSON file")],
+        [(("-o", "--output"), "output", str, None, True,
+          "statechart JSON file to write")],
+    ),
+    "validate": (
+        _cmd_validate, "compare a produced statechart against an expected "
+        "one",
+        [("actual", "produced statechart JSON file"),
+         ("expected", "expected statechart JSON file")],
+        [(("--counts-only",), "counts_only", None, False, False,
+          "compare per-kind element counts only")],
+    ),
+    "generate": (
+        _cmd_generate, "write a synthetic benchmark net", [],
+        [(("--places",), "places", int, None, True,
+          "places to grow the net to"),
+         (("--seed",), "seed", int, 0, False, "generator seed"),
+         (("--branch-factor-max",), "branch_factor_max", int, 4, False,
+          "most branches of a parallel block"),
+         (("--parallel-prob",), "parallel_prob", float, 0.5, False,
+          "chance that a step makes a parallel block"),
+         (("-o", "--output"), "output", str, None, False,
+          "output file (default: sp<places>_<seed>.json)")],
+    ),
+    "bench": (
+        _cmd_bench, "time the transformation across net sizes", [],
+        [(("--sizes",), "sizes", str, "5000,10000,40000", False,
+          "comma separated place counts"),
+         (("--reps",), "reps", int, 3, False, "repetitions per size"),
+         (("--seed",), "seed", int, 0, False, "generator seed")],
+    ),
 }
+
+_HELP = (("-h", "--help"), None, None, False, False,
+         "show this help message and exit")
+
+
+class _Help(Exception):
+    """``--help`` was asked for; ``args[0]`` names the command, or is
+    None for the top level."""
+
+
+def _name(option: tuple) -> str:
+    return "/".join(option[0])
+
+
+def _classify(token: str, flags: dict[str, tuple]) -> tuple | None:
+    """None for a positional, else (option, flag, attached value), with
+    option None for a flag that no option has. Raises _UsageError for a
+    prefix of several long flags."""
+    if token[:1] != "-":
+        return None
+    if token in flags:
+        return flags[token], token, None
+    if len(token) == 1:
+        return None
+    flag, equals, value = token.partition("=")
+    if equals and flag in flags:
+        return flags[flag], flag, value
+    if token[1] == "-":  # a unique prefix of a long flag, as in --out=x
+        matches = [long for long in flags if long.startswith(flag)]
+        value = value if equals else None
+    else:  # a short flag with its value attached, as in -ox
+        matches = [token[:2]] if token[:2] in flags else []
+        value = token[2:]
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match "
+                          f"{', '.join(matches)}")
+    if matches:
+        return flags[matches[0]], matches[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or text with a space
+    return None, token, None
+
+
+def _option_at(argv: list[str], at: int, kinds: list,
+               flags: dict[str, tuple]) -> tuple[list, int]:
+    """The (option, value) pairs that the known option at ``argv[at]``
+    sets, and the index after it. Letters attached to a single dash flag
+    that takes no value, as in ``-hh``, are further flags."""
+    option, flag, attached = kinds[at]
+    found = []
+    while attached is not None:
+        if option[2] is not None:
+            return [*found, (option, attached)], at + 1
+        if flag[1] == "-" or not attached or f"-{attached[0]}" not in flags:
+            raise _UsageError(f"argument {_name(option)}: ignored explicit "
+                              f"argument {attached!r}")
+        found.append((option, None))
+        flag = f"-{attached[0]}"
+        option, attached = flags[flag], attached[1:] or None
+    if option[2] is None:
+        return [*found, (option, None)], at + 1
+    if at + 1 < len(kinds) and kinds[at + 1] is None:
+        return [*found, (option, argv[at + 1])], at + 2
+    raise _UsageError(f"argument {_name(option)}: expected one argument")
+
+
+def _parse_command(name: str, argv: list[str],
+                   extras: list[str]) -> SimpleNamespace:
+    """Read a command's arguments into their dests, adding to ``extras``
+    what no argument takes."""
+    _, _, positionals, options = _COMMANDS[name]
+    flags = {flag: option for option in (_HELP, *options)
+             for flag in option[0]}
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(token, flags) for token in argv[:end]]
+    args = SimpleNamespace(
+        command=name, **dict.fromkeys(dest for dest, _ in positionals),
+        **{option[1]: option[3] for option in options})
+    waiting = [dest for dest, _ in positionals]
+    given = set()
+    last = max((at for at, kind in enumerate(kinds) if kind), default=-1)
+    at = 0
+    while at <= last:  # options, and the positionals between them
+        if kinds[at] is None and waiting:
+            setattr(args, waiting.pop(0), argv[at])
+            at += 1
+        elif kinds[at] is None or kinds[at][0] is None:  # nothing takes it
+            extras.append(argv[at])
+            at += 1
+        else:
+            found, at = _option_at(argv, at, kinds, flags)
+            for option, value in found:
+                _, dest, convert = option[:3]
+                if dest is None:
+                    raise _Help(name)
+                given.add(dest)
+                try:
+                    setattr(args, dest,
+                            True if convert is None else convert(value))
+                except ValueError:
+                    raise _UsageError(
+                        f"argument {_name(option)}: invalid "
+                        f"{convert.__name__} value: {value!r}") from None
+    # The rest are positionals. The first "--" in them goes when it falls
+    # before the last positional taken or right after it.
+    values = [i for i in range(at, len(argv)) if i != end][:len(waiting)]
+    for i in values:
+        setattr(args, waiting.pop(0), argv[i])
+    stop = values[-1] + 1 if values else at
+    if values and stop == end:
+        stop += 1
+    extras += argv[stop:]
+    missing = waiting + [_name(option) for option in options
+                         if option[4] and option[1] not in given]
+    if missing:
+        raise _UsageError("the following arguments are required: "
+                          + ", ".join(missing))
+    return args
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` as argparse 3.10-3.12 reads the same command line,
+    with argparse's messages, into the command's name in ``command`` and
+    each argument in its dest. One difference: every word after the first
+    ``--``, a further ``--`` included, is a positional. Raises _Help for
+    ``-h``/``--help``, _UsageError for anything malformed."""
+    flags = {flag: _HELP for flag in _HELP[0]}
+    kinds = []  # the options before the command
+    for token in argv:
+        kind = token != "--" and _classify(token, flags)
+        if not kind:
+            break
+        kinds.append(kind)
+    extras: list[str] = []
+    for at, kind in enumerate(kinds):
+        if kind[0] is None:
+            extras.append(argv[at])
+        else:  # -h or --help, unless letters follow that are no flag
+            _option_at(argv, at, kinds, flags)
+            raise _Help(None)
+    at = len(kinds)
+    if at == len(argv) or argv[at:] == ["--"]:
+        raise _UsageError("the following arguments are required: command")
+    if argv[at] not in _COMMANDS:
+        raise _UsageError(
+            f"argument command: invalid choice: {argv[at]!r} (choose from "
+            f"{', '.join(map(repr, _COMMANDS))})")
+    args = _parse_command(argv[at], argv[at + 1:], extras)
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _usage(name: str | None = None) -> str:
+    if name is None:
+        return f"usage: pn2sc [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positionals, options = _COMMANDS[name]
+    words = ["usage: pn2sc", name, "[-h]"]
+    for flags, dest, convert, _, required, _ in options:
+        word = flags[0] if convert is None else f"{flags[0]} {dest.upper()}"
+        words.append(word if required else f"[{word}]")
+    return " ".join(words + [dest for dest, _ in positionals])
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        rows = [(command, row[1]) for command, row in _COMMANDS.items()]
+        # the docstring's first two paragraphs: the commands and exit codes
+        about = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+        return "\n".join([_usage(), "", about, "",
+                          "commands:", *_columns(rows), "",
+                          "options:", *_columns([("-h, --help",
+                                                  _HELP[5])])])
+    _, about, positionals, options = _COMMANDS[name]
+    lines = [_usage(name), "", about, ""]
+    if positionals:
+        lines += ["positional arguments:", *_columns(positionals), ""]
+    rows = []
+    for flags, dest, convert, default, _, text in (_HELP, *options):
+        shown = flags if convert is None else [f"{flag} {dest.upper()}"
+                                               for flag in flags]
+        if convert is not None and default is not None:
+            text = f"{text} (default: {default})"
+        rows.append((", ".join(shown), text))
+    return "\n".join(lines + ["options:", *_columns(rows)])
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:<{width}}  {right}" for left, right in rows]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     # The pipeline builds no reference cycles, so the cyclic collector
     # would only walk its growing lists again and again. It is turned
     # back on afterwards for callers that run main() in their own process.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        try:
+            args = _parse(list(sys.argv[1:] if argv is None else argv))
+        except _Help as shown:  # printed here, where a failed write is caught
+            sys.stdout.write(_help(shown.args[0]) + "\n")
+            return EX_OK
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(_usage(), file=sys.stderr)
         return EX_USAGE
-    except SystemExit as exc:  # argparse --help and friends
-        code = exc.code
-        return code if isinstance(code, int) else EX_USAGE
     except (scio.DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR

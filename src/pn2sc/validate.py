@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import compress, count
 from typing import TYPE_CHECKING, NamedTuple
 
 from .io import STATECHART_KINDS, ElementKind, RankedTrees, rank_statecharts
@@ -97,14 +98,35 @@ def _label_mismatches(trees: RankedTrees,
     Nodes numbered from ``first_expected`` on belong to the expected
     model. A HyperEdge found at the same places in both models that still
     ranks differently links different Basics.
+
+    A ``paths`` rank, and a ``ranks`` value too, fixes the kind and name
+    of its nodes. So a label can occur unequally often or in other places
+    only if it holds a ``paths`` rank that the two models hold unequally
+    often, and a HyperEdge label can link differently only if it holds
+    such a ``ranks`` value. The nodes of the other labels are never
+    collected.
     """
+    kinds, names = trees.kinds, trees.names
+    hyper_edge = ElementKind.HYPER_EDGE.value
+    wanted = set()
+    for values, hyper_edges_only in ((trees.paths, False),
+                                     (trees.ranks, True)):
+        unequal = (Counter(values[:first_expected]).items()
+                   ^ Counter(values[first_expected:]).items())
+        if unequal:
+            node_of = dict(zip(values, range(len(values))))
+            for value, _ in unequal:
+                node = node_of[value]
+                if not hyper_edges_only or kinds[node] == hyper_edge:
+                    wanted.add((kinds[node], names[node]))
     actual: dict[tuple[str, str], list[int]] = {}
     expected: dict[tuple[str, str], list[int]] = {}
-    for node, label in enumerate(zip(trees.kinds, trees.names)):
+    for node in compress(count(), map(wanted.__contains__,
+                                      zip(kinds, names))):
         side = actual if node < first_expected else expected
-        side.setdefault(label, []).append(node)
+        side.setdefault((kinds[node], names[node]), []).append(node)
     found = []
-    for label in sorted(actual.keys() | expected.keys()):
+    for label in sorted(wanted):
         text = f"{label[0]}({label[1]})"
         nodes_a = actual.get(label, [])
         nodes_e = expected.get(label, [])

@@ -467,3 +467,23 @@ def arbitrary_nets(draw):
         post = sorted(draw(st.sets(st.sampled_from(names)))) if names else []
         transitions.append((f"t{i}", pre, post))
     return names, transitions
+
+
+def named_from(net: PetriNetDocument, pool: list[str],
+               rng: random.Random) -> PetriNetDocument:
+    """The same net with every place and transition named from ``pool``,
+    so names repeat; ids stay unique."""
+    return PetriNetDocument(
+        tuple(PlaceSpec(p.id, rng.choice(pool)) for p in net.places),
+        tuple(TransitionSpec(t.id, rng.choice(pool), t.pre, t.post)
+              for t in net.transitions),
+    )
+
+
+#: Generated SP nets, spines and arbitrary small nets.
+NETS = (
+    st.builds(lambda places, seed: generate_sp_net(GenSpec(places, seed)),
+              st.integers(1, 120), st.integers(0, 2 ** 32))
+    | st.builds(nested_fork_join_net, st.integers(1, 12), st.integers(1, 6))
+    | arbitrary_nets().map(lambda net: net_document(*net))
+)

@@ -28,6 +28,7 @@ from helpers import (
     nested_fork_join_net,
 )
 import pn2sc.cli
+import pn2sc.generate
 import pn2sc.io
 from pn2sc.cli import main
 from pn2sc.flat import transform_net
@@ -190,16 +191,23 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("command", ["transform", "validate", "generate",
+                                     "bench"])
+def test_command_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: pn2sc {command} [-h]")
+
+
 def test_command_runs_without_the_collector_and_restores_it(tmp_path,
                                                             monkeypatch):
     seen = []
-    real = pn2sc.cli.generate_sp_net
+    real = pn2sc.generate.generate_sp_net
 
     def spy(spec):
         seen.append(gc.isenabled())
         return real(spec)
 
-    monkeypatch.setattr("pn2sc.cli.generate_sp_net", spy)
+    monkeypatch.setattr("pn2sc.generate.generate_sp_net", spy)
     assert gc.isenabled()
     assert main(["generate", "--places", "10", "-o",
                  str(tmp_path / "a.json")]) == 0
@@ -233,14 +241,35 @@ def test_cli_import_stays_lean():
              "print(' '.join(sorted(set(sys.modules) - before)))")
     imported = set(_python("-c", probe).stdout.split())
     assert "pn2sc.cli" in imported
-    assert not imported & {"dataclasses", "inspect", "statistics", "pathlib"}
-    # The CLI runs the flat route; the ModelStore reference stays unloaded.
-    assert not imported & {"pn2sc.model", "pn2sc.init", "pn2sc.reduce"}
+    assert not imported & {"dataclasses", "inspect", "statistics", "pathlib",
+                           "argparse", "gettext"}
+    # The CLI runs the flat route; the ModelStore reference stays unloaded,
+    # and each command loads the modules it runs when it runs.
+    assert not imported & {"pn2sc.model", "pn2sc.init", "pn2sc.reduce",
+                           "pn2sc.flat", "pn2sc.validate", "pn2sc.generate"}
     # bench imports statistics when it runs.
     rows = json.loads(_python("-m", "pn2sc.cli", "bench", "--sizes", "50",
                               "--reps", "1").stdout)
     assert [row["size"] for row in rows] == [50]
     assert all(row["total_ms"] >= 0 for row in rows)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, net_file,
+                                                   golden_dir):
+    out = tmp_path / "out.json"
+    golden = str(golden_dir / "chain.statechart.json")
+    probe = ("import sys; from pn2sc.cli import main; "
+             "code = main(sys.argv[1:]); print(code, *sorted(name for name "
+             "in sys.modules if name.startswith('pn2sc.')))")
+    runs = {
+        "transform": ["transform", str(net_file("chain")), "-o", str(out)],
+        "validate": ["validate", golden, golden],
+    }
+    loaded = {command: _python("-c", probe, *argv).stdout.splitlines()[-1]
+              .split() for command, argv in runs.items()}
+    assert loaded["transform"] == ["0", "pn2sc.cli", "pn2sc.flat", "pn2sc.io"]
+    assert loaded["validate"] == ["0", "pn2sc.cli", "pn2sc.io",
+                                  "pn2sc.validate"]
 
 
 def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
@@ -275,7 +304,7 @@ def test_unexpected_error_exits_70_with_one_line(tmp_path, net_file, capsys,
     def broken(net):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setattr("pn2sc.cli.transform_net", broken)
+    monkeypatch.setattr("pn2sc.flat.transform_net", broken)
     out = tmp_path / "out.json"
     code = main(["transform", str(net_file("chain")), "-o", str(out)])
     assert code == 70

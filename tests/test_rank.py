@@ -21,19 +21,16 @@ from hypothesis import strategies as st
 
 import rank_reference
 from helpers import (
+    NETS,
     PARTNER_CHANGES,
-    arbitrary_nets,
     mutated_statechart,
-    nested_fork_join_net,
-    net_document,
+    named_from,
     shuffled_net,
     statechart_cases,
 )
 from pn2sc import io as scio
 from pn2sc import validate
 from pn2sc.flat import transform_net
-from pn2sc.generate import GenSpec, generate_sp_net
-from pn2sc.io import PetriNetDocument, PlaceSpec, TransitionSpec
 
 
 def assert_same_ranking(*models) -> None:
@@ -86,26 +83,7 @@ def test_goldens_and_their_partners_rank_as_before(name, data):
                 check_pair(data, partner)
 
 
-def _named(net: PetriNetDocument, pool: list[str],
-           rng: random.Random) -> PetriNetDocument:
-    """The same net with every place and transition named from ``pool``,
-    so names repeat; ids stay unique."""
-    return PetriNetDocument(
-        tuple(PlaceSpec(p.id, rng.choice(pool)) for p in net.places),
-        tuple(TransitionSpec(t.id, rng.choice(pool), t.pre, t.post)
-              for t in net.transitions),
-    )
-
-
-_NETS = (
-    st.builds(lambda places, seed: generate_sp_net(GenSpec(places, seed)),
-              st.integers(1, 120), st.integers(0, 2 ** 32))
-    | st.builds(nested_fork_join_net, st.integers(1, 12), st.integers(1, 6))
-    | arbitrary_nets().map(lambda net: net_document(*net))
-)
-
-
-@given(net=_NETS, shuffle=st.booleans(),
+@given(net=NETS, shuffle=st.booleans(),
        pool=st.none() | st.lists(st.sampled_from(["x", "y", ""]),
                                  min_size=1, max_size=3),
        change=st.sampled_from(PARTNER_CHANGES), seed=st.integers(0, 2 ** 16))
@@ -115,7 +93,7 @@ def test_arbitrary_nets_rank_as_before(net, shuffle, pool, change, seed):
     if shuffle:
         net = shuffled_net(net, seed)
     if pool is not None:
-        net = _named(net, pool, rng)
+        net = named_from(net, pool, rng)
     doc, _ = transform_net(net)
     if doc is None:  # irreducible: nothing to rank
         return

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    NETS,
     PARTNER_CHANGES,
     build_net,
     chain_document,
@@ -14,13 +18,18 @@ from helpers import (
     json_nodes,
     load_corpus,
     mutated_statechart,
+    named_from,
     nested_fork_join_net,
+    shuffled_net,
     statechart_cases,
 )
+from pn2sc import validate
+from pn2sc.flat import transform_net
 from pn2sc.io import (
     StatechartDocument,
     document_from_statechart,
     parse_statechart,
+    rank_statecharts,
     read_statechart,
     statechart_document_to_bytes,
     store_from_petri_net,
@@ -29,6 +38,7 @@ from pn2sc.io import (
 from pn2sc.model import ElementKind, ModelStore
 from pn2sc.reduce import create_statechart
 from pn2sc.validate import (
+    Discrepancy,
     ValidationLevel,
     validate_counts,
     validate_full,
@@ -333,3 +343,71 @@ def test_deep_documents_read_and_validate_without_recursion():
     assert validate_full(store, doc).passed
     deeper = chain_document(3001)
     assert not validate_full(doc, deeper).passed
+
+
+def _label_mismatches_before(trees, first_expected: int) -> list[Discrepancy]:
+    """``validate._label_mismatches`` as it was before it counted ranks to
+    find the labels to compare: it groups every node of both models by
+    kind and name, and compares each label."""
+    actual: dict[tuple[str, str], list[int]] = {}
+    expected: dict[tuple[str, str], list[int]] = {}
+    for node, label in enumerate(zip(trees.kinds, trees.names)):
+        side = actual if node < first_expected else expected
+        side.setdefault(label, []).append(node)
+    found = []
+    for label in sorted(actual.keys() | expected.keys()):
+        text = f"{label[0]}({label[1]})"
+        nodes_a = actual.get(label, [])
+        nodes_e = expected.get(label, [])
+        if len(nodes_a) < len(nodes_e):
+            found.append(Discrepancy(
+                "missing-node", f"{text}: {len(nodes_e) - len(nodes_a)} "
+                f"occurrence(s) missing",
+            ))
+        elif len(nodes_a) > len(nodes_e):
+            found.append(Discrepancy(
+                "extra-node", f"{text}: {len(nodes_a) - len(nodes_e)} "
+                f"unexpected occurrence(s)",
+            ))
+        elif moved := validate._first_unequal(nodes_a, nodes_e, trees.paths):
+            found.append(Discrepancy(
+                "wrong-container",
+                f"{text} contained under "
+                f"{validate._path(trees, trees.parents[moved[0]])}, expected "
+                f"{validate._path(trees, trees.parents[moved[1]])}",
+            ))
+        elif label[0] == H.value and validate._first_unequal(
+            nodes_a, nodes_e, trees.ranks
+        ):
+            found.append(Discrepancy(
+                "next-set-mismatch",
+                f"{text} links a different set of Basics than expected",
+            ))
+    return found
+
+
+@given(net=NETS, shuffle=st.booleans(),
+       pool=st.none() | st.lists(st.sampled_from(["x", "y", ""]),
+                                 min_size=1, max_size=3),
+       changes=st.lists(st.sampled_from(PARTNER_CHANGES), min_size=1,
+                        max_size=3),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_label_mismatches_report_as_before(net, shuffle, pool, changes,
+                                           seed):
+    if shuffle:
+        net = shuffled_net(net, seed)
+    if pool is not None:
+        net = named_from(net, pool, random.Random(seed))
+    doc, _ = transform_net(net)
+    if doc is None:  # irreducible: nothing to compare
+        return
+    data = statechart_document_to_bytes(doc)
+    partner = data
+    for change in changes:
+        partner = mutated_statechart(partner, change, seed) or partner
+    for pair in ((data, partner), (partner, data)):
+        trees = rank_statecharts(*map(parse_statechart, pair))
+        first_expected = trees.roots[1]
+        assert validate._label_mismatches(trees, first_expected) == \
+            _label_mismatches_before(trees, first_expected)
