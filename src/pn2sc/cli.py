@@ -1,7 +1,8 @@
 """Command-line frontend: transform, validate, generate, bench.
 
 Exit codes: 0 success, 1 failed validation, 2 irreducible input net,
-64 usage errors, 65 unreadable or malformed input, 70 internal errors.
+64 usage errors, 65 unreadable or malformed input, 70 internal errors,
+141 standard output closed by its reader (128 + SIGPIPE).
 
 Arguments are read from one table, ``_COMMANDS``, which also renders
 ``--help`` and the usage line. Only ``pn2sc.io`` loads with this module;
@@ -29,6 +30,7 @@ EX_IRREDUCIBLE = 2
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_BROKEN_PIPE = 141
 
 #: ``validate`` prints at most this many discrepancies, then a count of
 #: the rest.
@@ -444,12 +446,22 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse(list(sys.argv[1:] if argv is None else argv))
         except _Help as shown:  # printed here, where a failed write is caught
             sys.stdout.write(_help(shown.args[0]) + "\n")
-            return EX_OK
-        return _COMMANDS[args.command][0](args)
+            code = EX_OK
+        else:
+            code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(_usage(), file=sys.stderr)
         return EX_USAGE
+    except BrokenPipeError:  # on stdout: an -o write fails as DocumentError
+        # Nobody reads standard output any more: exit as a process killed
+        # by SIGPIPE would, and let the interpreter's last flush go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EX_BROKEN_PIPE
     except (scio.DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR

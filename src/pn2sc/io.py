@@ -47,10 +47,9 @@ in the canonical written form. Both transform routes end in it:
 ``document_from_statechart`` lays out a store, and ``flat.transform_net``
 (what ``pn2sc transform`` runs) lays out its flat lists, breadth-first in
 containment order. Readers accept any well-formed document but
-reject unknown fields. A document nested past the default recursion
-limit is read again on a thread with a raised one (``_loads_deep``); one
-nested too deep even for that, or with an integer over Python's digit
-limit, is a DocumentError.
+reject unknown fields. A document nested past what ``json.loads`` reads
+is read by ``_loads_iteratively``: memory is the only bound on depth. One
+with an integer over Python's digit limit is a DocumentError.
 
 The converters to and from ``ModelStore`` import ``pn2sc.model`` when
 they run, so importing this module loads no store code.
@@ -60,6 +59,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -136,49 +136,64 @@ class PetriNetDocument(NamedTuple):
     transitions: tuple[TransitionSpec, ...]
 
 
-#: The recursion limit and thread stack that ``_loads_deep`` reads with:
-#: JSON nested 100 000 deep, that is statechart depth 50 000, whose
-#: indented file would run to terabytes. The json module's C scanner uses
-#: about 0.3 KB of stack per level, so the limit trips long before the
-#: stack runs out. Python 3.12 and 3.13 bound the scanner's recursion
-#: lower than this, whatever the limit.
-_DEEP_RECURSION_LIMIT = 100_000
-_DEEP_STACK_BYTES = 128 << 20
+_SCAN_SCALAR = json.scanner.make_scanner(json.JSONDecoder())
+_SKIP = json.decoder.WHITESPACE.match
+#: From Python 3.13 on, json names a comma before a closing bracket.
+_NAMES_TRAILING_COMMA = sys.version_info >= (3, 13)
 
 
-def _loads_deep(text: str) -> object:
-    """``json.loads`` on a worker thread with a raised recursion limit and
-    a larger stack, for text nested past the default limit. Both are
-    process-wide, so calls must not overlap; both are restored
-    afterwards. Raises what ``json.loads`` raised there, or
-    RecursionError if no worker thread could be started."""
-    import sys
-    import threading
-
-    result: list = []
-    failure: list = []
-
-    def work() -> None:
-        try:
-            result.append(json.loads(text))
-        except Exception as exc:  # re-raised on the calling thread
-            failure.append(exc)
-
-    limit, stack = sys.getrecursionlimit(), threading.stack_size()
-    try:
-        sys.setrecursionlimit(_DEEP_RECURSION_LIMIT)
-        threading.stack_size(_DEEP_STACK_BYTES)
-        worker = threading.Thread(target=work)
-        worker.start()
-        worker.join()
-    except RuntimeError:  # the stack cannot be resized or no thread starts
-        raise RecursionError from None
-    finally:
-        threading.stack_size(stack)
-        sys.setrecursionlimit(limit)
-    if failure:
-        raise failure[0]
-    return result[0]
+def _loads_iteratively(text: str) -> object:
+    """``json.loads(text)`` with the open containers on a list, not on the
+    C stack, so that any depth reads. Rejected text raises the JSONDecodeError
+    of ``json.loads``, message and position alike (bar a leading BOM)."""
+    fail = json.JSONDecodeError
+    opened: list[list] = []  # [members, key of the next one, "]" or "}"]
+    at, keyed = _SKIP(text, 0).end(), False
+    while True:
+        if keyed:  # a member of the innermost object starts at ``at``
+            if text[at:at + 1] != '"':
+                raise fail("Expecting property name enclosed in double "
+                           "quotes", text, at)
+            opened[-1][1], at = json.decoder.scanstring(text, at + 1)
+            at = _SKIP(text, at).end()
+            if text[at:at + 1] != ":":
+                raise fail("Expecting ':' delimiter", text, at)
+            at = _SKIP(text, at + 1).end()
+        char = text[at:at + 1]
+        if char == "[" or char == "{":
+            close = "]" if char == "[" else "}"
+            at = _SKIP(text, at + 1).end()
+            if text[at:at + 1] != close:  # read its first member next
+                opened.append([[], None, close])  # an object's as pairs
+                keyed = close == "}"
+                continue
+            value, at = ([] if close == "]" else {}), at + 1
+        else:  # the scanner recurses only into containers
+            try:
+                value, at = _SCAN_SCALAR(text, at)
+            except StopIteration as stop:
+                raise fail("Expecting value", text, stop.value) from None
+        while opened:  # store the value, then close what ends after it
+            members, key, close = opened[-1]
+            members.append(value if close == "]" else (key, value))
+            at = _SKIP(text, at).end()
+            if text[at:at + 1] == ",":
+                comma, at = at, _SKIP(text, at + 1).end()
+                if _NAMES_TRAILING_COMMA and text[at:at + 1] == close:
+                    raise fail("Illegal trailing comma before end of "
+                               + ("array" if close == "]" else "object"),
+                               text, comma)
+                keyed = close == "}"
+                break
+            if text[at:at + 1] != close:
+                raise fail("Expecting ',' delimiter", text, at)
+            opened.pop()
+            value, at = (members if close == "]" else dict(members)), at + 1
+        else:
+            at = _SKIP(text, at).end()
+            if at != len(text):
+                raise fail("Extra data", text, at)
+            return value
 
 
 def _decode(data: bytes | str) -> object:
@@ -190,8 +205,8 @@ def _decode(data: bytes | str) -> object:
     try:
         try:
             return json.loads(data)
-        except RecursionError:
-            return _loads_deep(data)
+        except RecursionError:  # nested past the json module's bound
+            return _loads_iteratively(data)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"JSON parse error at line {exc.lineno} column {exc.colno}: "
@@ -200,11 +215,6 @@ def _decode(data: bytes | str) -> object:
     except ValueError as exc:  # an integer literal over the digit limit
         reason = str(exc).partition(";")[0]
         raise DocumentError(f"JSON integer not readable: {reason}") from None
-    except RecursionError:
-        raise DocumentError(
-            "document nests too deeply to read: its JSON nesting exceeds "
-            "the json module's recursion limit"
-        ) from None
 
 
 def _expect_object(value: object, what: str, keys: tuple[str, ...]) -> dict:

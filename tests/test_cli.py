@@ -4,6 +4,7 @@ import copy
 import errno
 import functools
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -33,7 +34,6 @@ import pn2sc.io
 from pn2sc.cli import main
 from pn2sc.flat import transform_net
 from pn2sc.io import (
-    _DEEP_RECURSION_LIMIT,
     DocumentError,
     parse_statechart,
     petri_net_to_bytes,
@@ -272,7 +272,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, net_file,
                                   "pn2sc.validate"]
 
 
-def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
+def test_deep_spine_round_trips_and_a_deep_non_statechart_fails_its_schema(
+        tmp_path, capsys):
     net = nested_fork_join_net(260)
     assert len(net.places) == 781
     src = tmp_path / "spine260.json"
@@ -288,14 +289,14 @@ def test_deep_spine_transforms_and_validate_rejects_cleanly(tmp_path, capsys):
     assert counts["hyperedge"] == len(net.transitions)
     assert main(["validate", str(out), str(out)]) == 0
     assert "Full validation passed" in capsys.readouterr().out
-    nesting = _DEEP_RECURSION_LIMIT + 1
+    nesting = 100_001  # read whole, however deep, then schema-checked
     deep = tmp_path / "deep.json"
     deep.write_text('{"root": ' + "[" * nesting + "]" * nesting
                     + ', "counts": {}}')
     assert main(["validate", str(deep), str(out)]) == 65
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "nests too deeply" in err
+    assert "counts is missing fields" in err
     assert "Traceback" not in err
 
 
@@ -396,6 +397,35 @@ def test_output_to_dev_stdout_reaches_redirected_stdout(tmp_path, net_file,
     assert out.read_bytes() == (
         golden_dir / "chain.statechart.json").read_bytes()
     assert sorted(tmp_path.iterdir()) == [src, out]
+
+
+def test_closed_stdout_exits_141_quietly(net_file, golden_dir):
+    golden = str(golden_dir / "chain.statechart.json")
+    src = str(Path(pn2sc.__file__).parent.parent)
+    runs = [["--help"], ["bench", "--sizes", "50", "--reps", "1"],
+            ["validate", golden, golden],
+            ["transform", str(net_file("chain")), "-o", "/dev/stdout"]]
+    for argv, unbuffered in itertools.product(runs, ("1", "")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody reads what the command prints
+        try:
+            run = _python("-m", "pn2sc.cli", *argv, check=False,
+                          capture_output=False, stdout=write_end,
+                          stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        if argv[0] == "transform":  # an -o write is an output like any
+            assert (run.returncode, run.stderr) == (
+                65, "error: cannot write /dev/stdout: Broken pipe\n")
+        elif argv[0] == "bench":  # its table goes to stderr
+            assert run.returncode == 141
+            assert run.stderr.split()[:4] == [
+                "size", "init_ms", "reduce_ms", "total_ms"]
+            assert len(run.stderr.splitlines()) == 2
+        else:
+            assert (run.returncode, run.stderr) == (141, "")
 
 
 def test_validate_builds_no_store(tmp_path, net_file, golden_dir, monkeypatch,

@@ -458,19 +458,40 @@ def test_parse_numbers_nodes_breadth_first():
         assert doc.count_of_kind(kind) == store.count_of_kind(kind), kind
 
 
-def test_deep_document_is_read_on_a_raised_limit():
-    # JSON nested about 1 200 deep: past the default recursion limit
+def test_deep_document_is_read_with_the_recursion_limit_unchanged():
+    # JSON nested about 1 200 deep: past what json.loads reads under the
+    # default recursion limit before Python 3.13
     doc = chain_document(600)
     data = scio.statechart_document_to_bytes(doc)
     limits = sys.getrecursionlimit(), threading.stack_size()
     assert scio.parse_statechart(data) == doc
-    # the retry reports what it finds past the first attempt's limit
+    # the fallback reports what it finds past where json.loads stopped
     with pytest.raises(scio.DocumentError, match="JSON parse error"):
         scio.parse_statechart(data[:-100])
-    nesting = scio._DEEP_RECURSION_LIMIT + 1
-    with pytest.raises(scio.DocumentError, match="nests too deeply"):
+    nesting = 100_001  # past any bound of the json module: read, then checked
+    with pytest.raises(scio.DocumentError, match="document must be an object"):
         scio.parse_statechart("[" * nesting + "]" * nesting)
     assert (sys.getrecursionlimit(), threading.stack_size()) == limits
+
+
+def test_text_nested_past_100_000_levels_is_read():
+    nesting = 200_000
+    value = scio._decode("[" * nesting + "]" * nesting)
+    unwrapped = 0
+    while value:  # unwrapped by hand: == on it would recurse
+        (value,) = value
+        unwrapped += 1
+    assert value == [] and unwrapped == nesting - 1
+    # a statechart 50 001 levels deep is JSON 100 004 deep; indented, it
+    # would run to terabytes, so it is written compactly
+    depth = 50_001
+    doc = chain_document(depth)
+    heads = "".join(f'{{"uid":{node},"kind":"{kind}","name":"","children":['
+                    for node, kind in enumerate(doc.kinds[:depth]))
+    leaf = f'{{"uid":{depth},"kind":"Basic","name":"","children":[],"next":[]}}'
+    text = ('{"root":' + heads + leaf + "]}" * depth
+            + ',"counts":' + json.dumps(doc.counts) + "}")
+    assert scio.parse_statechart(text) == doc
 
 
 def _chunked(data: bytes, size: int) -> list[bytes]:
@@ -533,6 +554,80 @@ def test_text_without_indentation_loads_to_the_same_value(
     assert json.loads(scio.statechart_text(_chunked(data, size))) == (
         json.loads(data)
     )
+
+
+def _same_json(left: object, right: object) -> bool:
+    """``left == right`` for values from json.loads, walked with a list so
+    that deep values compare, and with NaN equal to NaN."""
+    pairs = [(left, right)]
+    while pairs:
+        left, right = pairs.pop()
+        if type(left) is not type(right):
+            return False
+        if type(left) is list:
+            if len(left) != len(right):
+                return False
+            pairs.extend(zip(left, right))
+        elif type(left) is dict:
+            if list(left) != list(right):
+                return False
+            pairs.extend((left[key], right[key]) for key in left)
+        elif left != right and not (left != left and right != right):
+            return False
+    return True
+
+
+def _outcome(load, text: str) -> tuple[str, object]:
+    try:
+        return "value", load(text)
+    except json.JSONDecodeError as exc:
+        return "rejected", (exc.msg, exc.pos)
+    except ValueError:  # an integer over the digit limit
+        return "unreadable", None
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(-10 ** 80, 10 ** 80)
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3) | _NAMES, inner,
+                                     max_size=4)),
+    max_leaves=16,
+)
+#: The characters an edit puts in, and a digit run past Python's limit
+_EDIT_CHARS = st.sampled_from(sorted(set(
+    '{}[],:"0123456789-.eE \t\n\r' + "truefalsenullNaNInfinity"))
+    + ["1" * 4400])
+
+
+@st.composite
+def _edited_json(draw) -> str:
+    """A JSON value as ``json.dumps`` lays it out, with up to three edits,
+    each of which inserts, deletes or replaces one character."""
+    text = json.dumps(draw(_ANY_JSON),
+                      indent=draw(st.sampled_from((None, 0, 1, 2, "\t"))),
+                      ensure_ascii=draw(st.booleans()))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        char, cut = draw(st.sampled_from(
+            [("", 1), (draw(_EDIT_CHARS), 0), (draw(_EDIT_CHARS), 1)]))
+        text = text[:at] + char + text[at + cut:]
+    return text
+
+
+@given(text=_edited_json())
+@settings(max_examples=2000, deadline=None)
+def test_iterative_fallback_reads_as_json_loads_does(text):
+    expected = _outcome(json.loads, text)
+    actual = _outcome(scio._loads_iteratively, text)
+    assert actual[0] == expected[0], (actual, expected)
+    if expected[0] == "value":
+        assert _same_json(actual[1], expected[1])
+    else:
+        assert actual == expected
 
 
 def _loaded(data: bytes) -> tuple[bool, object]:
