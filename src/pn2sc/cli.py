@@ -53,10 +53,12 @@ def _read_statechart(path: str) -> scio.StatechartDocument:
     """Parse the statechart file at ``path``.
 
     A regular file is read ``_CHUNK_BYTES`` at a time through
-    ``statechart_text``, so its indentation is never held. If that fails,
-    the file is read and parsed again as it stands, so that the error
-    names the file's own columns and offsets. Any other path, such as a
-    pipe, which cannot be read twice, is read as it stands at once."""
+    ``statechart_text``, so its indentation is never held. If reading
+    fails, or the text is not UTF-8 or not JSON, the file is read and
+    parsed again as it stands, so that the error names the file's own
+    columns and offsets; a schema error names no position and is raised
+    at once. Any other path, such as a pipe, which cannot be read twice,
+    is read as it stands at once."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # reading the path reports it
@@ -68,7 +70,7 @@ def _read_statechart(path: str) -> scio.StatechartDocument:
                     iter(lambda: handle.read(scio._CHUNK_BYTES), b"")
                 )
             return scio.parse_statechart(text)
-        except (scio.DocumentError, OSError):
+        except (scio._TextError, OSError):
             pass
     return scio.parse_statechart(_read_file(path))
 

@@ -39,17 +39,17 @@ four nested fork/join spines 60 to 100 deep is 195 KB of a 7.7 MB file.
 In memory a statechart document is flat (``StatechartDocument``): per-node
 lists of uids, kinds, names, children and links, numbered depth by depth.
 The reader fills them in one breadth-first pass, the writer walks them
-with an explicit stack, and ``rank_statecharts`` ranks them as they stand,
-so ``pn2sc validate`` goes from bytes to ranks without building a
-``ModelStore``; ``store_from_statechart`` builds one, with no recursion,
-for callers that want a store. ``canonical_document`` puts any document
-in the canonical written form. Both transform routes end in it:
-``document_from_statechart`` lays out a store, and ``flat.transform_net``
-(what ``pn2sc transform`` runs) lays out its flat lists, breadth-first in
-containment order. Readers accept any well-formed document but
-reject unknown fields. A document nested past what ``json.loads`` reads
-is read by ``_loads_iteratively``: memory is the only bound on depth. One
-with an integer over Python's digit limit is a DocumentError.
+with an explicit stack, and ``rank_statecharts`` ranks them as they stand
+and rejects any other numbering, so ``pn2sc validate`` goes from bytes to
+ranks without building a ``ModelStore``; ``store_from_statechart`` builds
+one, with no recursion, for callers that want a store.
+``canonical_document`` puts a document in the canonical written form.
+Both transform routes end in it: ``document_from_statechart`` numbers a
+store's nodes, and ``flat.transform_net`` its flat lists, breadth-first in
+containment order. Readers accept any well-formed document but reject
+unknown fields. A document nested past what ``json.loads`` reads is read
+by ``_loads_iteratively``: memory is the only bound on depth. One with an
+integer over Python's digit limit is a DocumentError.
 
 The converters to and from ``ModelStore`` import ``pn2sc.model`` when
 they run, so importing this module loads no store code.
@@ -102,6 +102,10 @@ __all__ = [
 
 class DocumentError(ValueError):
     """A document failed to parse or violated its schema."""
+
+
+class _TextError(DocumentError):
+    """A document is not UTF-8 or not JSON, at a position the error names."""
 
 
 class ElementKind(Enum):
@@ -201,17 +205,15 @@ def _decode(data: bytes | str) -> object:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DocumentError(f"not valid UTF-8: {exc}") from None
+            raise _TextError(f"not valid UTF-8: {exc}") from None
     try:
         try:
             return json.loads(data)
         except RecursionError:  # nested past the json module's bound
             return _loads_iteratively(data)
     except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"JSON parse error at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from None
+        raise _TextError(f"JSON parse error at line {exc.lineno} column "
+                         f"{exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer literal over the digit limit
         reason = str(exc).partition(";")[0]
         raise DocumentError(f"JSON integer not readable: {reason}") from None
@@ -357,6 +359,7 @@ class StatechartDocument(NamedTuple):
     its children in order, and ``links`` the node numbers of a Basic's or
     HyperEdge's ``next`` targets, without repeats (empty for other kinds).
     ``counts`` is the per-kind tally of the tree, under the file's keys.
+    Ranking requires the numbering and rejects a document without it.
 
     ``parse_statechart`` numbers the nodes breadth-first in file order.
     ``canonical_document`` gives the canonical document: children in rank
@@ -484,66 +487,53 @@ class RankedTrees(NamedTuple):
     ranks: list[int]
 
 
-#: One depth of a laid-out document: its first node, the end of its range
-#: and its nodes that have children.
+#: One depth of a document: its first node and the end of its range, both
+#: shifted, and its nodes that have children, not shifted.
 _Level = tuple[int, int, list[int]]
+_NOT_DEPTH_NUMBERED = "document is not numbered depth by depth"
 
 
 def _layout(children: list[Sequence[int]], offset: int,
-            parents: list[int]) -> list[_Level] | None:
-    """The levels of a document laid out as the reader, ``FlatModel`` and
-    ``_store_document`` lay one out: the children of each node a range
-    that starts where those of the node before it end. Node numbers are
-    shifted by ``offset``, and each node's parent is set in ``parents``.
-    None when the document is laid out any other way."""
+            parents: list[int]) -> list[_Level]:
+    """The levels of a document numbered depth by depth, shifted by
+    ``offset``, with each node's parent set in ``parents`` (-1 on entry).
+    A range of children that starts where the level's children so far end
+    sets its parents at once, other children one at a time; a level's
+    children must then be exactly the next node numbers, each once. A
+    document numbered any other way raises a DocumentError."""
     levels: list[_Level] = []
     containers = list(compress(range(len(children)), children))
-    start, end, expected, first = 0, 1, 1, 0
+    start, end, expected, first, listed = 0, 1, 1, 0, False
     for at, node in enumerate(containers):
         while node >= end:  # the first container of a deeper level
-            if expected == end:
-                return None
+            if expected == end or listed and (
+                -1 in parents[offset + end:offset + expected]
+            ):
+                raise DocumentError(_NOT_DEPTH_NUMBERED)
             levels.append((start + offset, end + offset,
                            containers[first:at]))
-            start, end, first = end, expected, at
+            start, end, first, listed = end, expected, at, False
         kids = children[node]
-        if type(kids) is not range or kids.start != expected or (
-            kids.step != 1
+        if type(kids) is range and kids.start == expected and (
+            kids.step == 1
         ):
-            return None
-        parents[offset + expected:offset + kids.stop] = (
-            [offset + node] * len(kids))
-        expected = kids.stop
+            parents[offset + expected:offset + kids.stop] = (
+                [offset + node] * len(kids))
+            expected = kids.stop
+        else:
+            if not end <= min(kids) <= max(kids) < len(children):
+                raise DocumentError(_NOT_DEPTH_NUMBERED)
+            for kid in kids:
+                parents[offset + kid] = offset + node
+            expected += len(kids)
+            listed = True  # check the level's children when it closes
+    misplaced = listed and -1 in parents[offset + end:offset + expected]
     while start < end:
         levels.append((start + offset, end + offset, containers[first:]))
         start, end, first = end, expected, len(containers)
-    return levels if start == len(children) else None
-
-
-def _laid_out(doc: StatechartDocument) -> tuple[StatechartDocument,
-                                                 list[int]]:
-    """A copy of ``doc`` laid out for ``_layout``: numbered breadth-first,
-    in children order. Node ``i`` of the copy is node ``order[i]`` of
-    ``doc``, and ``order`` is returned with the copy."""
-    children = doc.children
-    order = [0]
-    for node in order:
-        order += children[node]
-    position = [0] * len(order)
-    for at, node in enumerate(order):
-        position[node] = at
-    laid: list[Sequence[int]] = []
-    start = 1
-    for node in order:
-        size = len(children[node])
-        laid.append(range(start, start + size) if size else ())
-        start += size
-    links = [tuple([position[target] for target in doc.links[node]])
-             for node in order]
-    return StatechartDocument(
-        order, [doc.kinds[node] for node in order],
-        [doc.names[node] for node in order], laid, links, doc.counts,
-    ), order
+    if misplaced or start != len(children):
+        raise DocumentError(_NOT_DEPTH_NUMBERED)
+    return levels
 
 
 def _dense(keys: list, base: int, out: list[int],
@@ -565,12 +555,10 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
     and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
     section 3.2), with integer keys and no recursion. A document is
-    ranked as it stands when it is laid out as the reader and the
-    transform lay one out (see ``_layout``), a store is flattened that
-    way, and any other document is renumbered breadth-first and given its
-    own numbers back at the end. Each level of each model is then one
-    range of nodes, whose children are the next range in order, so the
-    passes below read slices and never lay a tree out again:
+    ranked as it stands, and a store once flattened breadth-first. Each
+    level of each model is one range of nodes whose children are the next
+    range (see ``_layout``), so the passes below read slices and never
+    lay a tree out again:
 
     1. Top down, a level at a time: each node's label is the rank of its
        kind and name among the level's, and its name-path rank that of
@@ -586,30 +574,20 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
        one int, its label scaled above every tail rank plus its own, so
        each level sorts and hashes ints.
 
-    Every store must contain exactly one Statechart element with a top
-    state, and every link must stay inside the containment tree;
-    otherwise a DocumentError is raised.
+    A DocumentError is raised for a document not numbered depth by depth
+    and for a store without exactly one Statechart element with a top
+    state, or with a link outside the containment tree.
     """
-    originals = [model if isinstance(model, StatechartDocument)
-                 else _store_document(model) for model in models]
+    docs = [model if isinstance(model, StatechartDocument)
+            else _store_document(model) for model in models]
     roots = []
     total = 0
-    for doc in originals:
+    for doc in docs:
         roots.append(total)
         total += len(doc.kinds)
     parents = [-1] * total
-    docs = []
-    layouts = []
-    orders: list[list[int] | None] = []
-    for doc, offset in zip(originals, roots):
-        levels = _layout(doc.children, offset, parents)
-        order = None
-        if levels is None:
-            doc, order = _laid_out(doc)
-            levels = _layout(doc.children, offset, parents)
-        docs.append(doc)
-        layouts.append(levels)
-        orders.append(order)
+    layouts = [_layout(doc.children, offset, parents)
+               for doc, offset in zip(docs, roots)]
     kinds: list[str] = []
     names: list[str] = []
     for doc in docs:
@@ -706,7 +684,9 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
             for node in containers:
                 kids = doc_children[node]
                 if offset:
-                    kids = range(kids.start + offset, kids.stop + offset)
+                    kids = (range(kids.start + offset, kids.stop + offset,
+                                  kids.step) if type(kids) is range
+                            else [kid + offset for kid in kids])
                 if len(kids) > 1:
                     kids = sorted(kids, key=rank_of)
                     tails.append(tuple(map(rank_of, kids)))
@@ -731,21 +711,6 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
                 level[node - start] += next(ranked_tails)
             keys += level
         base = _dense(keys, base, ranks, [part[:2] for part in parts])
-
-    # Give renumbered documents their own numbers back.
-    for doc, order, offset in zip(originals, orders, roots):
-        if order is None:
-            continue
-        end = offset + len(order)
-        back = [offset + node for node in order]
-        kinds[offset:end], names[offset:end] = doc.kinds, doc.names
-        for values in (paths, ranks):
-            for node, value in zip(back, values[offset:end]):
-                values[node] = value
-        for node, parent, kids in zip(back, parents[offset:end],
-                                      children[offset:end]):
-            parents[node] = back[parent - offset] if parent >= 0 else -1
-            children[node] = [back[kid - offset] for kid in kids]
     return RankedTrees(roots, kinds, names, parents, children, paths, ranks)
 
 
@@ -754,9 +719,8 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     ``rank_statecharts``), a node's uid its preorder index and each node's
     links in ascending uid order. ``doc`` itself is not changed.
 
-    A document laid out as the reader and ``FlatModel.document`` lay one
-    out is ranked as it stands. One preorder walk then numbers the uids,
-    and only the links of nodes with two or more targets are sorted.
+    A document not numbered depth by depth is a DocumentError. One
+    preorder walk numbers the uids; only two or more links are sorted.
     """
     trees = rank_statecharts(doc)
     # Keep only what the document needs; the ranks, paths and parents

@@ -284,9 +284,10 @@ def validate_full(actual: Statechart,
     when their roots have equal ranks. Only when they do not are the
     discrepancies looked for: first kind by kind and name by name, and
     where that finds none, by descending the two trees. Raises ValueError
-    (a DocumentError) unless each store holds one Statechart with a top
-    state and keeps its links inside the containment tree; a parsed
-    document meets both by construction.
+    (a DocumentError) unless each document is numbered depth by depth and
+    each store holds one Statechart with a top state and keeps its links
+    inside the containment tree; a parsed document meets all by
+    construction.
     """
     trees = rank_statecharts(actual, expected)
     root_a, root_e = trees.roots

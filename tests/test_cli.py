@@ -624,3 +624,22 @@ def test_validate_names_the_column_and_offset_of_the_file(
     writer.join(timeout=30)
     assert not writer.is_alive()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_schema_error_reads_the_file_once(tmp_path, golden_dir, capsys):
+    # A schema message names no position, so the file is not read again
+    # as it stands to give one.
+    golden = golden_dir / "fork_join.statechart.json"
+    data = golden.read_bytes()
+    broken = data.replace(b'"hyperedge": ', b'"hyperedge": 1', 1)
+    assert broken != data
+    damaged = tmp_path / "damaged.json"
+    damaged.write_bytes(broken)
+    with pytest.raises(DocumentError) as exc:
+        parse_statechart(broken)
+    assert "does not match the tree" in str(exc.value)
+    with mock.patch.object(pn2sc.cli, "_read_file",
+                           side_effect=AssertionError("read again")):
+        for pair in ([damaged, golden], [golden, damaged]):
+            assert main(["validate", *map(str, pair)]) == 65
+            assert capsys.readouterr().err == f"error: {exc.value}\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -456,6 +457,45 @@ def test_parse_numbers_nodes_breadth_first():
     store = scio.store_from_statechart(doc)
     for kind in ElementKind:
         assert doc.count_of_kind(kind) == store.count_of_kind(kind), kind
+
+
+def _hand_built(kinds: list[str],
+                children: list) -> scio.StatechartDocument:
+    return scio.StatechartDocument(
+        list(range(len(kinds))), kinds, [""] * len(kinds), children,
+        [()] * len(kinds), scio.kind_counts(kinds))
+
+
+@pytest.mark.parametrize("doc", [
+    # the top AND lists the Statechart as its child
+    _hand_built(["Statechart", "AND"], [range(1, 2), [0]]),
+    # numbered in preorder: the second OR's Basic comes before it
+    _hand_built(["Statechart", "AND", "OR", "Basic", "Basic", "OR", "Basic"],
+                [range(1, 2), [2, 5], range(3, 5), (), (), [6], ()]),
+    # the AND names Basic 2 twice and Basic 3 not at all
+    _hand_built(["Statechart", "AND", "Basic", "Basic"],
+                [range(1, 2), [2, 2], (), ()]),
+    # negative numbers, which would index nodes 2 and 3 from the end
+    _hand_built(["Statechart", "AND", "Basic", "Basic"],
+                [range(1, 2), [-2, -1], (), ()]),
+], ids=["cyclic", "preorder", "child-twice", "negative"])
+def test_documents_not_numbered_depth_by_depth_are_rejected(doc):
+    good = scio.parse_statechart(
+        (GOLDEN_DIR / "fork_join.statechart.json").read_bytes())
+    calls = [
+        lambda: scio.rank_statecharts(doc),
+        lambda: scio.rank_statecharts(good, doc),
+        lambda: scio.rank_statecharts(doc, good),
+        lambda: scio.canonical_document(doc),
+        lambda: validate_full(doc, doc),
+        lambda: validate_full(good, doc),
+    ]
+    for call in calls:
+        started = time.perf_counter()
+        with pytest.raises(scio.DocumentError,
+                           match="not numbered depth by depth"):
+            call()
+        assert time.perf_counter() - started < 0.5
 
 
 def test_deep_document_is_read_with_the_recursion_limit_unchanged():

@@ -1,9 +1,11 @@
 """``rank_statecharts`` against the ranking it replaced.
 
 ``rank_reference`` holds the earlier ranking verbatim. On the same models,
-which may be laid-out documents, canonical documents or stores, both must
-give the same roots, kinds, names and parents, the same children order
-and the same ``paths`` and ``ranks``. The ``RankedTrees`` docstring fixes
+which may be documents as read (every children list a range), canonical
+documents, documents with each level's node numbers shuffled (children
+lists in any order) or stores, both must give the same roots, kinds,
+names and parents, the same children order and the same ``paths`` and
+``ranks``. The ``RankedTrees`` docstring fixes
 rank values (dense within a level, distinct between levels, ``paths``
 rising and ``ranks`` falling with depth), so equal lists are the same
 equality classes in the same order within each level. Canonical bytes and
@@ -57,19 +59,53 @@ def assert_same_report(actual, expected) -> None:
         assert report == validate.validate_full(actual, expected)
 
 
+def level_permuted(doc: scio.StatechartDocument,
+                   seed: int) -> scio.StatechartDocument:
+    """``doc`` with the node numbers of each level shuffled among
+    themselves, and its children and links rewritten to match: still
+    numbered depth by depth, but its children lists are not ranges and
+    run in any order within their level."""
+    rng = random.Random(seed)
+    new_of = list(range(len(doc.kinds)))
+    start, end = 0, 1
+    while start < end:
+        level = new_of[start:end]
+        rng.shuffle(level)
+        new_of[start:end] = level
+        start, end = end, end + sum(map(len, doc.children[start:end]))
+
+    def moved(values: list) -> list:
+        out = [None] * len(values)
+        for node, value in zip(new_of, values):
+            out[node] = value
+        return out
+
+    return scio.StatechartDocument(
+        moved(doc.uids), moved(doc.kinds), moved(doc.names),
+        moved([[new_of[kid] for kid in kids] for kids in doc.children]),
+        moved([tuple([new_of[target] for target in targets])
+               for targets in doc.links]),
+        doc.counts)
+
+
 def check_pair(data: bytes, partner: bytes) -> None:
     """Every check on a written statechart and a partner file: each as
-    read (laid out), in canonical form (not laid out) and as a store."""
+    read (children ranges), in canonical form (children lists in rank
+    order), the partner with each level shuffled (children lists in any
+    order) and as a store."""
     doc = scio.parse_statechart(data)
     other = scio.parse_statechart(partner)
     canonical = scio.canonical_document(other)
-    for model in (doc, other, canonical, scio.read_statechart(partner)):
+    permuted = level_permuted(other, len(partner))
+    for model in (doc, other, canonical, permuted,
+                  scio.read_statechart(partner)):
         assert_same_ranking(model)
     for first, second in ((doc, other), (other, doc), (canonical, doc),
+                          (permuted, doc), (doc, permuted),
                           (doc, scio.read_statechart(partner))):
         assert_same_ranking(first, second)
         assert_same_report(first, second)
-    for model in (doc, other, canonical):
+    for model in (doc, other, canonical, permuted):
         assert_same_canonical_bytes(model)
 
 
