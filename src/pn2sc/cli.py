@@ -53,12 +53,16 @@ def _read_statechart(path: str) -> scio.StatechartDocument:
     """Parse the statechart file at ``path``.
 
     A regular file is read ``_CHUNK_BYTES`` at a time through
-    ``statechart_text``, so its indentation is never held. If reading
-    fails, or the text is not UTF-8 or not JSON, the file is read and
-    parsed again as it stands, so that the error names the file's own
-    columns and offsets; a schema error names no position and is raised
-    at once. Any other path, such as a pipe, which cannot be read twice,
-    is read as it stands at once."""
+    ``statechart_text``, so its indentation is never held, and the text
+    goes straight to ``parse_statechart``, which drops it once it is
+    decoded and the decoded text once it is loaded, so neither is held
+    while the nodes are checked. (Python 3.10 keeps a call's arguments
+    until it returns, so there the text stays.) If reading fails, or the
+    text is not UTF-8 or not JSON, the file is read and parsed again as it
+    stands, so that the error names the file's own columns and offsets; a
+    schema error names no position and is raised at once. Any other path,
+    such as a pipe, which cannot be read twice, is read as it stands at
+    once."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # reading the path reports it
@@ -66,10 +70,9 @@ def _read_statechart(path: str) -> scio.StatechartDocument:
     if regular:
         try:
             with open(path, "rb") as handle:
-                text = scio.statechart_text(
+                return scio.parse_statechart(scio.statechart_text(
                     iter(lambda: handle.read(scio._CHUNK_BYTES), b"")
-                )
-            return scio.parse_statechart(text)
+                ))
         except (scio._TextError, OSError):
             pass
     return scio.parse_statechart(_read_file(path))

@@ -38,11 +38,14 @@ four nested fork/join spines 60 to 100 deep is 195 KB of a 7.7 MB file.
 
 In memory a statechart document is flat (``StatechartDocument``): per-node
 lists of uids, kinds, names, children and links, numbered depth by depth.
-The reader fills them in one breadth-first pass, the writer walks them
-with an explicit stack, and ``rank_statecharts`` ranks them as they stand
-and rejects any other numbering, so ``pn2sc validate`` goes from bytes to
-ranks without building a ``ModelStore``; ``store_from_statechart`` builds
-one, with no recursion, for callers that want a store.
+The reader checks each node as ``json.loads`` closes it and keeps it as a
+small tuple, not a dict, drops the text once it is loaded, then fills the
+lists in one breadth-first pass that drops each tuple once read. The
+writer walks the lists with an explicit stack, and ``rank_statecharts``
+ranks them as they stand and rejects any other numbering, so ``pn2sc
+validate`` goes from bytes to ranks without building a ``ModelStore``;
+``store_from_statechart`` builds one, with no recursion, for callers that
+want a store.
 ``canonical_document`` puts a document in the canonical written form.
 Both transform routes end in it: ``document_from_statechart`` numbers a
 store's nodes, and ``flat.transform_net`` its flat lists, breadth-first in
@@ -62,9 +65,9 @@ import re
 import sys
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import compress, count
+from itertools import chain, compress, count
 from io import BytesIO
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -146,10 +149,12 @@ _SKIP = json.decoder.WHITESPACE.match
 _NAMES_TRAILING_COMMA = sys.version_info >= (3, 13)
 
 
-def _loads_iteratively(text: str) -> object:
-    """``json.loads(text)`` with the open containers on a list, not on the
-    C stack, so that any depth reads. Rejected text raises the JSONDecodeError
-    of ``json.loads``, message and position alike (bar a leading BOM)."""
+def _loads_iteratively(text: str,
+                       hook: Callable[[dict], object] | None = None) -> object:
+    """``json.loads(text, object_hook=hook)`` with the open containers on a
+    list, not on the C stack, so that any depth reads. Rejected text raises
+    the JSONDecodeError of ``json.loads``, message and position alike (bar
+    a leading BOM)."""
     fail = json.JSONDecodeError
     opened: list[list] = []  # [members, key of the next one, "]" or "}"]
     at, keyed = _SKIP(text, 0).end(), False
@@ -172,6 +177,8 @@ def _loads_iteratively(text: str) -> object:
                 keyed = close == "}"
                 continue
             value, at = ([] if close == "]" else {}), at + 1
+            if hook is not None and close == "}":
+                value = hook(value)
         else:  # the scanner recurses only into containers
             try:
                 value, at = _SCAN_SCALAR(text, at)
@@ -192,7 +199,11 @@ def _loads_iteratively(text: str) -> object:
             if text[at:at + 1] != close:
                 raise fail("Expecting ',' delimiter", text, at)
             opened.pop()
-            value, at = (members if close == "]" else dict(members)), at + 1
+            if close == "]":
+                value = members
+            else:
+                value = dict(members) if hook is None else hook(dict(members))
+            at += 1
         else:
             at = _SKIP(text, at).end()
             if at != len(text):
@@ -200,17 +211,23 @@ def _loads_iteratively(text: str) -> object:
             return value
 
 
-def _decode(data: bytes | str) -> object:
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _TextError(f"not valid UTF-8: {exc}") from None
+
+
+def _decode(data: bytes | str,
+            hook: Callable[[dict], object] | None = None) -> object:
+    """The value of a JSON document, each object as ``hook`` returns it."""
     if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _TextError(f"not valid UTF-8: {exc}") from None
+        data = _utf8(data)
     try:
         try:
-            return json.loads(data)
+            return json.loads(data, object_hook=hook)
         except RecursionError:  # nested past the json module's bound
-            return _loads_iteratively(data)
+            return _loads_iteratively(data, hook)
     except json.JSONDecodeError as exc:
         raise _TextError(f"JSON parse error at line {exc.lineno} column "
                          f"{exc.colno}: {exc.msg}") from None
@@ -393,8 +410,6 @@ _LINKED_KINDS = (ElementKind.BASIC, ElementKind.HYPER_EDGE)
 _LINKED_KIND_NAMES = tuple(kind.value for kind in _LINKED_KINDS)
 _NODE_FIELDS = ("uid", "kind", "name", "children")
 _LINKED_NODE_FIELDS = ("uid", "kind", "name", "next", "children")
-_NODE_KEYS = frozenset(_NODE_FIELDS)
-_LINKED_NODE_KEYS = frozenset(_LINKED_NODE_FIELDS)
 _INT_TYPE = frozenset((int,))  # exact: bool is a subclass, and rejected
 
 
@@ -491,6 +506,7 @@ class RankedTrees(NamedTuple):
 #: shifted, and its nodes that have children, not shifted.
 _Level = tuple[int, int, list[int]]
 _NOT_DEPTH_NUMBERED = "document is not numbered depth by depth"
+_NOT_NODE_NUMBERS = "document {} must be int node numbers of the document"
 
 
 def _layout(children: list[Sequence[int]], offset: int,
@@ -521,6 +537,8 @@ def _layout(children: list[Sequence[int]], offset: int,
                 [offset + node] * len(kids))
             expected = kids.stop
         else:
+            if not _INT_TYPE.issuperset(map(type, kids)):
+                raise DocumentError(_NOT_NODE_NUMBERS.format("children"))
             if not end <= min(kids) <= max(kids) < len(children):
                 raise DocumentError(_NOT_DEPTH_NUMBERED)
             for kid in kids:
@@ -575,14 +593,21 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
        each level sorts and hashes ints.
 
     A DocumentError is raised for a document not numbered depth by depth
-    and for a store without exactly one Statechart element with a top
-    state, or with a link outside the containment tree.
+    or with children or links that are not its node numbers, and for a
+    store without exactly one Statechart element with a top state, or
+    with a link outside the containment tree.
     """
     docs = [model if isinstance(model, StatechartDocument)
             else _store_document(model) for model in models]
     roots = []
     total = 0
     for doc in docs:
+        targets = list(chain.from_iterable(doc.links))
+        if not (_INT_TYPE.issuperset(map(type, targets))
+                and min(targets, default=0) >= 0
+                and max(targets, default=0) < len(doc.kinds)):
+            raise DocumentError(_NOT_NODE_NUMBERS.format("links"))
+        del targets
         roots.append(total)
         total += len(doc.kinds)
     parents = [-1] * total
@@ -920,18 +945,109 @@ def statechart_text(chunks: Iterable[bytes]) -> bytes:
     return out.getvalue()
 
 
+def _checked_node(value: object, node_of: dict[int, int] | None = None,
+                  node: int = -1) -> object:
+    """The node ``value``, a JSON object, as the tuple (uid, kind, name,
+    children, next) if it is well formed, with next None for a kind
+    without it.
+
+    This is the ``object_hook`` of the reader, with no ``node_of``: then an
+    object with a fault is returned as it is, for the walk to word the
+    fault where it meets the object. The walk passes the uids of the nodes
+    it has read and the node's number; then the uid must also be new and a
+    Statechart must be node 0, and the first fault raises its DocumentError.
+    """
+    # json.loads yields only exact dict, list, str and int types (bool
+    # aside), so the type tests below are exact.
+    if type(value) is not dict:
+        return _node_fault(value, node_of, "node must be an object")
+    kind = value.get("kind")
+    linked = kind in _LINKED_KIND_NAMES
+    try:  # every field there, and no other: the keys are exactly a node's
+        uid, name, children = value["uid"], value["name"], value["children"]
+        targets = value["next"] if linked else None
+    except KeyError:
+        keyed = False
+    else:
+        keyed = len(value) == (5 if linked else 4)
+    if not keyed:
+        if node_of is None:
+            return value
+        _expect_object(value, "node",
+                       _LINKED_NODE_FIELDS if linked else _NODE_FIELDS)
+    if type(uid) is not int or uid < 0:
+        return _node_fault(value, node_of,
+                           "node uid must be a non-negative integer")
+    if node_of is not None and uid in node_of:
+        raise DocumentError(f"duplicate uid {uid}")
+    if type(kind) is not str:
+        return _node_fault(value, node_of, "node kind must be a string")
+    text = _KIND_TEXTS.get(kind)
+    if text is None:
+        return _node_fault(value, node_of, f"unknown kind {kind!r}")
+    if node_of is not None and (text == "Statechart") != (node == 0):
+        raise DocumentError(
+            "Statechart must appear exactly at the document root"
+        )
+    if type(name) is not str:
+        return _node_fault(value, node_of, "node name must be a string")
+    if type(children) is not list:
+        return _node_fault(value, node_of, "children must be a list")
+    if linked:
+        if type(targets) is not list or not _INT_TYPE.issuperset(
+            map(type, targets)
+        ):
+            return _node_fault(value, node_of, "next must be a list of uids")
+        if children:
+            return _node_fault(value, node_of,
+                               f"{text} nodes cannot have children")
+    return uid, text, name, children, targets
+
+
+def _node_fault(value: object, node_of: dict[int, int] | None,
+                message: str) -> object:
+    """What ``_checked_node`` gives for a fault: the object as it is to the
+    hook, a DocumentError to the walk."""
+    if node_of is None:
+        return value
+    raise DocumentError(message)
+
+
+def _as_object(value: object) -> object:
+    """A node tuple as the object it was read from; any other value as it
+    is. So a node-shaped object where no node belongs reads as before."""
+    if type(value) is not tuple:
+        return value
+    uid, kind, name, children, targets = value
+    found = {"uid": uid, "kind": kind, "name": name, "children": children}
+    if targets is not None:
+        found["next"] = targets
+    return found
+
+
 def parse_statechart(data: bytes | str) -> StatechartDocument:
     """Parse and schema-check a statechart document.
 
-    One breadth-first pass over the output of ``json.loads`` fills the
-    document's lists, so no depth of tree needs recursion here. Repeated
-    uids in a ``next`` list count once. ``data`` may be a file's bytes as
-    they stand or as ``statechart_text`` gives them: both give the same
-    document, and the same error, except for the column and the offset
-    that a parse error names.
+    ``json.loads`` checks each node's own fields as it closes the node
+    (``_checked_node``), so a node is held as a small tuple, not a dict, and
+    a text decoded from bytes is dropped once it is loaded. One
+    breadth-first pass over the tuples then numbers the nodes, checks what
+    needs the whole tree (repeated uids, where the Statechart is, links,
+    counts) and drops each tuple once it is read, so no depth of tree
+    needs recursion here. A malformed node is met in the same order as
+    before and gets the same message. Repeated uids in a ``next`` list
+    count once. ``data`` may be a file's bytes as they stand or as
+    ``statechart_text`` gives them: both give the same document, and the
+    same error, except for the column and the offset that a parse error
+    names.
     """
-    raw = _expect_object(_decode(data), "document", ("root", "counts"))
-    counts_raw = _expect_object(raw["counts"], "counts", _COUNT_KEYS)
+    if isinstance(data, bytes):  # decoded here, so the bytes go with it
+        data = _utf8(data)
+    raw = _decode(data, _checked_node)
+    del data
+    raw = _expect_object(_as_object(raw), "document", ("root", "counts"))
+    counts_raw = _expect_object(_as_object(raw["counts"]), "counts",
+                                _COUNT_KEYS)
     counts = {}
     for key in _COUNT_KEYS:
         value = counts_raw[key]
@@ -945,50 +1061,20 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
     children: list[Sequence[int]] = []
     node_of: dict[int, int] = {}
     pending: list[tuple[int, list[int]]] = []
-    # ``queue`` holds the raw nodes; appending a node's children as it is
+    # ``queue`` holds the nodes read; appending a node's children as it is
     # read numbers every node breadth-first.
     queue = [raw["root"]]
+    del raw
     for node, value in enumerate(queue):
-        # json.loads yields only exact dict, list, str and int types (bool
-        # aside), so the type tests below are exact.
-        linked = (type(value) is dict
-                  and value.get("kind") in _LINKED_KIND_NAMES)
-        keys = _LINKED_NODE_KEYS if linked else _NODE_KEYS
-        if type(value) is not dict or value.keys() != keys:
-            _expect_object(value, "node",
-                           _LINKED_NODE_FIELDS if linked else _NODE_FIELDS)
-        uid = value["uid"]
-        if type(uid) is not int or uid < 0:
-            raise DocumentError("node uid must be a non-negative integer")
-        if uid in node_of:
-            raise DocumentError(f"duplicate uid {uid}")
+        queue[node] = None  # the tuple, and its lists, go once read
+        if type(value) is not tuple or value[0] in node_of or (
+            (value[1] == "Statechart") != (node == 0)
+        ):  # word the first fault
+            value = _checked_node(_as_object(value), node_of, node)
+        uid, kind, name, raw_children, targets = value
         node_of[uid] = node
-        kind = value["kind"]
-        if type(kind) is not str:
-            raise DocumentError("node kind must be a string")
-        if kind not in _KIND_TEXTS:
-            raise DocumentError(f"unknown kind {kind!r}")
-        kind = _KIND_TEXTS[kind]
-        if (kind == "Statechart") != (node == 0):
-            raise DocumentError(
-                "Statechart must appear exactly at the document root"
-            )
-        name = value["name"]
-        if type(name) is not str:
-            raise DocumentError("node name must be a string")
-        raw_children = value["children"]
-        if type(raw_children) is not list:
-            raise DocumentError("children must be a list")
-        if linked:
-            raw_next = value["next"]
-            if type(raw_next) is not list or not _INT_TYPE.issuperset(
-                map(type, raw_next)
-            ):
-                raise DocumentError("next must be a list of uids")
-            if raw_next:
-                pending.append((node, raw_next))
-            if raw_children:
-                raise DocumentError(f"{kind} nodes cannot have children")
+        if targets:
+            pending.append((node, targets))
         uids.append(uid)
         kinds.append(kind)
         names.append(name)
@@ -998,7 +1084,7 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
             children.append(range(first, len(queue)))
         else:
             children.append(())
-    del queue, raw
+    del queue
 
     top = children[0]
     if len(top) != 1 or kinds[top[0]] != "AND":

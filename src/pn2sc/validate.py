@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .io import STATECHART_KINDS, ElementKind, RankedTrees, rank_statecharts
@@ -103,28 +103,44 @@ def _label_mismatches(trees: RankedTrees,
     of its nodes. So a label can occur unequally often or in other places
     only if it holds a ``paths`` rank that the two models hold unequally
     often, and a HyperEdge label can link differently only if it holds
-    such a ``ranks`` value. The nodes of the other labels are never
-    collected.
+    such a ``ranks`` value. One Counter per list finds those values: it
+    counts the actual model's half and subtracts the expected half, with
+    no copy of either half; of ``ranks`` it counts only the HyperEdges'.
+    A node is then looked up only for each value that differs, and any
+    node holding it gives its label. The nodes of the other labels are
+    never collected.
     """
     kinds, names = trees.kinds, trees.names
-    hyper_edge = ElementKind.HYPER_EDGE.value
+    is_edge = ElementKind.HYPER_EDGE.value.__eq__
     wanted = set()
     for values, hyper_edges_only in ((trees.paths, False),
                                      (trees.ranks, True)):
-        unequal = (Counter(values[:first_expected]).items()
-                   ^ Counter(values[first_expected:]).items())
-        if unequal:
-            node_of = dict(zip(values, range(len(values))))
-            for value, _ in unequal:
-                node = node_of[value]
-                if not hyper_edges_only or kinds[node] == hyper_edge:
-                    wanted.add((kinds[node], names[node]))
+        held = islice(values, first_expected)
+        subtracted = islice(values, first_expected, None)
+        if hyper_edges_only:
+            held = compress(held, map(is_edge, kinds))
+            subtracted = compress(subtracted, map(
+                is_edge, islice(kinds, first_expected, None)))
+        tally = Counter(held)
+        for value in subtracted:
+            tally[value] -= 1
+        unequal = set(compress(tally, tally.values()))
+        if not unequal:
+            continue
+        for node in compress(count(), map(unequal.__contains__, values)):
+            unequal.discard(values[node])
+            wanted.add((kinds[node], names[node]))
+            if not unequal:
+                break
     actual: dict[tuple[str, str], list[int]] = {}
     expected: dict[tuple[str, str], list[int]] = {}
-    for node in compress(count(), map(wanted.__contains__,
-                                      zip(kinds, names))):
-        side = actual if node < first_expected else expected
-        side.setdefault((kinds[node], names[node]), []).append(node)
+    # A name's hash is kept with it, a label's is not: match names first.
+    wanted_names = {name for _, name in wanted}
+    for node in compress(count(), map(wanted_names.__contains__, names)):
+        label = (kinds[node], names[node])
+        if label in wanted:
+            side = actual if node < first_expected else expected
+            side.setdefault(label, []).append(node)
     found = []
     for label in sorted(wanted):
         text = f"{label[0]}({label[1]})"

@@ -498,6 +498,30 @@ def test_documents_not_numbered_depth_by_depth_are_rejected(doc):
         assert time.perf_counter() - started < 0.5
 
 
+@pytest.mark.parametrize("children, links, fault", [
+    ([range(1, 2), range(2, 3), ()], [(), (), (99,)], "links"),
+    ([range(1, 2), range(2, 3), ()], [(), (), (-1,)], "links"),
+    ([range(1, 2), range(2, 3), ()], [(), (), (True,)], "links"),
+    ([range(1, 2), range(2, 3), ()], [(), (), (2.0,)], "links"),
+    ([range(1, 2), [2.0], ()], [(), (), ()], "children"),
+    ([range(1, 2), [True], ()], [(), (), ()], "children"),
+], ids=["past-the-end", "negative", "bool", "float", "float-child",
+        "bool-child"])
+def test_ranking_rejects_links_and_children_that_are_not_node_numbers(
+        children, links, fault):
+    kinds = ["Statechart", "AND", "Basic"]
+    doc = scio.StatechartDocument([0, 1, 2], kinds, ["", "", "p"],
+                                  children, links, scio.kind_counts(kinds))
+    good = scio.parse_statechart(
+        (GOLDEN_DIR / "fork_join.statechart.json").read_bytes())
+    for call in (lambda: scio.canonical_document(doc),
+                 lambda: validate_full(doc, doc),
+                 lambda: validate_full(good, doc)):
+        with pytest.raises(scio.DocumentError,
+                           match=f"document {fault} must be int node"):
+            call()
+
+
 def test_deep_document_is_read_with_the_recursion_limit_unchanged():
     # JSON nested about 1 200 deep: past what json.loads reads under the
     # default recursion limit before Python 3.13
