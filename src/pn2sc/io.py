@@ -969,7 +969,7 @@ def _checked_node(value: object, node_of: dict[int, int] | None = None,
     except KeyError:
         keyed = False
     else:
-        keyed = len(value) == (5 if linked else 4)
+        keyed = len(value) == (5 if linked else 4) and "kind" in value
     if not keyed:
         if node_of is None:
             return value

@@ -122,8 +122,7 @@ def _label_mismatches(trees: RankedTrees,
             subtracted = compress(subtracted, map(
                 is_edge, islice(kinds, first_expected, None)))
         tally = Counter(held)
-        for value in subtracted:
-            tally[value] -= 1
+        tally.subtract(subtracted)
         unequal = set(compress(tally, tally.values()))
         if not unequal:
             continue
@@ -134,13 +133,10 @@ def _label_mismatches(trees: RankedTrees,
                 break
     actual: dict[tuple[str, str], list[int]] = {}
     expected: dict[tuple[str, str], list[int]] = {}
-    # A name's hash is kept with it, a label's is not: match names first.
-    wanted_names = {name for _, name in wanted}
-    for node in compress(count(), map(wanted_names.__contains__, names)):
-        label = (kinds[node], names[node])
-        if label in wanted:
-            side = actual if node < first_expected else expected
-            side.setdefault(label, []).append(node)
+    for node in compress(count(), map(wanted.__contains__,
+                                      zip(kinds, names))):
+        side = actual if node < first_expected else expected
+        side.setdefault((kinds[node], names[node]), []).append(node)
     found = []
     for label in sorted(wanted):
         text = f"{label[0]}({label[1]})"

@@ -10,6 +10,7 @@ import json
 import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,9 +66,10 @@ _NODE_SHAPED = st.sampled_from([
         {"uid": 2, "kind": "Basic", "name": "q", "next": [],
          "children": []}]},
 ])
-EDITS = ("none", "key-dropped", "key-added", "wrong-type", "uid-repeated",
-         "kind-unknown", "statechart-below-root", "node-as-counts",
-         "node-as-next", "node-as-document", "link-retargeted")
+EDITS = ("none", "key-dropped", "key-added", "key-renamed", "wrong-type",
+         "uid-repeated", "kind-unknown", "statechart-below-root",
+         "node-as-counts", "node-as-next", "node-as-document",
+         "link-retargeted")
 
 
 @st.composite
@@ -87,6 +89,12 @@ def _edited_charts(draw) -> tuple[object, dict]:
         target = draw(st.sampled_from(objects))
         key = draw(st.sampled_from(["extra", "next", "children", "root"]))
         target[key] = draw(_WRONG_VALUES | _NODE_SHAPED)
+    elif edit == "key-renamed":
+        target = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(target)))
+        target[draw(st.sampled_from(
+            ["extra", "uid", "kind", "name", "next", "children", "root"]))] = (
+            target.pop(key))
     elif edit == "wrong-type":
         target = draw(st.sampled_from(objects))
         target[draw(st.sampled_from(sorted(target)))] = draw(_WRONG_VALUES)
@@ -179,6 +187,25 @@ def test_reader_past_json_depth_gives_the_reference_document_or_message(
         assert _read(scio.parse_statechart, deep) == (
             _read(reader_reference.parse_statechart, deep))
     assert fallback.call_count == 2
+
+
+@pytest.mark.parametrize("kind, replacement", [
+    ("Basic", None), ("HyperEdge", None), ("AND", "next"), ("OR", "extra")])
+def test_a_node_without_its_kind_gets_the_reference_message(kind,
+                                                             replacement):
+    # A linked node without "kind" keeps four keys, as many as an unlinked
+    # node has, and so does an unlinked node whose "kind" is renamed.
+    value = json.loads((GOLDEN_DIR / "fork_join.statechart.json")
+                       .read_bytes())
+    node = next(node for node, _ in json_nodes(value)
+                if node["kind"] == kind)
+    del node["kind"]
+    if replacement is not None:
+        node[replacement] = []
+    data = json.dumps(value).encode("utf-8")
+    found = _read(scio.parse_statechart, data)
+    assert found == _read(reader_reference.parse_statechart, data)
+    assert found[1].startswith("node has unknown fields: "), found
 
 
 def test_an_unedited_chart_nested_past_json_still_reads():
