@@ -8,12 +8,16 @@ element numbers and output bytes of the store route in ``init.py`` and
 stays as the reference implementation. Both routes use the records and
 ``run_rounds`` defined here, and nothing here imports the store.
 
-The net is held as per-transition sets of pre- and post-places and
-per-place sets of producing and consuming transitions. Places are
+The net is held as per-transition tuples of pre- and post-places and
+per-place sets of producing and consuming transitions. The live tuples
+start as the net's numbered arcs themselves, shared, not copied: a
+firing replaces a transition's tuple and never changes one, so the
+original arcs stay for the hyperedges and the links. Places are
 numbered 0, 1, ... in file order and transitions after them, as
 ``store_from_petri_net`` numbers them, so a firing event names the same
 transition number by either route; inside this module transition ``t``
-is list index ``t - place_count``. A deleted element's sets become None.
+is list index ``t - place_count``. A deleted element's tuples or sets
+become None.
 
 The statechart is held as per-element lists of kinds, names and ordered
 children, numbered as the store numbers them: each place's OR then its
@@ -168,6 +172,11 @@ class FlatModel:
     ``assign_hyperedges`` and ``document`` then do what their namesakes in
     ``reduce.py`` and ``io.py`` do to a pair of stores, and ``reduce``
     runs the middle three.
+
+    ``pre`` and ``post`` hold each transition's original arcs as tuples
+    of place numbers; ``t_pre`` and ``t_post`` its live arcs, and
+    ``p_pre`` and ``p_post`` each place's live producers and consumers.
+    The model keeps the net's names but not the net.
     """
 
     def __init__(self, net: PetriNetDocument) -> None:
@@ -178,6 +187,7 @@ class FlatModel:
                           for t in transitions]
         self.post = post = [tuple([number[p] for p in t.post])
                             for t in transitions]
+        del number
         producers: list[list[int]] = [[] for _ in places]
         consumers: list[list[int]] = [[] for _ in places]
         for t, targets in enumerate(post):
@@ -186,7 +196,6 @@ class FlatModel:
         for t, sources in enumerate(pre):
             for p in sources:
                 consumers[p].append(t)
-        self.consumers = consumers
 
         kinds: list[str] = []
         names: list[str] = []
@@ -225,10 +234,17 @@ class FlatModel:
         self.edges = edges
         self.root = -1
 
-        self.t_pre: list[set[int] | None] = [set(s) for s in pre]
-        self.t_post: list[set[int] | None] = [set(s) for s in post]
-        self.p_pre: list[set[int] | None] = [set(s) for s in producers]
-        self.p_post: list[set[int] | None] = [set(s) for s in consumers]
+        # Shared, not copied: ``assign_hyperedges`` and ``document`` read
+        # the original arcs, so a firing replaces a tuple, never changes it.
+        self.t_pre: list[tuple[int, ...] | None] = pre.copy()
+        self.t_post: list[tuple[int, ...] | None] = post.copy()
+        # The lists were read in ascending order above; each now becomes a
+        # set in its place.
+        for neighbours in (producers, consumers):
+            for p, ts in enumerate(neighbours):
+                neighbours[p] = set(ts)
+        self.p_pre: list[set[int] | None] = producers
+        self.p_post: list[set[int] | None] = consumers
         # place -> its consumers with >= 2 pre-places (producers with >= 2
         # post-places): the only neighbours of q whose AND checks an OR
         # merge into q can change
@@ -275,7 +291,8 @@ class FlatModel:
                 multi_consumers.pop(other, None)
                 multi_producers.pop(other, None)
             # Every dead place had the survivor's neighbours, so only
-            # their arcs shrink.
+            # their arcs shrink, and a side that held no more than the
+            # merged places keeps the survivor alone.
             gone = set(dead)
             for arcs_of, neighbours, index in (
                     (t_pre, post_set, multi_consumers),
@@ -283,7 +300,9 @@ class FlatModel:
                 multi = index.get(survivor)
                 for u in neighbours:
                     arcs = arcs_of[u]
-                    arcs -= gone
+                    arcs = arcs_of[u] = (
+                        (survivor,) if len(arcs) == len(ordered)
+                        else tuple([p for p in arcs if p not in gone]))
                     if multi and len(arcs) < 2:
                         multi.discard(u)
             if on_fire is not None:
@@ -313,14 +332,11 @@ class FlatModel:
                     return None
                 q_post.discard(t)
                 r_pre.discard(t)
-                for u in r_pre:
-                    arcs = t_post[u]
-                    arcs.discard(r)
-                    arcs.add(q)
-                for u in r_post:
-                    arcs = t_pre[u]
-                    arcs.discard(r)
-                    arcs.add(q)
+                for arcs_of, neighbours in ((t_post, r_pre), (t_pre, r_post)):
+                    for u in neighbours:
+                        arcs = arcs_of[u]
+                        arcs_of[u] = ((q,) if len(arcs) == 1 else tuple(
+                            [q if p == r else p for p in arcs]))
                 q_pre |= r_pre
                 q_post |= r_post
                 p_pre[r] = p_post[r] = None
@@ -418,16 +434,25 @@ class FlatModel:
                 tree_children.append(())
         kinds = [self.kinds[element] for element in order]
         names = [self.names[element] for element in order]
-        links: list[tuple[int, ...]] = [()] * len(order)
+        links: list[Sequence[int]] = [()] * len(order)
         basic_of, edge_of = self.basic_of, self.edge_of
-        for p, consumers in enumerate(self.consumers):
-            if consumers:
-                links[node_of[basic_of[p]]] = tuple(
-                    [node_of[edge_of[t]] for t in consumers])
+        # A Basic links its place's consumers, in ascending order.
+        basics = [node_of[basic] for basic in basic_of]
+        for t, sources in enumerate(self.pre):
+            edge = node_of[edge_of[t]]
+            for p in sources:
+                node = basics[p]
+                if links[node]:
+                    links[node].append(edge)
+                else:
+                    links[node] = [edge]
+        for node in basics:
+            if links[node]:
+                links[node] = tuple(links[node])
         for t, targets in enumerate(self.post):
             if targets:
                 links[node_of[edge_of[t]]] = tuple(
-                    [node_of[basic_of[p]] for p in targets])
+                    [basics[p] for p in targets])
         return canonical_document(StatechartDocument(
             order, kinds, names, tree_children, links, kind_counts(kinds)))
 
@@ -446,7 +471,13 @@ def transform_net(
 ) -> tuple[StatechartDocument | None, ReductionResult]:
     """Initialize, reduce to a fixpoint, create the top state and assign
     the hyperedges on flat lists; return the canonical document (None
-    when the net is irreducible) and the result."""
+    when the net is irreducible) and the result.
+
+    The net is dropped once the model is built, so a caller that passes
+    it inline, as ``pn2sc transform`` does, holds it no longer (from
+    Python 3.11; on 3.10 a caller holds its arguments until the call
+    returns)."""
     model = FlatModel(net)
+    del net
     result = model.reduce(on_fire)
     return model.document() if result.ok else None, result

@@ -8,6 +8,10 @@ Petri net files::
                        "pre": ["p0"], "post": ["p1"]}, ...]
     }
 
+The reader turns each well-formed place and transition into its record
+as ``json.loads`` closes the object, so it holds no dict per entry and
+no list per arc side.
+
 Statechart files hold the containment tree under "root" plus a per-kind
 tally. Every node has "uid", "kind", "name" and "children"; Basic and
 HyperEdge nodes additionally carry "next", the uids of their successors
@@ -250,8 +254,52 @@ def _expect_object(value: object, what: str, keys: tuple[str, ...]) -> dict:
 
 _PLACE_FIELDS = ("id", "name")
 _TRANSITION_FIELDS = ("id", "name", "pre", "post")
-_PLACE_KEYS = frozenset(_PLACE_FIELDS)
-_TRANSITION_KEYS = frozenset(_TRANSITION_FIELDS)
+
+
+def _petri_entry(value: dict) -> object:
+    """The ``object_hook`` of the Petri net reader: an object with exactly
+    a place's keys and a string id and name as its ``PlaceSpec``; one with
+    exactly a transition's keys, a string id and name and list arcs as its
+    ``TransitionSpec``, with tuple arcs; any other object as it is.
+
+    It neither raises nor hashes a value (an arc entry may be unhashable,
+    and ``_decode`` words any ValueError as an unreadable integer): the
+    walk words every fault.
+    """
+    size = len(value)
+    if size != 2 and size != 4:
+        return value
+    eid, name = value.get("id"), value.get("name")
+    if type(eid) is not str or type(name) is not str:
+        return value
+    if size == 2:
+        return PlaceSpec(eid, name)
+    pre, post = value.get("pre"), value.get("post")
+    if type(pre) is not list or type(post) is not list:
+        return value
+    return TransitionSpec(eid, name, tuple(pre), tuple(post))
+
+
+def _petri_object(value: object) -> object:
+    """A record as the object it was read from; any other value as it is.
+    So a record where no entry of its kind belongs reads as before."""
+    if type(value) is PlaceSpec:
+        return {"id": value.id, "name": value.name}
+    if type(value) is TransitionSpec:
+        return {"id": value.id, "name": value.name, "pre": list(value.pre),
+                "post": list(value.post)}
+    return value
+
+
+def _arcs_sound(pre: Sequence, post: Sequence,
+                place_ids: frozenset[str]) -> bool:
+    """Whether each side holds only known places, none twice."""
+    try:
+        return (place_ids.issuperset(pre) and place_ids.issuperset(post)
+                and len(set(pre)) == len(pre)
+                and len(set(post)) == len(post))
+    except TypeError:  # an unhashable entry
+        return False
 
 
 def _arc_fault(tid: str, pre: object, post: object,
@@ -274,59 +322,84 @@ def _arc_fault(tid: str, pre: object, post: object,
     raise AssertionError(f"the arcs of {tid!r} have no fault")
 
 
+def _place_fault(item: object, seen_ids: set[str]) -> str:
+    """The message for the first fault of a place entry that is not a
+    ``PlaceSpec``; a fault of its shape raises here."""
+    _expect_object(item, "place", _PLACE_FIELDS)
+    pid = item["id"]
+    if type(pid) is not str:
+        return "place id must be a string"
+    if pid in seen_ids:
+        return f"duplicate id {pid!r}"
+    if type(item["name"]) is not str:
+        return "place name must be a string"
+    raise AssertionError(f"place {pid!r} has no fault")
+
+
+def _transition_fault(item: object, seen_ids: set[str],
+                      place_ids: frozenset[str]) -> str:
+    """The message for the first fault of a transition entry that is not a
+    ``TransitionSpec``; a fault of its shape raises here."""
+    _expect_object(item, "transition", _TRANSITION_FIELDS)
+    tid, pre, post = item["id"], item["pre"], item["post"]
+    if type(tid) is not str:
+        return "transition id must be a string"
+    if tid in seen_ids:
+        return f"duplicate id {tid!r}"
+    if (type(pre) is not list or type(post) is not list
+            or not _arcs_sound(pre, post, place_ids)):
+        return _arc_fault(tid, pre, post, place_ids)
+    if type(item["name"]) is not str:
+        return "name must be a string"
+    raise AssertionError(f"transition {tid!r} has no fault")
+
+
 def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     """Parse and schema-check a Petri net document.
 
-    Each entry is checked once, in an order that makes its first fault
-    name the DocumentError: a place's id, that the id is new, its name; a
-    transition's id, that the id is new, its arcs (see ``_arc_fault``),
-    its name. json.loads yields only exact types, so the tests are exact.
+    ``json.loads`` turns each well-formed entry into its record as it
+    closes the object (``_petri_entry``), so an entry is held as a small
+    tuple, not a dict, with tuple arcs, and a text decoded from bytes is
+    dropped once it is loaded. The walk then checks what needs more than
+    the entry: that each id is new and that each side of a transition
+    names known places, none twice. Each entry is checked once, in an
+    order that makes its first fault name the DocumentError: a place's
+    shape, id, that the id is new, its name; a transition's shape, id,
+    that the id is new, its arcs (see ``_arc_fault``), its name. A record
+    where no entry of its kind belongs is checked as the object it was.
+    json.loads yields only exact types, so the tests are exact.
     """
-    raw = _expect_object(_decode(data), "document", ("places", "transitions"))
-    if not isinstance(raw["places"], list) or not isinstance(
-        raw["transitions"], list
-    ):
+    if isinstance(data, bytes):  # decoded here, so the bytes go with it
+        data = _utf8(data)
+    raw = _decode(data, _petri_entry)
+    del data
+    raw = _expect_object(_petri_object(raw), "document",
+                         ("places", "transitions"))
+    places, transitions = raw["places"], raw["transitions"]
+    del raw
+    if not isinstance(places, list) or not isinstance(transitions, list):
         raise DocumentError("'places' and 'transitions' must be lists")
     seen_ids: set[str] = set()
-    places = []
-    for item in raw["places"]:
-        if type(item) is not dict or item.keys() != _PLACE_KEYS:
-            _expect_object(item, "place", _PLACE_FIELDS)
-        pid, name = item["id"], item["name"]
-        if type(pid) is not str:
-            raise DocumentError("place id must be a string")
+    for item in places:
+        if type(item) is not PlaceSpec:
+            raise DocumentError(_place_fault(_petri_object(item), seen_ids))
+        pid, _ = item
         if pid in seen_ids:
             raise DocumentError(f"duplicate id {pid!r}")
-        if type(name) is not str:
-            raise DocumentError("place name must be a string")
         seen_ids.add(pid)
-        places.append(PlaceSpec(pid, name))
     place_ids = frozenset(seen_ids)
 
-    transitions = []
-    for item in raw["transitions"]:
-        if type(item) is not dict or item.keys() != _TRANSITION_KEYS:
-            _expect_object(item, "transition", _TRANSITION_FIELDS)
-        tid, name, pre, post = (item["id"], item["name"], item["pre"],
-                                item["post"])
-        if type(tid) is not str:
-            raise DocumentError("transition id must be a string")
+    for item in transitions:
+        if type(item) is not TransitionSpec:
+            raise DocumentError(_transition_fault(_petri_object(item),
+                                                  seen_ids, place_ids))
+        tid, _, pre, post = item
         if tid in seen_ids:
             raise DocumentError(f"duplicate id {tid!r}")
-        try:
-            arcs_ok = (type(pre) is list and type(post) is list
-                       and place_ids.issuperset(pre)
-                       and place_ids.issuperset(post)
-                       and len(set(pre)) == len(pre)
-                       and len(set(post)) == len(post))
-        except TypeError:  # an unhashable entry
-            arcs_ok = False
-        if not arcs_ok:
-            raise DocumentError(_arc_fault(tid, pre, post, place_ids))
-        if type(name) is not str:
-            raise DocumentError("name must be a string")
+        if not _arcs_sound(pre, post, place_ids):
+            raise DocumentError(_arc_fault(tid, list(pre), list(post),
+                                           place_ids))
         seen_ids.add(tid)
-        transitions.append(TransitionSpec(tid, name, tuple(pre), tuple(post)))
     return PetriNetDocument(tuple(places), tuple(transitions))
 
 

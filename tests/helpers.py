@@ -302,6 +302,19 @@ def statechart_cases() -> list[tuple[str, bytes]]:
     return cases
 
 
+def past_json_depth() -> int:
+    """A nesting that ``json.loads`` does not read where it is called
+    (hypothesis raises the recursion limit while a test runs)."""
+    depth = 1_000
+    while depth <= 1 << 17:
+        try:
+            json.loads("[" * depth + "]" * depth)
+        except RecursionError:
+            return depth
+        depth *= 2
+    raise AssertionError(f"json.loads read {depth // 2} levels")
+
+
 def json_nodes(doc: dict) -> list[tuple[dict, dict | None]]:
     """Every node of a statechart JSON object with its parent, in
     preorder."""

@@ -3,6 +3,7 @@ CLI path: same firings, same bytes, same irreducible counts."""
 
 from __future__ import annotations
 
+import copy
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from helpers import (
     nested_fork_join_net,
     net_document,
 )
-from pn2sc.flat import transform_net
+from pn2sc.flat import FlatModel, transform_net
 from pn2sc.io import (
     PetriNetDocument,
     canonical_document,
@@ -59,6 +60,19 @@ def test_flat_core_fires_like_the_store(net):
 @settings(max_examples=200, deadline=None)
 def test_flat_core_fires_like_the_store_on_arbitrary_nets(net):
     _assert_same_as_store(net_document(*net))
+
+
+@pytest.mark.parametrize("net", differential_nets())
+def test_transforming_a_net_twice_leaves_it_and_its_arcs_as_they_were(net):
+    # The model's live arcs share the tuples of its original arcs, and
+    # ``cli.run_bench`` builds a model from one net once per repetition.
+    before = copy.deepcopy(net)
+    assert _flat_route(net) == _flat_route(net)
+    assert net == before
+    model = FlatModel(net)
+    model.fixpoint()
+    fresh = FlatModel(net)
+    assert (model.pre, model.post) == (fresh.pre, fresh.post)
 
 
 def test_choice_net_reduces_in_linear_time():

@@ -15,24 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reader_reference
-from helpers import GOLDEN_DIR, json_nodes, nested_fork_join_net
+from helpers import (GOLDEN_DIR, json_nodes, nested_fork_join_net,
+                     past_json_depth)
 from pn2sc import cli
 from pn2sc import io as scio
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
-
-
-def _past_json_depth() -> int:
-    """A nesting that ``json.loads`` does not read where it is called
-    (hypothesis raises the recursion limit while a test runs)."""
-    depth = 1_000
-    while depth <= 1 << 17:
-        try:
-            json.loads("[" * depth + "]" * depth)
-        except RecursionError:
-            return depth
-        depth *= 2
-    raise AssertionError(f"json.loads read {depth // 2} levels")
 
 
 _SPINE_UID = 10 ** 6  # above every uid of the documents edited
@@ -143,7 +131,7 @@ def _nested_past_json(value: object, top: dict) -> str | None:
     if json.dumps(_PLACEHOLDER) not in text:
         return None
     # each node of the chain is two levels: an object and its children
-    length = _past_json_depth() // 2 + 1
+    length = past_json_depth() // 2 + 1
     chain = "".join(
         f'{{"uid":{_SPINE_UID + at},"kind":"{"AND" if at % 2 else "OR"}",'
         f'"name":"","children":['
@@ -214,7 +202,7 @@ def test_an_unedited_chart_nested_past_json_still_reads():
     deep = _nested_past_json(value, value["root"]["children"][0])
     doc = scio.parse_statechart(deep)
     assert doc == reader_reference.parse_statechart(deep)
-    assert doc.counts["or"] + doc.counts["and"] > _past_json_depth() // 2
+    assert doc.counts["or"] + doc.counts["and"] > past_json_depth() // 2
 
 
 def test_reading_a_file_holds_less_than_the_reference_reader(tmp_path):
