@@ -67,7 +67,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
@@ -550,8 +550,10 @@ class RankedTrees(NamedTuple):
 
     Each model's nodes keep the numbers its document gives them, after the
     nodes of the models before it, and every list is indexed by node
-    number. ``roots`` holds each model's root node, and each ``children``
-    list is in canonical order.
+    number. ``roots`` holds each model's root node, and ``children`` gives
+    each node's children in canonical order: ``rank_statecharts`` keeps a
+    list for each node, the ranking ``validate_full`` runs sorts a node's
+    children when they are read (``_ChildrenByRank``).
 
     Both kinds of rank are dense, distinct between levels and shared by
     all models ranked together: ``paths`` ranks rise with depth and
@@ -570,9 +572,34 @@ class RankedTrees(NamedTuple):
     kinds: list[str]
     names: list[str]
     parents: list[int]
-    children: list[Sequence[int]]
+    children: Sequence[Sequence[int]]
     paths: list[int]
     ranks: list[int]
+
+
+class _ChildrenByRank(Sequence):
+    """The children of each node of ranked models in canonical order,
+    sorted when read: a stable sort by rank of the document's own order,
+    which is the order ``rank_statecharts`` keeps. It holds each model's
+    children lists, not a sorted copy of them."""
+
+    def __init__(self, roots: list[int], children: list[list[Sequence[int]]],
+                 ranks: list[int]) -> None:
+        self.roots = roots
+        self.children = children  # one document's lists per model
+        self.ranks = ranks
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, node: int) -> list[int]:
+        if not 0 <= node < len(self.ranks):
+            raise IndexError(node)
+        model = bisect_right(self.roots, node) - 1
+        offset = self.roots[model]
+        kids = self.children[model][node - offset]
+        return sorted([kid + offset for kid in kids] if offset else kids,
+                      key=self.ranks.__getitem__)
 
 
 #: One depth of a document: its first node and the end of its range, both
@@ -641,7 +668,9 @@ def _dense(keys: list, base: int, out: list[int],
 
 
 def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
-    """Rank the containment trees of ``models`` into one canonical form.
+    """Rank the containment trees of ``models`` into one canonical form,
+    with each node's children listed in canonical order, which
+    ``canonical_document`` writes.
 
     This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
     and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
@@ -670,6 +699,17 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     store without exactly one Statechart element with a top state, or
     with a link outside the containment tree.
     """
+    return _rank_statecharts(models, ordered=True)
+
+
+def _rank_statecharts(models: Sequence[ModelStore | StatechartDocument],
+                      ordered: bool) -> RankedTrees:
+    """The ranking of ``rank_statecharts``. With ``ordered``, as there,
+    ``children`` holds each container's children sorted by rank, which
+    ``canonical_document`` writes. ``validate_full`` needs only ranks for
+    its verdict: without ``ordered``, pass 3 sorts each container's child
+    ranks alone and keeps no list, and ``children`` sorts a node's
+    children when they are read (``_ChildrenByRank``)."""
     docs = [model if isinstance(model, StatechartDocument)
             else _store_document(model) for model in models]
     roots = []
@@ -762,10 +802,12 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
         for node in compress(range(len(links)), incoming):
             if doc_kinds[node] == hyper_edge:
                 signatures[offset + node] = (-1, *sorted(incoming[node]))
+        del path_of, shared, incoming
+    del repeated
     linked = sorted(signatures)
 
     ranks = [0] * total
-    children: list[Sequence[int]] = [()] * total
+    children: list[Sequence[int]] | None = [()] * total if ordered else None
     rank_of = ranks.__getitem__
     base = 0
     for depth in range(depths - 1, -1, -1):
@@ -785,13 +827,17 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
                     kids = (range(kids.start + offset, kids.stop + offset,
                                   kids.step) if type(kids) is range
                             else [kid + offset for kid in kids])
-                if len(kids) > 1:
+                if len(kids) == 1:
+                    tails.append((ranks[kids[0]],))
+                elif children is None:
+                    tails.append(tuple(sorted(map(rank_of, kids))))
+                else:
                     kids = sorted(kids, key=rank_of)
                     tails.append(tuple(map(rank_of, kids)))
-                else:
-                    tails.append((ranks[kids[0]],))
-                children[node + offset] = kids
-            tails += map(signatures.__getitem__,
+                if children is not None:
+                    children[node + offset] = kids
+            # Each signature is read by its level alone.
+            tails += map(signatures.pop,
                          linked[bisect_left(linked, start):
                                 bisect_left(linked, end)])
         # Each node's key is one int: its label times ``scale`` plus the
@@ -809,6 +855,9 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
                 level[node - start] += next(ranked_tails)
             keys += level
         base = _dense(keys, base, ranks, [part[:2] for part in parts])
+    if children is None:
+        return RankedTrees(roots, kinds, names, parents, _ChildrenByRank(
+            roots, [doc.children for doc in docs], ranks), paths, ranks)
     return RankedTrees(roots, kinds, names, parents, children, paths, ranks)
 
 
@@ -817,8 +866,10 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     ``rank_statecharts``), a node's uid its preorder index and each node's
     links in ascending uid order. ``doc`` itself is not changed.
 
-    A document not numbered depth by depth is a DocumentError. One
-    preorder walk numbers the uids; only two or more links are sorted.
+    A document not numbered depth by depth is a DocumentError. The
+    ranking sorts each container's children once and hands the lists
+    over; one preorder walk numbers the uids; only two or more links are
+    sorted.
     """
     trees = rank_statecharts(doc)
     # Keep only what the document needs; the ranks, paths and parents

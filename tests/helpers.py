@@ -402,6 +402,47 @@ def chain_document(depth: int) -> StatechartDocument:
                               children, [()] * count, counts)
 
 
+def twin_regions(move: bool) -> ModelStore:
+    """A top AND over two unnamed ORs, holding Basics a1-a3 and b1-b3;
+    with ``move``, a1 sits in the second OR instead."""
+    sc = ModelStore()
+    chart = sc.create(ElementKind.STATECHART)
+    top = sc.create(ElementKind.AND)
+    sc.set_ref(chart, "topState", top)
+    regions = []
+    for names in (("a1", "a2", "a3"), ("b1", "b2", "b3")):
+        region = sc.create(ElementKind.OR)
+        sc.add_ref(top, "contains", region)
+        for name in names:
+            sc.add_ref(region, "contains",
+                       sc.create(ElementKind.BASIC, name))
+        regions.append(region)
+    if move:
+        a1 = element_named(sc, ElementKind.BASIC, "a1")
+        sc.set_ref(a1, "rcontains", regions[1])
+    return sc
+
+
+def rotated_ors(width: int, shift: int,
+                 shared: tuple[str, ...] = ()) -> StatechartDocument:
+    """A top AND over ``width`` unnamed ORs; OR i holds Basics ``a{i}`` and
+    ``b{(i + shift) % width}``, then one Basic for each name in
+    ``shared``."""
+    size = 2 + len(shared)  # Basics per OR
+    basics = size * width
+    kinds = ["Statechart", "AND"] + ["OR"] * width + ["Basic"] * basics
+    names = [""] * (width + 2)
+    children = [range(1, 2), range(2, width + 2)]
+    for i in range(width):
+        names += [f"a{i}", f"b{(i + shift) % width}", *shared]
+        first = width + 2 + size * i
+        children.append(range(first, first + size))
+    children += [()] * basics
+    counts = {"statechart": 1, "and": 1, "or": width, "basic": basics,
+              "hyperedge": 0}
+    return StatechartDocument(list(range(len(kinds))), kinds, names,
+                              children, [()] * len(kinds), counts)
+
 
 def choice_net(branches: int) -> PetriNetDocument:
     """A choice place ``q`` with ``branches`` branches ``q -> t_i -> r_i ->

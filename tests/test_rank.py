@@ -5,7 +5,9 @@ which may be documents as read (every children list a range), canonical
 documents, documents with each level's node numbers shuffled (children
 lists in any order) or stores, both must give the same roots, kinds,
 names and parents, the same children order and the same ``paths`` and
-``ranks``. The ``RankedTrees`` docstring fixes
+``ranks``. That holds for the ranking ``validate_full`` runs, which
+sorts a node's children only when they are read, as well as for
+``rank_statecharts``. The ``RankedTrees`` docstring fixes
 rank values (dense within a level, distinct between levels, ``paths``
 rising and ``ranks`` falling with depth), so equal lists are the same
 equality classes in the same order within each level. Canonical bytes and
@@ -27,8 +29,10 @@ from helpers import (
     PARTNER_CHANGES,
     mutated_statechart,
     named_from,
+    rotated_ors,
     shuffled_net,
     statechart_cases,
+    twin_regions,
 )
 from pn2sc import io as scio
 from pn2sc import validate
@@ -36,14 +40,17 @@ from pn2sc.flat import transform_net
 
 
 def assert_same_ranking(*models) -> None:
-    got = scio.rank_statecharts(*models)
+    """Both rankings, the ordered one and the verdict's, against the
+    reference."""
     want = rank_reference.rank_statecharts(*models)
-    assert (got.roots, got.kinds, got.names, got.parents) == (
-        want.roots, want.kinds, want.names, want.parents)
-    assert [list(kids) for kids in got.children] == [
-        list(kids) for kids in want.children]
-    assert got.paths == want.paths
-    assert got.ranks == want.ranks
+    for got in (scio.rank_statecharts(*models),
+                scio._rank_statecharts(models, ordered=False)):
+        assert (got.roots, got.kinds, got.names, got.parents) == (
+            want.roots, want.kinds, want.names, want.parents)
+        assert [list(kids) for kids in got.children] == [
+            list(kids) for kids in want.children]
+        assert got.paths == want.paths
+        assert got.ranks == want.ranks
 
 
 def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
@@ -54,8 +61,10 @@ def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
 
 def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
-    with mock.patch.object(validate, "rank_statecharts",
-                           rank_reference.rank_statecharts):
+    with mock.patch.object(
+        validate, "_rank_statecharts",
+        lambda models, ordered: rank_reference.rank_statecharts(*models),
+    ):
         assert report == validate.validate_full(actual, expected)
 
 
@@ -136,3 +145,24 @@ def test_arbitrary_nets_rank_as_before(net, shuffle, pool, change, seed):
     data = scio.statechart_document_to_bytes(doc)
     partner = mutated_statechart(data, change, seed)
     check_pair(data, data if partner is None else partner)
+
+
+@pytest.mark.parametrize("actual, expected", [
+    (scio.document_from_statechart(twin_regions(True)),
+     scio.document_from_statechart(twin_regions(False))),
+    (rotated_ors(6, 0, ("x",)), rotated_ors(6, 1, ("x",))),
+], ids=["basic-moved-between-twin-ors", "rotated-twin-ors"])
+def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
+    # Every label sits on the same name paths in both models, so the
+    # discrepancies come from the descent. Where a surplus child shares as
+    # much with several twins, the canonical order of the children picks
+    # its partner, so the pair is checked with the children of either side
+    # shuffled in its file too.
+    trees = scio._rank_statecharts((actual, expected), ordered=False)
+    assert trees.ranks[trees.roots[0]] != trees.ranks[trees.roots[1]]
+    assert validate._label_mismatches(trees, trees.roots[1]) == []
+    data, partner = map(scio.statechart_document_to_bytes, (actual, expected))
+    check_pair(data, partner)
+    for seed in range(3):
+        check_pair(mutated_statechart(data, "reordered", seed), partner)
+        check_pair(data, mutated_statechart(partner, "reordered", seed))

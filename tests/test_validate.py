@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,13 +22,15 @@ from helpers import (
     mutated_statechart,
     named_from,
     nested_fork_join_net,
+    rotated_ors,
     shuffled_net,
     statechart_cases,
+    twin_regions,
 )
 from pn2sc import validate
 from pn2sc.flat import transform_net
+from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
-    StatechartDocument,
     document_from_statechart,
     parse_statechart,
     rank_statecharts,
@@ -209,25 +213,6 @@ def test_deep_trees_rank_without_recursion():
     assert not validate_full(twins, transformed(300, 299)).passed
 
 
-def _twin_regions(move: bool) -> ModelStore:
-    """A top AND over two unnamed ORs, holding Basics a1-a3 and b1-b3;
-    with ``move``, a1 sits in the second OR instead."""
-    sc = ModelStore()
-    chart, top = sc.create(ElementKind.STATECHART), sc.create(AND)
-    sc.set_ref(chart, "topState", top)
-    regions = []
-    for names in (("a1", "a2", "a3"), ("b1", "b2", "b3")):
-        region = sc.create(OR)
-        sc.add_ref(top, "contains", region)
-        for name in names:
-            sc.add_ref(region, "contains", sc.create(B, name))
-        regions.append(region)
-    if move:
-        a1 = next(b for b in sc.all_of_kind(B) if sc.name_of(b) == "a1")
-        sc.set_ref(a1, "rcontains", regions[1])
-    return sc
-
-
 def test_basic_moved_between_twin_ors_is_one_move():
     # Both ORs have the name path Statechart()/AND()/OR(), so only the
     # descent sees the move; it must pair each OR with its likeness.
@@ -236,7 +221,7 @@ def test_basic_moved_between_twin_ors_is_one_move():
             statechart_document_to_bytes(document_from_statechart(sc))
         )
 
-    actual, expected = _twin_regions(True), _twin_regions(False)
+    actual, expected = twin_regions(True), twin_regions(False)
     region = "Statechart()/AND()/OR()"
     for report in (validate_full(actual, expected),
                    validate_full(as_document(actual), as_document(expected))):
@@ -246,54 +231,53 @@ def test_basic_moved_between_twin_ors_is_one_move():
         ]
 
 
-def _rotated_ors(width: int, shift: int,
-                 shared: tuple[str, ...] = ()) -> StatechartDocument:
-    """A top AND over ``width`` unnamed ORs; OR i holds Basics ``a{i}`` and
-    ``b{(i + shift) % width}``, then one Basic for each name in
-    ``shared``."""
-    size = 2 + len(shared)  # Basics per OR
-    basics = size * width
-    kinds = ["Statechart", "AND"] + ["OR"] * width + ["Basic"] * basics
-    names = [""] * (width + 2)
-    children = [range(1, 2), range(2, width + 2)]
-    for i in range(width):
-        names += [f"a{i}", f"b{(i + shift) % width}", *shared]
-        first = width + 2 + size * i
-        children.append(range(first, first + size))
-    children += [()] * basics
-    counts = {"statechart": 1, "and": 1, "or": width, "basic": basics,
-              "hyperedge": 0}
-    return StatechartDocument(list(range(len(kinds))), kinds, names,
-                              children, [()] * len(kinds), counts)
-
-
 def test_wide_fork_of_twin_ors_fails_in_linear_time():
     # Every OR has the name path Statechart()/AND()/OR(), so the descent
     # pairs all of them; each shares a Basic with two partners.
     width = 8000
-    actual, expected = _rotated_ors(width, 0), _rotated_ors(width, 1)
+    actual, expected = rotated_ors(width, 0), rotated_ors(width, 1)
     started = time.perf_counter()
     report = validate_full(actual, expected)
     elapsed = time.perf_counter() - started
     assert Counter(d.kind for d in report.discrepancies) == {
         "extra-node": width, "missing-node": width}
     assert elapsed < 10, f"took {elapsed:.1f} s"
-    assert validate_full(actual, _rotated_ors(width, 0)).passed
+    assert validate_full(actual, rotated_ors(width, 0)).passed
 
 
 def test_wide_fork_of_twin_ors_sharing_a_basic_fails_in_linear_time():
     # Every OR also holds a Basic x, so every twin holds x's rank once:
     # the rank index must not make each choice read all the twins.
     width = 8000
-    actual = _rotated_ors(width, 0, ("x",))
-    expected = _rotated_ors(width, 1, ("x",))
+    actual = rotated_ors(width, 0, ("x",))
+    expected = rotated_ors(width, 1, ("x",))
     started = time.perf_counter()
     report = validate_full(actual, expected)
     elapsed = time.perf_counter() - started
     assert Counter(d.kind for d in report.discrepancies) == {
         "extra-node": width, "missing-node": width}
     assert elapsed < 10, f"took {elapsed:.1f} s"
-    assert validate_full(actual, _rotated_ors(width, 0, ("x",))).passed
+    assert validate_full(actual, rotated_ors(width, 0, ("x",))).passed
+
+
+def test_validating_holds_less_than_twice_the_documents():
+    # The verdict ranks both documents and keeps no children list, so its
+    # peak, the two documents included, stays under twice their size.
+    doc, _ = transform_net(generate_sp_net(GenSpec(3000, 1)))
+    data = statechart_document_to_bytes(doc)
+    del doc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        actual, expected = parse_statechart(data), parse_statechart(data)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = validate_full(actual, expected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 2.0 * held, (peak, held)
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
