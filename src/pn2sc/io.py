@@ -551,9 +551,8 @@ class RankedTrees(NamedTuple):
     Each model's nodes keep the numbers its document gives them, after the
     nodes of the models before it, and every list is indexed by node
     number. ``roots`` holds each model's root node, and ``children`` gives
-    each node's children in canonical order: ``rank_statecharts`` keeps a
-    list for each node, the ranking ``validate_full`` runs sorts a node's
-    children when they are read (``_ChildrenByRank``).
+    each node's children in canonical order, sorted when they are read
+    (``_ChildrenByRank``): no list of children is kept.
 
     Both kinds of rank are dense, distinct between levels and shared by
     all models ranked together: ``paths`` ranks rise with depth and
@@ -580,8 +579,9 @@ class RankedTrees(NamedTuple):
 class _ChildrenByRank(Sequence):
     """The children of each node of ranked models in canonical order,
     sorted when read: a stable sort by rank of the document's own order,
-    which is the order ``rank_statecharts`` keeps. It holds each model's
-    children lists, not a sorted copy of them."""
+    the order ``canonical_document`` writes. It holds each model's
+    children lists, not a sorted copy of them. It indexes and compares as
+    the list of those sorted lists would."""
 
     def __init__(self, roots: list[int], children: list[list[Sequence[int]]],
                  ranks: list[int]) -> None:
@@ -593,6 +593,8 @@ class _ChildrenByRank(Sequence):
         return len(self.ranks)
 
     def __getitem__(self, node: int) -> list[int]:
+        if node < 0:
+            node += len(self.ranks)
         if not 0 <= node < len(self.ranks):
             raise IndexError(node)
         model = bisect_right(self.roots, node) - 1
@@ -600,6 +602,11 @@ class _ChildrenByRank(Sequence):
         kids = self.children[model][node - offset]
         return sorted([kid + offset for kid in kids] if offset else kids,
                       key=self.ranks.__getitem__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_ChildrenByRank, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 #: One depth of a document: its first node and the end of its range, both
@@ -668,9 +675,9 @@ def _dense(keys: list, base: int, out: list[int],
 
 
 def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
-    """Rank the containment trees of ``models`` into one canonical form,
-    with each node's children listed in canonical order, which
-    ``canonical_document`` writes.
+    """Rank the containment trees of ``models`` into one canonical form.
+    ``canonical_document`` writes a document's children in the order of
+    their ranks, and ``validate_full`` compares the ranks of two roots.
 
     This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
     and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
@@ -688,28 +695,17 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
        Basics it links to they make its signature. Only a HyperEdge whose
        name recurs at its level needs one, so a walk over unique names
        builds no lists.
-    3. Bottom up, a level at a time: each container's children are sorted
-       by rank, and the level's tails (each container's child ranks, each
-       signature) are ranked together. A node's structural key is then
-       one int, its label scaled above every tail rank plus its own, so
-       each level sorts and hashes ints.
+    3. Bottom up, a level at a time: each container's child ranks are
+       sorted, and the level's tails (each container's sorted child
+       ranks, each signature) are ranked together. A node's structural
+       key is then one int, its label scaled above every tail rank plus
+       its own, so each level sorts and hashes ints.
 
     A DocumentError is raised for a document not numbered depth by depth
     or with children or links that are not its node numbers, and for a
     store without exactly one Statechart element with a top state, or
     with a link outside the containment tree.
     """
-    return _rank_statecharts(models, ordered=True)
-
-
-def _rank_statecharts(models: Sequence[ModelStore | StatechartDocument],
-                      ordered: bool) -> RankedTrees:
-    """The ranking of ``rank_statecharts``. With ``ordered``, as there,
-    ``children`` holds each container's children sorted by rank, which
-    ``canonical_document`` writes. ``validate_full`` needs only ranks for
-    its verdict: without ``ordered``, pass 3 sorts each container's child
-    ranks alone and keeps no list, and ``children`` sorts a node's
-    children when they are read (``_ChildrenByRank``)."""
     docs = [model if isinstance(model, StatechartDocument)
             else _store_document(model) for model in models]
     roots = []
@@ -807,7 +803,6 @@ def _rank_statecharts(models: Sequence[ModelStore | StatechartDocument],
     linked = sorted(signatures)
 
     ranks = [0] * total
-    children: list[Sequence[int]] | None = [()] * total if ordered else None
     rank_of = ranks.__getitem__
     base = 0
     for depth in range(depths - 1, -1, -1):
@@ -827,15 +822,8 @@ def _rank_statecharts(models: Sequence[ModelStore | StatechartDocument],
                     kids = (range(kids.start + offset, kids.stop + offset,
                                   kids.step) if type(kids) is range
                             else [kid + offset for kid in kids])
-                if len(kids) == 1:
-                    tails.append((ranks[kids[0]],))
-                elif children is None:
-                    tails.append(tuple(sorted(map(rank_of, kids))))
-                else:
-                    kids = sorted(kids, key=rank_of)
-                    tails.append(tuple(map(rank_of, kids)))
-                if children is not None:
-                    children[node + offset] = kids
+                tails.append((ranks[kids[0]],) if len(kids) == 1
+                             else tuple(sorted(map(rank_of, kids))))
             # Each signature is read by its level alone.
             tails += map(signatures.pop,
                          linked[bisect_left(linked, start):
@@ -855,27 +843,29 @@ def _rank_statecharts(models: Sequence[ModelStore | StatechartDocument],
                 level[node - start] += next(ranked_tails)
             keys += level
         base = _dense(keys, base, ranks, [part[:2] for part in parts])
-    if children is None:
-        return RankedTrees(roots, kinds, names, parents, _ChildrenByRank(
-            roots, [doc.children for doc in docs], ranks), paths, ranks)
-    return RankedTrees(roots, kinds, names, parents, children, paths, ranks)
+    return RankedTrees(roots, kinds, names, parents, _ChildrenByRank(
+        roots, [doc.children for doc in docs], ranks), paths, ranks)
 
 
 def canonical_document(doc: StatechartDocument) -> StatechartDocument:
-    """The canonical form of a document: children in canonical order (see
-    ``rank_statecharts``), a node's uid its preorder index and each node's
-    links in ascending uid order. ``doc`` itself is not changed.
+    """The canonical form of a document: children in canonical order, a
+    node's uid its preorder index and each node's links in ascending uid
+    order. ``doc`` itself is not changed. A node's children are in
+    canonical order when they are sorted by rank (see
+    ``rank_statecharts``), stably: children of equal rank keep the
+    document's order.
 
-    A document not numbered depth by depth is a DocumentError. The
-    ranking sorts each container's children once and hands the lists
-    over; one preorder walk numbers the uids; only two or more links are
-    sorted.
+    A document not numbered depth by depth is a DocumentError. One
+    preorder walk sorts each container of two or more children and
+    numbers the uids; only two or more links are sorted.
     """
     trees = rank_statecharts(doc)
-    # Keep only what the document needs; the ranks, paths and parents
-    # are freed before the uids are numbered.
-    kinds, names, children = trees.kinds, trees.names, trees.children
+    # Keep only what the document needs; the paths and parents are freed
+    # before the uids are numbered, and the ranks once they are.
+    kinds, names, ranks = trees.kinds, trees.names, trees.ranks
     del trees
+    children = list(doc.children)
+    rank_of = ranks.__getitem__
     uids = [0] * len(kinds)
     stack = [0]
     pop = stack.pop
@@ -884,7 +874,10 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
         uids[node] = uid
         kids = children[node]
         if kids:
+            if len(kids) > 1:
+                children[node] = kids = sorted(kids, key=rank_of)
             stack += reversed(kids)
+    del ranks, rank_of
     links = list(doc.links)
     for node, targets in enumerate(links):
         if len(targets) > 1:

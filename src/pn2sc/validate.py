@@ -7,12 +7,11 @@ sets, where a linked Basic is identified by its name path from the root.
 Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
 or one of each; a document is compared as it stands, with no store built.
 ``Full`` ranks both models into the canonical form the writer uses
-(``pn2sc.io.rank_statecharts``, without the children lists it keeps for
-the writer) and compares the ranks of the two roots, so duplicate names
-need no backtracking search and no tree walk recurses. Only a failed
-comparison looks for the discrepancies, and only its descent reads
-children in canonical order, sorted for the nodes it visits; genuinely
-indistinguishable siblings may be matched either way.
+(``pn2sc.io.rank_statecharts``) and compares the ranks of the two roots,
+so duplicate names need no backtracking search and no tree walk
+recurses. Only a failed comparison looks for the discrepancies, and only
+its descent reads children in canonical order, sorted for the nodes it
+visits; genuinely indistinguishable siblings may be matched either way.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from enum import Enum
 from itertools import compress, count, islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .io import STATECHART_KINDS, ElementKind, RankedTrees, _rank_statecharts
+from .io import STATECHART_KINDS, ElementKind, RankedTrees, rank_statecharts
 
 if TYPE_CHECKING:
     from .io import StatechartDocument
@@ -294,8 +293,8 @@ def validate_full(actual: Statechart,
                   expected: Statechart) -> ValidationReport:
     """Compare containment trees and hyperedge link sets.
 
-    Both models are ranked together (``rank_statecharts``, without its
-    children lists); they match when their roots have equal ranks. Only
+    Both models are ranked together (``rank_statecharts``, which keeps no
+    list of children); they match when their roots have equal ranks. Only
     when they do not are the discrepancies looked for: first kind by kind
     and name by name, and where that finds none, by descending the two
     trees, which sorts the children of each node it visits. Raises
@@ -304,7 +303,7 @@ def validate_full(actual: Statechart,
     keeps its links inside the containment tree; a parsed document meets
     all by construction.
     """
-    trees = _rank_statecharts((actual, expected), ordered=False)
+    trees = rank_statecharts(actual, expected)
     root_a, root_e = trees.roots
     found = []
     if trees.ranks[root_a] != trees.ranks[root_e]:

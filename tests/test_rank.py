@@ -5,13 +5,12 @@ which may be documents as read (every children list a range), canonical
 documents, documents with each level's node numbers shuffled (children
 lists in any order) or stores, both must give the same roots, kinds,
 names and parents, the same children order and the same ``paths`` and
-``ranks``. That holds for the ranking ``validate_full`` runs, which
-sorts a node's children only when they are read, as well as for
-``rank_statecharts``. The ``RankedTrees`` docstring fixes
-rank values (dense within a level, distinct between levels, ``paths``
-rising and ``ranks`` falling with depth), so equal lists are the same
-equality classes in the same order within each level. Canonical bytes and
-validation reports built on either ranking must be equal too.
+``ranks``; ``rank_statecharts`` sorts a node's children only when they
+are read. The ``RankedTrees`` docstring fixes rank values (dense within
+a level, distinct between levels, ``paths`` rising and ``ranks`` falling
+with depth), so equal lists are the same equality classes in the same
+order within each level. Canonical bytes and validation reports built on
+either ranking must be equal too.
 """
 
 from __future__ import annotations
@@ -40,17 +39,14 @@ from pn2sc.flat import transform_net
 
 
 def assert_same_ranking(*models) -> None:
-    """Both rankings, the ordered one and the verdict's, against the
-    reference."""
     want = rank_reference.rank_statecharts(*models)
-    for got in (scio.rank_statecharts(*models),
-                scio._rank_statecharts(models, ordered=False)):
-        assert (got.roots, got.kinds, got.names, got.parents) == (
-            want.roots, want.kinds, want.names, want.parents)
-        assert [list(kids) for kids in got.children] == [
-            list(kids) for kids in want.children]
-        assert got.paths == want.paths
-        assert got.ranks == want.ranks
+    got = scio.rank_statecharts(*models)
+    assert (got.roots, got.kinds, got.names, got.parents) == (
+        want.roots, want.kinds, want.names, want.parents)
+    assert [list(kids) for kids in got.children] == [
+        list(kids) for kids in want.children]
+    assert got.paths == want.paths
+    assert got.ranks == want.ranks
 
 
 def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
@@ -61,10 +57,8 @@ def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
 
 def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
-    with mock.patch.object(
-        validate, "_rank_statecharts",
-        lambda models, ordered: rank_reference.rank_statecharts(*models),
-    ):
+    with mock.patch.object(validate, "rank_statecharts",
+                           rank_reference.rank_statecharts):
         assert report == validate.validate_full(actual, expected)
 
 
@@ -158,7 +152,7 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
     # much with several twins, the canonical order of the children picks
     # its partner, so the pair is checked with the children of either side
     # shuffled in its file too.
-    trees = scio._rank_statecharts((actual, expected), ordered=False)
+    trees = scio.rank_statecharts(actual, expected)
     assert trees.ranks[trees.roots[0]] != trees.ranks[trees.roots[1]]
     assert validate._label_mismatches(trees, trees.roots[1]) == []
     data, partner = map(scio.statechart_document_to_bytes, (actual, expected))
@@ -166,3 +160,18 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
     for seed in range(3):
         check_pair(mutated_statechart(data, "reordered", seed), partner)
         check_pair(data, mutated_statechart(partner, "reordered", seed))
+
+
+def test_children_index_and_compare_as_the_list_of_their_lists():
+    doc = rotated_ors(3, 1, ("x",))
+    children = scio.rank_statecharts(doc, doc).children
+    as_lists = [list(kids) for kids in children]
+    assert len(as_lists) == 2 * len(doc.kinds)
+    assert children == as_lists and as_lists == children
+    assert children != as_lists[:-1] and children != tuple(as_lists)
+    assert children == scio.rank_statecharts(doc, doc).children
+    assert [children[-node] for node in range(1, len(as_lists) + 1)] == (
+        as_lists[::-1])
+    for node in (len(as_lists), -len(as_lists) - 1):
+        with pytest.raises(IndexError):
+            children[node]
