@@ -58,7 +58,6 @@ from .io import (
     PetriNetDocument,
     StatechartDocument,
     canonical_document,
-    kind_counts,
 )
 
 
@@ -454,7 +453,7 @@ class FlatModel:
                 links[node_of[edge_of[t]]] = tuple(
                     [basics[p] for p in targets])
         return canonical_document(StatechartDocument(
-            order, kinds, names, tree_children, links, kind_counts(kinds)))
+            order, kinds, names, tree_children, links))
 
     def reduce(self, on_fire: FiringObserver | None = None) -> ReductionResult:
         """Reduce to a fixpoint, create the top state and, on success,

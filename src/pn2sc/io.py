@@ -67,7 +67,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
@@ -448,8 +448,9 @@ class StatechartDocument(NamedTuple):
     ones. ``uids`` holds each node's uid, ``children`` the node numbers of
     its children in order, and ``links`` the node numbers of a Basic's or
     HyperEdge's ``next`` targets, without repeats (empty for other kinds).
-    ``counts`` is the per-kind tally of the tree, under the file's keys.
-    Ranking requires the numbering and rejects a document without it.
+    A file's counts object is not kept: ``count_of_kind`` tallies
+    ``kinds``, and the writer writes that tally. Ranking requires the
+    numbering and rejects a document without it.
 
     ``parse_statechart`` numbers the nodes breadth-first in file order.
     ``canonical_document`` gives the canonical document: children in rank
@@ -462,12 +463,11 @@ class StatechartDocument(NamedTuple):
     names: list[str]
     children: list[Sequence[int]]
     links: list[tuple[int, ...]]
-    counts: dict[str, int]
 
     def count_of_kind(self, kind: ElementKind) -> int:
         """The tally of one kind, as ``ModelStore.count_of_kind`` gives it
         for a store."""
-        return self.counts.get(kind.value.lower(), 0)
+        return self.kinds.count(kind.value)
 
 
 #: The kinds a statechart file holds, in the order of its counts object.
@@ -541,8 +541,7 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
             raise DocumentError(
                 f"element {eid} links outside the containment tree"
             ) from None
-    return StatechartDocument(uids, kinds, names, children, links,
-                              kind_counts(kinds))
+    return StatechartDocument(uids, kinds, names, children, links)
 
 
 class RankedTrees(NamedTuple):
@@ -550,9 +549,10 @@ class RankedTrees(NamedTuple):
 
     Each model's nodes keep the numbers its document gives them, after the
     nodes of the models before it, and every list is indexed by node
-    number. ``roots`` holds each model's root node, and ``children`` gives
-    each node's children in canonical order, sorted when they are read
-    (``_ChildrenByRank``): no list of children is kept.
+    number, except ``children``: it holds each model's own children lists,
+    numbered as its document numbers them, in the document's order.
+    ``roots`` holds each model's root node; a node's children in canonical
+    order are its children sorted by rank, stably.
 
     Both kinds of rank are dense, distinct between levels and shared by
     all models ranked together: ``paths`` ranks rise with depth and
@@ -571,42 +571,9 @@ class RankedTrees(NamedTuple):
     kinds: list[str]
     names: list[str]
     parents: list[int]
-    children: Sequence[Sequence[int]]
+    children: list[list[Sequence[int]]]
     paths: list[int]
     ranks: list[int]
-
-
-class _ChildrenByRank(Sequence):
-    """The children of each node of ranked models in canonical order,
-    sorted when read: a stable sort by rank of the document's own order,
-    the order ``canonical_document`` writes. It holds each model's
-    children lists, not a sorted copy of them. It indexes and compares as
-    the list of those sorted lists would."""
-
-    def __init__(self, roots: list[int], children: list[list[Sequence[int]]],
-                 ranks: list[int]) -> None:
-        self.roots = roots
-        self.children = children  # one document's lists per model
-        self.ranks = ranks
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def __getitem__(self, node: int) -> list[int]:
-        if node < 0:
-            node += len(self.ranks)
-        if not 0 <= node < len(self.ranks):
-            raise IndexError(node)
-        model = bisect_right(self.roots, node) - 1
-        offset = self.roots[model]
-        kids = self.children[model][node - offset]
-        return sorted([kid + offset for kid in kids] if offset else kids,
-                      key=self.ranks.__getitem__)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (_ChildrenByRank, list)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 #: One depth of a document: its first node and the end of its range, both
@@ -843,8 +810,8 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
                 level[node - start] += next(ranked_tails)
             keys += level
         base = _dense(keys, base, ranks, [part[:2] for part in parts])
-    return RankedTrees(roots, kinds, names, parents, _ChildrenByRank(
-        roots, [doc.children for doc in docs], ranks), paths, ranks)
+    return RankedTrees(roots, kinds, names, parents,
+                       [doc.children for doc in docs], paths, ranks)
 
 
 def canonical_document(doc: StatechartDocument) -> StatechartDocument:
@@ -882,8 +849,7 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     for node, targets in enumerate(links):
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
-    return StatechartDocument(uids, kinds, names, children, links,
-                              doc.counts)
+    return StatechartDocument(uids, kinds, names, children, links)
 
 
 def document_from_statechart(sc: ModelStore) -> StatechartDocument:
@@ -999,7 +965,7 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
         else:
             out += (b"[]", close, b"}")
     counts = ",\n    ".join(
-        f'"{key}": {doc.counts[key]}' for key in _COUNT_KEYS
+        f'"{key}": {tally}' for key, tally in kind_counts(kinds).items()
     )
     out.append(f',\n  "counts": {{\n    {counts}\n  }}\n}}\n'.encode("ascii"))
     yield b"".join(out)
@@ -1151,7 +1117,8 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
     breadth-first pass over the tuples then numbers the nodes, checks what
     needs the whole tree (repeated uids, where the Statechart is, links,
     counts) and drops each tuple once it is read, so no depth of tree
-    needs recursion here. A malformed node is met in the same order as
+    needs recursion here. The counts object must equal the tree's tally,
+    and is not kept. A malformed node is met in the same order as
     before and gets the same message. Repeated uids in a ``next`` list
     count once. ``data`` may be a file's bytes as they stand or as
     ``statechart_text`` gives them: both give the same document, and the
@@ -1229,7 +1196,7 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
         raise DocumentError(
             f"counts object {counts} does not match the tree {tally}"
         )
-    return StatechartDocument(uids, kinds, names, children, links, counts)
+    return StatechartDocument(uids, kinds, names, children, links)
 
 
 def store_from_statechart(doc: StatechartDocument) -> ModelStore:

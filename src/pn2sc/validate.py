@@ -10,12 +10,14 @@ or one of each; a document is compared as it stands, with no store built.
 (``pn2sc.io.rank_statecharts``) and compares the ranks of the two roots,
 so duplicate names need no backtracking search and no tree walk
 recurses. Only a failed comparison looks for the discrepancies, and only
-its descent reads children in canonical order, sorted for the nodes it
-visits; genuinely indistinguishable siblings may be matched either way.
+its descent reads children in canonical order: ``_children`` sorts a
+visited node's children by rank, as ``canonical_document`` writes them.
+Genuinely indistinguishable siblings may be matched either way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import compress, count, islice
@@ -52,7 +54,7 @@ class ValidationReport(NamedTuple):
 
 def validate_counts(actual: Statechart,
                     expected: Statechart) -> ValidationReport:
-    """Compare per-kind instance totals (a document's ``counts``)."""
+    """Compare per-kind instance totals (a document tallies its ``kinds``)."""
     found = []
     for kind in STATECHART_KINDS:
         got = actual.count_of_kind(kind)
@@ -170,8 +172,19 @@ def _label_mismatches(trees: RankedTrees,
     return found
 
 
+def _children(trees: RankedTrees, node: int) -> list[int]:
+    """The children of ``node`` in canonical order: its model's own list,
+    shifted to ``trees``' numbering and sorted by rank, stably, so
+    children of equal rank keep the document's order."""
+    model = bisect_right(trees.roots, node) - 1
+    offset = trees.roots[model]
+    kids = trees.children[model][node - offset]
+    return sorted([kid + offset for kid in kids] if offset else kids,
+                  key=trees.ranks.__getitem__)
+
+
 def _child_ranks(trees: RankedTrees, node: int) -> Counter[int]:
-    return Counter([trees.ranks[kid] for kid in trees.children[node]])
+    return Counter([trees.ranks[kid] for kid in _children(trees, node)])
 
 
 class _Twins:
@@ -253,14 +266,14 @@ def _first_divergence(trees: RankedTrees, actual: int,
             continue
         budget = _child_ranks(trees, node_e)
         surplus_a = []
-        for kid in trees.children[node_a]:
+        for kid in _children(trees, node_a):
             if budget[ranks[kid]] > 0:
                 budget[ranks[kid]] -= 1
             else:
                 surplus_a.append(kid)
         # what is left of the budget is the expected children nobody matched
         unmatched: dict[tuple[str, str], list[int]] = {}
-        for kid in trees.children[node_e]:
+        for kid in _children(trees, node_e):
             if budget[ranks[kid]] > 0:
                 budget[ranks[kid]] -= 1
                 unmatched.setdefault((kinds[kid], names[kid]), []).append(kid)
@@ -293,8 +306,8 @@ def validate_full(actual: Statechart,
                   expected: Statechart) -> ValidationReport:
     """Compare containment trees and hyperedge link sets.
 
-    Both models are ranked together (``rank_statecharts``, which keeps no
-    list of children); they match when their roots have equal ranks. Only
+    Both models are ranked together (``rank_statecharts``, which sorts no
+    children); they match when their roots have equal ranks. Only
     when they do not are the discrepancies looked for: first kind by kind
     and name by name, and where that finds none, by descending the two
     trees, which sorts the children of each node it visits. Raises

@@ -178,8 +178,8 @@ def reference_statechart_bytes(doc: StatechartDocument) -> bytes:
     payload = {
         "root": encode(0),
         "counts": {
-            key: doc.counts[key]
-            for key in ("statechart", "and", "or", "basic", "hyperedge")
+            kind.lower(): doc.kinds.count(kind)
+            for kind in ("Statechart", "AND", "OR", "Basic", "HyperEdge")
         },
     }
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
@@ -396,10 +396,8 @@ def chain_document(depth: int) -> StatechartDocument:
         "AND" if level % 2 else "OR" for level in range(1, depth)
     ] + ["Basic"]
     children = [range(node + 1, node + 2) for node in range(depth)] + [()]
-    counts = {"statechart": 1, "and": kinds.count("AND"),
-              "or": kinds.count("OR"), "basic": 1, "hyperedge": 0}
     return StatechartDocument(list(range(count)), kinds, [""] * count,
-                              children, [()] * count, counts)
+                              children, [()] * count)
 
 
 def twin_regions(move: bool) -> ModelStore:
@@ -438,10 +436,8 @@ def rotated_ors(width: int, shift: int,
         first = width + 2 + size * i
         children.append(range(first, first + size))
     children += [()] * basics
-    counts = {"statechart": 1, "and": 1, "or": width, "basic": basics,
-              "hyperedge": 0}
     return StatechartDocument(list(range(len(kinds))), kinds, names,
-                              children, [()] * len(kinds), counts)
+                              children, [()] * len(kinds))
 
 
 def choice_net(branches: int) -> PetriNetDocument:

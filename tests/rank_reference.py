@@ -19,9 +19,11 @@ class RankedTrees(NamedTuple):
     """The containment trees of one or more statechart models, flattened.
 
     Nodes are numbered level by level, model after model, and every list
-    is indexed by node number. ``roots`` holds each model's root node.
-    Each ``children`` list is in canonical order, and ``links`` holds the
-    node numbers of a Basic's or HyperEdge's ``next`` targets.
+    but ``children`` is indexed by node number. ``roots`` holds each
+    model's root node and ``children`` each model's own children lists,
+    as ``pn2sc.io.RankedTrees`` does. Each ``ordered`` list is a node's
+    children in canonical order, and ``links`` holds the node numbers of a
+    Basic's or HyperEdge's ``next`` targets.
 
     Both kinds of rank are dense, distinct between levels and shared by
     all models ranked together. Two nodes have equal ``paths`` ranks exactly
@@ -35,7 +37,8 @@ class RankedTrees(NamedTuple):
     kinds: list[str]
     names: list[str]
     parents: list[int]
-    children: list[Sequence[int]]
+    children: list[list[Sequence[int]]]
+    ordered: list[Sequence[int]]
     links: list[tuple[int, ...]]
     paths: list[int]
     ranks: list[int]
@@ -60,7 +63,8 @@ def _append_document(doc: StatechartDocument, trees: RankedTrees,
     trees.roots.append(offset)
     trees.kinds.extend(doc.kinds)
     trees.names.extend(doc.names)
-    children = trees.children
+    trees.children.append(doc.children)
+    children = trees.ordered
     if offset:
         # A range, as the reader and the store layout give children, is
         # shifted rather than copied.
@@ -114,14 +118,14 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     state, and every link must stay inside the containment tree;
     otherwise a DocumentError is raised.
     """
-    trees = RankedTrees([], [], [], [], [], [], [], [])
+    trees = RankedTrees([], [], [], [], [], [], [], [], [])
     levels: list[list[int]] = []
     for model in models:
         if not isinstance(model, StatechartDocument):
             model = _store_document(model)
         _append_document(model, trees, levels)
     kinds, names, parents, children, links = (
-        trees.kinds, trees.names, trees.parents, trees.children, trees.links
+        trees.kinds, trees.names, trees.parents, trees.ordered, trees.links
     )
 
     count = len(kinds)
@@ -175,7 +179,7 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     # Keep only what the document needs; the ranks, paths and parents
     # are freed before the uids are numbered.
     kinds, names, children, links = (
-        trees.kinds, trees.names, trees.children, trees.links
+        trees.kinds, trees.names, trees.ordered, trees.links
     )
     del trees
     uids = [0] * len(kinds)
@@ -189,5 +193,4 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     for node, targets in enumerate(links):
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
-    return StatechartDocument(uids, kinds, names, children, links,
-                              doc.counts)
+    return StatechartDocument(uids, kinds, names, children, links)

@@ -144,4 +144,4 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
         raise DocumentError(
             f"counts object {counts} does not match the tree {tally}"
         )
-    return StatechartDocument(uids, kinds, names, children, links, counts)
+    return StatechartDocument(uids, kinds, names, children, links)

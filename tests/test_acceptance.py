@@ -63,8 +63,8 @@ def test_criterion_2_count_laws():
             net = generate_sp_net(GenSpec(size, seed))
             doc, result = transform_net(net)
             assert result.ok, f"size {size} seed {seed} irreducible"
-            assert doc.counts["basic"] == len(net.places)
-            assert doc.counts["hyperedge"] == len(net.transitions)
+            assert doc.count_of_kind(B) == len(net.places)
+            assert doc.count_of_kind(H) == len(net.transitions)
             runs += 1
     print(f"\ncriterion 2 PASS: {runs} runs, all Success with exact "
           f"Basic/HyperEdge conservation")

@@ -82,8 +82,8 @@ def test_choice_net_reduces_in_linear_time():
     elapsed = time.perf_counter() - started
     assert result.ok
     assert elapsed < 5.0, f"8000-branch choice net took {elapsed:.1f} s"
-    assert doc.counts["basic"] == len(net.places)
-    assert doc.counts["hyperedge"] == len(net.transitions)
+    assert doc.kinds.count("Basic") == len(net.places)
+    assert doc.kinds.count("HyperEdge") == len(net.transitions)
 
 
 def test_deep_spine_gives_the_store_route_document():

@@ -23,6 +23,7 @@ from helpers import (
     nested_fork_join_net,
     net_document,
     reference_statechart_bytes,
+    rotated_ors,
     shuffled_net,
     statechart_cases,
 )
@@ -434,9 +435,8 @@ def test_store_flattens_back_to_the_document(name, data):
         store = scio.store_from_statechart(doc)
         flat = scio._store_document(store)
         assert [doc.uids[eid] for eid in flat.uids] == doc.uids
-        assert (flat.kinds, flat.names, flat.children, flat.links,
-                flat.counts) == (doc.kinds, doc.names, doc.children,
-                                 doc.links, doc.counts)
+        assert (flat.kinds, flat.names, flat.children, flat.links) == (
+            doc.kinds, doc.names, doc.children, doc.links)
         assert scio.rank_statecharts(store) == scio.rank_statecharts(doc)
 
 
@@ -452,7 +452,8 @@ def test_parse_numbers_nodes_breadth_first():
     assert sorted(doc.uids) == list(range(len(doc.uids)))
     edge = doc.kinds.index("HyperEdge")
     assert [doc.kinds[t] for t in doc.links[edge]] == ["Basic", "Basic"]
-    assert doc.count_of_kind(ElementKind.BASIC) == doc.counts["basic"] == 4
+    assert doc.count_of_kind(ElementKind.BASIC) == 4
+    assert doc.kinds.count("Basic") == 4
     assert doc.count_of_kind(ElementKind.PLACE) == 0
     store = scio.store_from_statechart(doc)
     for kind in ElementKind:
@@ -463,7 +464,7 @@ def _hand_built(kinds: list[str],
                 children: list) -> scio.StatechartDocument:
     return scio.StatechartDocument(
         list(range(len(kinds))), kinds, [""] * len(kinds), children,
-        [()] * len(kinds), scio.kind_counts(kinds))
+        [()] * len(kinds))
 
 
 @pytest.mark.parametrize("doc", [
@@ -498,6 +499,21 @@ def test_documents_not_numbered_depth_by_depth_are_rejected(doc):
         assert time.perf_counter() - started < 0.5
 
 
+@pytest.mark.parametrize("doc", [
+    chain_document(2),
+    rotated_ors(3, 1),
+    rotated_ors(4, 2, ("x", "x")),
+    _hand_built(["Statechart", "AND", "OR", "OR", "Basic", "Basic", "Basic"],
+                [range(1, 2), range(2, 4), range(4, 6), range(6, 7),
+                 (), (), ()]),
+], ids=["chain2", "rotated3", "rotated4-shared", "two-ors"])
+def test_hand_built_documents_read_back_as_written(doc):
+    # A document holds no counts of its own, so the writer's counts are
+    # its tree's and the reader takes the file back.
+    assert scio.parse_statechart(scio.statechart_document_to_bytes(doc)) == (
+        doc)
+
+
 @pytest.mark.parametrize("children, links, fault", [
     ([range(1, 2), range(2, 3), ()], [(), (), (99,)], "links"),
     ([range(1, 2), range(2, 3), ()], [(), (), (-1,)], "links"),
@@ -511,7 +527,7 @@ def test_ranking_rejects_links_and_children_that_are_not_node_numbers(
         children, links, fault):
     kinds = ["Statechart", "AND", "Basic"]
     doc = scio.StatechartDocument([0, 1, 2], kinds, ["", "", "p"],
-                                  children, links, scio.kind_counts(kinds))
+                                  children, links)
     good = scio.parse_statechart(
         (GOLDEN_DIR / "fork_join.statechart.json").read_bytes())
     for call in (lambda: scio.canonical_document(doc),
@@ -554,7 +570,7 @@ def test_text_nested_past_100_000_levels_is_read():
                     for node, kind in enumerate(doc.kinds[:depth]))
     leaf = f'{{"uid":{depth},"kind":"Basic","name":"","children":[],"next":[]}}'
     text = ('{"root":' + heads + leaf + "]}" * depth
-            + ',"counts":' + json.dumps(doc.counts) + "}")
+            + ',"counts":' + json.dumps(scio.kind_counts(doc.kinds)) + "}")
     assert scio.parse_statechart(text) == doc
 
 
@@ -743,5 +759,5 @@ def test_reading_a_deep_spine_holds_neither_its_indentation_nor_its_bytes(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert read.counts["basic"] == 3 * 300 + 1
+    assert read.count_of_kind(ElementKind.BASIC) == 3 * 300 + 1
     assert peak < 5 << 20, peak

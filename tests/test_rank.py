@@ -4,13 +4,14 @@
 which may be documents as read (every children list a range), canonical
 documents, documents with each level's node numbers shuffled (children
 lists in any order) or stores, both must give the same roots, kinds,
-names and parents, the same children order and the same ``paths`` and
-``ranks``; ``rank_statecharts`` sorts a node's children only when they
-are read. The ``RankedTrees`` docstring fixes rank values (dense within
-a level, distinct between levels, ``paths`` rising and ``ranks`` falling
-with depth), so equal lists are the same equality classes in the same
-order within each level. Canonical bytes and validation reports built on
-either ranking must be equal too.
+names and parents, the same children lists and the same ``paths`` and
+``ranks``, and the validator's ``_children``, which sorts a node's
+children only when its descent reads them, must give the reference's
+canonical children order. The ``RankedTrees`` docstring fixes rank
+values (dense within a level, distinct between levels, ``paths`` rising
+and ``ranks`` falling with depth), so equal lists are the same equality
+classes in the same order within each level. Canonical bytes and
+validation reports built on either ranking must be equal too.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def assert_same_ranking(*models) -> None:
     got = scio.rank_statecharts(*models)
     assert (got.roots, got.kinds, got.names, got.parents) == (
         want.roots, want.kinds, want.names, want.parents)
-    assert [list(kids) for kids in got.children] == [
-        list(kids) for kids in want.children]
+    assert got.children == want.children
+    assert [validate._children(got, node) for node in range(len(got.kinds))
+            ] == [list(kids) for kids in want.ordered]
     assert got.paths == want.paths
     assert got.ranks == want.ranks
 
@@ -60,6 +62,10 @@ def assert_same_report(actual, expected) -> None:
     with mock.patch.object(validate, "rank_statecharts",
                            rank_reference.rank_statecharts):
         assert report == validate.validate_full(actual, expected)
+    # A document's counts are its tree's, so models that pass in full
+    # hold as many elements of each kind.
+    if report.passed:
+        assert validate.validate_counts(actual, expected).passed
 
 
 def level_permuted(doc: scio.StatechartDocument,
@@ -87,8 +93,7 @@ def level_permuted(doc: scio.StatechartDocument,
         moved(doc.uids), moved(doc.kinds), moved(doc.names),
         moved([[new_of[kid] for kid in kids] for kids in doc.children]),
         moved([tuple([new_of[target] for target in targets])
-               for targets in doc.links]),
-        doc.counts)
+               for targets in doc.links]))
 
 
 def check_pair(data: bytes, partner: bytes) -> None:
@@ -161,17 +166,3 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
         check_pair(mutated_statechart(data, "reordered", seed), partner)
         check_pair(data, mutated_statechart(partner, "reordered", seed))
 
-
-def test_children_index_and_compare_as_the_list_of_their_lists():
-    doc = rotated_ors(3, 1, ("x",))
-    children = scio.rank_statecharts(doc, doc).children
-    as_lists = [list(kids) for kids in children]
-    assert len(as_lists) == 2 * len(doc.kinds)
-    assert children == as_lists and as_lists == children
-    assert children != as_lists[:-1] and children != tuple(as_lists)
-    assert children == scio.rank_statecharts(doc, doc).children
-    assert [children[-node] for node in range(1, len(as_lists) + 1)] == (
-        as_lists[::-1])
-    for node in (len(as_lists), -len(as_lists) - 1):
-        with pytest.raises(IndexError):
-            children[node]

@@ -202,7 +202,8 @@ def test_an_unedited_chart_nested_past_json_still_reads():
     deep = _nested_past_json(value, value["root"]["children"][0])
     doc = scio.parse_statechart(deep)
     assert doc == reader_reference.parse_statechart(deep)
-    assert doc.counts["or"] + doc.counts["and"] > past_json_depth() // 2
+    assert doc.kinds.count("OR") + doc.kinds.count("AND") > (
+        past_json_depth() // 2)
 
 
 def test_reading_a_file_holds_less_than_the_reference_reader(tmp_path):

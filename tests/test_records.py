@@ -31,10 +31,9 @@ RECORDS = [
     (PetriNetDocument, {"places": (PlaceSpec("p0", "p0"),),
                         "transitions": ()}),
     (StatechartDocument, {"uids": [0], "kinds": ["Statechart"],
-                          "names": [""], "children": [()], "links": [()],
-                          "counts": {"statechart": 1}}),
+                          "names": [""], "children": [()], "links": [()]}),
     (RankedTrees, {"roots": [0], "kinds": ["Statechart"], "names": [""],
-                   "parents": [-1], "children": [()], "paths": [0],
+                   "parents": [-1], "children": [[()]], "paths": [0],
                    "ranks": [0]}),
     (ReductionResult, {"status": ReductionStatus.SUCCESS,
                        "statechart_root": 7, "remaining_places": 0,
@@ -75,8 +74,7 @@ def test_record_properties_and_defaults():
     assert ValidationReport(ValidationLevel.COUNTS, ()).passed
     assert not ValidationReport(ValidationLevel.COUNTS,
                                 (Discrepancy("count-mismatch", "OR"),)).passed
-    doc = StatechartDocument([0], ["Statechart"], [""], [()], [()],
-                             {"statechart": 1})
+    doc = StatechartDocument([0], ["Statechart"], [""], [()], [()])
     assert doc.count_of_kind(ElementKind.STATECHART) == 1
     assert doc.count_of_kind(ElementKind.OR) == 0
 

@@ -208,7 +208,7 @@ def test_deep_trees_rank_without_recursion():
     # the names deep inside them
     twins = transformed(300, 300)
     doc = document_from_statechart(twins)
-    assert doc.counts["basic"] == 2 * (3 * 300 + 1) + 2
+    assert doc.count_of_kind(B) == 2 * (3 * 300 + 1) + 2
     assert validate_full(twins, twins).passed
     assert not validate_full(twins, transformed(300, 299)).passed
 
