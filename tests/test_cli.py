@@ -223,6 +223,42 @@ def test_command_runs_without_the_collector_and_restores_it(tmp_path,
         gc.enable()
 
 
+# A non-zero code first: a run() that ended the process itself, as
+# os._exit does, would end this session with a failing status.
+@pytest.mark.parametrize("code", [2, 64, 0])
+def test_run_exits_with_main_code_and_freezes_only_after_it(code,
+                                                           monkeypatch):
+    seen = []
+
+    def stub():
+        seen.append(gc.get_freeze_count())
+        return code
+
+    monkeypatch.setattr("pn2sc.cli.main", stub)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            pn2sc.cli.run()
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert exited.value.code == code
+    assert seen == [0]
+    assert frozen > 0
+
+
+def test_main_in_process_freezes_nothing(tmp_path, net_file, capsys):
+    assert main(["transform", str(net_file("chain")), "-o",
+                 str(tmp_path / "out.json")]) == 0
+    assert main(["--help"]) == 0
+    assert main(["transform"]) == 64
+    assert gc.get_freeze_count() == 0
+
+
+#: The two process entries: ``-m``, and what the ``pn2sc`` script runs.
+_ENTRIES = [["-m", "pn2sc.cli"],
+            ["-c", "from pn2sc.cli import run; run()"]]
+
+
 def _python(*args: str, **run_args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this pn2sc; ``run_args``
     override the ``subprocess.run`` defaults."""
@@ -237,7 +273,8 @@ def _python(*args: str, **run_args) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_stays_lean():
-    probe = ("import sys; before = set(sys.modules); import pn2sc.cli; "
+    probe = ("import gc, sys; before = set(sys.modules); import pn2sc.cli; "
+             "assert gc.isenabled() and gc.get_freeze_count() == 0; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     imported = set(_python("-c", probe).stdout.split())
     assert "pn2sc.cli" in imported
@@ -405,11 +442,12 @@ def test_closed_stdout_exits_141_quietly(net_file, golden_dir):
     runs = [["--help"], ["bench", "--sizes", "50", "--reps", "1"],
             ["validate", golden, golden],
             ["transform", str(net_file("chain")), "-o", "/dev/stdout"]]
-    for argv, unbuffered in itertools.product(runs, ("1", "")):
+    for entry, argv, unbuffered in itertools.product(_ENTRIES, runs,
+                                                     ("1", "")):
         read_end, write_end = os.pipe()
         os.close(read_end)  # nobody reads what the command prints
         try:
-            run = _python("-m", "pn2sc.cli", *argv, check=False,
+            run = _python(*entry, *argv, check=False,
                           capture_output=False, stdout=write_end,
                           stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": src,
@@ -426,6 +464,29 @@ def test_closed_stdout_exits_141_quietly(net_file, golden_dir):
             assert len(run.stderr.splitlines()) == 2
         else:
             assert (run.returncode, run.stderr) == (141, "")
+
+
+def test_long_validate_report_reaches_stdout_through_both_entries(
+        tmp_path, capsys):
+    charts = []
+    for seed in (1, 2):
+        net = tmp_path / f"sp300_{seed}.net.json"
+        chart = tmp_path / f"sp300_{seed}.json"
+        assert main(["generate", "--places", "300", "--seed", str(seed),
+                     "-o", str(net)]) == 0
+        assert main(["transform", str(net), "-o", str(chart)]) == 0
+        charts.append(str(chart))
+    capsys.readouterr()
+    assert main(["validate", *charts]) == 1
+    expected = capsys.readouterr().out
+    assert len(expected.splitlines()) == (
+        pn2sc.cli.MAX_PRINTED_DISCREPANCIES + 2)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pn2sc.__file__).parent.parent)
+    for entry in _ENTRIES:
+        run = _python(*entry, "validate", *charts, check=False, env=env)
+        assert (run.returncode, run.stdout, run.stderr) == (1, expected, "")
 
 
 def test_validate_builds_no_store(tmp_path, net_file, golden_dir, monkeypatch,
