@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import generate_reference
 from helpers import load_corpus
 from pn2sc.generate import GenSpec, SplitMix64, generate_sp_net
 from pn2sc.io import kind_counts, petri_net_to_bytes, store_from_petri_net
@@ -19,6 +22,47 @@ def test_splitmix_reference_values():
         3203168211198807973,
         9817491932198370423,
     ]
+
+
+@given(
+    target=st.integers(1, 600),
+    seed=st.integers(0, 2 ** 64 - 1),
+    branch_max=st.integers(2, 7),
+    prob=st.floats(0, 1),
+)
+@example(target=300, seed=5, branch_max=4, prob=0.0)
+@example(target=300, seed=5, branch_max=4, prob=1.0)
+@settings(max_examples=80, deadline=None)
+def test_same_records_as_reference(target, seed, branch_max, prob):
+    spec = GenSpec(target, seed, branch_max, prob)
+    assert generate_sp_net(spec) == generate_reference.generate_sp_net(spec)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GenSpec(1, 9),
+     "200e7386f4503d00f5393e5b4771c74c7c20d1165fb459e3601e189bc5289e0a"),
+    (GenSpec(400, 7, 2, 1.0),
+     "a4d75f88797869ce3867d2bbb7c2a02727ebe5e9076ef2778f4c30176b78e779"),
+    (GenSpec(500, 13, 7, 0.0),
+     "ddf3b7d3d7fc408939ccc3d71ee674b0370c9adf5f15866b5b83ac47f54625ae"),
+    (GenSpec(3000, 1),
+     "b3f682eeb745e2e2d5af10fbfb0d76e0269fb43899a9b8deb70bef74f728e619"),
+])
+def test_corpus_bytes_are_pinned(spec, digest):
+    data = petri_net_to_bytes(generate_sp_net(spec))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_one_string_per_element():
+    doc = generate_sp_net(GenSpec(500, 3))
+    ids = {}
+    for place in doc.places:
+        assert place.id is place.name
+        ids[place.id] = place.id
+    for transition in doc.transitions:
+        assert transition.id is transition.name
+        for arc in transition.pre + transition.post:
+            assert arc is ids[arc]
 
 
 def test_single_place_base_case():
