@@ -165,8 +165,9 @@ def _cmd_generate(args: SimpleNamespace) -> int:
 
 def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
     """Time the phases ``transform`` runs on flat lists: ``init_ms`` builds
-    the ``FlatModel``, ``reduce_ms`` runs its fixpoint, top state and
-    hyperedge assignment, and ``total_ms`` is their sum. Returns one row
+    the ``FlatModel``, ``reduce_ms`` runs its fixpoint (which starts by
+    building each place's neighbour sets), top state and hyperedge
+    assignment, and ``total_ms`` is their sum. Returns one row
     per size with the median over ``reps`` runs, in milliseconds."""
     import statistics  # only bench needs it, and it is slow to import
 

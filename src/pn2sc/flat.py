@@ -146,11 +146,15 @@ def run_rounds(
 
     Every firing shrinks the net, so the rounds end.
     """
-    dirty = [set(transitions) for _ in steps]
+    everything = sorted(transitions)
+    dirty: list[set[int]] = [set() for _ in steps]
+    first_round = True
     while True:
         fired = False
         for current, step in enumerate(steps):
-            sweep = sorted(dirty[current])
+            # Every pass of the first round sweeps every transition, so
+            # the marks a pass gets before its first sweep add nothing.
+            sweep = everything if first_round else sorted(dirty[current])
             dirty[current].clear()
             for transition in sweep:
                 marks = step(transition)
@@ -162,6 +166,7 @@ def run_rounds(
                         dirty[index].update(touched)
         if not fired:
             return
+        first_round = False
 
 
 class FlatModel:
@@ -174,8 +179,10 @@ class FlatModel:
 
     ``pre`` and ``post`` hold each transition's original arcs as tuples
     of place numbers; ``t_pre`` and ``t_post`` its live arcs, and
-    ``p_pre`` and ``p_post`` each place's live producers and consumers.
-    The model keeps the net's names but not the net.
+    ``p_pre`` and ``p_post`` each place's live producers and consumers:
+    lists when the model is built, sets from the start of ``fixpoint``,
+    which also builds its per-place index of multi-place neighbours. The
+    model keeps the net's names but not the net.
     """
 
     def __init__(self, net: PetriNetDocument) -> None:
@@ -237,24 +244,10 @@ class FlatModel:
         # the original arcs, so a firing replaces a tuple, never changes it.
         self.t_pre: list[tuple[int, ...] | None] = pre.copy()
         self.t_post: list[tuple[int, ...] | None] = post.copy()
-        # The lists were read in ascending order above; each now becomes a
-        # set in its place.
-        for neighbours in (producers, consumers):
-            for p, ts in enumerate(neighbours):
-                neighbours[p] = set(ts)
-        self.p_pre: list[set[int] | None] = producers
-        self.p_post: list[set[int] | None] = consumers
-        # place -> its consumers with >= 2 pre-places (producers with >= 2
-        # post-places): the only neighbours of q whose AND checks an OR
-        # merge into q can change
-        self.multi_consumers: dict[int, set[int]] = {}
-        self.multi_producers: dict[int, set[int]] = {}
-        for index, sides in ((self.multi_consumers, pre),
-                             (self.multi_producers, post)):
-            for t, side in enumerate(sides):
-                if len(side) > 1:
-                    for p in side:
-                        index.setdefault(p, set()).add(t)
+        # Lists in ascending order until ``fixpoint`` makes each a set in
+        # its place, by when ``transform_net`` has dropped the net.
+        self.p_pre: list[Collection[int] | None] = producers
+        self.p_post: list[Collection[int] | None] = consumers
 
     def fixpoint(self, on_fire: FiringObserver | None = None) -> None:
         """Fire what ``reduce.fixpoint`` fires, in the same order, through
@@ -264,8 +257,20 @@ class FlatModel:
         or_of_place = self.or_of_place
         t_pre, t_post = self.t_pre, self.t_post
         p_pre, p_post = self.p_pre, self.p_post
-        multi_consumers = self.multi_consumers
-        multi_producers = self.multi_producers
+        for neighbours in (p_pre, p_post):
+            for p, ts in enumerate(neighbours):
+                neighbours[p] = set(ts)
+        # place -> its consumers with >= 2 pre-places (producers with >= 2
+        # post-places): the only neighbours of q whose AND checks an OR
+        # merge into q can change
+        multi_consumers: dict[int, set[int]] = {}
+        multi_producers: dict[int, set[int]] = {}
+        for index, sides in ((multi_consumers, self.pre),
+                             (multi_producers, self.post)):
+            for t, side in enumerate(sides):
+                if len(side) > 1:
+                    for p in side:
+                        index.setdefault(p, set()).add(t)
         offset = len(p_pre)
 
         def and_step(t: int, side_places: list, side: Side):

@@ -26,7 +26,7 @@ are not stored::
     }
 
 Writing is canonical: children appear in structural order (see
-``rank_statecharts``, which the validator uses too), uids are assigned in
+``rank_checked``, which the validator uses too), uids are assigned in
 preorder over the ordered tree and next lists are ascending, so equal
 models produce identical bytes whatever the order of their elements.
 (Sibling subtrees equal in kinds, names and links, which only repeated
@@ -45,9 +45,9 @@ lists of uids, kinds, names, children and links, numbered depth by depth.
 The reader checks each node as ``json.loads`` closes it and keeps it as a
 small tuple, not a dict, drops the text once it is loaded, then fills the
 lists in one breadth-first pass that drops each tuple once read. The
-writer walks the lists with an explicit stack, and ``rank_statecharts``
-ranks them as they stand and rejects any other numbering, so ``pn2sc
-validate`` goes from bytes to ranks without building a ``ModelStore``;
+writer walks the lists with an explicit stack, and ``check_statecharts``
+takes them as they stand and rejects any other numbering, so ``pn2sc
+validate`` goes from bytes to a verdict without building a ``ModelStore``;
 ``store_from_statechart`` builds one, with no recursion, for callers that
 want a store.
 ``canonical_document`` puts a document in the canonical written form.
@@ -92,7 +92,10 @@ __all__ = [
     "read_petri_net",
     "petri_net_to_bytes",
     "RankedTrees",
+    "CheckedStatecharts",
+    "check_statecharts",
     "rank_statecharts",
+    "rank_checked",
     "canonical_document",
     "STATECHART_KINDS",
     "kind_counts",
@@ -641,32 +644,30 @@ def _dense(keys: list, base: int, out: list[int],
     return base + len(table)
 
 
-def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
-    """Rank the containment trees of ``models`` into one canonical form.
-    ``canonical_document`` writes a document's children in the order of
-    their ranks, and ``validate_full`` compares the ranks of two roots.
+class CheckedStatecharts(NamedTuple):
+    """Statechart models that passed the checks ranking needs, as
+    documents numbered one after another (see ``check_statecharts``).
 
-    This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
-    and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
-    section 3.2), with integer keys and no recursion. A document is
-    ranked as it stands, and a store once flattened breadth-first. Each
-    level of each model is one range of nodes whose children are the next
-    range (see ``_layout``), so the passes below read slices and never
-    lay a tree out again:
+    ``docs`` holds each model's document, ``roots`` each one's root node
+    (the number of nodes before it), ``parents`` every node's parent in
+    that shared numbering (-1 for a root) and ``levels`` each document's
+    depths as ``_layout`` gives them.
+    """
 
-    1. Top down, a level at a time: each node's label is the rank of its
-       kind and name among the level's, and its name-path rank that of
-       one int made of its parent's name-path rank and its label.
-    2. One walk over the links of the Basics gathers, for each HyperEdge,
-       the name-path ranks of the Basics linking to it; with those of the
-       Basics it links to they make its signature. Only a HyperEdge whose
-       name recurs at its level needs one, so a walk over unique names
-       builds no lists.
-    3. Bottom up, a level at a time: each container's child ranks are
-       sorted, and the level's tails (each container's sorted child
-       ranks, each signature) are ranked together. A node's structural
-       key is then one int, its label scaled above every tail rank plus
-       its own, so each level sorts and hashes ints.
+    docs: list[StatechartDocument]
+    roots: list[int]
+    parents: list[int]
+    levels: list[list[_Level]]
+
+
+def check_statecharts(*models: ModelStore | StatechartDocument
+                      ) -> CheckedStatecharts:
+    """Check ``models`` once for ranking: flatten each store
+    breadth-first, check that every document's links are its node
+    numbers and lay each document out depth by depth (``_layout``),
+    numbering the nodes of each model after those of the models before
+    it. ``rank_checked`` ranks the result; ``validate_full`` also reads
+    it to look for a node bijection before it ranks.
 
     A DocumentError is raised for a document not numbered depth by depth
     or with children or links that are not its node numbers, and for a
@@ -687,8 +688,47 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
         roots.append(total)
         total += len(doc.kinds)
     parents = [-1] * total
-    layouts = [_layout(doc.children, offset, parents)
-               for doc, offset in zip(docs, roots)]
+    levels = [_layout(doc.children, offset, parents)
+              for doc, offset in zip(docs, roots)]
+    return CheckedStatecharts(docs, roots, parents, levels)
+
+
+def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
+    """Rank the containment trees of ``models`` into one canonical form:
+    ``rank_checked`` of ``check_statecharts(*models)``, so it raises what
+    that raises."""
+    return rank_checked(check_statecharts(*models))
+
+
+def rank_checked(checked: CheckedStatecharts) -> RankedTrees:
+    """Rank the containment trees of checked models into one canonical
+    form. ``canonical_document`` writes a document's children in the
+    order of their ranks, and ``validate_full`` compares the ranks of two
+    roots.
+
+    This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
+    and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
+    section 3.2), with integer keys and no recursion. A document is
+    ranked as it stands. Each level of each model is one range of nodes
+    whose children are the next range (see ``_layout``), so the passes
+    below read slices and never lay a tree out again:
+
+    1. Top down, a level at a time: each node's label is the rank of its
+       kind and name among the level's, and its name-path rank that of
+       one int made of its parent's name-path rank and its label.
+    2. One walk over the links of the Basics gathers, for each HyperEdge,
+       the name-path ranks of the Basics linking to it; with those of the
+       Basics it links to they make its signature. Only a HyperEdge whose
+       name recurs at its level needs one, so a walk over unique names
+       builds no lists.
+    3. Bottom up, a level at a time: each container's child ranks are
+       sorted, and the level's tails (each container's sorted child
+       ranks, each signature) are ranked together. A node's structural
+       key is then one int, its label scaled above every tail rank plus
+       its own, so each level sorts and hashes ints.
+    """
+    docs, roots, parents, layouts = checked
+    total = len(parents)
     kinds: list[str] = []
     names: list[str] = []
     for doc in docs:

@@ -6,24 +6,39 @@ every node and, under it, equality of every hyperedge's next and rnext
 sets, where a linked Basic is identified by its name path from the root.
 Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
 or one of each; a document is compared as it stands, with no store built.
-``Full`` ranks both models into the canonical form the writer uses
-(``pn2sc.io.rank_statecharts``) and compares the ranks of the two roots,
-so duplicate names need no backtracking search and no tree walk
-recurses. Only a failed comparison looks for the discrepancies, and only
-its descent reads children in canonical order: ``_children`` sorts a
-visited node's children by rank, as ``canonical_document`` writes them.
-Genuinely indistinguishable siblings may be matched either way.
+
+``Full`` checks both models once (``pn2sc.io.check_statecharts``) and
+first tries to prove them equal: when every Basic and HyperEdge name is
+unique within its kind, the names alone fix a node bijection, and the
+models pass if it keeps every node's kind, name, parent and links. Any
+other pair is ranked into the canonical form the writer uses
+(``pn2sc.io.rank_checked``), and the ranks of the two roots are
+compared, so duplicate names need no backtracking search and no tree
+walk recurses. The ranking is an isomorphism invariant, so a pair the
+bijection passes is one it passes too, and every report is the
+ranking's. Only a failed comparison looks for the discrepancies, and
+only its descent reads children in canonical order: ``_children`` sorts
+a visited node's children by rank, as ``canonical_document`` writes
+them. Genuinely indistinguishable siblings may be matched either way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from enum import Enum
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
+from operator import eq, ne
 from typing import TYPE_CHECKING, NamedTuple
 
-from .io import STATECHART_KINDS, ElementKind, RankedTrees, rank_statecharts
+from .io import (
+    STATECHART_KINDS,
+    CheckedStatecharts,
+    ElementKind,
+    RankedTrees,
+    check_statecharts,
+    rank_checked,
+)
 
 if TYPE_CHECKING:
     from .io import StatechartDocument
@@ -302,21 +317,121 @@ def _first_divergence(trees: RankedTrees, actual: int,
     return found
 
 
+_NAMED_KINDS = (ElementKind.BASIC.value, ElementKind.HYPER_EDGE.value)
+
+
+def _images_by_name(doc_a: StatechartDocument, doc_e: StatechartDocument,
+                    first: int) -> list[int] | None:
+    """For each node of ``doc_a``, the node of ``doc_e`` (numbered from
+    ``first``) with its kind and name if it is a Basic or a HyperEdge,
+    else -1; None unless each of the two kinds has as many nodes in both
+    documents, with names unique in ``doc_e`` and all found there."""
+    kinds_a, kinds_e, names_e = doc_a.kinds, doc_e.kinds, doc_e.names
+    node_of: dict[str, dict[str, int]] = {}  # kind -> name -> node
+    for kind in _NAMED_KINDS:
+        is_kind = list(map(eq, repeat(kind), kinds_e))
+        node_of[kind] = nodes = dict(zip(compress(names_e, is_kind),
+                                         compress(count(first), is_kind)))
+        if not len(nodes) == kinds_e.count(kind) == kinds_a.count(kind):
+            return None
+    # A name missing from ``doc_e`` stops the lookups with a KeyError;
+    # any other node gets -1 from ``others``, which keeps each of their
+    # names once it is asked for it.
+    others: defaultdict[str, int] = defaultdict(lambda: -1)
+    try:
+        return list(map(dict.__getitem__,
+                        map(node_of.get, kinds_a, repeat(others)),
+                        doc_a.names))
+    except KeyError:
+        return None
+
+
+def _isomorphic(checked: CheckedStatecharts) -> bool:
+    """Whether two checked models are equal under the node bijection
+    their labels force; False also when the labels force none.
+
+    Each Basic and HyperEdge of the actual model maps to the node of the
+    expected model with its kind and name, and each other node, level by
+    level from the bottom, to the parent of its first child's image. The
+    map proves the models equal when it is a bijection that fixes the
+    root and keeps every node's kind, name, parent and links (as a
+    multiset of images). It gives up at the first misfit, the cheap ones
+    first: unequal node counts or level sizes, then a Basic or HyperEdge
+    name that is repeated in the expected model or missing from it.
+    """
+    (doc_a, doc_e), (_, first), parents, (levels_a, levels_e) = checked
+    size = first  # the actual model's nodes come first
+    if len(doc_e.kinds) != size or [end - start for start, end, _ in levels_a
+                                    ] != [end - start for start, end, _
+                                          in levels_e]:
+        return False
+    image = _images_by_name(doc_a, doc_e, first)
+    if image is None:
+        return False
+    children_a = doc_a.children
+    for _, _, containers in reversed(levels_a):
+        for node in containers:
+            image[node] = parents[image[children_a[node][0]]]
+    # A node left at -1 (a childless state) or two nodes with one image
+    # leave part of the expected model without a preimage.
+    if len(set(image)) != size or min(image) != first:
+        return False
+    # Every other node keeps its parent, so the expected root, the one
+    # node without a parent, is the image of the root.
+    if any(map(ne, map(parents.__getitem__, islice(image, 1, None)),
+               map(image.__getitem__, islice(parents, 1, size)))):
+        return False
+    # A Basic or HyperEdge has its image's kind and name by construction.
+    kinds_a, names_a = doc_a.kinds, doc_a.names
+    kinds_e, names_e = doc_e.kinds, doc_e.names
+    for _, _, containers in levels_a:
+        own = [image[node] - first for node in containers]
+        if any(map(ne, map(kinds_a.__getitem__, containers),
+                   map(kinds_e.__getitem__, own))) or any(
+                map(ne, map(names_a.__getitem__, containers),
+                    map(names_e.__getitem__, own))):
+            return False
+    # Each link as one int: its source's number times ``size`` plus its
+    # target's, both numbered as in ``parents``.
+    links_a, links_e = doc_a.links, doc_e.links
+    linked_a = [source + image[target]
+                for source, targets in zip(
+                    map(size.__mul__, compress(image, links_a)),
+                    compress(links_a, links_a))
+                for target in targets]
+    del image
+    linked_e = [source + target
+                for source, targets in zip(
+                    compress(count(first * size + first, size), links_e),
+                    compress(links_e, links_e))
+                for target in targets]
+    linked_a.sort()
+    linked_e.sort()
+    return linked_a == linked_e
+
+
 def validate_full(actual: Statechart,
                   expected: Statechart) -> ValidationReport:
     """Compare containment trees and hyperedge link sets.
 
-    Both models are ranked together (``rank_statecharts``, which sorts no
-    children); they match when their roots have equal ranks. Only
-    when they do not are the discrepancies looked for: first kind by kind
-    and name by name, and where that finds none, by descending the two
-    trees, which sorts the children of each node it visits. Raises
-    ValueError (a DocumentError) unless each document is numbered depth
-    by depth and each store holds one Statechart with a top state and
-    keeps its links inside the containment tree; a parsed document meets
-    all by construction.
+    Both models are checked once (``check_statecharts``). They pass at
+    once when the node bijection their Basic and HyperEdge names force
+    keeps every kind, name, parent and link (``_isomorphic``); that needs
+    every such name unique within its kind. Otherwise both are ranked
+    together (``rank_checked``, which sorts no children), and they match
+    when their roots have equal ranks. Only when they do not are the
+    discrepancies looked for: first kind by kind and name by name, and
+    where that finds none, by descending the two trees, which sorts the
+    children of each node it visits. Raises ValueError (a DocumentError)
+    unless each document is numbered depth by depth and each store holds
+    one Statechart with a top state and keeps its links inside the
+    containment tree; a parsed document meets all by construction.
     """
-    trees = rank_statecharts(actual, expected)
+    checked = check_statecharts(actual, expected)
+    if _isomorphic(checked):
+        return ValidationReport(ValidationLevel.FULL, ())
+    trees = rank_checked(checked)
+    del checked
     root_a, root_e = trees.roots
     found = []
     if trees.ranks[root_a] != trees.ranks[root_e]:

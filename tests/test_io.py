@@ -530,9 +530,15 @@ def test_ranking_rejects_links_and_children_that_are_not_node_numbers(
                                   children, links)
     good = scio.parse_statechart(
         (GOLDEN_DIR / "fork_join.statechart.json").read_bytes())
+    # the same three nodes with sound children and links
+    clean = scio.StatechartDocument([0, 1, 2], kinds, ["", "", "p"],
+                                    [range(1, 2), range(2, 3), ()],
+                                    [(), (), ()])
     for call in (lambda: scio.canonical_document(doc),
                  lambda: validate_full(doc, doc),
-                 lambda: validate_full(good, doc)):
+                 lambda: validate_full(good, doc),
+                 lambda: validate_full(clean, doc),
+                 lambda: validate_full(doc, clean)):
         with pytest.raises(scio.DocumentError,
                            match=f"document {fault} must be int node"):
             call()

@@ -11,11 +11,14 @@ canonical children order. The ``RankedTrees`` docstring fixes rank
 values (dense within a level, distinct between levels, ``paths`` rising
 and ``ranks`` falling with depth), so equal lists are the same equality
 classes in the same order within each level. Canonical bytes and
-validation reports built on either ranking must be equal too.
+validation reports built on either ranking must be equal too, and equal
+to the report of ``validate_full``, which ranks only the pairs that its
+node bijection does not prove equal.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from unittest import mock
 
@@ -27,8 +30,10 @@ import rank_reference
 from helpers import (
     NETS,
     PARTNER_CHANGES,
+    json_nodes,
     mutated_statechart,
     named_from,
+    renamed,
     rotated_ors,
     shuffled_net,
     statechart_cases,
@@ -37,6 +42,7 @@ from helpers import (
 from pn2sc import io as scio
 from pn2sc import validate
 from pn2sc.flat import transform_net
+from pn2sc.generate import GenSpec, generate_sp_net
 
 
 def assert_same_ranking(*models) -> None:
@@ -57,11 +63,18 @@ def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
             rank_reference.canonical_document(doc))
 
 
+def _reference_ranking(checked: scio.CheckedStatecharts) -> scio.RankedTrees:
+    return rank_reference.rank_statecharts(*checked.docs)
+
+
 def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
-    with mock.patch.object(validate, "rank_statecharts",
-                           rank_reference.rank_statecharts):
+    # The certificate changes no report: with it given up, every pair is
+    # ranked, by either ranking.
+    with mock.patch.object(validate, "_isomorphic", return_value=False):
         assert report == validate.validate_full(actual, expected)
+        with mock.patch.object(validate, "rank_checked", _reference_ranking):
+            assert report == validate.validate_full(actual, expected)
     # A document's counts are its tree's, so models that pass in full
     # hold as many elements of each kind.
     if report.passed:
@@ -166,3 +179,61 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
         check_pair(mutated_statechart(data, "reordered", seed), partner)
         check_pair(data, mutated_statechart(partner, "reordered", seed))
 
+
+
+def _written(net) -> bytes:
+    doc, _ = transform_net(net)
+    return scio.statechart_document_to_bytes(doc)
+
+
+def _or_edited(data: bytes, kind: str, name: str) -> bytes:
+    """``data`` with its last OR given ``kind`` and ``name`` (and the
+    counts to match)."""
+    doc = json.loads(data)
+    node = [node for node, _ in json_nodes(doc) if node["kind"] == "OR"][-1]
+    node["kind"], node["name"] = kind, name
+    doc["counts"]["or"] -= 1
+    doc["counts"][kind.lower()] += 1
+    return json.dumps(doc).encode()
+
+
+def test_labels_that_force_a_bijection_pass_without_ranking():
+    # Every Basic and HyperEdge name of these outputs is unique within its
+    # kind, so the names map the nodes, and an equal partner passes
+    # before any ranking; any other pair reaches the ranking.
+    sp300 = _written(generate_sp_net(GenSpec(300, 4)))
+    equal = [(data, mutated_statechart(data, "reordered", seed))
+             for _, data in statechart_cases() for seed in range(3)]
+    equal.append((sp300, mutated_statechart(sp300, "reordered", 5)))
+    unequal = [(data, partner)
+               for data in [data for _, data in statechart_cases()] + [sp300]
+               for change in PARTNER_CHANGES[2:] for seed in range(3)
+               if (partner := mutated_statechart(data, change, seed))]
+    # A state that changes kind or name changes no Basic or HyperEdge.
+    unequal += [(sp300, _or_edited(sp300, "AND", "")),
+                (sp300, _or_edited(sp300, "OR", "x"))]
+    one_name = _written(renamed(generate_sp_net(GenSpec(300, 4)), "x"))
+    tied = [(one_name, mutated_statechart(one_name, "reordered", 1)),
+            (one_name, one_name),
+            (scio.statechart_document_to_bytes(rotated_ors(6, 0, ("x",))),
+             scio.statechart_document_to_bytes(rotated_ors(6, 1, ("x",))))]
+    with mock.patch.object(validate, "rank_checked",
+                           side_effect=AssertionError("ranked")):
+        for data, partner in equal:
+            for actual, expected in ((data, partner), (partner, data)):
+                assert validate.validate_full(
+                    scio.parse_statechart(actual),
+                    scio.parse_statechart(expected)).passed
+        store = scio.read_statechart(sp300)
+        for doc in (scio.parse_statechart(sp300),
+                    scio.document_from_statechart(store)):
+            assert validate.validate_full(store, doc).passed
+            assert validate.validate_full(doc, store).passed
+    for data, partner in unequal + tied:
+        pair = scio.parse_statechart(data), scio.parse_statechart(partner)
+        with mock.patch.object(validate, "rank_checked",
+                               wraps=scio.rank_checked) as ranking:
+            report = validate.validate_full(*pair)
+        assert ranking.called
+        assert report.passed == ((data, partner) in tied[:2])
+        assert_same_report(*pair)

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from pn2sc import validate
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
+    StatechartDocument,
     document_from_statechart,
     parse_statechart,
     rank_statecharts,
@@ -262,22 +264,69 @@ def test_wide_fork_of_twin_ors_sharing_a_basic_fails_in_linear_time():
 
 def test_validating_holds_less_than_twice_the_documents():
     # The verdict ranks both documents and keeps no children list, so its
-    # peak, the two documents included, stays under twice their size.
+    # peak, the two documents included, stays under twice their size;
+    # so does the node bijection that passes them before any ranking.
     doc, _ = transform_net(generate_sp_net(GenSpec(3000, 1)))
     data = statechart_document_to_bytes(doc)
     del doc
+    for certificate in (validate._isomorphic, lambda checked: False):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            actual, expected = parse_statechart(data), parse_statechart(data)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with mock.patch.object(validate, "_isomorphic", certificate):
+                report = validate_full(actual, expected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 2.0 * held, (peak, held)
+
+
+def test_the_bijection_holds_less_than_the_ranking():
+    # On a pair whose labels force the node bijection, checking it holds
+    # less than ranking the pair would.
+    doc, _ = transform_net(generate_sp_net(GenSpec(3000, 1)))
+    data = statechart_document_to_bytes(doc)
+    partner = mutated_statechart(data, "reordered", 0)
+    del doc
     gc.collect()
-    tracemalloc.start()
-    try:
-        actual, expected = parse_statechart(data), parse_statechart(data)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        report = validate_full(actual, expected)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    assert peak <= 2.0 * held, (peak, held)
+    actual, expected = parse_statechart(data), parse_statechart(partner)
+    peaks = []
+    for certificate in (validate._isomorphic, lambda checked: False):
+        with mock.patch.object(validate, "_isomorphic", certificate):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = validate_full(actual, expected)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert report.passed
+    certified, ranked = peaks
+    assert certified < ranked, peaks
+
+
+def _three_nodes(links: list) -> StatechartDocument:
+    return StatechartDocument([0, 1, 2], ["Statechart", "AND", "Basic"],
+                              ["", "", "p"],
+                              [range(1, 2), range(2, 3), ()], links)
+
+
+def test_a_basic_that_links_the_and_passes_as_the_ranking_passes_it():
+    # The ranking reads no link of a Basic to a state, so the pair passes
+    # in full; the bijection sees the extra link and leaves it to the
+    # ranking.
+    fault = _three_nodes([(), (), (1,)])
+    clean = _three_nodes([(), (), ()])
+    for pair in ((fault, clean), (clean, fault)):
+        with mock.patch.object(validate, "rank_checked",
+                               wraps=validate.rank_checked) as ranking:
+            assert validate_full(*pair).passed
+        assert ranking.called
+    assert validate_full(fault, fault).passed
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
