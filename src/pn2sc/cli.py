@@ -60,23 +60,31 @@ def _read_file(path: str) -> bytes:
 def _read_statechart(path: str) -> scio.StatechartDocument:
     """Parse the statechart file at ``path``.
 
-    A regular file is read ``_CHUNK_BYTES`` at a time through
-    ``statechart_text``, so its indentation is never held, and the text
-    goes straight to ``parse_statechart``, which drops it once it is
-    decoded and the decoded text once it is loaded, so neither is held
-    while the nodes are checked. (Python 3.10 keeps a call's arguments
-    until it returns, so there the text stays.) If reading fails, or the
-    text is not UTF-8 or not JSON, the file is read and parsed again as it
-    stands, so that the error names the file's own columns and offsets; a
-    schema error names no position and is raised at once. Any other path,
-    such as a pipe, which cannot be read twice, is read as it stands at
-    once."""
+    A regular file is read ``_CHUNK_BYTES`` at a time, so its indentation
+    is never held: first through ``_read_squeezed``, which turns each run
+    of whitespace into one space and keeps the document only where that
+    cannot have changed it. Otherwise the file is read again in chunks,
+    through ``statechart_text``, which keeps every string as it stands.
+    Either text goes straight to ``parse_statechart``, which drops it once
+    it is decoded and the decoded text once it is loaded, so neither is
+    held while the nodes are checked. (Python 3.10 keeps a call's
+    arguments until it returns, so there the text stays.) If reading
+    fails, or the text is not UTF-8 or not JSON, the file is read and
+    parsed again as it stands, so that the error names the file's own
+    columns and offsets; a schema error names no position and is raised
+    from the read in chunks. Any other path, such as a pipe, which cannot
+    be read twice, is read as it stands at once."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # reading the path reports it
         regular = False
     if regular:
         try:
+            with open(path, "rb") as handle:
+                doc = scio._read_squeezed(
+                    iter(lambda: handle.read(scio._CHUNK_BYTES), b""))
+            if doc is not None:
+                return doc
             with open(path, "rb") as handle:
                 return scio.parse_statechart(scio.statechart_text(
                     iter(lambda: handle.read(scio._CHUNK_BYTES), b"")

@@ -39,6 +39,11 @@ a deep file is its indentation, so the counterpart ``statechart_text``
 reads a file's chunks back without the spaces that follow each line
 break: reading holds one chunk and the text that is left, which on
 four nested fork/join spines 60 to 100 deep is 195 KB of a 7.7 MB file.
+``pn2sc validate`` reads a file through ``_read_squeezed`` first, which
+turns each run of whitespace into one space with one ``bytes.split`` per
+chunk, about twice as fast, and keeps the document only where no name
+holds a space, since only a name can have been changed; any other file
+is read again through ``statechart_text``.
 
 In memory a statechart document is flat (``StatechartDocument``): per-node
 lists of uids, kinds, names, children and links, numbered depth by depth.
@@ -96,6 +101,9 @@ __all__ = [
     "check_statecharts",
     "rank_statecharts",
     "rank_checked",
+    "LabelledTrees",
+    "label_checked",
+    "rank_labelled",
     "canonical_document",
     "STATECHART_KINDS",
     "kind_counts",
@@ -711,7 +719,9 @@ def rank_checked(checked: CheckedStatecharts) -> RankedTrees:
     section 3.2), with integer keys and no recursion. A document is
     ranked as it stands. Each level of each model is one range of nodes
     whose children are the next range (see ``_layout``), so the passes
-    below read slices and never lay a tree out again:
+    read slices and never lay a tree out again. ``label_checked`` runs
+    the name-path passes 1 and 2, and ``rank_labelled`` the structural
+    pass 3:
 
     1. Top down, a level at a time: each node's label is the rank of its
        kind and name among the level's, and its name-path rank that of
@@ -727,6 +737,32 @@ def rank_checked(checked: CheckedStatecharts) -> RankedTrees:
        key is then one int, its label scaled above every tail rank plus
        its own, so each level sorts and hashes ints.
     """
+    return rank_labelled(checked, label_checked(checked))
+
+
+class LabelledTrees(NamedTuple):
+    """Passes 1 and 2 of ``rank_checked``: the name paths of checked
+    models, and what pass 3 ranks their structure from.
+
+    ``kinds``, ``names``, ``parents`` and ``paths`` are those of
+    ``RankedTrees``. ``labels`` holds each node's rank of kind and name
+    among its level's, and ``signatures`` the signature of each HyperEdge
+    whose name recurs at its level, by node number. Two HyperEdges have
+    equal ``RankedTrees.ranks`` exactly when they sit at one depth with
+    equal labels, and with equal signatures or none. ``rank_labelled``
+    empties ``signatures`` as it reads them.
+    """
+
+    kinds: list[str]
+    names: list[str]
+    parents: list[int]
+    labels: list[int]
+    paths: list[int]
+    signatures: dict[int, tuple[int, ...]]
+
+
+def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
+    """Passes 1 and 2 of ``rank_checked`` on checked models."""
     docs, roots, parents, layouts = checked
     total = len(parents)
     kinds: list[str] = []
@@ -806,10 +842,19 @@ def rank_checked(checked: CheckedStatecharts) -> RankedTrees:
             if doc_kinds[node] == hyper_edge:
                 signatures[offset + node] = (-1, *sorted(incoming[node]))
         del path_of, shared, incoming
-    del repeated
+    return LabelledTrees(kinds, names, parents, labels, paths, signatures)
+
+
+def rank_labelled(checked: CheckedStatecharts,
+                  labelled: LabelledTrees) -> RankedTrees:
+    """Pass 3 of ``rank_checked``, on checked models and their passes 1
+    and 2 (``label_checked(checked)``)."""
+    docs, roots, parents, layouts = checked
+    kinds, names, _, labels, paths, signatures = labelled
+    depths = max(map(len, layouts), default=0)
     linked = sorted(signatures)
 
-    ranks = [0] * total
+    ranks = [0] * len(parents)
     rank_of = ranks.__getitem__
     base = 0
     for depth in range(depths - 1, -1, -1):
@@ -1066,6 +1111,58 @@ def statechart_text(chunks: Iterable[bytes]) -> bytes:
         out.write(chunk)
         after_break = chunk.endswith(b"\n")
     return out.getvalue()
+
+
+def _squeezed(chunks: Iterable[bytes]) -> bytes:
+    """The bytes of a file, given as ``chunks``, with each run of
+    whitespace in a chunk that holds a line break turned into one space.
+
+    ``bytes.split`` cuts a chunk into words in one call, which is about
+    twice as fast as ``statechart_text``'s substitution. A word that may
+    go on in the next chunk is carried over to it, and a space is written
+    wherever a run stood, so no two words join. A chunk with no line
+    break, such as one of a compact file, is written as it is, and so is
+    one holding 0x0B or 0x0C: ``bytes.split`` takes those for whitespace
+    and JSON does not, so a document with one between two tokens stays
+    rejected. Between tokens the result reads as the same JSON; only a
+    run inside a string changes what is read, and then the string holds
+    a space, which ``_read_squeezed`` checks for.
+    """
+    out = BytesIO()
+    carry = b""  # the last word of a chunk that ends in one
+    spaced = True  # nothing is written, or a space is last
+    for chunk in chunks:
+        if carry:
+            chunk, carry = carry + chunk, b""
+        if b"\n" not in chunk or b"\x0b" in chunk or b"\x0c" in chunk:
+            out.write(chunk)
+            spaced = False
+            continue
+        words = chunk.split()
+        if not chunk[-1:].isspace():
+            carry = words.pop()
+        if not spaced and chunk[:1].isspace():
+            out.write(b" ")
+        if words:  # else the chunk is a run, or one before the carry
+            out.write(b" ".join(words))
+            out.write(b" ")  # a run followed the last word written
+        spaced = True
+    out.write(carry)
+    return out.getvalue()
+
+
+def _read_squeezed(chunks: Iterable[bytes]) -> StatechartDocument | None:
+    """The document a file's ``chunks`` hold, read through ``_squeezed``,
+    or None where that read may differ from ``parse_statechart`` of the
+    file's bytes: the squeezed text fails to read, or a name holds a
+    space. Once a document reads, its keys and kinds are strings the
+    reader knows, none with a space, so the names are the only strings a
+    squeezed run can have reached."""
+    try:
+        doc = parse_statechart(_squeezed(chunks))
+    except DocumentError:
+        return None
+    return None if " " in "".join(doc.names) else doc
 
 
 def _checked_node(value: object, node_of: dict[int, int] | None = None,

@@ -16,16 +16,21 @@ other pair is ranked into the canonical form the writer uses
 compared, so duplicate names need no backtracking search and no tree
 walk recurses. The ranking is an isomorphism invariant, so a pair the
 bijection passes is one it passes too, and every report is the
-ranking's. Only a failed comparison looks for the discrepancies, and
-only its descent reads children in canonical order: ``_children`` sorts
-a visited node's children by rank, as ``canonical_document`` writes
-them. Genuinely indistinguishable siblings may be matched either way.
+ranking's. The name paths are ranked first (``pn2sc.io.label_checked``),
+and where their sums differ between the models, so do the models: the
+labels are then compared at once, and that comparison, the report the
+ranking would lead to, is given without ranking the structure
+(``pn2sc.io.rank_labelled``). Only a failed comparison looks for the
+discrepancies, and only its descent reads children in canonical order:
+``_children`` sorts a visited node's children by rank, as
+``canonical_document`` writes them. Genuinely indistinguishable siblings
+may be matched either way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from enum import Enum
 from itertools import compress, count, islice, repeat
 from operator import eq, ne
@@ -35,12 +40,16 @@ from .io import (
     STATECHART_KINDS,
     CheckedStatecharts,
     ElementKind,
+    LabelledTrees,
     RankedTrees,
     check_statecharts,
-    rank_checked,
+    label_checked,
+    rank_labelled,
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator, Sequence
+
     from .io import StatechartDocument
     from .model import ModelStore
 
@@ -84,11 +93,11 @@ def validate_counts(actual: Statechart,
     return ValidationReport(ValidationLevel.COUNTS, tuple(found))
 
 
-def _label(trees: RankedTrees, node: int) -> str:
+def _label(trees: RankedTrees | LabelledTrees, node: int) -> str:
     return f"{trees.kinds[node]}({trees.names[node]})"
 
 
-def _path(trees: RankedTrees, node: int) -> str:
+def _path(trees: RankedTrees | LabelledTrees, node: int) -> str:
     """The labels from the root down to ``node``, or ``<root>`` for -1."""
     labels = []
     while node >= 0:
@@ -98,7 +107,7 @@ def _path(trees: RankedTrees, node: int) -> str:
 
 
 def _first_unequal(nodes_a: list[int], nodes_e: list[int],
-                   order: list[int]) -> tuple[int, int] | None:
+                   order: Sequence[object]) -> tuple[int, int] | None:
     """The first pair that differs in ``order`` once both lists are sorted
     by it, or None."""
     if len(nodes_a) == 1 == len(nodes_e):  # most labels occur once
@@ -109,30 +118,53 @@ def _first_unequal(nodes_a: list[int], nodes_e: list[int],
     return next(((a, e) for a, e in pairs if order[a] != order[e]), None)
 
 
-def _label_mismatches(trees: RankedTrees,
+def _edge_keys(checked: CheckedStatecharts,
+               labelled: LabelledTrees) -> list[tuple | None]:
+    """Each HyperEdge's depth, label and signature (``()`` for none), by
+    node number, and None for every other node: two HyperEdges have equal
+    keys exactly when the ranking gives them equal ranks."""
+    labels = labelled.labels
+    kinds = labelled.kinds
+    is_edge = ElementKind.HYPER_EDGE.value.__eq__
+    keys: list[tuple | None] = [None] * len(kinds)
+    for levels in checked.levels:
+        for depth, (start, end, _) in enumerate(levels):
+            edges = list(compress(range(start, end),
+                                  map(is_edge, kinds[start:end])))
+            any(map(keys.__setitem__, edges, zip(  # stores; each gives None
+                repeat(depth), map(labels.__getitem__, edges),
+                map(labelled.signatures.get, edges, repeat(())))))
+    return keys
+
+
+def _label_mismatches(trees: RankedTrees | LabelledTrees,
+                      edge_ranks: Sequence[object],
                       first_expected: int) -> list[Discrepancy]:
     """Compare, for each kind and name, how often and where it occurs.
 
     Nodes numbered from ``first_expected`` on belong to the expected
-    model. A HyperEdge found at the same places in both models that still
-    ranks differently links different Basics.
+    model. ``edge_ranks`` holds, by node number, a value for each
+    HyperEdge that is equal for two HyperEdges exactly when their ranks
+    are: their ``RankedTrees.ranks``, or the keys ``_edge_keys`` gives
+    before any structure is ranked. A HyperEdge found at the same places
+    in both models whose value still differs links different Basics.
 
-    A ``paths`` rank, and a ``ranks`` value too, fixes the kind and name
-    of its nodes. So a label can occur unequally often or in other places
-    only if it holds a ``paths`` rank that the two models hold unequally
-    often, and a HyperEdge label can link differently only if it holds
-    such a ``ranks`` value. One Counter per list finds those values: it
-    counts the actual model's half and subtracts the expected half, with
-    no copy of either half; of ``ranks`` it counts only the HyperEdges'.
-    A node is then looked up only for each value that differs, and any
-    node holding it gives its label. The nodes of the other labels are
-    never collected.
+    A ``paths`` rank, and an ``edge_ranks`` value too, fixes the kind and
+    name of its nodes. So a label can occur unequally often or in other
+    places only if it holds a ``paths`` rank that the two models hold
+    unequally often, and a HyperEdge label can link differently only if
+    it holds such an ``edge_ranks`` value. One Counter per list finds
+    those values: it counts the actual model's half and subtracts the
+    expected half, with no copy of either half; of ``edge_ranks`` it
+    counts only the HyperEdges'. A node is then looked up only for each
+    value that differs, and any node holding it gives its label. The
+    nodes of the other labels are never collected.
     """
     kinds, names = trees.kinds, trees.names
     is_edge = ElementKind.HYPER_EDGE.value.__eq__
     wanted = set()
     for values, hyper_edges_only in ((trees.paths, False),
-                                     (trees.ranks, True)):
+                                     (edge_ranks, True)):
         held = islice(values, first_expected)
         subtracted = islice(values, first_expected, None)
         if hyper_edges_only:
@@ -178,7 +210,7 @@ def _label_mismatches(trees: RankedTrees,
                 f"{_path(trees, trees.parents[moved[1]])}",
             ))
         elif label[0] == ElementKind.HYPER_EDGE.value and _first_unequal(
-            nodes_a, nodes_e, trees.ranks
+            nodes_a, nodes_e, edge_ranks
         ):
             found.append(Discrepancy(
                 "next-set-mismatch",
@@ -325,25 +357,29 @@ def _images_by_name(doc_a: StatechartDocument, doc_e: StatechartDocument,
     """For each node of ``doc_a``, the node of ``doc_e`` (numbered from
     ``first``) with its kind and name if it is a Basic or a HyperEdge,
     else -1; None unless each of the two kinds has as many nodes in both
-    documents, with names unique in ``doc_e`` and all found there."""
-    kinds_a, kinds_e, names_e = doc_a.kinds, doc_e.kinds, doc_e.names
-    node_of: dict[str, dict[str, int]] = {}  # kind -> name -> node
+    documents, with names unique in ``doc_e`` and all found there.
+
+    The Basics are looked up before the HyperEdges' names are indexed, so
+    a Basic name missing from ``doc_e`` stops the search before that."""
+    kinds_a, kinds_e, names_a, names_e = (doc_a.kinds, doc_e.kinds,
+                                          doc_a.names, doc_e.names)
+    found: dict[str, Iterator[int]] = {}  # kind -> images in node order
     for kind in _NAMED_KINDS:
         is_kind = list(map(eq, repeat(kind), kinds_e))
-        node_of[kind] = nodes = dict(zip(compress(names_e, is_kind),
-                                         compress(count(first), is_kind)))
-        if not len(nodes) == kinds_e.count(kind) == kinds_a.count(kind):
+        node_of = dict(zip(compress(names_e, is_kind),
+                           compress(count(first), is_kind)))
+        if len(node_of) != kinds_e.count(kind):
             return None
-    # A name missing from ``doc_e`` stops the lookups with a KeyError;
-    # any other node gets -1 from ``others``, which keeps each of their
-    # names once it is asked for it.
-    others: defaultdict[str, int] = defaultdict(lambda: -1)
-    try:
-        return list(map(dict.__getitem__,
-                        map(node_of.get, kinds_a, repeat(others)),
-                        doc_a.names))
-    except KeyError:
-        return None
+        try:
+            images = list(map(node_of.__getitem__, compress(
+                names_a, map(eq, repeat(kind), kinds_a))))
+        except KeyError:  # a name missing from ``doc_e``
+            return None
+        if len(images) != len(node_of):
+            return None
+        found[kind] = iter(images)
+    # Each node takes the next image of its kind; any other node, -1.
+    return list(map(next, map(found.get, kinds_a, repeat(repeat(-1)))))
 
 
 def _isomorphic(checked: CheckedStatecharts) -> bool:
@@ -417,9 +453,14 @@ def validate_full(actual: Statechart,
     Both models are checked once (``check_statecharts``). They pass at
     once when the node bijection their Basic and HyperEdge names force
     keeps every kind, name, parent and link (``_isomorphic``); that needs
-    every such name unique within its kind. Otherwise both are ranked
-    together (``rank_checked``, which sorts no children), and they match
-    when their roots have equal ranks. Only when they do not are the
+    every such name unique within its kind. Otherwise their name paths
+    are ranked together (``label_checked``). Unequal sums of name-path
+    ranks prove the multisets unequal, an isomorphism invariant, so the
+    roots would rank apart and the report would be the label comparison
+    (``_label_mismatches``, each HyperEdge keyed by ``_edge_keys``): it is
+    returned at once, with no structure ranked. Any other pair is ranked
+    to the end (``rank_labelled``, which sorts no children), and matches
+    when its roots have equal ranks. Only when they do not are the
     discrepancies looked for: first kind by kind and name by name, and
     where that finds none, by descending the two trees, which sorts the
     children of each node it visits. Raises ValueError (a DocumentError)
@@ -430,11 +471,17 @@ def validate_full(actual: Statechart,
     checked = check_statecharts(actual, expected)
     if _isomorphic(checked):
         return ValidationReport(ValidationLevel.FULL, ())
-    trees = rank_checked(checked)
-    del checked
+    labelled = label_checked(checked)
+    paths, first = labelled.paths, checked.roots[1]
+    if sum(islice(paths, first)) != sum(islice(paths, first, None)):
+        return ValidationReport(ValidationLevel.FULL, tuple(
+            _label_mismatches(labelled, _edge_keys(checked, labelled), first)
+        ))
+    trees = rank_labelled(checked, labelled)
+    del checked, labelled, paths
     root_a, root_e = trees.roots
     found = []
     if trees.ranks[root_a] != trees.ranks[root_e]:
-        found = (_label_mismatches(trees, root_e)
+        found = (_label_mismatches(trees, trees.ranks, root_e)
                  or _first_divergence(trees, root_a, root_e))
     return ValidationReport(ValidationLevel.FULL, tuple(found))

@@ -687,9 +687,11 @@ def test_validate_names_the_column_and_offset_of_the_file(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_schema_error_reads_the_file_once(tmp_path, golden_dir, capsys):
+def test_schema_error_never_reads_the_file_whole(tmp_path, golden_dir,
+                                                 capsys):
     # A schema message names no position, so the file is not read again
-    # as it stands to give one.
+    # as it stands to give one: the squeezed read that fails is read
+    # again in chunks only.
     golden = golden_dir / "fork_join.statechart.json"
     data = golden.read_bytes()
     broken = data.replace(b'"hyperedge": ', b'"hyperedge": 1', 1)

@@ -13,7 +13,8 @@ and ``ranks`` falling with depth), so equal lists are the same equality
 classes in the same order within each level. Canonical bytes and
 validation reports built on either ranking must be equal too, and equal
 to the report of ``validate_full``, which ranks only the pairs that its
-node bijection does not prove equal.
+node bijection does not prove equal, and ranks the structure of only
+those whose name-path ranks add up alike in both models.
 """
 
 from __future__ import annotations
@@ -63,17 +64,33 @@ def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
             rank_reference.canonical_document(doc))
 
 
-def _reference_ranking(checked: scio.CheckedStatecharts) -> scio.RankedTrees:
+def _reference_ranking(checked: scio.CheckedStatecharts,
+                       labelled: scio.LabelledTrees) -> scio.RankedTrees:
     return rank_reference.rank_statecharts(*checked.docs)
+
+
+def reference_report(actual, expected) -> validate.ValidationReport:
+    """The report the reference ranking gives: the label comparison on its
+    ranks, else the descent, wherever the roots rank apart."""
+    trees = rank_reference.rank_statecharts(actual, expected)
+    root_a, root_e = trees.roots
+    found = []
+    if trees.ranks[root_a] != trees.ranks[root_e]:
+        found = (validate._label_mismatches(trees, trees.ranks, root_e)
+                 or validate._first_divergence(trees, root_a, root_e))
+    return validate.ValidationReport(validate.ValidationLevel.FULL,
+                                     tuple(found))
 
 
 def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
+    assert report == reference_report(actual, expected)
     # The certificate changes no report: with it given up, every pair is
-    # ranked, by either ranking.
+    # ranked, by either structural ranking where its name paths add up
+    # alike.
     with mock.patch.object(validate, "_isomorphic", return_value=False):
         assert report == validate.validate_full(actual, expected)
-        with mock.patch.object(validate, "rank_checked", _reference_ranking):
+        with mock.patch.object(validate, "rank_labelled", _reference_ranking):
             assert report == validate.validate_full(actual, expected)
     # A document's counts are its tree's, so models that pass in full
     # hold as many elements of each kind.
@@ -172,7 +189,8 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
     # shuffled in its file too.
     trees = scio.rank_statecharts(actual, expected)
     assert trees.ranks[trees.roots[0]] != trees.ranks[trees.roots[1]]
-    assert validate._label_mismatches(trees, trees.roots[1]) == []
+    assert validate._label_mismatches(trees, trees.ranks,
+                                      trees.roots[1]) == []
     data, partner = map(scio.statechart_document_to_bytes, (actual, expected))
     check_pair(data, partner)
     for seed in range(3):
@@ -186,21 +204,41 @@ def _written(net) -> bytes:
     return scio.statechart_document_to_bytes(doc)
 
 
-def _or_edited(data: bytes, kind: str, name: str) -> bytes:
-    """``data`` with its last OR given ``kind`` and ``name`` (and the
-    counts to match)."""
+def _state_edited(data: bytes, kind: str, name: str,
+                  of: str = "OR") -> bytes | None:
+    """``data`` with its last state of kind ``of`` given ``kind`` and
+    ``name`` (and the counts to match), or None where that state is the
+    top AND."""
     doc = json.loads(data)
-    node = [node for node, _ in json_nodes(doc) if node["kind"] == "OR"][-1]
+    node = [node for node, _ in json_nodes(doc) if node["kind"] == of][-1]
+    if node is doc["root"]["children"][0]:
+        return None
     node["kind"], node["name"] = kind, name
-    doc["counts"]["or"] -= 1
+    doc["counts"][of.lower()] -= 1
     doc["counts"][kind.lower()] += 1
+    return json.dumps(doc).encode()
+
+
+def _edge_moved_up(data: bytes, seed: int) -> bytes | None:
+    """``data`` with one HyperEdge under a state below the top AND moved
+    into the top AND, as perfbench's mutant moves one: a move that changes
+    its depth. None where every HyperEdge is in the top AND."""
+    doc = json.loads(data)
+    top = doc["root"]["children"][0]
+    edges = [(node, parent) for node, parent in json_nodes(doc)
+             if node["kind"] == "HyperEdge" and parent is not top]
+    if not edges:
+        return None
+    node, parent = random.Random(seed).choice(edges)
+    parent["children"].remove(node)
+    top["children"].append(node)
     return json.dumps(doc).encode()
 
 
 def test_labels_that_force_a_bijection_pass_without_ranking():
     # Every Basic and HyperEdge name of these outputs is unique within its
     # kind, so the names map the nodes, and an equal partner passes
-    # before any ranking; any other pair reaches the ranking.
+    # before any ranking; any other pair reaches the name-path ranking.
     sp300 = _written(generate_sp_net(GenSpec(300, 4)))
     equal = [(data, mutated_statechart(data, "reordered", seed))
              for _, data in statechart_cases() for seed in range(3)]
@@ -210,14 +248,14 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
                for change in PARTNER_CHANGES[2:] for seed in range(3)
                if (partner := mutated_statechart(data, change, seed))]
     # A state that changes kind or name changes no Basic or HyperEdge.
-    unequal += [(sp300, _or_edited(sp300, "AND", "")),
-                (sp300, _or_edited(sp300, "OR", "x"))]
+    unequal += [(sp300, _state_edited(sp300, "AND", "")),
+                (sp300, _state_edited(sp300, "OR", "x"))]
     one_name = _written(renamed(generate_sp_net(GenSpec(300, 4)), "x"))
     tied = [(one_name, mutated_statechart(one_name, "reordered", 1)),
             (one_name, one_name),
             (scio.statechart_document_to_bytes(rotated_ors(6, 0, ("x",))),
              scio.statechart_document_to_bytes(rotated_ors(6, 1, ("x",))))]
-    with mock.patch.object(validate, "rank_checked",
+    with mock.patch.object(validate, "label_checked",
                            side_effect=AssertionError("ranked")):
         for data, partner in equal:
             for actual, expected in ((data, partner), (partner, data)):
@@ -231,9 +269,39 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
             assert validate.validate_full(doc, store).passed
     for data, partner in unequal + tied:
         pair = scio.parse_statechart(data), scio.parse_statechart(partner)
-        with mock.patch.object(validate, "rank_checked",
-                               wraps=scio.rank_checked) as ranking:
+        with mock.patch.object(validate, "label_checked",
+                               wraps=scio.label_checked) as ranking:
             report = validate.validate_full(*pair)
         assert ranking.called
         assert report.passed == ((data, partner) in tied[:2])
         assert_same_report(*pair)
+
+
+def test_pairs_with_unequal_labels_report_without_ranking_structure():
+    # A renamed Basic, a HyperEdge moved to another depth and a state
+    # whose kind flips between AND and OR each change name paths, and the
+    # sums of their ranks, so the label comparison gives the whole report,
+    # the reference ranking's, and the structure of neither model is
+    # ranked.
+    charts = [data for _, data in statechart_cases()]
+    charts.append(_written(generate_sp_net(GenSpec(300, 4))))
+    pairs = []
+    for data in charts:
+        partners = [mutated_statechart(data, "basic-renamed", seed)
+                    for seed in range(3)]
+        partners += [_edge_moved_up(data, seed) for seed in range(3)]
+        partners += [_state_edited(data, "AND", ""),
+                     _state_edited(data, "OR", "", of="AND")]
+        pairs += [(data, partner) for partner in partners
+                  if partner is not None]
+    kinds = set()
+    with mock.patch.object(validate, "rank_labelled",
+                           side_effect=AssertionError("ranked")):
+        for data, partner in pairs:
+            for pair in ((data, partner), (partner, data)):
+                docs = [scio.parse_statechart(side) for side in pair]
+                report = validate.validate_full(*docs)
+                assert not report.passed
+                assert report == reference_report(*docs)
+                kinds.update(kind for kind, _ in report.discrepancies)
+    assert kinds >= {"missing-node", "extra-node", "wrong-container"}, kinds

@@ -1,12 +1,17 @@
 """The statechart reader against the one it replaced (``reader_reference``):
 the same text gives the same document or the same DocumentError message,
-and reading a file holds less."""
+and reading a file holds less. ``cli._read_statechart``, which squeezes
+the whitespace of a file as it reads it, gives what ``parse_statechart``
+gives for the file's bytes."""
 
 from __future__ import annotations
 
 import copy
 import gc
 import json
+import os
+import re
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -204,6 +209,89 @@ def test_an_unedited_chart_nested_past_json_still_reads():
     assert doc == reader_reference.parse_statechart(deep)
     assert doc.kinds.count("OR") + doc.kinds.count("AND") > (
         past_json_depth() // 2)
+
+
+#: Names that hold bytes squeezing must not take for whitespace once
+#: written, with plain ones, and names that squeezing would change.
+_UNSPACED_NAMES = ["p", "tab\there", "\t", "v\x0bw", "f\x0cg",
+                   "line\nbreak", "cr\r\n", "café", ""]
+_SQUEEZE_NAMES = st.sampled_from(_UNSPACED_NAMES) | st.sampled_from(
+    ["a b", "a  b", " lead", "trail "])
+_SQUEEZE_EDITS = ("none", "raw-tab", "raw-break", "vt-between",
+                  "ff-between")
+
+
+@st.composite
+def _laid_out_charts(draw) -> bytes:
+    """A written statechart with names drawn from ``_SQUEEZE_NAMES``, or
+    from its names without a space, laid out compact, in compact lines or
+    indented, with LF or CRLF line ends, and perhaps one edit: a raw tab
+    or line break for an escaped one in a string, or a 0x0B or 0x0C byte
+    between two tokens."""
+    value = json.loads(draw(_CHARTS))
+    names = draw(st.sampled_from(
+        [_SQUEEZE_NAMES, st.sampled_from(_UNSPACED_NAMES)]))
+    for node, _ in json_nodes(value):
+        if draw(st.booleans()):
+            node["name"] = draw(names)
+    layout = draw(st.sampled_from(["compact", "lines", "indent", "tabs"]))
+    if layout in ("compact", "lines"):
+        data = json.dumps(value, separators=(",", ":")).encode()
+        if layout == "lines":
+            data = data.replace(b"},{", b"},\n{")
+    else:
+        data = json.dumps(value, indent=2 if layout == "indent" else "\t",
+                          ensure_ascii=draw(st.booleans())).encode()
+    if draw(st.booleans()):
+        data = data.replace(b"\n", b"\r\n")
+    edit = draw(st.sampled_from(_SQUEEZE_EDITS))
+    if edit == "raw-tab":
+        data = data.replace(b"\\t", b"\t")
+    elif edit == "raw-break":
+        data = data.replace(b"\\n", b"\n")
+    elif edit != "none":
+        at = draw(st.sampled_from(
+            [found.end() for found in re.finditer(rb'"name":', data)]))
+        data = data[:at] + (b"\x0b" if edit == "vt-between" else b"\x0c") + (
+            data[at:])
+    return data
+
+
+@given(data=_laid_out_charts(),
+       chunk_bytes=st.sampled_from((64, 4096, scio._CHUNK_BYTES)))
+@settings(max_examples=150, deadline=None)
+def test_a_file_reads_as_its_bytes_parse(data, chunk_bytes):
+    with tempfile.TemporaryDirectory() as where:
+        path = os.path.join(where, "chart.json")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with mock.patch.object(scio, "_CHUNK_BYTES", chunk_bytes):
+            found = _read(cli._read_statechart, path)
+    assert found == _read(scio.parse_statechart, data)
+
+
+def test_a_squeezed_read_keeps_only_what_it_cannot_have_changed():
+    data = (GOLDEN_DIR / "fork_join.statechart.json").read_bytes()
+    assert data.count(b'"name": "P1"') == 1
+    for name, kept in ((b"P1", True), (b"P\\t1", True), (b"P 1", False),
+                       (b"P\t1", False)):  # a raw tab is not JSON
+        edited = data.replace(b'"name": "P1"', b'"name": "' + name + b'"')
+        read = scio._read_squeezed([edited])
+        if kept:
+            assert read == scio.parse_statechart(edited)
+        else:
+            assert read is None
+
+
+def test_squeezing_keeps_a_separator_wherever_a_run_stood():
+    # Runs and words cut at every chunk boundary: one byte a chunk.
+    data = b'{"a":\n  [1,\n 22, 333 ,\r\n\t4444]\n , "b": "x y"}\n'
+    for size in (1, 2, 3, 5, len(data)):
+        chunks = [data[at:at + size] for at in range(0, len(data), size)]
+        assert scio._squeezed(chunks).split() == data.split()
+    # a chunk holding 0x0B or 0x0C, or no line break, is left as it is
+    for chunk in (b'[1,\x0b\n 2]', b'[1,\x0c\n 2]', b'[1,   2]'):
+        assert scio._squeezed([chunk]) == chunk
 
 
 def test_reading_a_file_holds_less_than_the_reference_reader(tmp_path):

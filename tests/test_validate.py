@@ -33,7 +33,9 @@ from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     StatechartDocument,
+    check_statecharts,
     document_from_statechart,
+    label_checked,
     parse_statechart,
     rank_statecharts,
     read_statechart,
@@ -318,15 +320,46 @@ def _three_nodes(links: list) -> StatechartDocument:
 def test_a_basic_that_links_the_and_passes_as_the_ranking_passes_it():
     # The ranking reads no link of a Basic to a state, so the pair passes
     # in full; the bijection sees the extra link and leaves it to the
-    # ranking.
+    # ranking, and the name paths agree, so the structure is ranked.
     fault = _three_nodes([(), (), (1,)])
     clean = _three_nodes([(), (), ()])
     for pair in ((fault, clean), (clean, fault)):
-        with mock.patch.object(validate, "rank_checked",
-                               wraps=validate.rank_checked) as ranking:
+        with mock.patch.object(validate, "rank_labelled",
+                               wraps=validate.rank_labelled) as ranking:
             assert validate_full(*pair).passed
         assert ranking.called
     assert validate_full(fault, fault).passed
+
+
+def _hyperedges_at_two_depths(first: int, second: int,
+                              extra: str) -> StatechartDocument:
+    """Two HyperEdges named h, at depths 2 and 4, with equal labels at
+    their levels; the first links Basic ``first``, the second Basic
+    ``second`` (5 is b1, 6 is b2), and a third Basic is named ``extra``."""
+    return StatechartDocument(
+        list(range(11)),
+        ["Statechart", "AND", "OR", "HyperEdge", "OR", "Basic", "Basic",
+         "Basic", "AND", "HyperEdge", "OR"],
+        ["", "", "", "h", "", "b1", "b2", extra, "", "h", ""],
+        [range(1, 2), range(2, 5), range(5, 8), (), range(8, 9), (), (), (),
+         range(9, 11), (), ()],
+        [(), (), (), (first,), (), (), (), (), (), (second,), ()])
+
+
+def test_hyperedge_keys_tell_depths_apart():
+    # The two models swap which Basic each h links, and differ in one
+    # Basic's name, so the name paths report at once. Keyed by label and
+    # signature alone, the two h would look alike in both models; their
+    # depths tell them apart, as their ranks do.
+    actual = _hyperedges_at_two_depths(5, 6, "z")
+    expected = _hyperedges_at_two_depths(6, 5, "y")
+    trees = rank_statecharts(actual, expected)
+    found = validate._label_mismatches(trees, trees.ranks, trees.roots[1])
+    assert Discrepancy("next-set-mismatch", "HyperEdge(h) links a "
+                       "different set of Basics than expected") in found
+    with mock.patch.object(validate, "rank_labelled",
+                           side_effect=AssertionError("ranked")):
+        assert validate_full(actual, expected).discrepancies == tuple(found)
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
@@ -440,7 +473,16 @@ def test_label_mismatches_report_as_before(net, shuffle, pool, changes,
     for change in changes:
         partner = mutated_statechart(partner, change, seed) or partner
     for pair in ((data, partner), (partner, data)):
-        trees = rank_statecharts(*map(parse_statechart, pair))
+        docs = list(map(parse_statechart, pair))
+        trees = rank_statecharts(*docs)
         first_expected = trees.roots[1]
-        assert validate._label_mismatches(trees, first_expected) == \
-            _label_mismatches_before(trees, first_expected)
+        found = _label_mismatches_before(trees, first_expected)
+        assert validate._label_mismatches(trees, trees.ranks,
+                                          first_expected) == found
+        # Keyed before any structure is ranked, the HyperEdges compare as
+        # their ranks do.
+        checked = check_statecharts(*docs)
+        labelled = label_checked(checked)
+        assert validate._label_mismatches(
+            labelled, validate._edge_keys(checked, labelled),
+            first_expected) == found
