@@ -6,7 +6,9 @@
 element numbers and output bytes of the store route in ``init.py`` and
 ``reduce.py`` (``create_statechart`` then ``write_statechart``), which
 stays as the reference implementation. Both routes use the records and
-``run_rounds`` defined here, and nothing here imports the store.
+``run_rounds`` defined here, and nothing here imports the store. Both
+end in ``pn2sc.rank.canonical_document``, which ``FlatModel.document``
+imports when it runs, so an irreducible net never loads the ranking.
 
 The net is held as per-transition tuples of pre- and post-places and
 per-place sets of producing and consuming transitions. The live tuples
@@ -53,12 +55,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .io import (
-    ElementKind,
-    PetriNetDocument,
-    StatechartDocument,
-    canonical_document,
-)
+from .io import ElementKind, PetriNetDocument, StatechartDocument
 
 
 class Side(Enum):
@@ -419,8 +416,10 @@ class FlatModel:
 
         The tree is laid out breadth-first in containment order, as
         ``document_from_statechart`` lays out a store, and then ranked by
-        ``canonical_document``.
+        ``rank.canonical_document``.
         """
+        from .rank import canonical_document
+
         children = self.children
         node_of = [-1] * len(children)
         tree_children: list = []

@@ -25,14 +25,11 @@ are not stored::
                  "hyperedge": 1}
     }
 
-Writing is canonical: children appear in structural order (see
-``rank_checked``, which the validator uses too), uids are assigned in
-preorder over the ordered tree and next lists are ascending, so equal
-models produce identical bytes whatever the order of their elements.
-(Sibling subtrees equal in kinds, names and links, which only repeated
-names can produce, keep the model's order.) The writer emits the bytes
-of ``json.dumps(payload, indent=2)`` directly and iteratively, so
-statecharts of any depth can be written, and hands them out in chunks of
+Writing is canonical: the document written is the one
+``pn2sc.rank.canonical_document`` gives, so equal models produce
+identical bytes whatever the order of their elements. The writer emits
+the bytes of ``json.dumps(payload, indent=2)`` directly and iteratively,
+so statecharts of any depth can be written, and hands them out in chunks of
 at most about 64 KB (``statechart_document_chunks``), so writing a file
 holds one chunk at a time whatever the size of the output. Almost all of
 a deep file is its indentation, so the counterpart ``statechart_text``
@@ -50,21 +47,18 @@ lists of uids, kinds, names, children and links, numbered depth by depth.
 The reader checks each node as ``json.loads`` closes it and keeps it as a
 small tuple, not a dict, drops the text once it is loaded, then fills the
 lists in one breadth-first pass that drops each tuple once read. The
-writer walks the lists with an explicit stack, and ``check_statecharts``
-takes them as they stand and rejects any other numbering, so ``pn2sc
-validate`` goes from bytes to a verdict without building a ``ModelStore``;
-``store_from_statechart`` builds one, with no recursion, for callers that
-want a store.
-``canonical_document`` puts a document in the canonical written form.
-Both transform routes end in it: ``document_from_statechart`` numbers a
-store's nodes, and ``flat.transform_net`` its flat lists, breadth-first in
-containment order. Readers accept any well-formed document but reject
-unknown fields. A document nested past what ``json.loads`` reads is read
-by ``_loads_iteratively``: memory is the only bound on depth. One with an
-integer over Python's digit limit is a DocumentError.
+writer walks the lists with an explicit stack, and the ranking takes
+them as they stand, so ``pn2sc validate`` goes from bytes to a verdict
+without building a ``ModelStore``; ``store_from_statechart`` builds one,
+with no recursion, for callers that want a store. Readers accept any
+well-formed document but reject unknown fields. A document nested past
+what ``json.loads`` reads is read by ``_loads_iteratively``: memory is the
+only bound on depth. One with an integer over Python's digit limit is a
+DocumentError.
 
-The converters to and from ``ModelStore`` import ``pn2sc.model`` when
-they run, so importing this module loads no store code.
+The converters to and from ``ModelStore`` import ``pn2sc.model``, and
+``document_from_statechart`` imports ``pn2sc.rank``, when they run, so
+importing this module loads neither the store nor the ranking.
 """
 
 from __future__ import annotations
@@ -72,11 +66,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain, compress, count
 from io import BytesIO
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -96,15 +88,6 @@ __all__ = [
     "store_from_petri_net",
     "read_petri_net",
     "petri_net_to_bytes",
-    "RankedTrees",
-    "CheckedStatecharts",
-    "check_statecharts",
-    "rank_statecharts",
-    "rank_checked",
-    "LabelledTrees",
-    "label_checked",
-    "rank_labelled",
-    "canonical_document",
     "STATECHART_KINDS",
     "kind_counts",
     "document_from_statechart",
@@ -460,11 +443,11 @@ class StatechartDocument(NamedTuple):
     its children in order, and ``links`` the node numbers of a Basic's or
     HyperEdge's ``next`` targets, without repeats (empty for other kinds).
     A file's counts object is not kept: ``count_of_kind`` tallies
-    ``kinds``, and the writer writes that tally. Ranking requires the
-    numbering and rejects a document without it.
+    ``kinds``, and the writer writes that tally. Ranking (``pn2sc.rank``)
+    requires the numbering and rejects a document without it.
 
     ``parse_statechart`` numbers the nodes breadth-first in file order.
-    ``canonical_document`` gives the canonical document: children in rank
+    ``rank.canonical_document`` gives the canonical document: children in rank
     order, uids in preorder and links in ascending uid order. Both
     transform routes end in it.
     """
@@ -555,396 +538,16 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
     return StatechartDocument(uids, kinds, names, children, links)
 
 
-class RankedTrees(NamedTuple):
-    """The containment trees of one or more statechart models, flattened.
-
-    Each model's nodes keep the numbers its document gives them, after the
-    nodes of the models before it, and every list is indexed by node
-    number, except ``children``: it holds each model's own children lists,
-    numbered as its document numbers them, in the document's order.
-    ``roots`` holds each model's root node; a node's children in canonical
-    order are its children sorted by rank, stably.
-
-    Both kinds of rank are dense, distinct between levels and shared by
-    all models ranked together: ``paths`` ranks rise with depth and
-    ``ranks`` fall with it. Two nodes have equal ``paths`` ranks exactly
-    when the kinds and names from the root down to them are equal, and
-    equal ``ranks`` exactly when they sit at one depth and their subtrees
-    are equal in kinds, names and the name paths of the Basics each
-    HyperEdge links to and from. Within a level, ``paths`` ranks follow
-    the order of (parent's ``paths`` rank, kind, name) and ``ranks`` the
-    order of (kind, name, the sorted ``paths`` ranks of the Basics a
-    HyperEdge links to, of those that link to it, the sorted ``ranks`` of
-    the children).
-    """
-
-    roots: list[int]
-    kinds: list[str]
-    names: list[str]
-    parents: list[int]
-    children: list[list[Sequence[int]]]
-    paths: list[int]
-    ranks: list[int]
-
-
-#: One depth of a document: its first node and the end of its range, both
-#: shifted, and its nodes that have children, not shifted.
-_Level = tuple[int, int, list[int]]
-_NOT_DEPTH_NUMBERED = "document is not numbered depth by depth"
-_NOT_NODE_NUMBERS = "document {} must be int node numbers of the document"
-
-
-def _layout(children: list[Sequence[int]], offset: int,
-            parents: list[int]) -> list[_Level]:
-    """The levels of a document numbered depth by depth, shifted by
-    ``offset``, with each node's parent set in ``parents`` (-1 on entry).
-    A range of children that starts where the level's children so far end
-    sets its parents at once, other children one at a time; a level's
-    children must then be exactly the next node numbers, each once. A
-    document numbered any other way raises a DocumentError."""
-    levels: list[_Level] = []
-    containers = list(compress(range(len(children)), children))
-    start, end, expected, first, listed = 0, 1, 1, 0, False
-    for at, node in enumerate(containers):
-        while node >= end:  # the first container of a deeper level
-            if expected == end or listed and (
-                -1 in parents[offset + end:offset + expected]
-            ):
-                raise DocumentError(_NOT_DEPTH_NUMBERED)
-            levels.append((start + offset, end + offset,
-                           containers[first:at]))
-            start, end, first, listed = end, expected, at, False
-        kids = children[node]
-        if type(kids) is range and kids.start == expected and (
-            kids.step == 1
-        ):
-            parents[offset + expected:offset + kids.stop] = (
-                [offset + node] * len(kids))
-            expected = kids.stop
-        else:
-            if not _INT_TYPE.issuperset(map(type, kids)):
-                raise DocumentError(_NOT_NODE_NUMBERS.format("children"))
-            if not end <= min(kids) <= max(kids) < len(children):
-                raise DocumentError(_NOT_DEPTH_NUMBERED)
-            for kid in kids:
-                parents[offset + kid] = offset + node
-            expected += len(kids)
-            listed = True  # check the level's children when it closes
-    misplaced = listed and -1 in parents[offset + end:offset + expected]
-    while start < end:
-        levels.append((start + offset, end + offset, containers[first:]))
-        start, end, first = end, expected, len(containers)
-    if misplaced or start != len(children):
-        raise DocumentError(_NOT_DEPTH_NUMBERED)
-    return levels
-
-
-def _dense(keys: list, base: int, out: list[int],
-           spans: list[tuple[int, int]]) -> int:
-    """Rank ``keys`` densely from ``base`` up, in sorted key order, into
-    the ranges ``spans`` of ``out``, which hold one key each in turn.
-    Return the first rank left unused."""
-    table = dict(zip(sorted(set(keys)), count(base)))
-    at = 0
-    for start, end in spans:
-        out[start:end] = map(table.__getitem__, keys[at:at + end - start])
-        at += end - start
-    return base + len(table)
-
-
-class CheckedStatecharts(NamedTuple):
-    """Statechart models that passed the checks ranking needs, as
-    documents numbered one after another (see ``check_statecharts``).
-
-    ``docs`` holds each model's document, ``roots`` each one's root node
-    (the number of nodes before it), ``parents`` every node's parent in
-    that shared numbering (-1 for a root) and ``levels`` each document's
-    depths as ``_layout`` gives them.
-    """
-
-    docs: list[StatechartDocument]
-    roots: list[int]
-    parents: list[int]
-    levels: list[list[_Level]]
-
-
-def check_statecharts(*models: ModelStore | StatechartDocument
-                      ) -> CheckedStatecharts:
-    """Check ``models`` once for ranking: flatten each store
-    breadth-first, check that every document's links are its node
-    numbers and lay each document out depth by depth (``_layout``),
-    numbering the nodes of each model after those of the models before
-    it. ``rank_checked`` ranks the result; ``validate_full`` also reads
-    it to look for a node bijection before it ranks.
-
-    A DocumentError is raised for a document not numbered depth by depth
-    or with children or links that are not its node numbers, and for a
-    store without exactly one Statechart element with a top state, or
-    with a link outside the containment tree.
-    """
-    docs = [model if isinstance(model, StatechartDocument)
-            else _store_document(model) for model in models]
-    roots = []
-    total = 0
-    for doc in docs:
-        targets = list(chain.from_iterable(doc.links))
-        if not (_INT_TYPE.issuperset(map(type, targets))
-                and min(targets, default=0) >= 0
-                and max(targets, default=0) < len(doc.kinds)):
-            raise DocumentError(_NOT_NODE_NUMBERS.format("links"))
-        del targets
-        roots.append(total)
-        total += len(doc.kinds)
-    parents = [-1] * total
-    levels = [_layout(doc.children, offset, parents)
-              for doc, offset in zip(docs, roots)]
-    return CheckedStatecharts(docs, roots, parents, levels)
-
-
-def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
-    """Rank the containment trees of ``models`` into one canonical form:
-    ``rank_checked`` of ``check_statecharts(*models)``, so it raises what
-    that raises."""
-    return rank_checked(check_statecharts(*models))
-
-
-def rank_checked(checked: CheckedStatecharts) -> RankedTrees:
-    """Rank the containment trees of checked models into one canonical
-    form. ``canonical_document`` writes a document's children in the
-    order of their ranks, and ``validate_full`` compares the ranks of two
-    roots.
-
-    This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
-    and Ullman (*The Design and Analysis of Computer Algorithms*, 1974,
-    section 3.2), with integer keys and no recursion. A document is
-    ranked as it stands. Each level of each model is one range of nodes
-    whose children are the next range (see ``_layout``), so the passes
-    read slices and never lay a tree out again. ``label_checked`` runs
-    the name-path passes 1 and 2, and ``rank_labelled`` the structural
-    pass 3:
-
-    1. Top down, a level at a time: each node's label is the rank of its
-       kind and name among the level's, and its name-path rank that of
-       one int made of its parent's name-path rank and its label.
-    2. One walk over the links of the Basics gathers, for each HyperEdge,
-       the name-path ranks of the Basics linking to it; with those of the
-       Basics it links to they make its signature. Only a HyperEdge whose
-       name recurs at its level needs one, so a walk over unique names
-       builds no lists.
-    3. Bottom up, a level at a time: each container's child ranks are
-       sorted, and the level's tails (each container's sorted child
-       ranks, each signature) are ranked together. A node's structural
-       key is then one int, its label scaled above every tail rank plus
-       its own, so each level sorts and hashes ints.
-    """
-    return rank_labelled(checked, label_checked(checked))
-
-
-class LabelledTrees(NamedTuple):
-    """Passes 1 and 2 of ``rank_checked``: the name paths of checked
-    models, and what pass 3 ranks their structure from.
-
-    ``kinds``, ``names``, ``parents`` and ``paths`` are those of
-    ``RankedTrees``. ``labels`` holds each node's rank of kind and name
-    among its level's, and ``signatures`` the signature of each HyperEdge
-    whose name recurs at its level, by node number. Two HyperEdges have
-    equal ``RankedTrees.ranks`` exactly when they sit at one depth with
-    equal labels, and with equal signatures or none. ``rank_labelled``
-    empties ``signatures`` as it reads them.
-    """
-
-    kinds: list[str]
-    names: list[str]
-    parents: list[int]
-    labels: list[int]
-    paths: list[int]
-    signatures: dict[int, tuple[int, ...]]
-
-
-def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
-    """Passes 1 and 2 of ``rank_checked`` on checked models."""
-    docs, roots, parents, layouts = checked
-    total = len(parents)
-    kinds: list[str] = []
-    names: list[str] = []
-    for doc in docs:
-        kinds += doc.kinds
-        names += doc.names
-    depths = max(map(len, layouts), default=0)
-    kind_codes = {kind: code for code, kind in enumerate(sorted(set(kinds)))}
-
-    labels = [0] * total
-    paths = [0] * total
-    repeated = [False] * total  # another node of the level has its name
-    base = above = 0
-    for depth in range(depths):
-        spans = [levels[depth][:2] for levels in layouts
-                 if depth < len(levels)]
-        tally: Counter[str] = Counter()
-        for start, end in spans:
-            tally.update(names[start:end])
-        name_ranks = dict(zip(sorted(tally), count()))
-        width = len(name_ranks)
-        spread = len(kind_codes) * width  # above every label
-        keys: list[int] = []
-        for start, end in spans:
-            labels[start:end] = level = [
-                kind_codes[kind] * width + name_ranks[name]
-                for kind, name in zip(kinds[start:end], names[start:end])
-            ]
-            repeated[start:end] = [tally[name] > 1
-                                   for name in names[start:end]]
-            if depth:
-                level = [(paths[parent] - above) * spread + label
-                         for parent, label in zip(parents[start:end], level)]
-            keys += level
-        above = base
-        base = _dense(keys, base, paths, spans)
-
-    # Only a HyperEdge whose name is repeated at its level needs its
-    # signature: a label alone at its level ranks the node by itself.
-    hyper_edge = ElementKind.HYPER_EDGE.value
-    signatures: dict[int, tuple[int, ...]] = {}
-    for doc, offset in zip(docs, roots):
-        links, doc_kinds = doc.links, doc.kinds
-        path_of = paths[offset:offset + len(links)]
-        shared = repeated[offset:offset + len(links)]
-        incoming: list[list[int] | None] = [None] * len(links)
-        edges = []
-        for node in compress(range(len(links)), links):
-            if doc_kinds[node] == hyper_edge:
-                if shared[node]:
-                    edges.append(node)
-                continue
-            path = path_of[node]
-            for target in links[node]:
-                if shared[target]:
-                    sources = incoming[target]
-                    if sources is None:
-                        incoming[target] = [path]
-                    else:
-                        sources.append(path)
-        # A signature is the sorted targets, -1, then the sorted sources,
-        # which sorts as the pair of them does.
-        for node in edges:
-            targets = links[node]
-            sources = incoming[node]
-            incoming[node] = None
-            if sources is None:
-                sources = ()
-            elif len(sources) > 1:
-                sources.sort()
-            signatures[offset + node] = (
-                (path_of[targets[0]], -1, *sources) if len(targets) == 1
-                else (*sorted([path_of[t] for t in targets]), -1, *sources)
-            )
-        for node in compress(range(len(links)), incoming):
-            if doc_kinds[node] == hyper_edge:
-                signatures[offset + node] = (-1, *sorted(incoming[node]))
-        del path_of, shared, incoming
-    return LabelledTrees(kinds, names, parents, labels, paths, signatures)
-
-
-def rank_labelled(checked: CheckedStatecharts,
-                  labelled: LabelledTrees) -> RankedTrees:
-    """Pass 3 of ``rank_checked``, on checked models and their passes 1
-    and 2 (``label_checked(checked)``)."""
-    docs, roots, parents, layouts = checked
-    kinds, names, _, labels, paths, signatures = labelled
-    depths = max(map(len, layouts), default=0)
-    linked = sorted(signatures)
-
-    ranks = [0] * len(parents)
-    rank_of = ranks.__getitem__
-    base = 0
-    for depth in range(depths - 1, -1, -1):
-        # The tails of the level: each container's children's ranks,
-        # sorted, and each linked HyperEdge's signature, in node order.
-        parts = []
-        tails = []
-        for levels, doc, offset in zip(layouts, docs, roots):
-            if depth >= len(levels):
-                continue
-            start, end, containers = levels[depth]
-            parts.append((start, end, containers, offset))
-            doc_children = doc.children
-            for node in containers:
-                kids = doc_children[node]
-                if offset:
-                    kids = (range(kids.start + offset, kids.stop + offset,
-                                  kids.step) if type(kids) is range
-                            else [kid + offset for kid in kids])
-                tails.append((ranks[kids[0]],) if len(kids) == 1
-                             else tuple(sorted(map(rank_of, kids))))
-            # Each signature is read by its level alone.
-            tails += map(signatures.pop,
-                         linked[bisect_left(linked, start):
-                                bisect_left(linked, end)])
-        # Each node's key is one int: its label times ``scale`` plus the
-        # rank of its tail among the level's, from 1, or 0 for none.
-        heads = dict(zip(sorted(set(tails)), count(1)))
-        scale = len(heads) + 1
-        ranked_tails = map(heads.__getitem__, tails)
-        keys = []
-        for start, end, containers, offset in parts:
-            level = [label * scale for label in labels[start:end]]
-            for node in containers:
-                level[node + offset - start] += next(ranked_tails)
-            for node in linked[bisect_left(linked, start):
-                               bisect_left(linked, end)]:
-                level[node - start] += next(ranked_tails)
-            keys += level
-        base = _dense(keys, base, ranks, [part[:2] for part in parts])
-    return RankedTrees(roots, kinds, names, parents,
-                       [doc.children for doc in docs], paths, ranks)
-
-
-def canonical_document(doc: StatechartDocument) -> StatechartDocument:
-    """The canonical form of a document: children in canonical order, a
-    node's uid its preorder index and each node's links in ascending uid
-    order. ``doc`` itself is not changed. A node's children are in
-    canonical order when they are sorted by rank (see
-    ``rank_statecharts``), stably: children of equal rank keep the
-    document's order.
-
-    A document not numbered depth by depth is a DocumentError. One
-    preorder walk sorts each container of two or more children and
-    numbers the uids; only two or more links are sorted.
-    """
-    trees = rank_statecharts(doc)
-    # Keep only what the document needs; the paths and parents are freed
-    # before the uids are numbered, and the ranks once they are.
-    kinds, names, ranks = trees.kinds, trees.names, trees.ranks
-    del trees
-    children = list(doc.children)
-    rank_of = ranks.__getitem__
-    uids = [0] * len(kinds)
-    stack = [0]
-    pop = stack.pop
-    for uid in range(len(kinds)):
-        node = pop()
-        uids[node] = uid
-        kids = children[node]
-        if kids:
-            if len(kids) > 1:
-                children[node] = kids = sorted(kids, key=rank_of)
-            stack += reversed(kids)
-    del ranks, rank_of
-    links = list(doc.links)
-    for node, targets in enumerate(links):
-        if len(targets) > 1:
-            links[node] = tuple(sorted(targets, key=uids.__getitem__))
-    return StatechartDocument(uids, kinds, names, children, links)
-
-
 def document_from_statechart(sc: ModelStore) -> StatechartDocument:
     """Build the canonical document for a statechart model.
 
     The model must contain exactly one Statechart element; the tree is the
     containment hierarchy reachable from it, with the top state as the
     Statechart's single child, laid out breadth-first in containment order
-    and then put in canonical form by ``canonical_document``.
+    and then put in canonical form by ``rank.canonical_document``.
     """
+    from .rank import canonical_document
+
     return canonical_document(_store_document(sc))
 
 

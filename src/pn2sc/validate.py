@@ -7,20 +7,17 @@ sets, where a linked Basic is identified by its name path from the root.
 Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
 or one of each; a document is compared as it stands, with no store built.
 
-``Full`` checks both models once (``pn2sc.io.check_statecharts``) and
-first tries to prove them equal: when every Basic and HyperEdge name is
-unique within its kind, the names alone fix a node bijection, and the
-models pass if it keeps every node's kind, name, parent and links. Any
-other pair is ranked into the canonical form the writer uses
-(``pn2sc.io.rank_checked``), and the ranks of the two roots are
+``Full`` reads the canonical form of ``pn2sc.rank``, the writer's, and
+writes the report. It passes a pair at once on the node bijection that
+unique Basic and HyperEdge names force (``rank._isomorphic``). Any other
+pair has its labels compared first, on the name paths and the HyperEdge
+keys (``rank.label_checked``, ``rank._edge_keys``), and a difference
+there is the report. Only a pair whose labels agree has its structure
+ranked (``rank.rank_labelled``) and the ranks of its two roots
 compared, so duplicate names need no backtracking search and no tree
 walk recurses. The ranking is an isomorphism invariant, so a pair the
-bijection passes is one it passes too, and every report is the
-ranking's. The name paths are ranked first (``pn2sc.io.label_checked``),
-and where their sums differ between the models, so do the models: the
-labels are then compared at once, and that comparison, the report the
-ranking would lead to, is given without ranking the structure
-(``pn2sc.io.rank_labelled``). Only a failed comparison looks for the
+bijection passes is one it passes too, and the labels differ only where
+the roots rank apart. Only a failed comparison looks for the
 discrepancies, and only its descent reads children in canonical order:
 ``_children`` sorts a visited node's children by rank, as
 ``canonical_document`` writes them. Genuinely indistinguishable siblings
@@ -32,26 +29,24 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import compress, count, islice, repeat
-from operator import eq, ne
+from itertools import compress, count, islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .io import (
-    STATECHART_KINDS,
-    CheckedStatecharts,
-    ElementKind,
-    LabelledTrees,
-    RankedTrees,
+from .io import STATECHART_KINDS, ElementKind
+from .rank import (
+    _edge_keys,
+    _isomorphic,
     check_statecharts,
     label_checked,
     rank_labelled,
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator, Sequence
+    from collections.abc import Sequence
 
     from .io import StatechartDocument
     from .model import ModelStore
+    from .rank import LabelledTrees, RankedTrees
 
     Statechart = ModelStore | StatechartDocument
 
@@ -116,25 +111,6 @@ def _first_unequal(nodes_a: list[int], nodes_e: list[int],
     pairs = zip(sorted(nodes_a, key=order.__getitem__),
                 sorted(nodes_e, key=order.__getitem__))
     return next(((a, e) for a, e in pairs if order[a] != order[e]), None)
-
-
-def _edge_keys(checked: CheckedStatecharts,
-               labelled: LabelledTrees) -> list[tuple | None]:
-    """Each HyperEdge's depth, label and signature (``()`` for none), by
-    node number, and None for every other node: two HyperEdges have equal
-    keys exactly when the ranking gives them equal ranks."""
-    labels = labelled.labels
-    kinds = labelled.kinds
-    is_edge = ElementKind.HYPER_EDGE.value.__eq__
-    keys: list[tuple | None] = [None] * len(kinds)
-    for levels in checked.levels:
-        for depth, (start, end, _) in enumerate(levels):
-            edges = list(compress(range(start, end),
-                                  map(is_edge, kinds[start:end])))
-            any(map(keys.__setitem__, edges, zip(  # stores; each gives None
-                repeat(depth), map(labels.__getitem__, edges),
-                map(labelled.signatures.get, edges, repeat(())))))
-    return keys
 
 
 def _label_mismatches(trees: RankedTrees | LabelledTrees,
@@ -349,103 +325,6 @@ def _first_divergence(trees: RankedTrees, actual: int,
     return found
 
 
-_NAMED_KINDS = (ElementKind.BASIC.value, ElementKind.HYPER_EDGE.value)
-
-
-def _images_by_name(doc_a: StatechartDocument, doc_e: StatechartDocument,
-                    first: int) -> list[int] | None:
-    """For each node of ``doc_a``, the node of ``doc_e`` (numbered from
-    ``first``) with its kind and name if it is a Basic or a HyperEdge,
-    else -1; None unless each of the two kinds has as many nodes in both
-    documents, with names unique in ``doc_e`` and all found there.
-
-    The Basics are looked up before the HyperEdges' names are indexed, so
-    a Basic name missing from ``doc_e`` stops the search before that."""
-    kinds_a, kinds_e, names_a, names_e = (doc_a.kinds, doc_e.kinds,
-                                          doc_a.names, doc_e.names)
-    found: dict[str, Iterator[int]] = {}  # kind -> images in node order
-    for kind in _NAMED_KINDS:
-        is_kind = list(map(eq, repeat(kind), kinds_e))
-        node_of = dict(zip(compress(names_e, is_kind),
-                           compress(count(first), is_kind)))
-        if len(node_of) != kinds_e.count(kind):
-            return None
-        try:
-            images = list(map(node_of.__getitem__, compress(
-                names_a, map(eq, repeat(kind), kinds_a))))
-        except KeyError:  # a name missing from ``doc_e``
-            return None
-        if len(images) != len(node_of):
-            return None
-        found[kind] = iter(images)
-    # Each node takes the next image of its kind; any other node, -1.
-    return list(map(next, map(found.get, kinds_a, repeat(repeat(-1)))))
-
-
-def _isomorphic(checked: CheckedStatecharts) -> bool:
-    """Whether two checked models are equal under the node bijection
-    their labels force; False also when the labels force none.
-
-    Each Basic and HyperEdge of the actual model maps to the node of the
-    expected model with its kind and name, and each other node, level by
-    level from the bottom, to the parent of its first child's image. The
-    map proves the models equal when it is a bijection that fixes the
-    root and keeps every node's kind, name, parent and links (as a
-    multiset of images). It gives up at the first misfit, the cheap ones
-    first: unequal node counts or level sizes, then a Basic or HyperEdge
-    name that is repeated in the expected model or missing from it.
-    """
-    (doc_a, doc_e), (_, first), parents, (levels_a, levels_e) = checked
-    size = first  # the actual model's nodes come first
-    if len(doc_e.kinds) != size or [end - start for start, end, _ in levels_a
-                                    ] != [end - start for start, end, _
-                                          in levels_e]:
-        return False
-    image = _images_by_name(doc_a, doc_e, first)
-    if image is None:
-        return False
-    children_a = doc_a.children
-    for _, _, containers in reversed(levels_a):
-        for node in containers:
-            image[node] = parents[image[children_a[node][0]]]
-    # A node left at -1 (a childless state) or two nodes with one image
-    # leave part of the expected model without a preimage.
-    if len(set(image)) != size or min(image) != first:
-        return False
-    # Every other node keeps its parent, so the expected root, the one
-    # node without a parent, is the image of the root.
-    if any(map(ne, map(parents.__getitem__, islice(image, 1, None)),
-               map(image.__getitem__, islice(parents, 1, size)))):
-        return False
-    # A Basic or HyperEdge has its image's kind and name by construction.
-    kinds_a, names_a = doc_a.kinds, doc_a.names
-    kinds_e, names_e = doc_e.kinds, doc_e.names
-    for _, _, containers in levels_a:
-        own = [image[node] - first for node in containers]
-        if any(map(ne, map(kinds_a.__getitem__, containers),
-                   map(kinds_e.__getitem__, own))) or any(
-                map(ne, map(names_a.__getitem__, containers),
-                    map(names_e.__getitem__, own))):
-            return False
-    # Each link as one int: its source's number times ``size`` plus its
-    # target's, both numbered as in ``parents``.
-    links_a, links_e = doc_a.links, doc_e.links
-    linked_a = [source + image[target]
-                for source, targets in zip(
-                    map(size.__mul__, compress(image, links_a)),
-                    compress(links_a, links_a))
-                for target in targets]
-    del image
-    linked_e = [source + target
-                for source, targets in zip(
-                    compress(count(first * size + first, size), links_e),
-                    compress(links_e, links_e))
-                for target in targets]
-    linked_a.sort()
-    linked_e.sort()
-    return linked_a == linked_e
-
-
 def validate_full(actual: Statechart,
                   expected: Statechart) -> ValidationReport:
     """Compare containment trees and hyperedge link sets.
@@ -453,35 +332,28 @@ def validate_full(actual: Statechart,
     Both models are checked once (``check_statecharts``). They pass at
     once when the node bijection their Basic and HyperEdge names force
     keeps every kind, name, parent and link (``_isomorphic``); that needs
-    every such name unique within its kind. Otherwise their name paths
-    are ranked together (``label_checked``). Unequal sums of name-path
-    ranks prove the multisets unequal, an isomorphism invariant, so the
-    roots would rank apart and the report would be the label comparison
-    (``_label_mismatches``, each HyperEdge keyed by ``_edge_keys``): it is
-    returned at once, with no structure ranked. Any other pair is ranked
-    to the end (``rank_labelled``, which sorts no children), and matches
-    when its roots have equal ranks. Only when they do not are the
-    discrepancies looked for: first kind by kind and name by name, and
-    where that finds none, by descending the two trees, which sorts the
-    children of each node it visits. Raises ValueError (a DocumentError)
-    unless each document is numbered depth by depth and each store holds
-    one Statechart with a top state and keeps its links inside the
+    every such name unique within its kind. Otherwise their labels are
+    compared (``_label_mismatches``) on their name paths
+    (``label_checked``), each HyperEdge keyed by ``_edge_keys``, and any
+    difference found is the report. Only a pair whose labels agree has
+    its structure ranked (``rank_labelled``, which sorts no children); it
+    matches when its roots have equal ranks, and otherwise the two trees
+    are descended (``_first_divergence``), which sorts the children of
+    each node it visits. Raises ValueError (a DocumentError) unless each
+    document is numbered depth by depth and each store holds one
+    Statechart with a top state and keeps its links inside the
     containment tree; a parsed document meets all by construction.
     """
     checked = check_statecharts(actual, expected)
     if _isomorphic(checked):
         return ValidationReport(ValidationLevel.FULL, ())
     labelled = label_checked(checked)
-    paths, first = labelled.paths, checked.roots[1]
-    if sum(islice(paths, first)) != sum(islice(paths, first, None)):
-        return ValidationReport(ValidationLevel.FULL, tuple(
-            _label_mismatches(labelled, _edge_keys(checked, labelled), first)
-        ))
-    trees = rank_labelled(checked, labelled)
-    del checked, labelled, paths
-    root_a, root_e = trees.roots
-    found = []
-    if trees.ranks[root_a] != trees.ranks[root_e]:
-        found = (_label_mismatches(trees, trees.ranks, root_e)
-                 or _first_divergence(trees, root_a, root_e))
+    found = _label_mismatches(labelled, _edge_keys(checked, labelled),
+                              checked.roots[1])
+    if not found:
+        trees = rank_labelled(checked, labelled)
+        del checked, labelled
+        root_a, root_e = trees.roots
+        if trees.ranks[root_a] != trees.ranks[root_e]:
+            found = _first_divergence(trees, root_a, root_e)
     return ValidationReport(ValidationLevel.FULL, tuple(found))

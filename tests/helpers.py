@@ -142,6 +142,78 @@ def assert_single_tree(sc: ModelStore, top: int) -> None:
         assert sc.kind_of(container) is ElementKind.OR
 
 
+#: ``configurations`` gives up where a node has more than this many.
+CONFIGURATION_CAP = 10_000
+
+
+def configurations(doc: StatechartDocument) -> set[frozenset[int]] | None:
+    """The configurations of a statechart document, as sets of Basic node
+    numbers, or None where a node has more than ``CONFIGURATION_CAP``.
+
+    A Basic is itself; an AND or the Statechart takes one configuration
+    of each child that is not a HyperEdge; an OR takes the configurations
+    of any one such child. Every node is numbered after its parent, as in
+    any document, so one walk from the last node up meets each child
+    before its parent."""
+    of: list[list[frozenset[int]] | None] = [None] * len(doc.kinds)
+    for node in range(len(doc.kinds) - 1, -1, -1):
+        kind = doc.kinds[node]
+        if kind == "Basic":
+            of[node] = [frozenset((node,))]
+        elif kind != "HyperEdge":
+            parts = [of[kid] for kid in doc.children[node]
+                     if doc.kinds[kid] != "HyperEdge"]
+            if kind == "OR":
+                found = [config for part in parts for config in part]
+            else:
+                found = [frozenset()]
+                for part in parts:
+                    if len(found) * len(part) > CONFIGURATION_CAP:
+                        return None
+                    found = [left | right for left in found for right in part]
+            if len(found) > CONFIGURATION_CAP:
+                return None
+            of[node] = found
+    return set(of[0])
+
+
+def firing_faults(doc: StatechartDocument) -> list[str]:
+    """Where the HyperEdges of ``doc`` break its configurations.
+
+    A HyperEdge's sources S are the Basics that link to it and its
+    targets T the Basics it links to. S must lie within some
+    configuration, and so must T, and for every configuration C that
+    holds S, (C - S) | T must be a configuration: firing it from any
+    state that enables it leads to a state. This rests on neither the
+    reduction rules nor the ranking, and reads node numbers, not names.
+    """
+    configs = configurations(doc)
+    assert configs is not None, "too many configurations to enumerate"
+    sources: dict[int, set[int]] = {}
+    for node, targets in enumerate(doc.links):
+        if doc.kinds[node] == "Basic":
+            for target in targets:
+                sources.setdefault(target, set()).add(node)
+    faults = []
+    for node, kind in enumerate(doc.kinds):
+        if kind != "HyperEdge":
+            continue
+        edge = f"HyperEdge {doc.uids[node]} ({doc.names[node]!r})"
+        before = frozenset(sources.get(node, ()))
+        after = frozenset(doc.links[node])
+        enabled = [config for config in configs if before <= config]
+        if not enabled:
+            faults.append(f"{edge}: its sources lie in no configuration")
+        if not any(after <= config for config in configs):
+            faults.append(f"{edge}: its targets lie in no configuration")
+        for config in enabled:
+            if (config - before) | after not in configs:
+                faults.append(f"{edge}: firing it from {sorted(config)} "
+                              f"leads to no configuration")
+                break
+    return faults
+
+
 def scan_fixpoint(
     pn: ModelStore,
     sc: ModelStore,

@@ -283,7 +283,8 @@ def test_cli_import_stays_lean():
     # The CLI runs the flat route; the ModelStore reference stays unloaded,
     # and each command loads the modules it runs when it runs.
     assert not imported & {"pn2sc.model", "pn2sc.init", "pn2sc.reduce",
-                           "pn2sc.flat", "pn2sc.validate", "pn2sc.generate"}
+                           "pn2sc.flat", "pn2sc.rank", "pn2sc.validate",
+                           "pn2sc.generate"}
     # bench imports statistics when it runs.
     rows = json.loads(_python("-m", "pn2sc.cli", "bench", "--sizes", "50",
                               "--reps", "1").stdout)
@@ -304,9 +305,28 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, net_file,
     }
     loaded = {command: _python("-c", probe, *argv).stdout.splitlines()[-1]
               .split() for command, argv in runs.items()}
-    assert loaded["transform"] == ["0", "pn2sc.cli", "pn2sc.flat", "pn2sc.io"]
-    assert loaded["validate"] == ["0", "pn2sc.cli", "pn2sc.io",
+    assert loaded["transform"] == ["0", "pn2sc.cli", "pn2sc.flat", "pn2sc.io",
+                                   "pn2sc.rank"]
+    assert loaded["validate"] == ["0", "pn2sc.cli", "pn2sc.io", "pn2sc.rank",
                                   "pn2sc.validate"]
+
+
+def test_runs_that_write_no_statechart_never_load_the_ranking(tmp_path):
+    # Only building a canonical document or validating in full needs
+    # pn2sc.rank: not the import, an irreducible transform, or generate.
+    probe = (
+        "import sys; from pn2sc.cli import main; "
+        "net, out, made = sys.argv[1:]; "
+        "ranked = lambda: 'pn2sc.rank' in sys.modules; loaded = [ranked()]; "
+        "code = main(['transform', net, '-o', out]); loaded.append(ranked()); "
+        "main(['generate', '--places', '50', '--seed', '1', '-o', made]); "
+        "print(code, *loaded, ranked())"
+    )
+    net = GOLDEN_DIR / "two_isolated_places.net.json"
+    out, generated = tmp_path / "out.json", tmp_path / "sp50_1.json"
+    shown = _python("-c", probe, str(net), str(out), str(generated)).stdout
+    assert shown.splitlines()[-1].split() == ["2", "False", "False", "False"]
+    assert not out.exists() and generated.is_file()
 
 
 def test_deep_spine_round_trips_and_a_deep_non_statechart_fails_its_schema(

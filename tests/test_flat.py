@@ -20,13 +20,13 @@ from helpers import (
 from pn2sc.flat import FlatModel, transform_net
 from pn2sc.io import (
     PetriNetDocument,
-    canonical_document,
     document_from_statechart,
     parse_statechart,
     statechart_document_to_bytes,
     store_from_petri_net,
     write_statechart,
 )
+from pn2sc.rank import canonical_document
 from pn2sc.reduce import create_statechart
 
 

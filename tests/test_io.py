@@ -28,6 +28,7 @@ from helpers import (
     statechart_cases,
 )
 from pn2sc import io as scio
+from pn2sc import rank
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.model import ElementKind
@@ -437,7 +438,7 @@ def test_store_flattens_back_to_the_document(name, data):
         assert [doc.uids[eid] for eid in flat.uids] == doc.uids
         assert (flat.kinds, flat.names, flat.children, flat.links) == (
             doc.kinds, doc.names, doc.children, doc.links)
-        assert scio.rank_statecharts(store) == scio.rank_statecharts(doc)
+        assert rank.rank_statecharts(store) == rank.rank_statecharts(doc)
 
 
 def test_parse_numbers_nodes_breadth_first():
@@ -484,10 +485,10 @@ def test_documents_not_numbered_depth_by_depth_are_rejected(doc):
     good = scio.parse_statechart(
         (GOLDEN_DIR / "fork_join.statechart.json").read_bytes())
     calls = [
-        lambda: scio.rank_statecharts(doc),
-        lambda: scio.rank_statecharts(good, doc),
-        lambda: scio.rank_statecharts(doc, good),
-        lambda: scio.canonical_document(doc),
+        lambda: rank.rank_statecharts(doc),
+        lambda: rank.rank_statecharts(good, doc),
+        lambda: rank.rank_statecharts(doc, good),
+        lambda: rank.canonical_document(doc),
         lambda: validate_full(doc, doc),
         lambda: validate_full(good, doc),
     ]
@@ -534,7 +535,7 @@ def test_ranking_rejects_links_and_children_that_are_not_node_numbers(
     clean = scio.StatechartDocument([0, 1, 2], kinds, ["", "", "p"],
                                     [range(1, 2), range(2, 3), ()],
                                     [(), (), ()])
-    for call in (lambda: scio.canonical_document(doc),
+    for call in (lambda: rank.canonical_document(doc),
                  lambda: validate_full(doc, doc),
                  lambda: validate_full(good, doc),
                  lambda: validate_full(clean, doc),

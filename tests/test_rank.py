@@ -14,7 +14,7 @@ classes in the same order within each level. Canonical bytes and
 validation reports built on either ranking must be equal too, and equal
 to the report of ``validate_full``, which ranks only the pairs that its
 node bijection does not prove equal, and ranks the structure of only
-those whose name-path ranks add up alike in both models.
+those whose labels agree.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from helpers import (
     twin_regions,
 )
 from pn2sc import io as scio
+from pn2sc import rank
 from pn2sc import validate
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
@@ -48,7 +49,7 @@ from pn2sc.generate import GenSpec, generate_sp_net
 
 def assert_same_ranking(*models) -> None:
     want = rank_reference.rank_statecharts(*models)
-    got = scio.rank_statecharts(*models)
+    got = rank.rank_statecharts(*models)
     assert (got.roots, got.kinds, got.names, got.parents) == (
         want.roots, want.kinds, want.names, want.parents)
     assert got.children == want.children
@@ -59,13 +60,13 @@ def assert_same_ranking(*models) -> None:
 
 
 def assert_same_canonical_bytes(doc: scio.StatechartDocument) -> None:
-    assert scio.statechart_document_to_bytes(scio.canonical_document(doc)) \
+    assert scio.statechart_document_to_bytes(rank.canonical_document(doc)) \
         == scio.statechart_document_to_bytes(
             rank_reference.canonical_document(doc))
 
 
-def _reference_ranking(checked: scio.CheckedStatecharts,
-                       labelled: scio.LabelledTrees) -> scio.RankedTrees:
+def _reference_ranking(checked: rank.CheckedStatecharts,
+                       labelled: rank.LabelledTrees) -> rank.RankedTrees:
     return rank_reference.rank_statecharts(*checked.docs)
 
 
@@ -86,8 +87,7 @@ def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
     assert report == reference_report(actual, expected)
     # The certificate changes no report: with it given up, every pair is
-    # ranked, by either structural ranking where its name paths add up
-    # alike.
+    # ranked, by either structural ranking where its labels agree.
     with mock.patch.object(validate, "_isomorphic", return_value=False):
         assert report == validate.validate_full(actual, expected)
         with mock.patch.object(validate, "rank_labelled", _reference_ranking):
@@ -133,7 +133,7 @@ def check_pair(data: bytes, partner: bytes) -> None:
     order) and as a store."""
     doc = scio.parse_statechart(data)
     other = scio.parse_statechart(partner)
-    canonical = scio.canonical_document(other)
+    canonical = rank.canonical_document(other)
     permuted = level_permuted(other, len(partner))
     for model in (doc, other, canonical, permuted,
                   scio.read_statechart(partner)):
@@ -187,7 +187,7 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
     # much with several twins, the canonical order of the children picks
     # its partner, so the pair is checked with the children of either side
     # shuffled in its file too.
-    trees = scio.rank_statecharts(actual, expected)
+    trees = rank.rank_statecharts(actual, expected)
     assert trees.ranks[trees.roots[0]] != trees.ranks[trees.roots[1]]
     assert validate._label_mismatches(trees, trees.ranks,
                                       trees.roots[1]) == []
@@ -270,7 +270,7 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
     for data, partner in unequal + tied:
         pair = scio.parse_statechart(data), scio.parse_statechart(partner)
         with mock.patch.object(validate, "label_checked",
-                               wraps=scio.label_checked) as ranking:
+                               wraps=rank.label_checked) as ranking:
             report = validate.validate_full(*pair)
         assert ranking.called
         assert report.passed == ((data, partner) in tied[:2])
@@ -279,10 +279,9 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
 
 def test_pairs_with_unequal_labels_report_without_ranking_structure():
     # A renamed Basic, a HyperEdge moved to another depth and a state
-    # whose kind flips between AND and OR each change name paths, and the
-    # sums of their ranks, so the label comparison gives the whole report,
-    # the reference ranking's, and the structure of neither model is
-    # ranked.
+    # whose kind flips between AND and OR each change name paths, so the
+    # label comparison gives the whole report, the reference ranking's,
+    # and the structure of neither model is ranked.
     charts = [data for _, data in statechart_cases()]
     charts.append(_written(generate_sp_net(GenSpec(300, 4))))
     pairs = []

@@ -10,11 +10,11 @@ from pn2sc.generate import GenSpec
 from pn2sc.io import (
     PetriNetDocument,
     PlaceSpec,
-    RankedTrees,
     StatechartDocument,
     TransitionSpec,
 )
 from pn2sc.model import ElementKind
+from pn2sc.rank import RankedTrees
 from pn2sc.reduce import (
     AndFiring,
     OrFiring,

@@ -15,6 +15,9 @@ every place and every transition named alike (``renamed``). For each:
   shows here, where both routes would share it;
 - the output validates against a copy with its uids relabelled and its
   children shuffled;
+- every HyperEdge of the output maps configurations to configurations
+  (``helpers.firing_faults``), a check of what AND and OR mean that
+  rests on neither the rules nor the ranking;
 - with unique names only, the bytes, or for an irreducible net the
   counts of places and transitions left, are the same under every order
   of the places and the transitions. With repeated names some nets give
@@ -37,11 +40,20 @@ from itertools import (
     product,
 )
 
+import pytest
+
 import rank_reference
-from helpers import mutated_statechart, net_document, renamed
+from helpers import (
+    firing_faults,
+    load_corpus,
+    mutated_statechart,
+    net_document,
+    renamed,
+)
 from pn2sc.flat import transform_net
 from pn2sc.io import (
     PetriNetDocument,
+    StatechartDocument,
     _store_document,
     parse_statechart,
     statechart_document_to_bytes,
@@ -95,6 +107,7 @@ def check_net(net: PetriNetDocument, unique_names: bool) -> None:
         copy = mutated_statechart(data, "reordered", seed=len(data))
         assert validate_full(parse_statechart(copy),
                              parse_statechart(data)).passed, net
+        assert firing_faults(doc) == [], net
     if unique_names:
         outcome = _outcome(net)
         for places, transitions in product(permutations(net.places),
@@ -118,3 +131,61 @@ def test_every_net_of_three_places_and_two_transitions():
     # 7 non-empty sides make 49 transitions: 49 nets of one transition
     # and 49 * 50 / 2 of two.
     assert sweep(3, 2) == 1274
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda entry: entry.name)
+def test_golden_hyperedges_fire_between_configurations(entry):
+    if entry.expected is None:  # irreducible: no statechart to fire
+        assert transform_net(entry.net)[0] is None
+    else:
+        assert firing_faults(entry.expected) == []
+
+
+def _mutants(doc: StatechartDocument
+             ) -> Iterator[tuple[str, StatechartDocument]]:
+    """Each single change of one class to ``doc``, with its class: a
+    state below the top AND with two or more children that are states
+    flipped between AND and OR (one such child would make the flip mean
+    nothing), a Basic moved into a sibling of its container, or one
+    target dropped from a HyperEdge's next."""
+    kinds, children, links = doc.kinds, doc.children, doc.links
+    parents = [-1] * len(kinds)
+    for node, kids in enumerate(children):
+        for kid in kids:
+            parents[kid] = node
+    for node in range(2, len(kinds)):
+        states = [kid for kid in children[node] if kinds[kid] != "HyperEdge"]
+        if len(states) >= 2:
+            flipped = list(kinds)
+            flipped[node] = "OR" if kinds[node] == "AND" else "AND"
+            yield "flip", doc._replace(kinds=flipped)
+    for node in [node for node, kind in enumerate(kinds) if kind == "Basic"]:
+        container = parents[node]
+        for sibling in children[parents[container]]:
+            if sibling != container and kinds[sibling] in ("AND", "OR"):
+                moved = [list(kids) for kids in children]
+                moved[container].remove(node)
+                moved[sibling].append(node)
+                yield "move", doc._replace(children=moved)
+    for node in [node for node, kind in enumerate(kinds)
+                 if kind == "HyperEdge"]:
+        targets = links[node]
+        for at in range(len(targets)):
+            dropped = list(links)
+            dropped[node] = targets[:at] + targets[at + 1:]
+            yield "drop", doc._replace(links=dropped)
+
+
+def test_every_mutant_of_a_swept_output_breaks_a_firing():
+    outputs = [doc for net in small_nets(3, 2)
+               for doc, _ in (transform_net(net),
+                              transform_net(renamed(net, "x")))
+               if doc is not None]
+    outputs += [entry.expected for entry in load_corpus()
+                if entry.expected is not None]
+    made = {"flip": 0, "move": 0, "drop": 0}
+    for doc in outputs:
+        for change, mutant in _mutants(doc):
+            made[change] += 1
+            assert firing_faults(mutant), (change, mutant)
+    assert min(made.values()) > 0, made

@@ -33,17 +33,21 @@ from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     StatechartDocument,
-    check_statecharts,
     document_from_statechart,
-    label_checked,
     parse_statechart,
-    rank_statecharts,
     read_statechart,
     statechart_document_to_bytes,
     store_from_petri_net,
     store_from_statechart,
 )
 from pn2sc.model import ElementKind, ModelStore
+from pn2sc.rank import (
+    _edge_keys,
+    check_statecharts,
+    label_checked,
+    rank_labelled,
+    rank_statecharts,
+)
 from pn2sc.reduce import create_statechart
 from pn2sc.validate import (
     Discrepancy,
@@ -325,7 +329,7 @@ def test_a_basic_that_links_the_and_passes_as_the_ranking_passes_it():
     clean = _three_nodes([(), (), ()])
     for pair in ((fault, clean), (clean, fault)):
         with mock.patch.object(validate, "rank_labelled",
-                               wraps=validate.rank_labelled) as ranking:
+                               wraps=rank_labelled) as ranking:
             assert validate_full(*pair).passed
         assert ranking.called
     assert validate_full(fault, fault).passed
@@ -360,6 +364,43 @@ def test_hyperedge_keys_tell_depths_apart():
     with mock.patch.object(validate, "rank_labelled",
                            side_effect=AssertionError("ranked")):
         assert validate_full(actual, expected).discrepancies == tuple(found)
+
+
+def _hyperedge_beside_two_ors(names: tuple[str, str],
+                              target: int) -> StatechartDocument:
+    """A top AND over two unnamed ORs, holding one Basic each (5 and 6,
+    named ``names``), and a HyperEdge h that links Basic ``target``."""
+    links = [()] * 7
+    links[4] = (target,)
+    return StatechartDocument(
+        list(range(7)),
+        ["Statechart", "AND", "OR", "OR", "HyperEdge", "Basic", "Basic"],
+        ["", "", "", "", "h", *names],
+        [range(1, 2), range(2, 5), range(5, 6), range(6, 7), (), (), ()],
+        links)
+
+
+def test_pairs_whose_name_paths_agree_compare_labels_before_structure():
+    # Both models hold the same nodes on the same name paths; only which
+    # Basic h links differs, and the HyperEdge keys tell it before any
+    # structure is ranked.
+    actual = _hyperedge_beside_two_ors(("b1", "b2"), 5)
+    expected = _hyperedge_beside_two_ors(("b1", "b2"), 6)
+    with mock.patch.object(validate, "rank_labelled",
+                           side_effect=AssertionError("ranked")):
+        for pair in ((actual, expected), (expected, actual)):
+            assert validate_full(*pair).discrepancies == (Discrepancy(
+                "next-set-mismatch",
+                "HyperEdge(h) links a different set of Basics than expected"),)
+    # With both Basics named b, swapping the two ORs maps one model onto
+    # the other: the labels agree, and only the structural ranking passes
+    # the pair.
+    actual = _hyperedge_beside_two_ors(("b", "b"), 5)
+    expected = _hyperedge_beside_two_ors(("b", "b"), 6)
+    with mock.patch.object(validate, "rank_labelled",
+                           wraps=rank_labelled) as ranking:
+        assert validate_full(actual, expected).passed
+    assert ranking.called
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
@@ -484,5 +525,5 @@ def test_label_mismatches_report_as_before(net, shuffle, pool, changes,
         checked = check_statecharts(*docs)
         labelled = label_checked(checked)
         assert validate._label_mismatches(
-            labelled, validate._edge_keys(checked, labelled),
+            labelled, _edge_keys(checked, labelled),
             first_expected) == found
