@@ -4,10 +4,10 @@ share.
 Ranking gives every node of one or more models a name-path rank and a
 structural rank (``RankedTrees``). ``canonical_document`` writes each
 container's children in rank order, so equal models give identical
-bytes. ``pn2sc.validate`` reads the parts in its own order: the checks
+bytes. ``pn2sc.validate`` reads the parts it needs: the checks
 (``check_statecharts``), the certificate of a node bijection that unique
-names force (``_isomorphic``), the name paths with a key per HyperEdge
-(``label_checked``, ``_edge_keys``) and the structure (``rank_labelled``).
+names force (``_isomorphic``) and, only to order or to tell apart what
+names alone do not, the ranks (``label_checked``, ``rank_labelled``).
 A store is flattened by ``pn2sc.io._store_document`` first. The writer
 imports this module when it builds a document, so a run that writes no
 statechart never loads it.
@@ -406,25 +406,6 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
     return StatechartDocument(uids, kinds, names, children, links)
-
-
-def _edge_keys(checked: CheckedStatecharts,
-               labelled: LabelledTrees) -> list[tuple | None]:
-    """Each HyperEdge's depth, label and signature (``()`` for none), by
-    node number, and None for every other node: two HyperEdges have equal
-    keys exactly when the ranking gives them equal ranks."""
-    labels = labelled.labels
-    kinds = labelled.kinds
-    is_edge = ElementKind.HYPER_EDGE.value.__eq__
-    keys: list[tuple | None] = [None] * len(kinds)
-    for levels in checked.levels:
-        for depth, (start, end, _) in enumerate(levels):
-            edges = list(compress(range(start, end),
-                                  map(is_edge, kinds[start:end])))
-            any(map(keys.__setitem__, edges, zip(  # stores; each gives None
-                repeat(depth), map(labels.__getitem__, edges),
-                map(labelled.signatures.get, edges, repeat(())))))
-    return keys
 
 
 _NAMED_KINDS = (ElementKind.BASIC.value, ElementKind.HYPER_EDGE.value)

@@ -7,21 +7,19 @@ sets, where a linked Basic is identified by its name path from the root.
 Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
 or one of each; a document is compared as it stands, with no store built.
 
-``Full`` reads the canonical form of ``pn2sc.rank``, the writer's, and
-writes the report. It passes a pair at once on the node bijection that
-unique Basic and HyperEdge names force (``rank._isomorphic``). Any other
-pair has its labels compared first, on the name paths and the HyperEdge
-keys (``rank.label_checked``, ``rank._edge_keys``), and a difference
-there is the report. Only a pair whose labels agree has its structure
-ranked (``rank.rank_labelled``) and the ranks of its two roots
-compared, so duplicate names need no backtracking search and no tree
+``Full`` passes a pair at once on the node bijection that unique Basic
+and HyperEdge names force (``rank._isomorphic``). Any other pair whose
+names are unique has its labels compared on name-path ids
+(``_path_ids``), and a difference there is the report. A pair is ranked
+(``pn2sc.rank``, the writer's canonical form) only where its labels
+agree, its names repeat, or a state's nodes must be ordered; then the
+ranks of its two roots are compared, and the labels on the ranks where
+they differ, so duplicate names need no backtracking search and no tree
 walk recurses. The ranking is an isomorphism invariant, so a pair the
-bijection passes is one it passes too, and the labels differ only where
-the roots rank apart. Only a failed comparison looks for the
-discrepancies, and only its descent reads children in canonical order:
-``_children`` sorts a visited node's children by rank, as
-``canonical_document`` writes them. Genuinely indistinguishable siblings
-may be matched either way.
+bijection passes is one it passes too. Only the descent of a pair whose
+labels agree reads children in canonical order: ``_children`` sorts a
+visited node's children by rank, as ``canonical_document`` writes them.
+Genuinely indistinguishable siblings may be matched either way.
 """
 
 from __future__ import annotations
@@ -29,12 +27,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import compress, count, islice
+from itertools import chain, compress, count
 from typing import TYPE_CHECKING, NamedTuple
 
 from .io import STATECHART_KINDS, ElementKind
 from .rank import (
-    _edge_keys,
+    _NAMED_KINDS,
+    RankedTrees,
     _isomorphic,
     check_statecharts,
     label_checked,
@@ -46,9 +45,11 @@ if TYPE_CHECKING:
 
     from .io import StatechartDocument
     from .model import ModelStore
-    from .rank import LabelledTrees, RankedTrees
+    from .rank import CheckedStatecharts
 
     Statechart = ModelStore | StatechartDocument
+
+_NAMED = frozenset(_NAMED_KINDS)
 
 
 class ValidationLevel(Enum):
@@ -88,11 +89,11 @@ def validate_counts(actual: Statechart,
     return ValidationReport(ValidationLevel.COUNTS, tuple(found))
 
 
-def _label(trees: RankedTrees | LabelledTrees, node: int) -> str:
+def _label(trees: RankedTrees, node: int) -> str:
     return f"{trees.kinds[node]}({trees.names[node]})"
 
 
-def _path(trees: RankedTrees | LabelledTrees, node: int) -> str:
+def _path(trees: RankedTrees, node: int) -> str:
     """The labels from the root down to ``node``, or ``<root>`` for -1."""
     labels = []
     while node >= 0:
@@ -105,89 +106,138 @@ def _first_unequal(nodes_a: list[int], nodes_e: list[int],
                    order: Sequence[object]) -> tuple[int, int] | None:
     """The first pair that differs in ``order`` once both lists are sorted
     by it, or None."""
-    if len(nodes_a) == 1 == len(nodes_e):  # most labels occur once
-        a, e = nodes_a[0], nodes_e[0]
-        return None if order[a] == order[e] else (a, e)
     pairs = zip(sorted(nodes_a, key=order.__getitem__),
                 sorted(nodes_e, key=order.__getitem__))
     return next(((a, e) for a, e in pairs if order[a] != order[e]), None)
 
 
-def _label_mismatches(trees: RankedTrees | LabelledTrees,
-                      edge_ranks: Sequence[object],
-                      first_expected: int) -> list[Discrepancy]:
-    """Compare, for each kind and name, how often and where it occurs.
+def _path_ids(checked: CheckedStatecharts) -> RankedTrees:
+    """The nodes of ``checked`` with name-path ids as ``paths`` and no
+    ``ranks``: two nodes share an id exactly when the kinds and names from
+    the root down to them are equal, but ids give no order. A level's ids
+    come from one dict, keyed by parent's id, kind and name, and all from
+    one counter, so ids rise with depth and none exceeds the node count."""
+    docs, roots, parents, layouts = checked
+    kinds = list(chain.from_iterable(doc.kinds for doc in docs))
+    names = list(chain.from_iterable(doc.names for doc in docs))
+    ids = [0] * (len(parents) + 1)  # the last slot: a root's parent's id
+    fresh = count(1)
+    for depth in range(max(map(len, layouts))):
+        table: dict[tuple[int, str, str], int] = {}
+        for start, end, _ in (levels[depth] for levels in layouts
+                              if depth < len(levels)):
+            ids[start:end] = map(table.setdefault, zip(
+                map(ids.__getitem__, parents[start:end]),
+                kinds[start:end], names[start:end]), fresh)
+    ids.pop()
+    return RankedTrees(roots, kinds, names, parents, [], ids, [])
 
-    Nodes numbered from ``first_expected`` on belong to the expected
-    model. ``edge_ranks`` holds, by node number, a value for each
-    HyperEdge that is equal for two HyperEdges exactly when their ranks
-    are: their ``RankedTrees.ranks``, or the keys ``_edge_keys`` gives
-    before any structure is ranked. A HyperEdge found at the same places
-    in both models whose value still differs links different Basics.
 
-    A ``paths`` rank, and an ``edge_ranks`` value too, fixes the kind and
-    name of its nodes. So a label can occur unequally often or in other
-    places only if it holds a ``paths`` rank that the two models hold
-    unequally often, and a HyperEdge label can link differently only if
-    it holds such an ``edge_ranks`` value. One Counter per list finds
-    those values: it counts the actual model's half and subtracts the
-    expected half, with no copy of either half; of ``edge_ranks`` it
-    counts only the HyperEdges'. A node is then looked up only for each
-    value that differs, and any node holding it gives its label. The
-    nodes of the other labels are never collected.
+def _tied(docs: Sequence[StatechartDocument]) -> bool:
+    """Whether two Basics or HyperEdges of one document share a name."""
+    named = [list(compress(doc.names, map(_NAMED.__contains__, doc.kinds)))
+             for doc in docs]
+    return any(len(set(names)) < len(names) for names in named)
+
+
+def _label_mismatches(trees: RankedTrees, checked: CheckedStatecharts
+                      ) -> list[Discrepancy] | None:
+    """Compare, for each kind and name, how often and where it occurs, and
+    what each HyperEdge links: on the ranking of ``checked``, or on its
+    ``_path_ids``, which give None where a state's nodes need an order.
+
+    A ``paths`` value fixes its nodes' label, and a HyperEdge's rank also
+    the paths it links; with ids and no shared name (``_tied``), each
+    link is one int of its ends' ids. A label differs only where it holds
+    a value or rank held unequally often, or is a HyperEdge that is the
+    source, or a non-HyperEdge's target, of such a link. Both models are
+    tallied a level at a time, and only the levels of unequal values are
+    searched for their nodes: a label's other nodes are held equally
+    often, so these give its count's difference. Where the counts agree,
+    the first pair to differ in ``paths`` order is reported, from all the
+    label's nodes where ranked; with ids, a Basic or HyperEdge label has
+    one node a model.
     """
-    kinds, names = trees.kinds, trees.names
-    is_edge = ElementKind.HYPER_EDGE.value.__eq__
-    wanted = set()
-    for values, hyper_edges_only in ((trees.paths, False),
-                                     (edge_ranks, True)):
-        held = islice(values, first_expected)
-        subtracted = islice(values, first_expected, None)
-        if hyper_edges_only:
-            held = compress(held, map(is_edge, kinds))
-            subtracted = compress(subtracted, map(
-                is_edge, islice(kinds, first_expected, None)))
-        tally = Counter(held)
-        tally.subtract(subtracted)
-        unequal = set(compress(tally, tally.values()))
-        if not unequal:
-            continue
-        for node in compress(count(), map(unequal.__contains__, values)):
-            unequal.discard(values[node])
-            wanted.add((kinds[node], names[node]))
-            if not unequal:
-                break
-    actual: dict[tuple[str, str], list[int]] = {}
-    expected: dict[tuple[str, str], list[int]] = {}
-    for node in compress(count(), map(wanted.__contains__,
-                                      zip(kinds, names))):
-        side = actual if node < first_expected else expected
-        side.setdefault((kinds[node], names[node]), []).append(node)
+    kinds, names, paths, ranks = (trees.kinds, trees.names, trees.paths,
+                                  trees.ranks)
+    first = trees.roots[1]
+    scale = len(paths) + 1  # above every ``paths`` value
+    hyper_edge = ElementKind.HYPER_EDGE.value
+    differ: set[int] = set()  # values and keys held unequally often
+    own_paths = [paths[offset:offset + len(doc.links)] if offset and not ranks
+                 else paths for doc, offset in zip(checked.docs, trees.roots)]
+    spans = []  # each depth's range in each model
+    floors = []  # each depth's least ``paths`` value
+    for depth in range(max(map(len, checked.levels))):
+        spans.append([levels[depth][:2] if depth < len(levels) else (0, 0)
+                      for levels in checked.levels])
+        tallies = []
+        for doc, offset, (start, end), path_of in zip(
+                checked.docs, trees.roots, spans[-1], own_paths):
+            keys = paths[start:end]
+            if ranks:  # each HyperEdge's rank, above every value
+                keys += map(scale.__add__, compress(ranks[start:end], map(
+                    hyper_edge.__eq__, kinds[start:end])))
+            else:  # each link: its source's id times ``scale`` plus its
+                #    target's
+                links = doc.links[start - offset:end - offset]
+                keys += [source + path_of[target]
+                         for source, targets in zip(
+                             map(scale.__mul__,
+                                 compress(paths[start:end], links)),
+                             compress(links, links))
+                         for target in targets]
+            keys.sort()
+            tallies.append(keys)
+        floors.append(min(keys[0] for keys in tallies if keys))
+        if tallies[0] != tallies[1]:
+            differ.update(key for key, _ in Counter(tallies[0]).items()
+                          ^ Counter(tallies[1]).items())
+    unequal = {key for key in differ if key < scale}
+    differ -= unequal
+    links = [] if ranks else [divmod(key, scale) for key in differ]
+    lookup = unequal.union(*links)
+    label_of = {}
+    groups: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
+    for depth in {bisect_right(floors, value) - 1 for value in lookup}:
+        for start, end in spans[depth]:
+            for node in compress(count(start), map(lookup.__contains__,
+                                                   paths[start:end])):
+                label_of[paths[node]] = label = kinds[node], names[node]
+                if paths[node] in unequal:
+                    groups.setdefault(label, ([], []))[
+                        node >= first].append(node)
+    ends = [label_of[source] if label_of[source][0] == hyper_edge
+            else label_of[target] for source, target in links]
+    wanted = set(groups).union(end for end in ends if end[0] == hyper_edge)
+    if ranks:
+        edges = {key - scale for key in differ}
+        wanted.update((kinds[node], names[node]) for node in compress(
+            count(), map(edges.__contains__, ranks)))
+        groups = {}  # each label's order needs all its nodes
+        for node in compress(count(), map(wanted.__contains__,
+                                          zip(kinds, names))):
+            groups.setdefault((kinds[node], names[node]), ([], []))[
+                node >= first].append(node)
     found = []
     for label in sorted(wanted):
         text = f"{label[0]}({label[1]})"
-        nodes_a = actual.get(label, [])
-        nodes_e = expected.get(label, [])
-        if len(nodes_a) < len(nodes_e):
+        nodes_a, nodes_e = groups.get(label, ((), ()))
+        if surplus := len(nodes_a) - len(nodes_e):
             found.append(Discrepancy(
-                "missing-node", f"{text}: {len(nodes_e) - len(nodes_a)} "
-                f"occurrence(s) missing",
-            ))
-        elif len(nodes_a) > len(nodes_e):
-            found.append(Discrepancy(
-                "extra-node", f"{text}: {len(nodes_a) - len(nodes_e)} "
-                f"unexpected occurrence(s)",
-            ))
-        elif moved := _first_unequal(nodes_a, nodes_e, trees.paths):
+                "extra-node", f"{text}: {surplus} unexpected occurrence(s)"
+            ) if surplus > 0 else Discrepancy(
+                "missing-node", f"{text}: {-surplus} occurrence(s) missing"))
+        elif nodes_a and not ranks and label[0] not in _NAMED:
+            return None
+        elif moved := _first_unequal(nodes_a, nodes_e, paths):
             found.append(Discrepancy(
                 "wrong-container",
                 f"{text} contained under "
                 f"{_path(trees, trees.parents[moved[0]])}, expected "
                 f"{_path(trees, trees.parents[moved[1]])}",
             ))
-        elif label[0] == ElementKind.HYPER_EDGE.value and _first_unequal(
-            nodes_a, nodes_e, edge_ranks
-        ):
+        else:
             found.append(Discrepancy(
                 "next-set-mismatch",
                 f"{text} links a different set of Basics than expected",
@@ -331,29 +381,28 @@ def validate_full(actual: Statechart,
 
     Both models are checked once (``check_statecharts``). They pass at
     once when the node bijection their Basic and HyperEdge names force
-    keeps every kind, name, parent and link (``_isomorphic``); that needs
-    every such name unique within its kind. Otherwise their labels are
-    compared (``_label_mismatches``) on their name paths
-    (``label_checked``), each HyperEdge keyed by ``_edge_keys``, and any
-    difference found is the report. Only a pair whose labels agree has
-    its structure ranked (``rank_labelled``, which sorts no children); it
-    matches when its roots have equal ranks, and otherwise the two trees
-    are descended (``_first_divergence``), which sorts the children of
-    each node it visits. Raises ValueError (a DocumentError) unless each
-    document is numbered depth by depth and each store holds one
+    keeps every kind, name, parent and link (``_isomorphic``). Otherwise,
+    unless such a name repeats in a model (``_tied``), their labels are
+    compared on name-path ids (``_label_mismatches``, ``_path_ids``), and
+    any difference found is the report. Any other pair is ranked
+    (``rank_labelled``, which sorts no children): it matches when its
+    roots have equal ranks, and otherwise its labels are compared on the
+    ranks and, where they agree, the two trees are descended
+    (``_first_divergence``). Raises ValueError (a DocumentError) unless
+    each document is numbered depth by depth and each store holds one
     Statechart with a top state and keeps its links inside the
     containment tree; a parsed document meets all by construction.
     """
     checked = check_statecharts(actual, expected)
     if _isomorphic(checked):
         return ValidationReport(ValidationLevel.FULL, ())
-    labelled = label_checked(checked)
-    found = _label_mismatches(labelled, _edge_keys(checked, labelled),
-                              checked.roots[1])
+    found = None if _tied(checked.docs) else _label_mismatches(
+        _path_ids(checked), checked)
     if not found:
-        trees = rank_labelled(checked, labelled)
-        del checked, labelled
+        trees = rank_labelled(checked, label_checked(checked))
         root_a, root_e = trees.roots
         if trees.ranks[root_a] != trees.ranks[root_e]:
-            found = _first_divergence(trees, root_a, root_e)
-    return ValidationReport(ValidationLevel.FULL, tuple(found))
+            if found is None:
+                found = _label_mismatches(trees, checked)
+            found = found or _first_divergence(trees, root_a, root_e)
+    return ValidationReport(ValidationLevel.FULL, tuple(found or ()))

@@ -460,6 +460,22 @@ def mutated_statechart(data: bytes, change: str, seed: int) -> bytes | None:
     return json.dumps(doc).encode("utf-8")
 
 
+def edge_moved_up(data: bytes, seed: int) -> bytes | None:
+    """``data`` with one HyperEdge under a state below the top AND moved
+    into the top AND, as perfbench's mutant moves one: a move that changes
+    its depth. None where every HyperEdge is in the top AND."""
+    doc = json.loads(data)
+    top = doc["root"]["children"][0]
+    edges = [(node, parent) for node, parent in json_nodes(doc)
+             if node["kind"] == "HyperEdge" and parent is not top]
+    if not edges:
+        return None
+    node, parent = random.Random(seed).choice(edges)
+    parent["children"].remove(node)
+    top["children"].append(node)
+    return json.dumps(doc).encode()
+
+
 def chain_document(depth: int) -> StatechartDocument:
     """A statechart whose states nest ``depth`` levels below the root: a
     chain of alternating AND and OR states that ends in one Basic."""

@@ -4,7 +4,9 @@ same equality classes, the same order within each level, the same children
 order, the same canonical bytes and the same validation reports.
 
 It lays the trees out again, keys every node by tuples that hold its kind
-and ranks each level through a set, a sort and a dict.
+and ranks each level through a set, a sort and a dict. ``label_mismatches``
+is the label comparison of ``pn2sc.validate`` as first written, which
+compares every label of two ranked models.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from pn2sc.io import ElementKind, StatechartDocument, _store_document
+from pn2sc.validate import Discrepancy
 
 
 class RankedTrees(NamedTuple):
@@ -194,3 +197,60 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
     return StatechartDocument(uids, kinds, names, children, links)
+
+
+def _path(trees, node: int) -> str:
+    labels = []
+    while node >= 0:
+        labels.append(f"{trees.kinds[node]}({trees.names[node]})")
+        node = trees.parents[node]
+    return "/".join(reversed(labels)) or "<root>"
+
+
+def _first_unequal(nodes_a: list[int], nodes_e: list[int],
+                   order: Sequence[int]) -> tuple[int, int] | None:
+    pairs = zip(sorted(nodes_a, key=order.__getitem__),
+                sorted(nodes_e, key=order.__getitem__))
+    return next(((a, e) for a, e in pairs if order[a] != order[e]), None)
+
+
+def label_mismatches(trees, first_expected: int) -> list[Discrepancy]:
+    """Group every node of two ranked models (either ranking's trees) by
+    kind and name, and compare each label: its count, then its nodes'
+    sorted ``paths`` ranks, then, for a HyperEdge, their sorted ``ranks``.
+    Nodes numbered from ``first_expected`` on are the expected model's."""
+    actual: dict[tuple[str, str], list[int]] = {}
+    expected: dict[tuple[str, str], list[int]] = {}
+    for node, label in enumerate(zip(trees.kinds, trees.names)):
+        side = actual if node < first_expected else expected
+        side.setdefault(label, []).append(node)
+    found = []
+    for label in sorted(actual.keys() | expected.keys()):
+        text = f"{label[0]}({label[1]})"
+        nodes_a = actual.get(label, [])
+        nodes_e = expected.get(label, [])
+        if len(nodes_a) < len(nodes_e):
+            found.append(Discrepancy(
+                "missing-node", f"{text}: {len(nodes_e) - len(nodes_a)} "
+                f"occurrence(s) missing",
+            ))
+        elif len(nodes_a) > len(nodes_e):
+            found.append(Discrepancy(
+                "extra-node", f"{text}: {len(nodes_a) - len(nodes_e)} "
+                f"unexpected occurrence(s)",
+            ))
+        elif moved := _first_unequal(nodes_a, nodes_e, trees.paths):
+            found.append(Discrepancy(
+                "wrong-container",
+                f"{text} contained under "
+                f"{_path(trees, trees.parents[moved[0]])}, expected "
+                f"{_path(trees, trees.parents[moved[1]])}",
+            ))
+        elif label[0] == ElementKind.HYPER_EDGE.value and _first_unequal(
+            nodes_a, nodes_e, trees.ranks
+        ):
+            found.append(Discrepancy(
+                "next-set-mismatch",
+                f"{text} links a different set of Basics than expected",
+            ))
+    return found

@@ -12,9 +12,10 @@ values (dense within a level, distinct between levels, ``paths`` rising
 and ``ranks`` falling with depth), so equal lists are the same equality
 classes in the same order within each level. Canonical bytes and
 validation reports built on either ranking must be equal too, and equal
-to the report of ``validate_full``, which ranks only the pairs that its
-node bijection does not prove equal, and ranks the structure of only
-those whose labels agree.
+to the report of ``validate_full``, which ranks no pair that its node
+bijection proves equal, and compares the labels of a pair with unique
+names on name-path ids, ranking it only where they agree or where a
+state's nodes must be ordered.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import rank_reference
 from helpers import (
     NETS,
     PARTNER_CHANGES,
+    edge_moved_up,
     json_nodes,
     mutated_statechart,
     named_from,
@@ -71,13 +73,14 @@ def _reference_ranking(checked: rank.CheckedStatecharts,
 
 
 def reference_report(actual, expected) -> validate.ValidationReport:
-    """The report the reference ranking gives: the label comparison on its
-    ranks, else the descent, wherever the roots rank apart."""
+    """The report the reference ranking gives: the reference label
+    comparison on its ranks, else the descent, wherever the roots rank
+    apart."""
     trees = rank_reference.rank_statecharts(actual, expected)
     root_a, root_e = trees.roots
     found = []
     if trees.ranks[root_a] != trees.ranks[root_e]:
-        found = (validate._label_mismatches(trees, trees.ranks, root_e)
+        found = (rank_reference.label_mismatches(trees, root_e)
                  or validate._first_divergence(trees, root_a, root_e))
     return validate.ValidationReport(validate.ValidationLevel.FULL,
                                      tuple(found))
@@ -86,10 +89,13 @@ def reference_report(actual, expected) -> validate.ValidationReport:
 def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
     assert report == reference_report(actual, expected)
-    # The certificate changes no report: with it given up, every pair is
-    # ranked, by either structural ranking where its labels agree.
+    # The certificate changes no report: with it given up, every pair has
+    # its labels compared, on the ids or on the ranks, and is ranked by
+    # either structural ranking where its labels agree.
     with mock.patch.object(validate, "_isomorphic", return_value=False):
         assert report == validate.validate_full(actual, expected)
+        with mock.patch.object(validate, "_tied", return_value=True):
+            assert report == validate.validate_full(actual, expected)
         with mock.patch.object(validate, "rank_labelled", _reference_ranking):
             assert report == validate.validate_full(actual, expected)
     # A document's counts are its tree's, so models that pass in full
@@ -150,11 +156,8 @@ def check_pair(data: bytes, partner: bytes) -> None:
 @pytest.mark.parametrize("name, data", statechart_cases(),
                          ids=[name for name, _ in statechart_cases()])
 def test_goldens_and_their_partners_rank_as_before(name, data):
-    for change in PARTNER_CHANGES:
-        for seed in range(3):
-            partner = mutated_statechart(data, change, seed)
-            if partner is not None:
-                check_pair(data, partner)
+    for partner in _partners(data):
+        check_pair(data, partner)
 
 
 @given(net=NETS, shuffle=st.booleans(),
@@ -189,8 +192,7 @@ def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
     # shuffled in its file too.
     trees = rank.rank_statecharts(actual, expected)
     assert trees.ranks[trees.roots[0]] != trees.ranks[trees.roots[1]]
-    assert validate._label_mismatches(trees, trees.ranks,
-                                      trees.roots[1]) == []
+    assert rank_reference.label_mismatches(trees, trees.roots[1]) == []
     data, partner = map(scio.statechart_document_to_bytes, (actual, expected))
     check_pair(data, partner)
     for seed in range(3):
@@ -219,37 +221,45 @@ def _state_edited(data: bytes, kind: str, name: str,
     return json.dumps(doc).encode()
 
 
-def _edge_moved_up(data: bytes, seed: int) -> bytes | None:
-    """``data`` with one HyperEdge under a state below the top AND moved
-    into the top AND, as perfbench's mutant moves one: a move that changes
-    its depth. None where every HyperEdge is in the top AND."""
-    doc = json.loads(data)
-    top = doc["root"]["children"][0]
-    edges = [(node, parent) for node, parent in json_nodes(doc)
-             if node["kind"] == "HyperEdge" and parent is not top]
-    if not edges:
-        return None
-    node, parent = random.Random(seed).choice(edges)
-    parent["children"].remove(node)
-    top["children"].append(node)
-    return json.dumps(doc).encode()
+def _partners(data: bytes) -> list[bytes]:
+    """``data`` under every ``PARTNER_CHANGES`` entry (seeds 0-2), with a
+    HyperEdge moved up (seeds 0-2), its last OR made an AND or a named OR,
+    and its last AND below the top made an OR or a named AND."""
+    partners = [mutated_statechart(data, change, seed)
+                for change in PARTNER_CHANGES for seed in range(3)]
+    partners += [edge_moved_up(data, seed) for seed in range(3)]
+    partners += [_state_edited(data, "AND", ""),
+                 _state_edited(data, "OR", "x"),
+                 _state_edited(data, "OR", "", of="AND"),
+                 _state_edited(data, "AND", "x", of="AND")]
+    return [partner for partner in partners if partner is not None]
+
+
+def test_sp300_and_its_partners_report_as_the_reference():
+    data = _written(generate_sp_net(GenSpec(300, 4)))
+    for partner in _partners(data):
+        for pair in ((data, partner), (partner, data)):
+            assert_same_report(*map(scio.parse_statechart, pair))
+    # Below a named AND, the unnamed ORs keep their count but not their
+    # name paths, so only their ranks order them to be paired.
+    pair = [scio.parse_statechart(side) for side in
+            (data, _state_edited(data, "AND", "x", of="AND"))]
+    with mock.patch.object(validate, "rank_labelled",
+                           wraps=rank.rank_labelled) as ranking:
+        report = validate.validate_full(*pair)
+    assert ranking.called
+    assert any(detail.startswith("OR() contained under")
+               for _, detail in report.discrepancies), report
 
 
 def test_labels_that_force_a_bijection_pass_without_ranking():
     # Every Basic and HyperEdge name of these outputs is unique within its
     # kind, so the names map the nodes, and an equal partner passes
-    # before any ranking; any other pair reaches the name-path ranking.
+    # before any ranking; a partner with one name everywhere is ranked.
     sp300 = _written(generate_sp_net(GenSpec(300, 4)))
     equal = [(data, mutated_statechart(data, "reordered", seed))
              for _, data in statechart_cases() for seed in range(3)]
     equal.append((sp300, mutated_statechart(sp300, "reordered", 5)))
-    unequal = [(data, partner)
-               for data in [data for _, data in statechart_cases()] + [sp300]
-               for change in PARTNER_CHANGES[2:] for seed in range(3)
-               if (partner := mutated_statechart(data, change, seed))]
-    # A state that changes kind or name changes no Basic or HyperEdge.
-    unequal += [(sp300, _state_edited(sp300, "AND", "")),
-                (sp300, _state_edited(sp300, "OR", "x"))]
     one_name = _written(renamed(generate_sp_net(GenSpec(300, 4)), "x"))
     tied = [(one_name, mutated_statechart(one_name, "reordered", 1)),
             (one_name, one_name),
@@ -267,10 +277,10 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
                     scio.document_from_statechart(store)):
             assert validate.validate_full(store, doc).passed
             assert validate.validate_full(doc, store).passed
-    for data, partner in unequal + tied:
+    for data, partner in tied:
         pair = scio.parse_statechart(data), scio.parse_statechart(partner)
-        with mock.patch.object(validate, "label_checked",
-                               wraps=rank.label_checked) as ranking:
+        with mock.patch.object(validate, "rank_labelled",
+                               wraps=rank.rank_labelled) as ranking:
             report = validate.validate_full(*pair)
         assert ranking.called
         assert report.passed == ((data, partner) in tied[:2])
@@ -278,24 +288,29 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
 
 
 def test_pairs_with_unequal_labels_report_without_ranking_structure():
-    # A renamed Basic, a HyperEdge moved to another depth and a state
-    # whose kind flips between AND and OR each change name paths, so the
-    # label comparison gives the whole report, the reference ranking's,
-    # and the structure of neither model is ranked.
+    # A renamed Basic, a HyperEdge moved to another depth, a dropped link
+    # and a state whose kind flips between AND and OR leave every Basic
+    # and HyperEdge name unique and change a name path or a link, so the
+    # name-path ids give the whole report, the reference ranking's, and
+    # neither model is ranked. (A HyperEdge moved to a twin of its
+    # container keeps its name path: only the ranking tells that apart.)
     charts = [data for _, data in statechart_cases()]
     charts.append(_written(generate_sp_net(GenSpec(300, 4))))
     pairs = []
     for data in charts:
-        partners = [mutated_statechart(data, "basic-renamed", seed)
+        partners = [mutated_statechart(data, change, seed)
+                    for change in ("basic-renamed", "link-dropped")
                     for seed in range(3)]
-        partners += [_edge_moved_up(data, seed) for seed in range(3)]
+        partners += [edge_moved_up(data, seed) for seed in range(3)]
         partners += [_state_edited(data, "AND", ""),
                      _state_edited(data, "OR", "", of="AND")]
         pairs += [(data, partner) for partner in partners
                   if partner is not None]
     kinds = set()
-    with mock.patch.object(validate, "rank_labelled",
-                           side_effect=AssertionError("ranked")):
+    with mock.patch.object(validate, "label_checked",
+                           side_effect=AssertionError("labelled")), \
+            mock.patch.object(validate, "rank_labelled",
+                              side_effect=AssertionError("ranked")):
         for data, partner in pairs:
             for pair in ((data, partner), (partner, data)):
                 docs = [scio.parse_statechart(side) for side in pair]
@@ -303,4 +318,5 @@ def test_pairs_with_unequal_labels_report_without_ranking_structure():
                 assert not report.passed
                 assert report == reference_report(*docs)
                 kinds.update(kind for kind, _ in report.discrepancies)
-    assert kinds >= {"missing-node", "extra-node", "wrong-container"}, kinds
+    assert kinds == {"missing-node", "extra-node", "wrong-container",
+                     "next-set-mismatch"}, kinds

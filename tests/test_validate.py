@@ -18,6 +18,7 @@ from helpers import (
     build_net,
     chain_document,
     corpus_entry,
+    edge_moved_up,
     json_nodes,
     load_corpus,
     mutated_statechart,
@@ -28,6 +29,7 @@ from helpers import (
     statechart_cases,
     twin_regions,
 )
+from rank_reference import label_mismatches
 from pn2sc import validate
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
@@ -42,9 +44,7 @@ from pn2sc.io import (
 )
 from pn2sc.model import ElementKind, ModelStore
 from pn2sc.rank import (
-    _edge_keys,
     check_statecharts,
-    label_checked,
     rank_labelled,
     rank_statecharts,
 )
@@ -52,6 +52,7 @@ from pn2sc.reduce import create_statechart
 from pn2sc.validate import (
     Discrepancy,
     ValidationLevel,
+    ValidationReport,
     validate_counts,
     validate_full,
 )
@@ -291,28 +292,41 @@ def test_validating_holds_less_than_twice_the_documents():
         assert peak <= 2.0 * held, (peak, held)
 
 
+def _traced_peak(actual, expected) -> tuple[int, ValidationReport]:
+    """The tracemalloc peak of ``validate_full``, above what it is given."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = validate_full(actual, expected)
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
+
+
 def test_the_bijection_holds_less_than_the_ranking():
     # On a pair whose labels force the node bijection, checking it holds
-    # less than ranking the pair would.
+    # less than ranking the pair would; and a pair with unique names that
+    # fails holds at most a tenth more than the bijection, as its labels
+    # are compared on name-path ids, a level at a time.
     doc, _ = transform_net(generate_sp_net(GenSpec(3000, 1)))
     data = statechart_document_to_bytes(doc)
-    partner = mutated_statechart(data, "reordered", 0)
     del doc
     gc.collect()
-    actual, expected = parse_statechart(data), parse_statechart(partner)
-    peaks = []
-    for certificate in (validate._isomorphic, lambda checked: False):
-        with mock.patch.object(validate, "_isomorphic", certificate):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                report = validate_full(actual, expected)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert report.passed
-    certified, ranked = peaks
-    assert certified < ranked, peaks
+    actual = parse_statechart(data)
+    expected = parse_statechart(mutated_statechart(data, "reordered", 0))
+    certified, report = _traced_peak(actual, expected)
+    assert report.passed
+    with mock.patch.object(validate, "_isomorphic", return_value=False):
+        ranked, report = _traced_peak(actual, expected)
+    assert report.passed
+    assert certified < ranked, (certified, ranked)
+    partners = [mutated_statechart(data, change, seed)
+                for change in ("basic-renamed", "link-dropped")
+                for seed in range(2)]
+    for partner in partners + [edge_moved_up(data, 0)]:
+        failed, report = _traced_peak(actual, parse_statechart(partner))
+        assert not report.passed
+        assert failed <= 1.1 * certified, (failed, certified)
 
 
 def _three_nodes(links: list) -> StatechartDocument:
@@ -353,16 +367,17 @@ def _hyperedges_at_two_depths(first: int, second: int,
 def test_hyperedge_keys_tell_depths_apart():
     # The two models swap which Basic each h links, and differ in one
     # Basic's name, so the name paths report at once. Keyed by label and
-    # signature alone, the two h would look alike in both models; their
-    # depths tell them apart, as their ranks do.
+    # links alone, the two h would look alike in both models; their depths
+    # tell them apart, as their ranks do. h repeats, so the labels are
+    # compared on the ranks, before the structure is descended.
     actual = _hyperedges_at_two_depths(5, 6, "z")
     expected = _hyperedges_at_two_depths(6, 5, "y")
     trees = rank_statecharts(actual, expected)
-    found = validate._label_mismatches(trees, trees.ranks, trees.roots[1])
+    found = label_mismatches(trees, trees.roots[1])
     assert Discrepancy("next-set-mismatch", "HyperEdge(h) links a "
                        "different set of Basics than expected") in found
-    with mock.patch.object(validate, "rank_labelled",
-                           side_effect=AssertionError("ranked")):
+    with mock.patch.object(validate, "_first_divergence",
+                           side_effect=AssertionError("descended")):
         assert validate_full(actual, expected).discrepancies == tuple(found)
 
 
@@ -452,47 +467,6 @@ def test_deep_documents_read_and_validate_without_recursion():
     assert not validate_full(doc, deeper).passed
 
 
-def _label_mismatches_before(trees, first_expected: int) -> list[Discrepancy]:
-    """``validate._label_mismatches`` as it was before it counted ranks to
-    find the labels to compare: it groups every node of both models by
-    kind and name, and compares each label."""
-    actual: dict[tuple[str, str], list[int]] = {}
-    expected: dict[tuple[str, str], list[int]] = {}
-    for node, label in enumerate(zip(trees.kinds, trees.names)):
-        side = actual if node < first_expected else expected
-        side.setdefault(label, []).append(node)
-    found = []
-    for label in sorted(actual.keys() | expected.keys()):
-        text = f"{label[0]}({label[1]})"
-        nodes_a = actual.get(label, [])
-        nodes_e = expected.get(label, [])
-        if len(nodes_a) < len(nodes_e):
-            found.append(Discrepancy(
-                "missing-node", f"{text}: {len(nodes_e) - len(nodes_a)} "
-                f"occurrence(s) missing",
-            ))
-        elif len(nodes_a) > len(nodes_e):
-            found.append(Discrepancy(
-                "extra-node", f"{text}: {len(nodes_a) - len(nodes_e)} "
-                f"unexpected occurrence(s)",
-            ))
-        elif moved := validate._first_unequal(nodes_a, nodes_e, trees.paths):
-            found.append(Discrepancy(
-                "wrong-container",
-                f"{text} contained under "
-                f"{validate._path(trees, trees.parents[moved[0]])}, expected "
-                f"{validate._path(trees, trees.parents[moved[1]])}",
-            ))
-        elif label[0] == H.value and validate._first_unequal(
-            nodes_a, nodes_e, trees.ranks
-        ):
-            found.append(Discrepancy(
-                "next-set-mismatch",
-                f"{text} links a different set of Basics than expected",
-            ))
-    return found
-
-
 @given(net=NETS, shuffle=st.booleans(),
        pool=st.none() | st.lists(st.sampled_from(["x", "y", ""]),
                                  min_size=1, max_size=3),
@@ -516,14 +490,15 @@ def test_label_mismatches_report_as_before(net, shuffle, pool, changes,
     for pair in ((data, partner), (partner, data)):
         docs = list(map(parse_statechart, pair))
         trees = rank_statecharts(*docs)
-        first_expected = trees.roots[1]
-        found = _label_mismatches_before(trees, first_expected)
-        assert validate._label_mismatches(trees, trees.ranks,
-                                          first_expected) == found
-        # Keyed before any structure is ranked, the HyperEdges compare as
-        # their ranks do.
+        found = label_mismatches(trees, trees.roots[1])
+        # On the ranks, and on the name-path ids where no Basic or
+        # HyperEdge name repeats in a model and no state's nodes need an
+        # order, the labels compare as the reference compares them.
         checked = check_statecharts(*docs)
-        labelled = label_checked(checked)
-        assert validate._label_mismatches(
-            labelled, _edge_keys(checked, labelled),
-            first_expected) == found
+        assert validate._label_mismatches(trees, checked) == found
+        if not validate._tied(checked.docs):
+            by_ids = validate._label_mismatches(validate._path_ids(checked),
+                                                checked)
+            assert by_ids == found or by_ids is None and any(
+                kind == "wrong-container" and not detail.startswith(
+                    ("Basic(", "HyperEdge(")) for kind, detail in found)
