@@ -6,8 +6,9 @@ structural rank (``RankedTrees``). ``canonical_document`` writes each
 container's children in rank order, so equal models give identical
 bytes. ``pn2sc.validate`` reads the parts it needs: the checks
 (``check_statecharts``), the certificate of a node bijection that unique
-names force (``_isomorphic``) and, only to order or to tell apart what
-names alone do not, the ranks (``label_checked``, ``rank_labelled``).
+names force (``_isomorphic``), the name paths and signatures where
+HyperEdge names repeat (``label_checked``) and the structure
+(``rank_labelled``).
 A store is flattened by ``pn2sc.io._store_document`` first. The writer
 imports this module when it builds a document, so a run that writes no
 statechart never loads it.

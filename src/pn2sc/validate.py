@@ -8,31 +8,29 @@ Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
 or one of each; a document is compared as it stands, with no store built.
 
 ``Full`` passes a pair at once on the node bijection that unique Basic
-and HyperEdge names force (``rank._isomorphic``). Any other pair whose
-names are unique has its labels compared on name-path ids
-(``_path_ids``), and a difference there is the report. A pair is ranked
-(``pn2sc.rank``, the writer's canonical form) only where its labels
-agree, its names repeat, or a state's nodes must be ordered; then the
-ranks of its two roots are compared, and the labels on the ranks where
-they differ, so duplicate names need no backtracking search and no tree
-walk recurses. The ranking is an isomorphism invariant, so a pair the
-bijection passes is one it passes too. Only the descent of a pair whose
-labels agree reads children in canonical order: ``_children`` sorts a
-visited node's children by rank, as ``canonical_document`` writes them.
-Genuinely indistinguishable siblings may be matched either way.
+and HyperEdge names force (``rank._isomorphic``). Any other pair has its
+labels compared first (``_label_mismatches``), and a difference there is
+the report; only a pair whose labels agree has its structure ranked
+(``pn2sc.rank``, the writer's canonical form), so duplicate names need
+no backtracking search and no tree walk recurses. The ranking is an
+isomorphism invariant, so a pair the bijection passes is one it passes
+too. Only the descent reads children in canonical order (``_children``,
+as ``canonical_document`` writes them); genuinely indistinguishable
+siblings may be matched either way.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
+from operator import eq
 from typing import TYPE_CHECKING, NamedTuple
 
 from .io import STATECHART_KINDS, ElementKind
 from .rank import (
-    _NAMED_KINDS,
+    LabelledTrees,
     RankedTrees,
     _isomorphic,
     check_statecharts,
@@ -48,8 +46,6 @@ if TYPE_CHECKING:
     from .rank import CheckedStatecharts
 
     Statechart = ModelStore | StatechartDocument
-
-_NAMED = frozenset(_NAMED_KINDS)
 
 
 class ValidationLevel(Enum):
@@ -89,35 +85,41 @@ def validate_counts(actual: Statechart,
     return ValidationReport(ValidationLevel.COUNTS, tuple(found))
 
 
-def _label(trees: RankedTrees, node: int) -> str:
+def _label(trees: RankedTrees | LabelledTrees, node: int) -> str:
     return f"{trees.kinds[node]}({trees.names[node]})"
 
 
-def _path(trees: RankedTrees, node: int) -> str:
-    """The labels from the root down to ``node``, or ``<root>`` for -1."""
+def _name_path(trees: RankedTrees | LabelledTrees,
+               node: int) -> tuple[int, list[tuple[str, str]]]:
+    """The depth of ``node`` and the kinds and names from the root down to
+    it: a key that sorts nodes as their ``RankedTrees.paths`` ranks do."""
     labels = []
     while node >= 0:
-        labels.append(_label(trees, node))
+        labels.append((trees.kinds[node], trees.names[node]))
         node = trees.parents[node]
-    return "/".join(reversed(labels)) or "<root>"
+    labels.reverse()
+    return len(labels), labels
 
 
-def _first_unequal(nodes_a: list[int], nodes_e: list[int],
-                   order: Sequence[object]) -> tuple[int, int] | None:
-    """The first pair that differs in ``order`` once both lists are sorted
-    by it, or None."""
-    pairs = zip(sorted(nodes_a, key=order.__getitem__),
-                sorted(nodes_e, key=order.__getitem__))
-    return next(((a, e) for a, e in pairs if order[a] != order[e]), None)
+def _path(trees: RankedTrees | LabelledTrees, node: int) -> str:
+    """The labels from the root down to ``node``, or ``<root>`` for -1."""
+    return "/".join(f"{kind}({name})" for kind, name
+                    in _name_path(trees, node)[1]) or "<root>"
 
 
-def _path_ids(checked: CheckedStatecharts) -> RankedTrees:
-    """The nodes of ``checked`` with name-path ids as ``paths`` and no
-    ``ranks``: two nodes share an id exactly when the kinds and names from
-    the root down to them are equal, but ids give no order. A level's ids
-    come from one dict, keyed by parent's id, kind and name, and all from
-    one counter, so ids rise with depth and none exceeds the node count."""
-    docs, roots, parents, layouts = checked
+def _edge_names_repeat(docs: Sequence[StatechartDocument]) -> bool:
+    """Whether two HyperEdges of one document share a name."""
+    return any(len(set(names)) < len(names) for names in (list(compress(
+        doc.names, map(eq, doc.kinds, repeat(ElementKind.HYPER_EDGE.value))))
+        for doc in docs))
+
+
+def _path_ids(checked: CheckedStatecharts) -> LabelledTrees:
+    """Pass 1 of the ranking as ids: two nodes of ``checked`` share an id
+    exactly when their name paths are equal, but ids give no order. A
+    level's ids come from one dict, keyed by parent's id, kind and name,
+    and all from one counter, so ids rise with depth, to the node count."""
+    docs, _, parents, layouts = checked
     kinds = list(chain.from_iterable(doc.kinds for doc in docs))
     names = list(chain.from_iterable(doc.names for doc in docs))
     ids = [0] * (len(parents) + 1)  # the last slot: a root's parent's id
@@ -130,95 +132,87 @@ def _path_ids(checked: CheckedStatecharts) -> RankedTrees:
                 map(ids.__getitem__, parents[start:end]),
                 kinds[start:end], names[start:end]), fresh)
     ids.pop()
-    return RankedTrees(roots, kinds, names, parents, [], ids, [])
+    return LabelledTrees(kinds, names, parents, [], ids, {})
 
 
-def _tied(docs: Sequence[StatechartDocument]) -> bool:
-    """Whether two Basics or HyperEdges of one document share a name."""
-    named = [list(compress(doc.names, map(_NAMED.__contains__, doc.kinds)))
-             for doc in docs]
-    return any(len(set(names)) < len(names) for names in named)
-
-
-def _label_mismatches(trees: RankedTrees, checked: CheckedStatecharts
-                      ) -> list[Discrepancy] | None:
+def _label_mismatches(labelled: LabelledTrees,
+                      checked: CheckedStatecharts) -> list[Discrepancy]:
     """Compare, for each kind and name, how often and where it occurs, and
-    what each HyperEdge links: on the ranking of ``checked``, or on its
-    ``_path_ids``, which give None where a state's nodes need an order.
-
-    A ``paths`` value fixes its nodes' label, and a HyperEdge's rank also
-    the paths it links; with ids and no shared name (``_tied``), each
-    link is one int of its ends' ids. A label differs only where it holds
-    a value or rank held unequally often, or is a HyperEdge that is the
-    source, or a non-HyperEdge's target, of such a link. Both models are
-    tallied a level at a time, and only the levels of unequal values are
-    searched for their nodes: a label's other nodes are held equally
-    often, so these give its count's difference. Where the counts agree,
-    the first pair to differ in ``paths`` order is reported, from all the
-    label's nodes where ranked; with ids, a Basic or HyperEdge label has
-    one node a model.
+    what each HyperEdge links, on the name paths of ``labelled``
+    (``_path_ids``, or ``label_checked``). A ``paths`` value fixes its
+    nodes' label. A HyperEdge with a signature is keyed by its depth, name
+    and signature, as the ranking keys it; one without is alone at its
+    level in both models, so its ``paths`` value tells it apart. Without
+    signatures, no HyperEdge name repeats in a model, and each link is one
+    int, its source's value times ``scale`` plus its target's, that tells
+    the links of its HyperEdge end. Both models are tallied a level at a
+    time; only the levels of unequal values are searched for their nodes,
+    which give each label's count difference. Where the counts agree, the
+    first pair to differ in name-path order (``_name_path``) is reported.
     """
-    kinds, names, paths, ranks = (trees.kinds, trees.names, trees.paths,
-                                  trees.ranks)
-    first = trees.roots[1]
+    kinds, names, _, _, paths, signatures = labelled
+    first = checked.roots[1]
     scale = len(paths) + 1  # above every ``paths`` value
     hyper_edge = ElementKind.HYPER_EDGE.value
-    differ: set[int] = set()  # values and keys held unequally often
-    own_paths = [paths[offset:offset + len(doc.links)] if offset and not ranks
-                 else paths for doc, offset in zip(checked.docs, trees.roots)]
-    spans = []  # each depth's range in each model
-    floors = []  # each depth's least ``paths`` value
+    linked = sorted(signatures)
+    own_paths = [paths[offset:offset + len(doc.links)] if offset else paths
+                 for doc, offset in zip(checked.docs, checked.roots)]
+    unequal, links = set(), set()  # values, link ints held unequally often
+    wanted: set[tuple[str, str]] = set()
+    spans, floors = [], []  # each depth's range in each model, least value
     for depth in range(max(map(len, checked.levels))):
         spans.append([levels[depth][:2] if depth < len(levels) else (0, 0)
                       for levels in checked.levels])
-        tallies = []
+        held, linking, signed = [], [], []  # each model's, sorted
         for doc, offset, (start, end), path_of in zip(
-                checked.docs, trees.roots, spans[-1], own_paths):
-            keys = paths[start:end]
-            if ranks:  # each HyperEdge's rank, above every value
-                keys += map(scale.__add__, compress(ranks[start:end], map(
-                    hyper_edge.__eq__, kinds[start:end])))
-            else:  # each link: its source's id times ``scale`` plus its
-                #    target's
-                links = doc.links[start - offset:end - offset]
-                keys += [source + path_of[target]
-                         for source, targets in zip(
-                             map(scale.__mul__,
-                                 compress(paths[start:end], links)),
-                             compress(links, links))
-                         for target in targets]
-            keys.sort()
-            tallies.append(keys)
-        floors.append(min(keys[0] for keys in tallies if keys))
-        if tallies[0] != tallies[1]:
-            differ.update(key for key, _ in Counter(tallies[0]).items()
-                          ^ Counter(tallies[1]).items())
-    unequal = {key for key in differ if key < scale}
-    differ -= unequal
-    links = [] if ranks else [divmod(key, scale) for key in differ]
-    lookup = unequal.union(*links)
-    label_of = {}
+                checked.docs, checked.roots, spans[-1], own_paths):
+            held.append(sorted(paths[start:end]))
+            level_links = doc.links[start - offset:end - offset]
+            linking.append(sorted([
+                source + path_of[target] for source, targets in zip(
+                    map(scale.__mul__, compress(paths[start:end],
+                                                level_links)),
+                    compress(level_links, level_links))
+                for target in targets]) if not signatures else [])
+            edges = linked[bisect_left(linked, start):bisect_left(linked, end)]
+            signed.append(Counter(zip(map(names.__getitem__, edges),
+                                      map(signatures.__getitem__, edges))))
+        floors.append(min(values[0] for values in held if values))
+        for (values_a, values_e), differ in ((held, unequal),
+                                             (linking, links)):
+            if values_a != values_e:
+                differ.update(value for value, _ in Counter(values_a).items()
+                              ^ Counter(values_e).items())
+        if signed[0] != signed[1]:
+            wanted.update((hyper_edge, name) for (name, _), _
+                          in signed[0].items() ^ signed[1].items())
+    ends = [divmod(key, scale) for key in links]
+    lookup = unequal.union(*ends)
+    holder = {}  # a node of each value looked up
     groups: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
     for depth in {bisect_right(floors, value) - 1 for value in lookup}:
         for start, end in spans[depth]:
             for node in compress(count(start), map(lookup.__contains__,
                                                    paths[start:end])):
-                label_of[paths[node]] = label = kinds[node], names[node]
+                holder[paths[node]] = node
                 if paths[node] in unequal:
-                    groups.setdefault(label, ([], []))[
+                    groups.setdefault((kinds[node], names[node]), ([], []))[
                         node >= first].append(node)
-    ends = [label_of[source] if label_of[source][0] == hyper_edge
-            else label_of[target] for source, target in links]
-    wanted = set(groups).union(end for end in ends if end[0] == hyper_edge)
-    if ranks:
-        edges = {key - scale for key in differ}
-        wanted.update((kinds[node], names[node]) for node in compress(
-            count(), map(edges.__contains__, ranks)))
-        groups = {}  # each label's order needs all its nodes
-        for node in compress(count(), map(wanted.__contains__,
-                                          zip(kinds, names))):
-            groups.setdefault((kinds[node], names[node]), ([], []))[
-                node >= first].append(node)
+    edges = [holder[source] if kinds[holder[source]] == hyper_edge
+             else holder[target] for source, target in ends]
+    wanted.update((hyper_edge, names[edge]) for edge in edges
+                  if kinds[edge] == hyper_edge)
+    wanted.update(groups)
+    # A label held as often in both models, at other places, is paired
+    # over all its nodes, gathered unless no other node has its name.
+    moved = {label for label, (got, want) in groups.items()
+             if len(got) == len(want) and 2 * len(got) < names.count(label[1])}
+    if moved:
+        groups.update((label, ([], [])) for label in moved)
+        for node in compress(count(), map(
+                {name for _, name in moved}.__contains__, names)):
+            if (label := (kinds[node], names[node])) in moved:
+                groups[label][node >= first].append(node)
     found = []
     for label in sorted(wanted):
         text = f"{label[0]}({label[1]})"
@@ -228,14 +222,16 @@ def _label_mismatches(trees: RankedTrees, checked: CheckedStatecharts
                 "extra-node", f"{text}: {surplus} unexpected occurrence(s)"
             ) if surplus > 0 else Discrepancy(
                 "missing-node", f"{text}: {-surplus} occurrence(s) missing"))
-        elif nodes_a and not ranks and label[0] not in _NAMED:
-            return None
-        elif moved := _first_unequal(nodes_a, nodes_e, paths):
+        elif nodes_a:
+            pairs = zip(*(sorted(nodes, key=lambda node: _name_path(
+                labelled, node)) for nodes in (nodes_a, nodes_e)))
+            node_a, node_e = next((a, e) for a, e in pairs
+                                  if paths[a] != paths[e])
             found.append(Discrepancy(
                 "wrong-container",
                 f"{text} contained under "
-                f"{_path(trees, trees.parents[moved[0]])}, expected "
-                f"{_path(trees, trees.parents[moved[1]])}",
+                f"{_path(labelled, labelled.parents[node_a])}, expected "
+                f"{_path(labelled, labelled.parents[node_e])}",
             ))
         else:
             found.append(Discrepancy(
@@ -381,28 +377,30 @@ def validate_full(actual: Statechart,
 
     Both models are checked once (``check_statecharts``). They pass at
     once when the node bijection their Basic and HyperEdge names force
-    keeps every kind, name, parent and link (``_isomorphic``). Otherwise,
-    unless such a name repeats in a model (``_tied``), their labels are
-    compared on name-path ids (``_label_mismatches``, ``_path_ids``), and
-    any difference found is the report. Any other pair is ranked
-    (``rank_labelled``, which sorts no children): it matches when its
-    roots have equal ranks, and otherwise its labels are compared on the
-    ranks and, where they agree, the two trees are descended
-    (``_first_divergence``). Raises ValueError (a DocumentError) unless
-    each document is numbered depth by depth and each store holds one
-    Statechart with a top state and keeps its links inside the
-    containment tree; a parsed document meets all by construction.
+    keeps every kind, name, parent and link (``_isomorphic``). Otherwise
+    their labels are compared (``_label_mismatches``) on name-path ids
+    (``_path_ids``), or on ``label_checked`` where a HyperEdge name
+    repeats in a model, and any difference found is the report. Only a
+    pair whose labels agree is ranked (``rank_labelled``); it matches when
+    its roots rank alike, else the trees are descended (``_first_divergence``).
+    Raises ValueError (a DocumentError) unless each document is numbered
+    depth by depth and each store holds one Statechart with a top state
+    and keeps its links inside the containment tree; a parsed document
+    meets all by construction.
     """
     checked = check_statecharts(actual, expected)
     if _isomorphic(checked):
         return ValidationReport(ValidationLevel.FULL, ())
-    found = None if _tied(checked.docs) else _label_mismatches(
-        _path_ids(checked), checked)
+    tied = _edge_names_repeat(checked.docs)
+    labelled = label_checked(checked) if tied else _path_ids(checked)
+    found = _label_mismatches(labelled, checked)
     if not found:
-        trees = rank_labelled(checked, label_checked(checked))
+        if not tied:  # the ids go before the ranking's passes 1 and 2
+            del labelled
+            labelled = label_checked(checked)
+        trees = rank_labelled(checked, labelled)
+        del checked, labelled
         root_a, root_e = trees.roots
         if trees.ranks[root_a] != trees.ranks[root_e]:
-            if found is None:
-                found = _label_mismatches(trees, checked)
-            found = found or _first_divergence(trees, root_a, root_e)
-    return ValidationReport(ValidationLevel.FULL, tuple(found or ()))
+            found = _first_divergence(trees, root_a, root_e)
+    return ValidationReport(ValidationLevel.FULL, tuple(found))

@@ -90,12 +90,10 @@ def assert_same_report(actual, expected) -> None:
     report = validate.validate_full(actual, expected)
     assert report == reference_report(actual, expected)
     # The certificate changes no report: with it given up, every pair has
-    # its labels compared, on the ids or on the ranks, and is ranked by
-    # either structural ranking where its labels agree.
+    # its labels compared on name-path ids, and is ranked by either
+    # structural ranking where its labels agree.
     with mock.patch.object(validate, "_isomorphic", return_value=False):
         assert report == validate.validate_full(actual, expected)
-        with mock.patch.object(validate, "_tied", return_value=True):
-            assert report == validate.validate_full(actual, expected)
         with mock.patch.object(validate, "rank_labelled", _reference_ranking):
             assert report == validate.validate_full(actual, expected)
     # A document's counts are its tree's, so models that pass in full
@@ -241,13 +239,12 @@ def test_sp300_and_its_partners_report_as_the_reference():
         for pair in ((data, partner), (partner, data)):
             assert_same_report(*map(scio.parse_statechart, pair))
     # Below a named AND, the unnamed ORs keep their count but not their
-    # name paths, so only their ranks order them to be paired.
+    # name paths; they are paired in name-path order, with no ranking.
     pair = [scio.parse_statechart(side) for side in
             (data, _state_edited(data, "AND", "x", of="AND"))]
     with mock.patch.object(validate, "rank_labelled",
-                           wraps=rank.rank_labelled) as ranking:
+                           side_effect=AssertionError("ranked")):
         report = validate.validate_full(*pair)
-    assert ranking.called
     assert any(detail.startswith("OR() contained under")
                for _, detail in report.discrepancies), report
 
@@ -287,10 +284,33 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
         assert_same_report(*pair)
 
 
+def test_failing_pairs_with_repeated_names_report_before_ranking():
+    # Where every place and transition is named x, the labels are compared
+    # on the ranking's name paths and signatures (passes 1 and 2), and a
+    # pair whose labels differ reports before its structure is ranked.
+    one_name = _written(renamed(generate_sp_net(GenSpec(300, 4)), "x"))
+    partners = [mutated_statechart(one_name, change, seed)
+                for change in PARTNER_CHANGES[2:] for seed in range(3)]
+    partners += [edge_moved_up(one_name, seed) for seed in range(3)]
+    told = 0
+    for partner in filter(None, partners):
+        for pair in ((one_name, partner), (partner, one_name)):
+            docs = [scio.parse_statechart(side) for side in pair]
+            trees = rank_reference.rank_statecharts(*docs)
+            if not rank_reference.label_mismatches(trees, trees.roots[1]):
+                continue  # only the structure tells this pair apart
+            told += 1
+            with mock.patch.object(validate, "rank_labelled",
+                                   side_effect=AssertionError("ranked")):
+                report = validate.validate_full(*docs)
+            assert report == reference_report(*docs)
+    assert told >= 10, told
+
+
 def test_pairs_with_unequal_labels_report_without_ranking_structure():
     # A renamed Basic, a HyperEdge moved to another depth, a dropped link
-    # and a state whose kind flips between AND and OR leave every Basic
-    # and HyperEdge name unique and change a name path or a link, so the
+    # and a state whose kind or name changes leave every Basic and
+    # HyperEdge name unique and change a name path or a link, so the
     # name-path ids give the whole report, the reference ranking's, and
     # neither model is ranked. (A HyperEdge moved to a twin of its
     # container keeps its name path: only the ranking tells that apart.)
@@ -303,7 +323,9 @@ def test_pairs_with_unequal_labels_report_without_ranking_structure():
                     for seed in range(3)]
         partners += [edge_moved_up(data, seed) for seed in range(3)]
         partners += [_state_edited(data, "AND", ""),
-                     _state_edited(data, "OR", "", of="AND")]
+                     _state_edited(data, "OR", "x"),
+                     _state_edited(data, "OR", "", of="AND"),
+                     _state_edited(data, "AND", "x", of="AND")]
         pairs += [(data, partner) for partner in partners
                   if partner is not None]
     kinds = set()

@@ -45,6 +45,7 @@ from pn2sc.io import (
 from pn2sc.model import ElementKind, ModelStore
 from pn2sc.rank import (
     check_statecharts,
+    label_checked,
     rank_labelled,
     rank_statecharts,
 )
@@ -368,17 +369,73 @@ def test_hyperedge_keys_tell_depths_apart():
     # The two models swap which Basic each h links, and differ in one
     # Basic's name, so the name paths report at once. Keyed by label and
     # links alone, the two h would look alike in both models; their depths
-    # tell them apart, as their ranks do. h repeats, so the labels are
-    # compared on the ranks, before the structure is descended.
+    # tell them apart, as their ranks do, before any structure is ranked.
     actual = _hyperedges_at_two_depths(5, 6, "z")
     expected = _hyperedges_at_two_depths(6, 5, "y")
     trees = rank_statecharts(actual, expected)
     found = label_mismatches(trees, trees.roots[1])
     assert Discrepancy("next-set-mismatch", "HyperEdge(h) links a "
                        "different set of Basics than expected") in found
-    with mock.patch.object(validate, "_first_divergence",
-                           side_effect=AssertionError("descended")):
+    with mock.patch.object(validate, "rank_labelled",
+                           side_effect=AssertionError("ranked")):
         assert validate_full(actual, expected).discrepancies == tuple(found)
+
+
+def _two_hyperedges(parents: tuple[str, str],
+                    links: tuple[tuple[int, ...], tuple[int, ...]]
+                    ) -> StatechartDocument:
+    """A top AND over two ORs named ``parents`` (one OR where both names
+    are equal), with one HyperEdge named h in each OR, or both in the one,
+    and Basics b1 and b2 beside them; each h links ``links``, as 0 for b1
+    and 1 for b2."""
+    if parents[0] == parents[1]:
+        kinds = ["Statechart", "AND", "OR", "HyperEdge", "HyperEdge",
+                 "Basic", "Basic"]
+        names = ["", "", parents[0], "h", "h", "b1", "b2"]
+        children = [range(1, 2), range(2, 3), range(3, 7), (), (), (), ()]
+        edges, basics = (3, 4), (5, 6)
+    else:
+        kinds = ["Statechart", "AND", "OR", "OR", "HyperEdge", "Basic",
+                 "HyperEdge", "Basic"]
+        names = ["", "", *parents, "h", "b1", "h", "b2"]
+        children = [range(1, 2), range(2, 4), range(4, 6), range(6, 8), (),
+                    (), (), ()]
+        edges, basics = (4, 6), (5, 7)
+    doc_links: list[tuple[int, ...]] = [()] * len(kinds)
+    for edge, targets in zip(edges, links):
+        doc_links[edge] = tuple(basics[target] for target in targets)
+    return StatechartDocument(list(range(len(kinds))), kinds, names,
+                              children, doc_links)
+
+
+def test_namesakes_compare_by_their_signatures():
+    # Two h in one OR link b1 and b2 in one model, and both Basics from
+    # one h in the other: the links of the name path h are the same, but
+    # its signatures are not, and the label comparison tells it.
+    actual = _two_hyperedges(("o", "o"), ((0,), (1,)))
+    expected = _two_hyperedges(("o", "o"), ((0, 1), ()))
+    for pair in ((actual, expected), (expected, actual)):
+        trees = rank_statecharts(*pair)
+        found = label_mismatches(trees, trees.roots[1])
+        assert found == [Discrepancy("next-set-mismatch", "HyperEdge(h) "
+                                     "links a different set of Basics "
+                                     "than expected")]
+        with mock.patch.object(validate, "rank_labelled",
+                               side_effect=AssertionError("ranked")):
+            assert validate_full(*pair).discrepancies == tuple(found)
+    # An h in each of two ORs swaps the Basic it links: its depth, name
+    # and signature are held as often in both models, so the labels agree,
+    # and only the structure, ranked and descended, tells the two apart.
+    actual = _two_hyperedges(("o", "p"), ((0,), (1,)))
+    expected = _two_hyperedges(("o", "p"), ((1,), (0,)))
+    trees = rank_statecharts(actual, expected)
+    assert label_mismatches(trees, trees.roots[1]) == []
+    with mock.patch.object(validate, "rank_labelled",
+                           wraps=rank_labelled) as ranking:
+        report = validate_full(actual, expected)
+    assert ranking.called
+    assert [kind for kind, _ in report.discrepancies] == [
+        "next-set-mismatch"] * 2, report
 
 
 def _hyperedge_beside_two_ors(names: tuple[str, str],
@@ -491,14 +548,12 @@ def test_label_mismatches_report_as_before(net, shuffle, pool, changes,
         docs = list(map(parse_statechart, pair))
         trees = rank_statecharts(*docs)
         found = label_mismatches(trees, trees.roots[1])
-        # On the ranks, and on the name-path ids where no Basic or
-        # HyperEdge name repeats in a model and no state's nodes need an
-        # order, the labels compare as the reference compares them.
+        # On the ranking's name paths and signatures, and on name-path ids
+        # where no HyperEdge name repeats in a model, the labels compare as
+        # the reference compares them on the ranks.
         checked = check_statecharts(*docs)
-        assert validate._label_mismatches(trees, checked) == found
-        if not validate._tied(checked.docs):
-            by_ids = validate._label_mismatches(validate._path_ids(checked),
-                                                checked)
-            assert by_ids == found or by_ids is None and any(
-                kind == "wrong-container" and not detail.startswith(
-                    ("Basic(", "HyperEdge(")) for kind, detail in found)
+        assert validate._label_mismatches(label_checked(checked),
+                                          checked) == found
+        if not validate._edge_names_repeat(checked.docs):
+            assert validate._label_mismatches(validate._path_ids(checked),
+                                              checked) == found
