@@ -13,9 +13,8 @@ and ``ranks`` falling with depth), so equal lists are the same equality
 classes in the same order within each level. Canonical bytes and
 validation reports built on either ranking must be equal too, and equal
 to the report of ``validate_full``, which ranks no pair that its node
-bijection proves equal, and compares the labels of a pair with unique
-names on name-path ids, ranking it only where they agree or where a
-state's nodes must be ordered.
+bijection proves equal, and compares the labels of any other pair first,
+ranking its structure only where they agree.
 """
 
 from __future__ import annotations
