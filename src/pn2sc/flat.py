@@ -6,9 +6,11 @@
 element numbers and output bytes of the store route in ``init.py`` and
 ``reduce.py`` (``create_statechart`` then ``write_statechart``), which
 stays as the reference implementation. Both routes use the records and
-``run_rounds`` defined here, and nothing here imports the store. Both
-end in ``pn2sc.rank.canonical_document``, which ``FlatModel.document``
-imports when it runs, so an irreducible net never loads the ranking.
+``run_rounds`` defined here, and nothing here imports the store. The
+store route ends in ``pn2sc.rank.canonical_document``; this one lays its
+own tree out once and ranks that layout as it stands
+(``rank.written_document``), which ``FlatModel.document`` imports when it
+runs, so an irreducible net never loads the ranking.
 
 The net is held as per-transition tuples of pre- and post-places and
 per-place sets of producing and consuming transitions. The live tuples
@@ -415,10 +417,11 @@ class FlatModel:
         """The canonical document of the finished statechart.
 
         The tree is laid out breadth-first in containment order, as
-        ``document_from_statechart`` lays out a store, and then ranked by
-        ``rank.canonical_document``.
+        ``document_from_statechart`` lays out a store, and that layout is
+        ranked and put in rank order as it stands by
+        ``rank.written_document``: no second document is built.
         """
-        from .rank import canonical_document
+        from .rank import written_document
 
         children = self.children
         node_of = [-1] * len(children)
@@ -435,8 +438,8 @@ class FlatModel:
                 tree_children.append(range(first, len(order)))
             else:
                 tree_children.append(())
-        kinds = [self.kinds[element] for element in order]
-        names = [self.names[element] for element in order]
+        kinds = list(map(self.kinds.__getitem__, order))
+        names = list(map(self.names.__getitem__, order))
         links: list[Sequence[int]] = [()] * len(order)
         basic_of, edge_of = self.basic_of, self.edge_of
         # A Basic links its place's consumers, in ascending order.
@@ -456,7 +459,7 @@ class FlatModel:
             if targets:
                 links[node_of[edge_of[t]]] = tuple(
                     [basics[p] for p in targets])
-        return canonical_document(StatechartDocument(
+        return written_document(StatechartDocument(
             order, kinds, names, tree_children, links))
 
     def reduce(self, on_fire: FiringObserver | None = None) -> ReductionResult:

@@ -36,6 +36,7 @@ with a final ``x ^= x >> 31``, all modulo 2**64.
 
 from __future__ import annotations
 
+import gc
 from itertools import repeat
 from typing import NamedTuple
 
@@ -99,46 +100,57 @@ class GenSpec(_GenFields):
 
 def generate_sp_net(spec: GenSpec) -> PetriNetDocument:
     """Generate a reducible net of roughly ``target_places`` places, drawn
-    as the module docstring describes."""
-    next_u64 = SplitMix64(spec.seed).next_u64
-    parallel = int(spec.parallel_prob * (1 << 64))
-    widths = spec.branch_factor_max - 1
-    # pre[t], post[t]: place indices of transition t; out[p]: the transitions
-    # that consume place p. A fork's post and its join's pre stay one list,
-    # as the module docstring says, because the corpus depends on it.
-    pre: list[list[int]] = []
-    post: list[list[int]] = []
-    out: list[list[int]] = [[]]
-    while len(out) < spec.target_places:
-        place = next_u64() % len(out)
-        first = len(pre)  # the fork, or the sequence's transition
-        if next_u64() < parallel:
-            tail = len(out) + 2 + next_u64() % widths
-            branches = list(range(len(out), tail))
-            pre += ([place], branches)
-            post += (branches, [tail])
-            out += [[first + 1] for _ in branches]
-        else:
-            tail = len(out)
-            pre.append([place])
-            post.append([tail])
-        moved = out[place]
-        for t in moved:
-            arcs = pre[t]
-            arcs[arcs.index(place)] = tail
-        out.append(moved)
-        out[place] = [first]
+    as the module docstring describes.
 
-    place_ids = [f"p{i}" for i in range(len(out))]
-    transition_ids = [f"t{i}" for i in range(len(pre))]
-    place_id = place_ids.__getitem__
-    # tuple.__new__ builds each record in C; the records' own constructors
-    # are Python functions.
-    new = tuple.__new__
-    return PetriNetDocument(
-        tuple(map(new, repeat(PlaceSpec), zip(place_ids, place_ids))),
-        tuple(map(new, repeat(TransitionSpec), zip(
-            transition_ids, transition_ids,
-            map(tuple, map(map, repeat(place_id), pre)),
-            map(tuple, map(map, repeat(place_id), post))))),
-    )
+    The cyclic collector is paused while the net is built, and left as
+    the caller had it: the lists built hold no cycles, and at 40 000
+    places its passes over them took about half the time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        next_u64 = SplitMix64(spec.seed).next_u64
+        parallel = int(spec.parallel_prob * (1 << 64))
+        widths = spec.branch_factor_max - 1
+        # pre[t], post[t]: place indices of transition t; out[p]: the
+        # transitions that consume place p. A fork's post and its join's pre
+        # stay one list, as the module docstring says, because the corpus
+        # depends on it.
+        pre: list[list[int]] = []
+        post: list[list[int]] = []
+        out: list[list[int]] = [[]]
+        while len(out) < spec.target_places:
+            place = next_u64() % len(out)
+            first = len(pre)  # the fork, or the sequence's transition
+            if next_u64() < parallel:
+                tail = len(out) + 2 + next_u64() % widths
+                branches = list(range(len(out), tail))
+                pre += ([place], branches)
+                post += (branches, [tail])
+                out += [[first + 1] for _ in branches]
+            else:
+                tail = len(out)
+                pre.append([place])
+                post.append([tail])
+            moved = out[place]
+            for t in moved:
+                arcs = pre[t]
+                arcs[arcs.index(place)] = tail
+            out.append(moved)
+            out[place] = [first]
+
+        place_ids = [f"p{i}" for i in range(len(out))]
+        transition_ids = [f"t{i}" for i in range(len(pre))]
+        place_id = place_ids.__getitem__
+        # tuple.__new__ builds each record in C; the records' own
+        # constructors are Python functions.
+        new = tuple.__new__
+        return PetriNetDocument(
+            tuple(map(new, repeat(PlaceSpec), zip(place_ids, place_ids))),
+            tuple(map(new, repeat(TransitionSpec), zip(
+                transition_ids, transition_ids,
+                map(tuple, map(map, repeat(place_id), pre)),
+                map(tuple, map(map, repeat(place_id), post))))),
+        )
+    finally:
+        if enabled:
+            gc.enable()

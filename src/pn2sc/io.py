@@ -25,9 +25,9 @@ are not stored::
                  "hyperedge": 1}
     }
 
-Writing is canonical: the document written is the one
-``pn2sc.rank.canonical_document`` gives, so equal models produce
-identical bytes whatever the order of their elements. The writer emits
+Writing is canonical: the document written is in the canonical form of
+``pn2sc.rank``, so equal models produce identical bytes whatever the
+order of their elements. The writer emits
 the bytes of ``json.dumps(payload, indent=2)`` directly and iteratively,
 so statecharts of any depth can be written, and hands them out in chunks of
 at most about 64 KB (``statechart_document_chunks``), so writing a file
@@ -70,6 +70,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from io import BytesIO
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -447,9 +448,11 @@ class StatechartDocument(NamedTuple):
     requires the numbering and rejects a document without it.
 
     ``parse_statechart`` numbers the nodes breadth-first in file order.
-    ``rank.canonical_document`` gives the canonical document: children in rank
-    order, uids in preorder and links in ascending uid order. Both
-    transform routes end in it.
+    The canonical document has children in rank order, uids in preorder
+    and links in ascending uid order. ``rank.canonical_document`` gives it
+    for any document, and the store route ends in it; the flat route,
+    which ``pn2sc transform`` runs, gets it from ``rank.written_document``,
+    which ranks the tree's own breadth-first layout unchecked.
     """
 
     uids: list[int]
@@ -597,21 +600,27 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
     levels: list[tuple[memoryview, memoryview, memoryview, int]] = []
     out: list[bytes | memoryview] = [b'{\n  "root": ']
     held = len(out[0])  # at least the bytes in out
-    # Items are (node, depth, after_sibling) triples to encode, or the
-    # depth of a node whose children list is to be closed.
-    stack: list[tuple[int, int, bool] | int] = [(0, 0, False)]
-    while stack:
+    # For each open node, the later siblings of its first child and their
+    # depth; ``node`` is -1 once a childless node is written.
+    later: list[tuple[Iterator[int], int]] = []
+    node, depth, after_sibling = 0, 0, False
+    while True:
         if held >= max_bytes:
             yield b"".join(out)
             out.clear()
             held = 0
-        item = stack.pop()
-        if type(item) is int:
-            close, keys, _, line = levels[item]
-            out += (keys, b"]", close, b"}")
-            held += 2 * line
-            continue
-        node, depth, after_sibling = item
+        if node < 0:  # the next sibling, or close the children list
+            if not later:
+                break
+            siblings, depth = later[-1]
+            node = next(siblings, -1)
+            if node < 0:
+                later.pop()
+                close, keys, _, line = levels[depth - 1]
+                out += (keys, b"]", close, b"}")
+                held += 2 * line
+                continue
+            after_sibling = True
         if depth == len(levels):
             width = 4 * depth + 7
             if len(pad) < width:
@@ -630,28 +639,29 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
         # line break
         held += 8 * line + len(name)
         if kind in linked:
-            out += (b",", keys, b'"next": ')
             targets = links[node]
-            if targets:
-                out.append(b"[")
+            if len(targets) == 1:
+                out += (b",", keys, b'"next": [', items,
+                        b"%d" % uids[targets[0]], keys, b"]")
+            elif targets:
+                out += (b",", keys, b'"next": [')
                 for target in targets:
                     out += (items, b"%d" % uids[target], b",")
                 out[-1] = keys
                 out.append(b"]")
-                held += len(targets) * line
             else:
-                out.append(b"[]")
-        out += (b",", keys, b'"children": ')
+                out += (b",", keys, b'"next": []')
+            held += len(targets) * line
         kids = children[node]
         if kids:
-            out += (b"[", items)
-            stack.append(depth)
-            child_depth = depth + 1
-            for position in range(len(kids) - 1, 0, -1):
-                stack.append((kids[position], child_depth, True))
-            stack.append((kids[0], child_depth, False))
+            out += (b",", keys, b'"children": [', items)
+            later.append((islice(kids, 1, None), depth + 1))
+            node = kids[0]
+            depth += 1
+            after_sibling = False
         else:
-            out += (b"[]", close, b"}")
+            out += (b",", keys, b'"children": []', close, b"}")
+            node = -1
     counts = ",\n    ".join(
         f'"{key}": {tally}' for key, tally in kind_counts(kinds).items()
     )

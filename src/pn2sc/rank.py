@@ -2,13 +2,17 @@
 share.
 
 Ranking gives every node of one or more models a name-path rank and a
-structural rank (``RankedTrees``). ``canonical_document`` writes each
+structural rank (``RankedTrees``). A canonical document has each
 container's children in rank order, so equal models give identical
-bytes. ``pn2sc.validate`` reads the parts it needs: the checks
-(``check_statecharts``), the certificate of a node bijection that unique
-names force (``_isomorphic``), the name paths and signatures where
-HyperEdge names repeat (``label_checked``) and the structure
-(``rank_labelled``).
+bytes. ``pn2sc transform`` writes the tree it built through
+``written_document``, which takes that tree's breadth-first layout as
+given and ranks it without the checks and, where no HyperEdge name
+repeats, without the name paths. ``canonical_document`` gives the same
+form for any other document, checked. ``pn2sc.validate`` reads the
+parts it needs: the checks (``check_statecharts``), the certificate of a
+node bijection that unique names force (``_isomorphic``), the name
+paths and signatures where HyperEdge names repeat (``label_checked``)
+and the structure (``rank_labelled``).
 A store is flattened by ``pn2sc.io._store_document`` first. The writer
 imports this module when it builds a document, so a run that writes no
 statechart never loads it.
@@ -233,25 +237,21 @@ class LabelledTrees(NamedTuple):
     signatures: dict[int, tuple[int, ...]]
 
 
-def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
-    """Passes 1 and 2 of ``rank_statecharts`` on checked models."""
-    docs, roots, parents, layouts = checked
-    total = len(parents)
-    kinds: list[str] = []
-    names: list[str] = []
-    for doc in docs:
-        kinds += doc.kinds
-        names += doc.names
-    depths = max(map(len, layouts), default=0)
+def _pass_1(kinds: list[str], names: list[str],
+            depth_spans: list[list[tuple[int, int]]],
+            parents: list[int] | None = None
+            ) -> tuple[list[int], list[int], list[bool]]:
+    """Pass 1 of ``rank_statecharts`` on the nodes that ``depth_spans``
+    lays out, as each depth's ranges: each node's label, and, given the
+    ``parents``, its name-path rank and whether another node of its level
+    has its name. Without them the two lists are empty."""
+    total = len(kinds)
     kind_codes = {kind: code for code, kind in enumerate(sorted(set(kinds)))}
-
     labels = [0] * total
-    paths = [0] * total
-    repeated = [False] * total  # another node of the level has its name
+    paths = [0] * total if parents else []
+    repeated = [False] * total if parents else []
     base = above = 0
-    for depth in range(depths):
-        spans = [levels[depth][:2] for levels in layouts
-                 if depth < len(levels)]
+    for depth, spans in enumerate(depth_spans):
         tally: Counter[str] = Counter()
         for start, end in spans:
             tally.update(names[start:end])
@@ -264,14 +264,31 @@ def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
                 kind_codes[kind] * width + name_ranks[name]
                 for kind, name in zip(kinds[start:end], names[start:end])
             ]
+            if not parents:
+                continue
             repeated[start:end] = [tally[name] > 1
                                    for name in names[start:end]]
             if depth:
                 level = [(paths[parent] - above) * spread + label
                          for parent, label in zip(parents[start:end], level)]
             keys += level
-        above = base
-        base = _dense(keys, base, paths, spans)
+        if parents:
+            above = base
+            base = _dense(keys, base, paths, spans)
+    return labels, paths, repeated
+
+
+def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
+    """Passes 1 and 2 of ``rank_statecharts`` on checked models."""
+    docs, roots, parents, layouts = checked
+    kinds: list[str] = []
+    names: list[str] = []
+    for doc in docs:
+        kinds += doc.kinds
+        names += doc.names
+    labels, paths, repeated = _pass_1(kinds, names, [
+        [levels[depth][:2] for levels in layouts if depth < len(levels)]
+        for depth in range(max(map(len, layouts), default=0))], parents)
 
     # Only a HyperEdge whose name is repeated at its level needs its
     # signature: a label alone at its level ranks the node by itself.
@@ -326,7 +343,7 @@ def rank_labelled(checked: CheckedStatecharts,
     depths = max(map(len, layouts), default=0)
     linked = sorted(signatures)
 
-    ranks = [0] * len(parents)
+    ranks = [0] * len(kinds)
     rank_of = ranks.__getitem__
     base = 0
     for depth in range(depths - 1, -1, -1):
@@ -339,15 +356,15 @@ def rank_labelled(checked: CheckedStatecharts,
                 continue
             start, end, containers = levels[depth]
             parts.append((start, end, containers, offset))
-            doc_children = doc.children
-            for node in containers:
-                kids = doc_children[node]
-                if offset:
-                    kids = (range(kids.start + offset, kids.stop + offset,
-                                  kids.step) if type(kids) is range
-                            else [kid + offset for kid in kids])
-                tails.append((ranks[kids[0]],) if len(kids) == 1
-                             else tuple(sorted(map(rank_of, kids))))
+            kids_of = map(doc.children.__getitem__, containers)
+            if offset:
+                kids_of = [range(kids.start + offset, kids.stop + offset,
+                                 kids.step) if type(kids) is range
+                           else [kid + offset for kid in kids]
+                           for kids in kids_of]
+            tails += [(ranks[kids[0]],) if len(kids) == 1
+                      else tuple(sorted(map(rank_of, kids)))
+                      for kids in kids_of]
             # Each signature is read by its level alone.
             tails += map(signatures.pop,
                          linked[bisect_left(linked, start):
@@ -360,8 +377,10 @@ def rank_labelled(checked: CheckedStatecharts,
         keys = []
         for start, end, containers, offset in parts:
             level = [label * scale for label in labels[start:end]]
-            for node in containers:
-                level[node + offset - start] += next(ranked_tails)
+            shift = offset - start
+            # zip stops at the last container, before taking a tail more
+            for node, tail in zip(containers, ranked_tails):
+                level[node + shift] += tail
             for node in linked[bisect_left(linked, start):
                                bisect_left(linked, end)]:
                 level[node - start] += next(ranked_tails)
@@ -379,21 +398,69 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     ``rank_statecharts``), stably: children of equal rank keep the
     document's order.
 
-    A document not numbered depth by depth is a DocumentError. One
-    preorder walk sorts each container of two or more children and
-    numbers the uids; only two or more links are sorted.
+    A document not numbered depth by depth is a DocumentError.
     """
-    trees = rank_statecharts(doc)
-    # Keep only what the document needs; the paths and parents are freed
-    # before the uids are numbered, and the ranks once they are.
-    kinds, names, ranks = trees.kinds, trees.names, trees.ranks
-    del trees
+    return _in_rank_order(doc, rank_statecharts(doc).ranks)
+
+
+def _levels(children: list[Sequence[int]]) -> list[_Level]:
+    """The levels of a document laid out breadth-first with every
+    children list a range, as ``_layout`` gives them but unchecked."""
+    containers = list(compress(range(len(children)), children))
+    levels: list[_Level] = []
+    start, end, first = 0, 1, 0
+    while start < end:
+        last = bisect_left(containers, end, first)
+        below = children[containers[last - 1]].stop if last > first else end
+        levels.append((start, end, containers[first:last]))
+        start, end, first = end, below, last
+    return levels
+
+
+def _edge_names_repeat(docs: Sequence[StatechartDocument]) -> bool:
+    """Whether two HyperEdges of one document share a name."""
+    return any(len(set(names)) < len(names) for names in (list(compress(
+        doc.names, map(eq, doc.kinds, repeat(ElementKind.HYPER_EDGE.value))))
+        for doc in docs))
+
+
+def written_document(doc: StatechartDocument) -> StatechartDocument:
+    """``canonical_document(doc)`` for a document this library laid out
+    itself, breadth-first with every children list a range, as
+    ``FlatModel.document`` lays out the tree it reduced.
+
+    Its links are not checked. Pass 1 runs for the labels alone on the
+    levels ``_levels`` takes unchecked, and the name paths and signatures
+    of passes 1 and 2 only where two HyperEdges share a name (there
+    ``_layout`` also gives the parents the name paths need): a HyperEdge
+    whose label is alone at its level ranks by it alone, so without
+    repeats the ranks are those ``canonical_document`` finds.
+    """
+    if _edge_names_repeat([doc]):
+        parents = [-1] * len(doc.kinds)
+        checked = CheckedStatecharts([doc], [0], parents,
+                                     [_layout(doc.children, 0, parents)])
+        labelled = label_checked(checked)
+    else:
+        levels = _levels(doc.children)
+        checked = CheckedStatecharts([doc], [0], [], [levels])
+        labels = _pass_1(doc.kinds, doc.names,
+                         [[level[:2]] for level in levels])[0]
+        labelled = LabelledTrees(doc.kinds, doc.names, [], labels, [], {})
+    return _in_rank_order(doc, rank_labelled(checked, labelled).ranks)
+
+
+def _in_rank_order(doc: StatechartDocument,
+                   ranks: list[int]) -> StatechartDocument:
+    """``doc`` in canonical form, given its nodes' ``ranks``: one preorder
+    walk sorts each container of two or more children and numbers the
+    uids; only two or more links are sorted."""
     children = list(doc.children)
     rank_of = ranks.__getitem__
-    uids = [0] * len(kinds)
+    uids = [0] * len(children)
     stack = [0]
     pop = stack.pop
-    for uid in range(len(kinds)):
+    for uid in range(len(uids)):
         node = pop()
         uids[node] = uid
         kids = children[node]
@@ -406,7 +473,7 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     for node, targets in enumerate(links):
         if len(targets) > 1:
             links[node] = tuple(sorted(targets, key=uids.__getitem__))
-    return StatechartDocument(uids, kinds, names, children, links)
+    return StatechartDocument(uids, doc.kinds, doc.names, children, links)
 
 
 _NAMED_KINDS = (ElementKind.BASIC.value, ElementKind.HYPER_EDGE.value)

@@ -32,6 +32,7 @@ from .io import STATECHART_KINDS, ElementKind
 from .rank import (
     LabelledTrees,
     RankedTrees,
+    _edge_names_repeat,
     _isomorphic,
     check_statecharts,
     label_checked,
@@ -105,13 +106,6 @@ def _path(trees: RankedTrees | LabelledTrees, node: int) -> str:
     """The labels from the root down to ``node``, or ``<root>`` for -1."""
     return "/".join(f"{kind}({name})" for kind, name
                     in _name_path(trees, node)[1]) or "<root>"
-
-
-def _edge_names_repeat(docs: Sequence[StatechartDocument]) -> bool:
-    """Whether two HyperEdges of one document share a name."""
-    return any(len(set(names)) < len(names) for names in (list(compress(
-        doc.names, map(eq, doc.kinds, repeat(ElementKind.HYPER_EDGE.value))))
-        for doc in docs))
 
 
 def _path_ids(checked: CheckedStatecharts) -> LabelledTrees:

@@ -1,4 +1,4 @@
-"""The level ranking that ``pn2sc.io.rank_statecharts`` replaced, kept
+"""The level ranking that ``pn2sc.rank.rank_statecharts`` replaced, kept
 verbatim as the oracle of ``test_rank.py``: the same inputs must give the
 same equality classes, the same order within each level, the same children
 order, the same canonical bytes and the same validation reports.
@@ -7,6 +7,12 @@ It lays the trees out again, keys every node by tuples that hold its kind
 and ranks each level through a set, a sort and a dict. ``label_mismatches``
 is the label comparison of ``pn2sc.validate`` as first written, which
 compares every label of two ranked models.
+
+``written_bytes`` is the route ``pn2sc transform`` took to its bytes before
+``rank.written_document``: the reduced tree laid out breadth-first as a
+document of its own, put in canonical form by the checked
+``rank.canonical_document``, then encoded. ``assert_written_as_reference``
+holds the writer to it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from pn2sc.io import ElementKind, StatechartDocument, _store_document
+from helpers import shuffled_net
+from pn2sc import rank
+from pn2sc.flat import FlatModel
+from pn2sc.io import (
+    ElementKind,
+    PetriNetDocument,
+    StatechartDocument,
+    _store_document,
+    statechart_document_chunks,
+)
 from pn2sc.validate import Discrepancy
 
 
@@ -254,3 +269,50 @@ def label_mismatches(trees, first_expected: int) -> list[Discrepancy]:
                 f"{text} links a different set of Basics than expected",
             ))
     return found
+
+
+def breadth_first_document(model: FlatModel) -> StatechartDocument:
+    """The reduced tree of ``model`` as a document, laid out breadth-first
+    in containment order, with each node's uid its element number."""
+    children = model.children
+    node_of = [-1] * len(children)
+    tree_children: list = []
+    order = [model.root]
+    for node, element in enumerate(order):
+        node_of[element] = node
+        kids = children[element]
+        if kids:
+            first = len(order)
+            order += kids
+            tree_children.append(range(first, len(order)))
+        else:
+            tree_children.append(())
+    links: list = [()] * len(order)
+    # A Basic links its place's consumers, a HyperEdge its post-places.
+    for t, sources in enumerate(model.pre):
+        for p in sources:
+            links[node_of[model.basic_of[p]]] += (node_of[model.edge_of[t]],)
+    for t, targets in enumerate(model.post):
+        links[node_of[model.edge_of[t]]] = tuple(
+            [node_of[model.basic_of[p]] for p in targets])
+    return StatechartDocument(order, [model.kinds[e] for e in order],
+                              [model.names[e] for e in order],
+                              tree_children, links)
+
+
+def written_bytes(model: FlatModel) -> bytes:
+    """The bytes of a reduced ``model`` by the reference route:
+    ``breadth_first_document``, ``rank.canonical_document``, then
+    ``statechart_document_chunks``."""
+    return b"".join(statechart_document_chunks(
+        rank.canonical_document(breadth_first_document(model))))
+
+
+def assert_written_as_reference(net: PetriNetDocument) -> None:
+    """``FlatModel.document``, encoded, gives the reference route's bytes
+    for ``net`` and for a shuffled copy of it, where they reduce."""
+    for each in (net, shuffled_net(net, len(net.places))):
+        model = FlatModel(each)
+        if model.reduce().ok:
+            assert b"".join(statechart_document_chunks(model.document())) \
+                == written_bytes(model), each

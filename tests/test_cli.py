@@ -176,9 +176,11 @@ def test_bench_json_schema(capsys):
     rows = json.loads(captured.out)
     assert [row["size"] for row in rows] == [30, 60]
     for row in rows:
-        assert set(row) == {"size", "seed", "init_ms", "reduce_ms", "total_ms"}
+        assert set(row) == {"size", "seed", "init_ms", "reduce_ms", "total_ms",
+                            "write_ms"}
         assert row["total_ms"] >= 0
-    assert "total_ms" in captured.err  # human-readable table on stderr
+        assert row["write_ms"] > 0
+    assert "write_ms" in captured.err  # human-readable table on stderr
 
 
 def test_bench_rejects_bad_sizes():

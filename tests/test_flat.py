@@ -1,14 +1,18 @@
 """The flat transform core against the store pipeline it replaces on the
-CLI path: same firings, same bytes, same irreducible counts."""
+CLI path: same firings, same bytes, same irreducible counts; and its
+writer against the reference route it replaces
+(``rank_reference.written_bytes``)."""
 
 from __future__ import annotations
 
 import copy
+import json
 import time
 
 import pytest
 from hypothesis import given, settings
 
+import rank_reference
 from helpers import (
     GOLDEN_DIR,
     arbitrary_nets,
@@ -18,9 +22,11 @@ from helpers import (
     net_document,
 )
 from pn2sc.flat import FlatModel, transform_net
+from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     PetriNetDocument,
     document_from_statechart,
+    kind_counts,
     parse_statechart,
     statechart_document_to_bytes,
     store_from_petri_net,
@@ -49,6 +55,7 @@ def _assert_same_as_store(net: PetriNetDocument) -> None:
     assert flat_events == store_events
     assert flat_result == store_result
     assert flat_bytes == store_bytes
+    rank_reference.assert_written_as_reference(net)
 
 
 @pytest.mark.parametrize("net", differential_nets())
@@ -73,6 +80,33 @@ def test_transforming_a_net_twice_leaves_it_and_its_arcs_as_they_were(net):
     model.fixpoint()
     fresh = FlatModel(net)
     assert (model.pre, model.post) == (fresh.pre, fresh.post)
+
+
+@pytest.mark.parametrize("net", [
+    pytest.param(generate_sp_net(GenSpec(3000, 0)), id="sp3000-0"),
+    pytest.param(generate_sp_net(GenSpec(3000, 1)), id="sp3000-1"),
+    pytest.param(nested_fork_join_net(200), id="spine200"),
+])
+def test_writer_gives_the_reference_bytes_at_scale(net):
+    rank_reference.assert_written_as_reference(net)
+
+
+def test_counts_tally_the_tree_not_the_merged_ors():
+    # An OR merge leaves the merged place's OR in the model's element
+    # lists with no container; the counts object must not count it.
+    model = FlatModel(choice_net(20))
+    assert model.reduce().ok
+    doc = model.document()
+    assert model.kinds.count("OR") > doc.kinds.count("OR")
+    data = statechart_document_to_bytes(doc)
+    counts = json.loads(data)["counts"]
+    tally = {key: 0 for key in counts}
+    stack = [json.loads(data)["root"]]
+    while stack:
+        node = stack.pop()
+        tally[node["kind"].lower()] += 1
+        stack += node["children"]
+    assert counts == tally == kind_counts(doc.kinds)
 
 
 def test_choice_net_reduces_in_linear_time():

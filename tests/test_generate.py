@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import pytest
@@ -63,6 +64,22 @@ def test_one_string_per_element():
         assert transition.id is transition.name
         for arc in transition.pre + transition.post:
             assert arc is ids[arc]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_collector_is_left_as_the_caller_had_it(collecting):
+    # The generator pauses the collector while it builds a net; the
+    # caller's setting comes back, also when the spec fails in the build.
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        generate_sp_net(GenSpec(50, 1))
+        assert gc.isenabled() is collecting
+        with pytest.raises(AttributeError):
+            generate_sp_net(None)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_single_place_base_case():

@@ -13,6 +13,9 @@ every place and every transition named alike (``renamed``). For each:
   those bytes too, so a change to the order in which
   ``canonical_document`` breaks ties between siblings of equal rank
   shows here, where both routes would share it;
+- the writer gives the bytes of the route it replaces, the model's
+  breadth-first document through ``rank.canonical_document``, for the
+  net and for a shuffled copy (``rank_reference.written_bytes``);
 - the output validates against a copy with its uids relabelled and its
   children shuffled;
 - every HyperEdge of the output maps configurations to configurations
@@ -108,6 +111,7 @@ def check_net(net: PetriNetDocument, unique_names: bool) -> None:
         assert validate_full(parse_statechart(copy),
                              parse_statechart(data)).passed, net
         assert firing_faults(doc) == [], net
+    rank_reference.assert_written_as_reference(net)
     if unique_names:
         outcome = _outcome(net)
         for places, transitions in product(permutations(net.places),
