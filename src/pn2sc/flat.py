@@ -7,10 +7,10 @@ element numbers and output bytes of the store route in ``init.py`` and
 ``reduce.py`` (``create_statechart`` then ``write_statechart``), which
 stays as the reference implementation. Both routes use the records and
 ``run_rounds`` defined here, and nothing here imports the store. The
-store route ends in ``pn2sc.rank.canonical_document``; this one lays its
-own tree out once and ranks that layout as it stands
-(``rank.written_document``), which ``FlatModel.document`` imports when it
-runs, so an irreducible net never loads the ranking.
+store route and this one both end in ``pn2sc.rank.canonical_document``:
+this one lays its own tree out breadth-first once and puts that layout in
+canonical form, with no second layout. ``FlatModel.document`` imports the
+ranking when it runs, so an irreducible net never loads it.
 
 The net is held as per-transition tuples of pre- and post-places and
 per-place sets of producing and consuming transitions. The live tuples
@@ -418,10 +418,10 @@ class FlatModel:
 
         The tree is laid out breadth-first in containment order, as
         ``document_from_statechart`` lays out a store, and that layout is
-        ranked and put in rank order as it stands by
-        ``rank.written_document``: no second document is built.
+        checked, ranked and put in rank order by
+        ``rank.canonical_document``, the route of every other document.
         """
-        from .rank import written_document
+        from .rank import canonical_document
 
         children = self.children
         node_of = [-1] * len(children)
@@ -459,7 +459,7 @@ class FlatModel:
             if targets:
                 links[node_of[edge_of[t]]] = tuple(
                     [basics[p] for p in targets])
-        return written_document(StatechartDocument(
+        return canonical_document(StatechartDocument(
             order, kinds, names, tree_children, links))
 
     def reduce(self, on_fire: FiringObserver | None = None) -> ReductionResult:

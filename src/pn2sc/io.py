@@ -450,9 +450,9 @@ class StatechartDocument(NamedTuple):
     ``parse_statechart`` numbers the nodes breadth-first in file order.
     The canonical document has children in rank order, uids in preorder
     and links in ascending uid order. ``rank.canonical_document`` gives it
-    for any document, and the store route ends in it; the flat route,
-    which ``pn2sc transform`` runs, gets it from ``rank.written_document``,
-    which ranks the tree's own breadth-first layout unchecked.
+    for any document, and both routes end in it: the store route, and the
+    flat route that ``pn2sc transform`` runs, from the reduced tree's own
+    breadth-first layout.
     """
 
     uids: list[int]

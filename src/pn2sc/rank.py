@@ -4,15 +4,13 @@ share.
 Ranking gives every node of one or more models a name-path rank and a
 structural rank (``RankedTrees``). A canonical document has each
 container's children in rank order, so equal models give identical
-bytes. ``pn2sc transform`` writes the tree it built through
-``written_document``, which takes that tree's breadth-first layout as
-given and ranks it without the checks and, where no HyperEdge name
-repeats, without the name paths. ``canonical_document`` gives the same
-form for any other document, checked. ``pn2sc.validate`` reads the
-parts it needs: the checks (``check_statecharts``), the certificate of a
-node bijection that unique names force (``_isomorphic``), the name
-paths and signatures where HyperEdge names repeat (``label_checked``)
-and the structure (``rank_labelled``).
+bytes. ``canonical_document`` is the one route to that form: it checks a
+document, ranks it and puts it in rank order, and ``pn2sc transform``
+writes the tree it built through it. ``pn2sc.validate`` reads the parts
+it needs: the checks (``check_statecharts``), the certificate of a node
+bijection that unique names force (``_isomorphic``), the labels
+(``_labels``), or the name paths and signatures where HyperEdge names
+repeat (``label_checked``), and the structure (``rank_labelled``).
 A store is flattened by ``pn2sc.io._store_document`` first. The writer
 imports this module when it builds a document, so a run that writes no
 statechart never loads it.
@@ -226,7 +224,8 @@ class LabelledTrees(NamedTuple):
     whose name recurs at its level, by node number. Two HyperEdges have
     equal ``RankedTrees.ranks`` exactly when they sit at one depth with
     equal labels, and with equal signatures or none. ``rank_labelled``
-    empties ``signatures`` as it reads them.
+    empties ``signatures`` as it reads them. Pass 1 for the labels alone
+    (``_labels``) leaves ``paths`` and ``signatures`` empty.
     """
 
     kinds: list[str]
@@ -237,21 +236,25 @@ class LabelledTrees(NamedTuple):
     signatures: dict[int, tuple[int, ...]]
 
 
-def _pass_1(kinds: list[str], names: list[str],
-            depth_spans: list[list[tuple[int, int]]],
-            parents: list[int] | None = None
-            ) -> tuple[list[int], list[int], list[bool]]:
-    """Pass 1 of ``rank_statecharts`` on the nodes that ``depth_spans``
-    lays out, as each depth's ranges: each node's label, and, given the
-    ``parents``, its name-path rank and whether another node of its level
-    has its name. Without them the two lists are empty."""
+def _pass_1(checked: CheckedStatecharts, name_paths: bool
+            ) -> tuple[LabelledTrees, list[bool]]:
+    """Pass 1 of ``rank_statecharts`` on checked models: each node's
+    label, and, with ``name_paths``, its name-path rank and whether another
+    node of its level has its name. Without them ``paths`` and the list are
+    empty. ``signatures`` is left empty."""
+    docs, _, parents, layouts = checked
+    kinds, names = docs[0].kinds, docs[0].names  # one document's, uncopied
+    for doc in docs[1:]:
+        kinds, names = [*kinds, *doc.kinds], [*names, *doc.names]
     total = len(kinds)
     kind_codes = {kind: code for code, kind in enumerate(sorted(set(kinds)))}
     labels = [0] * total
-    paths = [0] * total if parents else []
-    repeated = [False] * total if parents else []
+    paths = [0] * total if name_paths else []
+    repeated = [False] * total if name_paths else []
     base = above = 0
-    for depth, spans in enumerate(depth_spans):
+    for depth in range(max(map(len, layouts), default=0)):
+        spans = [levels[depth][:2] for levels in layouts
+                 if depth < len(levels)]
         tally: Counter[str] = Counter()
         for start, end in spans:
             tally.update(names[start:end])
@@ -264,7 +267,7 @@ def _pass_1(kinds: list[str], names: list[str],
                 kind_codes[kind] * width + name_ranks[name]
                 for kind, name in zip(kinds[start:end], names[start:end])
             ]
-            if not parents:
+            if not name_paths:
                 continue
             repeated[start:end] = [tally[name] > 1
                                    for name in names[start:end]]
@@ -272,28 +275,31 @@ def _pass_1(kinds: list[str], names: list[str],
                 level = [(paths[parent] - above) * spread + label
                          for parent, label in zip(parents[start:end], level)]
             keys += level
-        if parents:
+        if name_paths:
             above = base
             base = _dense(keys, base, paths, spans)
-    return labels, paths, repeated
+    return LabelledTrees(kinds, names, parents, labels, paths, {}), repeated
+
+
+def _labels(checked: CheckedStatecharts) -> LabelledTrees:
+    """Pass 1 of ``rank_statecharts`` for the labels alone, with empty
+    ``paths`` and ``signatures``. Where no HyperEdge name repeats in a
+    model, ``rank_labelled`` gives the ranks from these that it gives from
+    ``label_checked``: for one model always (see ``canonical_document``),
+    for two once their name paths and links agree (see
+    ``pn2sc.validate.validate_full``)."""
+    return _pass_1(checked, False)[0]
 
 
 def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
     """Passes 1 and 2 of ``rank_statecharts`` on checked models."""
-    docs, roots, parents, layouts = checked
-    kinds: list[str] = []
-    names: list[str] = []
-    for doc in docs:
-        kinds += doc.kinds
-        names += doc.names
-    labels, paths, repeated = _pass_1(kinds, names, [
-        [levels[depth][:2] for levels in layouts if depth < len(levels)]
-        for depth in range(max(map(len, layouts), default=0))], parents)
+    labelled, repeated = _pass_1(checked, True)
+    docs, roots = checked.docs, checked.roots
+    paths, signatures = labelled.paths, labelled.signatures
 
     # Only a HyperEdge whose name is repeated at its level needs its
     # signature: a label alone at its level ranks the node by itself.
     hyper_edge = ElementKind.HYPER_EDGE.value
-    signatures: dict[int, tuple[int, ...]] = {}
     for doc, offset in zip(docs, roots):
         links, doc_kinds = doc.links, doc.kinds
         path_of = paths[offset:offset + len(links)]
@@ -331,7 +337,7 @@ def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
             if doc_kinds[node] == hyper_edge:
                 signatures[offset + node] = (-1, *sorted(incoming[node]))
         del path_of, shared, incoming
-    return LabelledTrees(kinds, names, parents, labels, paths, signatures)
+    return labelled
 
 
 def rank_labelled(checked: CheckedStatecharts,
@@ -398,23 +404,19 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
     ``rank_statecharts``), stably: children of equal rank keep the
     document's order.
 
+    ``doc`` is checked (``check_statecharts``), and the name paths and
+    signatures of passes 1 and 2 are found only where two of its
+    HyperEdges share a name (``label_checked``). Otherwise its labels
+    alone (``_labels``) give the ranks that ``rank_statecharts`` gives: a
+    HyperEdge whose label is alone at its level ranks by that label alone.
     A document not numbered depth by depth is a DocumentError.
     """
-    return _in_rank_order(doc, rank_statecharts(doc).ranks)
-
-
-def _levels(children: list[Sequence[int]]) -> list[_Level]:
-    """The levels of a document laid out breadth-first with every
-    children list a range, as ``_layout`` gives them but unchecked."""
-    containers = list(compress(range(len(children)), children))
-    levels: list[_Level] = []
-    start, end, first = 0, 1, 0
-    while start < end:
-        last = bisect_left(containers, end, first)
-        below = children[containers[last - 1]].stop if last > first else end
-        levels.append((start, end, containers[first:last]))
-        start, end, first = end, below, last
-    return levels
+    checked = check_statecharts(doc)
+    labelled = (label_checked(checked) if _edge_names_repeat(checked.docs)
+                else _labels(checked))
+    ranks = rank_labelled(checked, labelled).ranks
+    del checked, labelled  # freed before the canonical document is built
+    return _in_rank_order(doc, ranks)
 
 
 def _edge_names_repeat(docs: Sequence[StatechartDocument]) -> bool:
@@ -422,32 +424,6 @@ def _edge_names_repeat(docs: Sequence[StatechartDocument]) -> bool:
     return any(len(set(names)) < len(names) for names in (list(compress(
         doc.names, map(eq, doc.kinds, repeat(ElementKind.HYPER_EDGE.value))))
         for doc in docs))
-
-
-def written_document(doc: StatechartDocument) -> StatechartDocument:
-    """``canonical_document(doc)`` for a document this library laid out
-    itself, breadth-first with every children list a range, as
-    ``FlatModel.document`` lays out the tree it reduced.
-
-    Its links are not checked. Pass 1 runs for the labels alone on the
-    levels ``_levels`` takes unchecked, and the name paths and signatures
-    of passes 1 and 2 only where two HyperEdges share a name (there
-    ``_layout`` also gives the parents the name paths need): a HyperEdge
-    whose label is alone at its level ranks by it alone, so without
-    repeats the ranks are those ``canonical_document`` finds.
-    """
-    if _edge_names_repeat([doc]):
-        parents = [-1] * len(doc.kinds)
-        checked = CheckedStatecharts([doc], [0], parents,
-                                     [_layout(doc.children, 0, parents)])
-        labelled = label_checked(checked)
-    else:
-        levels = _levels(doc.children)
-        checked = CheckedStatecharts([doc], [0], [], [levels])
-        labels = _pass_1(doc.kinds, doc.names,
-                         [[level[:2]] for level in levels])[0]
-        labelled = LabelledTrees(doc.kinds, doc.names, [], labels, [], {})
-    return _in_rank_order(doc, rank_labelled(checked, labelled).ranks)
 
 
 def _in_rank_order(doc: StatechartDocument,

@@ -24,8 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import chain, compress, count, repeat
-from operator import eq
+from itertools import chain, compress, count
 from typing import TYPE_CHECKING, NamedTuple
 
 from .io import STATECHART_KINDS, ElementKind
@@ -34,14 +33,13 @@ from .rank import (
     RankedTrees,
     _edge_names_repeat,
     _isomorphic,
+    _labels,
     check_statecharts,
     label_checked,
     rank_labelled,
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
     from .io import StatechartDocument
     from .model import ModelStore
     from .rank import CheckedStatecharts
@@ -375,8 +373,11 @@ def validate_full(actual: Statechart,
     their labels are compared (``_label_mismatches``) on name-path ids
     (``_path_ids``), or on ``label_checked`` where a HyperEdge name
     repeats in a model, and any difference found is the report. Only a
-    pair whose labels agree is ranked (``rank_labelled``); it matches when
-    its roots rank alike, else the trees are descended (``_first_divergence``).
+    pair whose labels agree is ranked (``rank_labelled``), from the labels
+    alone (``_labels``) unless a HyperEdge name repeats: every name path
+    and link is then held as often in both, so namesake HyperEdges have
+    equal signatures, which split no label. The pair matches when its
+    roots rank alike, else the trees are descended (``_first_divergence``).
     Raises ValueError (a DocumentError) unless each document is numbered
     depth by depth and each store holds one Statechart with a top state
     and keeps its links inside the containment tree; a parsed document
@@ -389,9 +390,9 @@ def validate_full(actual: Statechart,
     labelled = label_checked(checked) if tied else _path_ids(checked)
     found = _label_mismatches(labelled, checked)
     if not found:
-        if not tied:  # the ids go before the ranking's passes 1 and 2
+        if not tied:  # the ids go before the ranking's labels
             del labelled
-            labelled = label_checked(checked)
+            labelled = _labels(checked)
         trees = rank_labelled(checked, labelled)
         del checked, labelled
         root_a, root_e = trees.roots

@@ -19,7 +19,6 @@ from pn2sc.io import (
     TransitionSpec,
     parse_petri_net,
     parse_statechart,
-    statechart_document_to_bytes,
     store_from_petri_net,
     write_statechart,
 )

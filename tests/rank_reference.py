@@ -8,11 +8,11 @@ and ranks each level through a set, a sort and a dict. ``label_mismatches``
 is the label comparison of ``pn2sc.validate`` as first written, which
 compares every label of two ranked models.
 
-``written_bytes`` is the route ``pn2sc transform`` took to its bytes before
-``rank.written_document``: the reduced tree laid out breadth-first as a
-document of its own, put in canonical form by the checked
-``rank.canonical_document``, then encoded. ``assert_written_as_reference``
-holds the writer to it.
+``written_bytes`` gives the bytes of a reduced model by the reference
+ranking: the reduced tree laid out breadth-first as a document of its
+own, put in canonical form by this module's ``canonical_document``, then
+encoded. ``assert_written_as_reference`` holds the writer, which puts the
+same layout in canonical form through ``rank.canonical_document``, to it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from helpers import shuffled_net
-from pn2sc import rank
 from pn2sc.flat import FlatModel
 from pn2sc.io import (
     ElementKind,
@@ -302,10 +301,10 @@ def breadth_first_document(model: FlatModel) -> StatechartDocument:
 
 def written_bytes(model: FlatModel) -> bytes:
     """The bytes of a reduced ``model`` by the reference route:
-    ``breadth_first_document``, ``rank.canonical_document``, then
+    ``breadth_first_document``, this module's ``canonical_document``, then
     ``statechart_document_chunks``."""
     return b"".join(statechart_document_chunks(
-        rank.canonical_document(breadth_first_document(model))))
+        canonical_document(breadth_first_document(model))))
 
 
 def assert_written_as_reference(net: PetriNetDocument) -> None:

@@ -1,7 +1,6 @@
 """The flat transform core against the store pipeline it replaces on the
 CLI path: same firings, same bytes, same irreducible counts; and its
-writer against the reference route it replaces
-(``rank_reference.written_bytes``)."""
+writer against the reference ranking (``rank_reference.written_bytes``)."""
 
 from __future__ import annotations
 

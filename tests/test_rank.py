@@ -46,6 +46,7 @@ from pn2sc import rank
 from pn2sc import validate
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
+from test_small_scope import small_nets
 
 
 def assert_same_ranking(*models) -> None:
@@ -281,6 +282,47 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
         assert ranking.called
         assert report.passed == ((data, partner) in tied[:2])
         assert_same_report(*pair)
+
+
+def test_labels_alone_rank_pairs_whose_edge_names_do_not_repeat():
+    # Where no HyperEdge name repeats in either model, a pair whose labels
+    # agree is ranked from its labels alone (``rank._labels``): the ranks
+    # must be those of the name paths and signatures, and the report the
+    # reference's. The pairs: the unforced ones above, an sp300 output
+    # whose Basics are all named x (HyperEdges keep their names) against
+    # itself and its reordered copies, and the small-scope sweep's outputs
+    # named alike against their reordered copies.
+    net = generate_sp_net(GenSpec(300, 4))
+    one_name = _written(net._replace(places=tuple(
+        place._replace(name="x") for place in net.places)))
+    pairs = [(one_name, one_name)] + [
+        (one_name, mutated_statechart(one_name, "reordered", seed))
+        for seed in range(3)]
+    pairs.append(tuple(scio.statechart_document_to_bytes(rotated_ors(
+        6, shift, ("x",))) for shift in (0, 1)))
+    for small in small_nets(3, 2):
+        doc, _ = transform_net(renamed(small, "x"))
+        if doc is not None:
+            data = scio.statechart_document_to_bytes(doc)
+            pairs.append((mutated_statechart(data, "reordered", len(data)),
+                          data))
+    ranked = 0
+    for pair in pairs:
+        docs = [scio.parse_statechart(side) for side in pair]
+        checked = rank.check_statecharts(*docs)
+        if rank._edge_names_repeat(checked.docs) or rank._isomorphic(checked):
+            continue
+        ranked += 1
+        assert rank.rank_labelled(checked, rank._labels(checked)).ranks \
+            == rank.rank_labelled(checked, rank.label_checked(checked)).ranks
+        with mock.patch.object(validate, "label_checked",
+                               side_effect=AssertionError("name paths")), \
+                mock.patch.object(validate, "rank_labelled",
+                                  wraps=rank.rank_labelled) as ranking:
+            report = validate.validate_full(*docs)
+        assert ranking.called
+        assert report == reference_report(*docs)
+    assert ranked > 5, ranked  # the sweep's pairs as well as the five
 
 
 def test_failing_pairs_with_repeated_names_report_before_ranking():

@@ -13,9 +13,9 @@ every place and every transition named alike (``renamed``). For each:
   those bytes too, so a change to the order in which
   ``canonical_document`` breaks ties between siblings of equal rank
   shows here, where both routes would share it;
-- the writer gives the bytes of the route it replaces, the model's
-  breadth-first document through ``rank.canonical_document``, for the
-  net and for a shuffled copy (``rank_reference.written_bytes``);
+- the writer gives the bytes of the model's breadth-first document
+  through the reference ranking's ``canonical_document``, for the net and
+  for a shuffled copy (``rank_reference.written_bytes``);
 - the output validates against a copy with its uids relabelled and its
   children shuffled;
 - every HyperEdge of the output maps configurations to configurations
