@@ -33,28 +33,34 @@ out in the same order too. ``or_of_place`` is a list. Links never change
 during the reduction, so they are read from the net's original arcs when
 the document is built.
 
-The reduction runs ``run_rounds`` with finer marks than
-``reduce.fixpoint`` gives it. A firing marks, for the other two passes,
-the transitions whose check it may turn from failing to passing:
+The reduction runs ``run_rounds`` with finer starts and marks than
+``reduce.fixpoint`` gives it. A transition with at most one place on a
+side never matches AND on that side, because arcs never grow, so the
+AND-pre pass starts from the transitions with at least two pre-places,
+the AND-post pass from those with at least two post-places, and the OR
+pass from all. A firing marks the transitions whose check it may turn
+from failing to passing:
 
-- an AND firing: every neighbour of the surviving place;
+- an AND firing: every neighbour of the surviving place, for the OR
+  pass only (it turns no AND check to passing; see ``run_rounds``);
 - an OR firing, a merge of ``r`` into ``q`` or a self-loop on ``q``:
   ``q``'s consumers with at least two pre-places for the AND-pre pass,
   and its producers with at least two post-places for the AND-post
   pass. Only ``q``'s sets change, and a transition that had ``r`` on a
   side has ``q`` there instead.
 
-A transition with at most one place on a side never matches AND on that
-side again, because arcs never grow. The consumers and producers with at
-least two places on the side that holds ``q`` are therefore kept in a
-per-place index, updated when places are deleted and moved from ``r`` to
-``q`` on an OR merge. No firing walks every neighbour of ``q``, so the
-reduction of one place's fan-out is linear, not quadratic.
+The consumers and producers with at least two places on the side that
+holds ``q`` are kept in a per-place index, updated when places are
+deleted and moved from ``r`` to ``q`` on an OR merge. No firing walks
+every neighbour of ``q``, so the reduction of one place's fan-out is
+linear, not quadratic.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress, count
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .io import ElementKind, PetriNetDocument, StatechartDocument
@@ -109,20 +115,21 @@ _STATECHART = ElementKind.STATECHART.value
 
 def run_rounds(
     steps: Sequence[Callable[[int], Sequence[Iterable[int]] | None]],
-    transitions: Collection[int],
+    starts: Sequence[Iterable[int]],
 ) -> None:
     """Run rounds of the passes ``steps`` until a round fires nothing.
 
     A step checks one transition number against its rule and fires the
     rule on a match. It returns None when the transition is dead or does
     not match, and otherwise one collection per pass of the transitions
-    to mark dirty. At the start every transition is dirty for every pass.
-    A pass is a sweep: it takes its dirty set, empties it, and checks
-    the set's transitions in ascending number. A firing adds its marks
-    to the dirty sets of the other passes only.
+    to mark dirty. ``starts`` holds each pass's starting dirty set. A
+    pass is a sweep: it takes its dirty set, empties it, and checks the
+    set's transitions in ascending number. A firing adds its marks to the
+    dirty sets of the other passes only.
 
     The firings, and their order, are exactly those of rounds of full
     passes that check every transition in ascending number, provided a
+    pass starts from every transition whose check could ever pass, and a
     firing marks, for every other pass, each transition whose check it
     may turn from failing to passing. The loop keeps the invariant that
     a transition missing from a pass's dirty set would fail that pass's
@@ -133,7 +140,8 @@ def run_rounds(
       survivor's, and every live place keeps its sets. A transition that
       had a deleted place on a side also had the survivor there, so each
       side keeps its distinct pairs of sets and never grows: a side
-      whose places differed still differs.
+      whose places differed still differs. So no AND check of either
+      side turns from failing to passing: only the OR pass needs marks.
     - OR merge of ``r`` into ``q``: the fired transition is in no other
       place's sets. A transition with ``q`` and ``r`` on one side would
       make them share a neighbour, failing the disjointness check. So
@@ -145,15 +153,16 @@ def run_rounds(
 
     Every firing shrinks the net, so the rounds end.
     """
-    everything = sorted(transitions)
+    # A start is read by its pass's first sweep (an exhausted iterator adds
+    # nothing after), so one start at a time is held as a set.
+    starts = list(map(iter, starts))
     dirty: list[set[int]] = [set() for _ in steps]
-    first_round = True
-    while True:
+    fired = True
+    while fired:
         fired = False
         for current, step in enumerate(steps):
-            # Every pass of the first round sweeps every transition, so
-            # the marks a pass gets before its first sweep add nothing.
-            sweep = everything if first_round else sorted(dirty[current])
+            dirty[current].update(starts[current])
+            sweep = sorted(dirty[current])
             dirty[current].clear()
             for transition in sweep:
                 marks = step(transition)
@@ -163,9 +172,6 @@ def run_rounds(
                 for index, touched in enumerate(marks):
                     if index != current:
                         dirty[index].update(touched)
-        if not fired:
-            return
-        first_round = False
 
 
 class FlatModel:
@@ -187,11 +193,9 @@ class FlatModel:
     def __init__(self, net: PetriNetDocument) -> None:
         places = net.places
         transitions = net.transitions
-        number = {place.id: index for index, place in enumerate(places)}
-        self.pre = pre = [tuple([number[p] for p in t.pre])
-                          for t in transitions]
-        self.post = post = [tuple([number[p] for p in t.post])
-                            for t in transitions]
+        number = dict(zip(map(itemgetter(0), places), count())).__getitem__
+        self.pre = pre = [tuple(map(number, t.pre)) for t in transitions]
+        self.post = post = [tuple(map(number, t.post)) for t in transitions]
         del number
         producers: list[list[int]] = [[] for _ in places]
         consumers: list[list[int]] = [[] for _ in places]
@@ -208,28 +212,27 @@ class FlatModel:
         or_of_place = [0] * len(places)
         edge_of = [-1] * len(transitions)
         edges: list[int] = []  # transitions in HyperEdge creation order
-
-        def new_edge(t: int) -> None:
-            edge_of[t] = len(kinds)
-            kinds.append(_HYPER_EDGE)
-            names.append(transitions[t].name)
-            children.append(())
-            edges.append(t)
-
+        # Each place's OR and Basic, then the HyperEdges its transitions do
+        # not have yet; last those of transitions with no arcs
         for p, place in enumerate(places):
             or_state = or_of_place[p] = len(kinds)
             kinds += (_OR, _BASIC)
             names += ("", place.name)
             children += ([or_state + 1], ())
-            for t in producers[p]:
+            for t in producers[p] + consumers[p]:
                 if edge_of[t] < 0:
-                    new_edge(t)
-            for t in consumers[p]:
-                if edge_of[t] < 0:
-                    new_edge(t)
+                    edge_of[t] = len(kinds)
+                    kinds.append(_HYPER_EDGE)
+                    names.append(transitions[t].name)
+                    children.append(())
+                    edges.append(t)
         for t in range(len(transitions)):
             if edge_of[t] < 0:
-                new_edge(t)
+                edge_of[t] = len(kinds)
+                kinds.append(_HYPER_EDGE)
+                names.append(transitions[t].name)
+                children.append(())
+                edges.append(t)
         self.kinds = kinds
         self.names = names
         self.children = children
@@ -250,26 +253,28 @@ class FlatModel:
 
     def fixpoint(self, on_fire: FiringObserver | None = None) -> None:
         """Fire what ``reduce.fixpoint`` fires, in the same order, through
-        ``run_rounds`` with the finer marks of the module docstring.
+        ``run_rounds`` with the finer starts and marks of the module
+        docstring.
         """
         kinds, names, children = self.kinds, self.names, self.children
         or_of_place = self.or_of_place
         t_pre, t_post = self.t_pre, self.t_post
         p_pre, p_post = self.p_pre, self.p_post
-        for neighbours in (p_pre, p_post):
-            for p, ts in enumerate(neighbours):
-                neighbours[p] = set(ts)
+        p_pre[:] = map(set, p_pre)
+        p_post[:] = map(set, p_post)
         # place -> its consumers with >= 2 pre-places (producers with >= 2
         # post-places): the only neighbours of q whose AND checks an OR
-        # merge into q can change
+        # merge into q can change, and the only starts of an AND pass
         multi_consumers: dict[int, set[int]] = {}
         multi_producers: dict[int, set[int]] = {}
+        starts = []
         for index, sides in ((multi_consumers, self.pre),
                              (multi_producers, self.post)):
-            for t, side in enumerate(sides):
-                if len(side) > 1:
-                    for p in side:
-                        index.setdefault(p, set()).add(t)
+            starts.append(list(compress(count(),
+                                        map((1).__lt__, map(len, sides)))))
+            for t in starts[-1]:
+                for p in sides[t]:
+                    index.setdefault(p, set()).add(t)
         offset = len(p_pre)
 
         def and_step(t: int, side_places: list, side: Side):
@@ -310,8 +315,7 @@ class FlatModel:
                         multi.discard(u)
             if on_fire is not None:
                 on_fire(AndFiring(offset + t, side, len(ordered)))
-            touched = pre_set | post_set
-            return touched, touched, touched
+            return (), (), pre_set | post_set
 
         def or_step(t: int):
             pre = t_pre[t]
@@ -361,7 +365,7 @@ class FlatModel:
             lambda t: and_step(t, t_pre, Side.PRE),
             lambda t: and_step(t, t_post, Side.POST),
             or_step,
-        ), range(len(t_pre)))
+        ), (*starts, range(len(t_pre))))
 
     def create_top(self) -> ReductionResult:
         """Wrap the one live place's OR, the only container-less OR, in a

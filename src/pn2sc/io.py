@@ -69,9 +69,11 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from functools import partial
 from io import BytesIO
-from itertools import islice
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -249,6 +251,9 @@ def _expect_object(value: object, what: str, keys: tuple[str, ...]) -> dict:
 
 _PLACE_FIELDS = ("id", "name")
 _TRANSITION_FIELDS = ("id", "name", "pre", "post")
+# Records built with no Python frame per entry
+_place = partial(tuple.__new__, PlaceSpec)
+_transition = partial(tuple.__new__, TransitionSpec)
 
 
 def _petri_entry(value: dict) -> object:
@@ -258,8 +263,8 @@ def _petri_entry(value: dict) -> object:
     ``TransitionSpec``, with tuple arcs; any other object as it is.
 
     It neither raises nor hashes a value (an arc entry may be unhashable,
-    and ``_decode`` words any ValueError as an unreadable integer): the
-    walk words every fault.
+    and ``_decode`` words any ValueError as an unreadable integer):
+    ``parse_petri_net`` words every fault.
     """
     size = len(value)
     if size != 2 and size != 4:
@@ -268,11 +273,11 @@ def _petri_entry(value: dict) -> object:
     if type(eid) is not str or type(name) is not str:
         return value
     if size == 2:
-        return PlaceSpec(eid, name)
+        return _place((eid, name))
     pre, post = value.get("pre"), value.get("post")
     if type(pre) is not list or type(post) is not list:
         return value
-    return TransitionSpec(eid, name, tuple(pre), tuple(post))
+    return _transition((eid, name, tuple(pre), tuple(post)))
 
 
 def _petri_object(value: object) -> object:
@@ -349,19 +354,43 @@ def _transition_fault(item: object, seen_ids: set[str],
     raise AssertionError(f"transition {tid!r} has no fault")
 
 
+def _net_sound(places: list, transitions: list) -> bool:
+    """Whether the walk of ``parse_petri_net`` would pass the net, checked
+    a column at a time, with no Python call per entry."""
+    if not ({*map(type, places)} <= {PlaceSpec}
+            and {*map(type, transitions)} <= {TransitionSpec}):
+        return False
+    place_ids = frozenset(map(itemgetter(0), places))
+    ids = place_ids.union(map(itemgetter(0), transitions))
+    if len(ids) != len(places) + len(transitions):  # an id is repeated
+        return False
+    try:
+        for column in (itemgetter(2), itemgetter(3)):
+            sides = list(map(column, transitions))
+            if not place_ids.issuperset(chain.from_iterable(sides)):
+                return False
+            shared = list(compress(sides, map((1).__lt__, map(len, sides))))
+            if list(map(len, map(set, shared))) != list(map(len, shared)):
+                return False
+    except TypeError:  # an unhashable arc entry
+        return False
+    return True
+
+
 def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     """Parse and schema-check a Petri net document.
 
     ``json.loads`` turns each well-formed entry into its record as it
     closes the object (``_petri_entry``), so an entry is held as a small
     tuple, not a dict, with tuple arcs, and a text decoded from bytes is
-    dropped once it is loaded. The walk then checks what needs more than
-    the entry: that each id is new and that each side of a transition
-    names known places, none twice. Each entry is checked once, in an
-    order that makes its first fault name the DocumentError: a place's
-    shape, id, that the id is new, its name; a transition's shape, id,
-    that the id is new, its arcs (see ``_arc_fault``), its name. A record
-    where no entry of its kind belongs is checked as the object it was.
+    dropped once it is loaded. ``_net_sound`` then checks, a column at a
+    time, what needs more than the entry: that each id is new and that
+    each side of a transition names known places, none twice. Only a net
+    that fails is walked, each entry once, in an order that makes its
+    first fault name the DocumentError: a place's shape, id, that the id
+    is new, its name; a transition's shape, id, that the id is new, its
+    arcs (see ``_arc_fault``), its name. A record where no entry of its
+    kind belongs is checked as the object it was.
     json.loads yields only exact types, so the tests are exact.
     """
     if isinstance(data, bytes):  # decoded here, so the bytes go with it
@@ -374,6 +403,8 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     del raw
     if not isinstance(places, list) or not isinstance(transitions, list):
         raise DocumentError("'places' and 'transitions' must be lists")
+    if _net_sound(places, transitions):
+        return PetriNetDocument(tuple(places), tuple(transitions))
     seen_ids: set[str] = set()
     for item in places:
         if type(item) is not PlaceSpec:

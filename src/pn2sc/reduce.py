@@ -203,7 +203,7 @@ def fixpoint(
         lambda t: _and_step(pn, sc, Side.PRE, or_of_place, t, on_fire),
         lambda t: _and_step(pn, sc, Side.POST, or_of_place, t, on_fire),
         lambda t: _or_step(pn, sc, or_of_place, t, on_fire),
-    ), pn.all_of_kind(_TRANSITION))
+    ), (pn.all_of_kind(_TRANSITION),) * 3)
 
 
 def create_top(pn: ModelStore, sc: ModelStore) -> ReductionResult:

@@ -177,9 +177,10 @@ def test_bench_json_schema(capsys):
     assert [row["size"] for row in rows] == [30, 60]
     for row in rows:
         assert set(row) == {"size", "seed", "init_ms", "reduce_ms", "total_ms",
-                            "write_ms"}
+                            "write_ms", "parse_ms"}
         assert row["total_ms"] >= 0
         assert row["write_ms"] > 0
+        assert row["parse_ms"] > 0
     assert "write_ms" in captured.err  # human-readable table on stderr
 
 

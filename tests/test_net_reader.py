@@ -41,14 +41,20 @@ EDITS = ("none", "key-dropped", "key-added", "key-renamed", "wrong-type",
          "place-as-transition", "place-in-arcs", "transition-as-place")
 
 
-@st.composite
-def _edited_nets(draw) -> object:
-    """A Petri net file's JSON value with one edit."""
-    value = json.loads(draw(_NETS))
-    places, transitions = value["places"], value["transitions"]
-    entries = places + transitions
+def _edit(draw, value: object) -> object:
+    """``value`` with one of ``EDITS`` applied. An edit applies only to
+    the parts an earlier edit left as a net has them: objects with keys,
+    entries with an id, transitions with list arcs."""
+    places, transitions = value.get("places"), value.get("transitions")
+    if type(places) is not list or type(transitions) is not list:
+        return value
+    entries = [entry for entry in places + transitions if type(entry) is dict]
+    objects = [target for target in [value] + entries if target]
+    named = [entry for entry in entries if "id" in entry]
+    arced = [target for target in transitions if type(target) is dict
+             and type(target.get("pre")) is list
+             and type(target.get("post")) is list]
     edit = draw(st.sampled_from(EDITS))
-    objects = [value] + entries
     if edit == "key-dropped":
         target = draw(st.sampled_from(objects))
         del target[draw(st.sampled_from(sorted(target)))]
@@ -66,11 +72,11 @@ def _edited_nets(draw) -> object:
     elif edit == "wrong-type":
         target = draw(st.sampled_from(objects))
         target[draw(st.sampled_from(sorted(target)))] = draw(_WRONG_VALUES)
-    elif edit == "id-repeated" and len(entries) > 1:
-        target = draw(st.sampled_from(entries))
-        target["id"] = draw(st.sampled_from(entries))["id"]
-    elif edit in ("arc-unknown", "arc-repeated") and transitions:
-        target = draw(st.sampled_from(transitions))
+    elif edit == "id-repeated" and len(named) > 1:
+        target = draw(st.sampled_from(named))
+        target["id"] = draw(st.sampled_from(named))["id"]
+    elif edit in ("arc-unknown", "arc-repeated") and arced:
+        target = draw(st.sampled_from(arced))
         arcs = target[draw(st.sampled_from(["pre", "post"]))]
         if edit == "arc-unknown":
             arcs.insert(draw(st.integers(0, len(arcs))),
@@ -82,13 +88,23 @@ def _edited_nets(draw) -> object:
     elif edit == "place-as-transition":
         transitions.insert(draw(st.integers(0, len(transitions))),
                            draw(_PLACE_SHAPED))
-    elif edit == "place-in-arcs" and transitions:
-        target = draw(st.sampled_from(transitions))
+    elif edit == "place-in-arcs" and arced:
+        target = draw(st.sampled_from(arced))
         target[draw(st.sampled_from(["pre", "post"]))].append(
             draw(_PLACE_SHAPED))
     elif edit == "transition-as-place":
         places.insert(draw(st.integers(0, len(places))),
                       draw(_TRANSITION_SHAPED))
+    return value
+
+
+@st.composite
+def _edited_nets(draw, edits: int = 1) -> object:
+    """A Petri net file's JSON value with ``edits`` edits, one by one."""
+    value = json.loads(draw(_NETS))
+    for _ in range(edits):
+        # A private copy: an edit inserts sampled values, which are shared.
+        value = _edit(draw, json.loads(json.dumps(value)))
     return value
 
 
@@ -108,6 +124,18 @@ def test_parser_gives_the_reference_document_or_message(value, indent):
     for form in (data, data.decode("utf-8")):
         assert _read(scio.parse_petri_net, form) == (
             _read(petri_net_reference.parse_petri_net, form))
+
+
+@given(value=_edited_nets(edits=2), indent=st.sampled_from([None, 2]))
+@settings(max_examples=300, deadline=None)
+def test_parser_words_the_first_of_two_faults_as_the_reference(value,
+                                                                indent):
+    # Two faults in one net, say a repeated id early and an unknown arc
+    # later: a net that fails the column checks still gets the message of
+    # its first fault in file order.
+    data = json.dumps(value, indent=indent).encode("utf-8")
+    assert _read(scio.parse_petri_net, data) == (
+        _read(petri_net_reference.parse_petri_net, data))
 
 
 @pytest.mark.parametrize("value, message", [

@@ -410,15 +410,11 @@ def test_worklist_fires_like_the_scan(net):
     _assert_same_as_scan(net)
 
 
-def test_run_rounds_sweeps_each_pass_in_order():
-    """Each pass checks its dirty transitions in ascending number, a mark
-    for another pass is checked in that pass's next sweep, a mark for the
-    running pass is dropped, and a round that fires nothing ends the run."""
+def _sweeps(starts, fires) -> list[tuple[str, int]]:
+    """The checks ``run_rounds`` makes with two passes, a and b, from
+    ``starts``; ``fires`` maps (pass, transition) to the marks a firing
+    there gives passes a and b, and every other check fails."""
     calls = []
-    fires = {  # (pass, transition) -> marks for passes a and b
-        ("a", 2): ((5, 1), (4, 1)),
-        ("b", 4): ((3, 0), (2,)),
-    }
 
     def step(name):
         def check(transition):
@@ -426,9 +422,32 @@ def test_run_rounds_sweeps_each_pass_in_order():
             return fires.pop((name, transition), None)
         return check
 
-    run_rounds((step("a"), step("b")), (4, 2, 0, 1, 3, 5))
+    run_rounds((step("a"), step("b")), starts)
+    return calls
+
+
+def test_run_rounds_sweeps_each_pass_in_order():
+    """Each pass checks its dirty transitions in ascending number, a mark
+    for another pass is checked in that pass's next sweep, a mark for the
+    running pass is dropped, and a round that fires nothing ends the run."""
+    calls = _sweeps(((4, 2, 0, 1, 3, 5),) * 2, {
+        ("a", 2): ((5, 1), (4, 1)),
+        ("b", 4): ((3, 0), (2,)),
+    })
     first_round = [(name, t) for name in "ab" for t in range(6)]
     assert calls == first_round + [("a", 0), ("a", 3)]
+
+
+def test_run_rounds_starts_each_pass_from_its_own_set():
+    """A pass's first sweep checks exactly its start and the marks other
+    passes gave it, never a mark it gave itself."""
+    calls = _sweeps(((5, 1, 3), {2, 0}), {
+        ("a", 3): ((0,), (4, 1)),
+        ("b", 1): ((2,), (3,)),
+    })
+    assert calls == [("a", 1), ("a", 3), ("a", 5),
+                     ("b", 0), ("b", 1), ("b", 2), ("b", 4),
+                     ("a", 2)]
 
 
 def test_disjoint_spines_are_irreducible():
