@@ -8,6 +8,12 @@ Arguments are read from one table, ``_COMMANDS``, which also renders
 ``--help`` and the usage line. Only ``pn2sc.io`` loads with this module;
 each command imports the modules it runs when it runs, so ``transform``
 never loads the validator and ``validate`` never loads the transformation.
+``transform``, and ``validate`` of files whose names hold no space,
+import none of ``json``, ``typing`` and ``re``: the readers call json's C
+scanner directly, the records are ``collections.namedtuple`` classes,
+and a negative number is told by ``str.isdecimal``. ``json`` loads only
+to word a file that fails to read, to read one nested past the scanner's
+bound, and for ``generate`` and ``bench``.
 
 ``run()``, the entry of ``-m`` and of the ``pn2sc`` script, calls
 ``main()``, then ``gc.freeze()``, then ``sys.exit()``. Shutdown runs full
@@ -21,9 +27,7 @@ start), 5.4 ms on it with ``-S``, 8.5 ms on 3.13.0, 6.3 ms on 3.12.1 and
 from __future__ import annotations
 
 import gc
-import json
 import os
-import re
 import stat
 import sys
 import time
@@ -207,6 +211,8 @@ def run_bench(sizes: list[int], reps: int, seed: int) -> list[dict]:
 
 
 def _cmd_bench(args: SimpleNamespace) -> int:
+    import json  # only bench writes JSON that is not a document
+
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError:
@@ -278,6 +284,17 @@ def _name(option: tuple) -> str:
     return "/".join(option[0])
 
 
+def _negative_number(token: str) -> bool:
+    """Whether ``token`` is what argparse takes for a negative number,
+    ``re.match(r"^-\\d+$|^-\\d*\\.\\d+$", token)``: ``\\d`` is a Unicode
+    decimal digit, as ``str.isdecimal`` tests it, and ``$`` also matches
+    before a line break that ends the token."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    return (token[:1] == "-" and (whole + fraction).isdecimal()
+            and (fraction != "" or not dot))
+
+
 def _classify(token: str, flags: dict[str, tuple]) -> tuple | None:
     """None for a positional, else (option, flag, attached value), with
     option None for a flag that no option has. Raises _UsageError for a
@@ -302,7 +319,7 @@ def _classify(token: str, flags: dict[str, tuple]) -> tuple | None:
                           f"{', '.join(matches)}")
     if matches:
         return flags[matches[0]], matches[0], value
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None  # a negative number, or text with a space
     return None, token, None
 

@@ -58,10 +58,11 @@ linear, not quadratic.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Collection, Iterable, Sequence
 from enum import Enum
 from itertools import compress, count
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .io import ElementKind, PetriNetDocument, StatechartDocument
 
@@ -76,31 +77,39 @@ class ReductionStatus(Enum):
     IRREDUCIBLE = "Irreducible"
 
 
-class ReductionResult(NamedTuple):
-    status: ReductionStatus
-    statechart_root: int | None
-    remaining_places: int
-    remaining_transitions: int
-    top_or_count: int
+class ReductionResult(namedtuple(
+        "ReductionResult", "status statechart_root remaining_places "
+        "remaining_transitions top_or_count")):
+    """The verdict of a reduction and what was left of the net.
+
+    Fields: ``status: ReductionStatus``, ``statechart_root: int | None``,
+    ``remaining_places: int``, ``remaining_transitions: int``,
+    ``top_or_count: int``.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status is ReductionStatus.SUCCESS
 
 
-class AndFiring(NamedTuple):
-    """One AND-rule application: ``merged_places`` places became parallel."""
+class AndFiring(namedtuple("AndFiring", "transition side merged_places")):
+    """One AND-rule application: ``merged_places`` places became parallel.
 
-    transition: int
-    side: Side
-    merged_places: int
+    Fields: ``transition: int``, ``side: Side``, ``merged_places: int``.
+    """
+
+    __slots__ = ()
 
 
-class OrFiring(NamedTuple):
-    """One OR-rule application; ``identity`` marks a collapsed self-loop."""
+class OrFiring(namedtuple("OrFiring", "transition identity")):
+    """One OR-rule application; ``identity`` marks a collapsed self-loop.
 
-    transition: int
-    identity: bool
+    Fields: ``transition: int``, ``identity: bool``.
+    """
+
+    __slots__ = ()
 
 
 Firing = AndFiring | OrFiring

@@ -37,8 +37,8 @@ with a final ``x ^= x >> 31``, all modulo 2**64.
 from __future__ import annotations
 
 import gc
+from collections import namedtuple
 from itertools import repeat
-from typing import NamedTuple
 
 from .io import PetriNetDocument, PlaceSpec, TransitionSpec
 
@@ -62,19 +62,16 @@ class SplitMix64:
         return x ^ (x >> 31)
 
 
-class _GenFields(NamedTuple):
-    target_places: int
-    seed: int
-    branch_factor_max: int = 4
-    parallel_prob: float = 0.5
-
-
-class GenSpec(_GenFields):
+class GenSpec(namedtuple("GenSpec", "target_places seed branch_factor_max "
+                         "parallel_prob", defaults=(4, 0.5))):
     """Parameters for one synthetic net.
 
     The generator stops expanding once the place count reaches
     ``target_places``, so the output overshoots by at most
     ``branch_factor_max`` places.
+
+    Fields: ``target_places: int``, ``seed: int``,
+    ``branch_factor_max: int = 4``, ``parallel_prob: float = 0.5``.
     """
 
     __slots__ = ()

@@ -9,7 +9,7 @@ Petri net files::
     }
 
 The reader turns each well-formed place and transition into its record
-as ``json.loads`` closes the object, so it holds no dict per entry and
+as the JSON scanner closes the object, so it holds no dict per entry and
 no list per arc side.
 
 Statechart files hold the containment tree under "root" plus a per-kind
@@ -44,7 +44,7 @@ is read again through ``statechart_text``.
 
 In memory a statechart document is flat (``StatechartDocument``): per-node
 lists of uids, kinds, names, children and links, numbered depth by depth.
-The reader checks each node as ``json.loads`` closes it and keeps it as a
+The reader checks each node as the scanner closes it and keeps it as a
 small tuple, not a dict, drops the text once it is loaded, then fills the
 lists in one breadth-first pass that drops each tuple once read. The
 writer walks the lists with an explicit stack, and the ranking takes
@@ -52,9 +52,18 @@ them as they stand, so ``pn2sc validate`` goes from bytes to a verdict
 without building a ``ModelStore``; ``store_from_statechart`` builds one,
 with no recursion, for callers that want a store. Readers accept any
 well-formed document but reject unknown fields. A document nested past
-what ``json.loads`` reads is read by ``_loads_iteratively``: memory is the
+what the scanner reads is read by ``_loads_iteratively``: memory is the
 only bound on depth. One with an integer over Python's digit limit is a
 DocumentError.
+
+Both readers parse through ``_loads``, which does what ``json.loads``
+does, with the same value and the same error, by calling json's C
+scanner (``_json.make_scanner``, one per object hook, made once); the
+writer escapes names with ``_json.encode_basestring_ascii``. Importing
+``json`` would compile six regular expressions that neither uses, so it
+is imported only to raise a JSONDecodeError, to read text nested past
+the scanner's bound and to write a Petri net; ``statechart_text`` alone
+imports ``re``.
 
 The converters to and from ``ModelStore`` import ``pn2sc.model``, and
 ``document_from_statechart`` imports ``pn2sc.rank``, when they run, so
@@ -63,19 +72,19 @@ importing this module loads neither the store nor the ranking.
 
 from __future__ import annotations
 
-import json
-import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import partial
 from io import BytesIO
 from itertools import chain, compress, islice
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from types import SimpleNamespace
 
+from _json import encode_basestring_ascii, make_scanner
+
+TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from .flat import ReductionResult
     from .model import ModelStore
@@ -127,52 +136,123 @@ class ElementKind(Enum):
 # --- Petri net documents ---------------------------------------------------
 
 
-class PlaceSpec(NamedTuple):
-    id: str
-    name: str
+class PlaceSpec(namedtuple("PlaceSpec", "id name")):
+    """A place of a Petri net document.
+
+    Fields: ``id: str``, ``name: str``.
+    """
+
+    __slots__ = ()
 
 
-class TransitionSpec(NamedTuple):
-    id: str
-    name: str
-    pre: tuple[str, ...]
-    post: tuple[str, ...]
+class TransitionSpec(namedtuple("TransitionSpec", "id name pre post")):
+    """A transition of a Petri net document, with the place ids of its
+    arcs.
+
+    Fields: ``id: str``, ``name: str``, ``pre: tuple[str, ...]``,
+    ``post: tuple[str, ...]``.
+    """
+
+    __slots__ = ()
 
 
-class PetriNetDocument(NamedTuple):
-    places: tuple[PlaceSpec, ...]
-    transitions: tuple[TransitionSpec, ...]
+class PetriNetDocument(namedtuple("PetriNetDocument", "places transitions")):
+    """A Petri net document's entries in file order.
+
+    Fields: ``places: tuple[PlaceSpec, ...]``,
+    ``transitions: tuple[TransitionSpec, ...]``.
+    """
+
+    __slots__ = ()
 
 
-_SCAN_SCALAR = json.scanner.make_scanner(json.JSONDecoder())
-_SKIP = json.decoder.WHITESPACE.match
 #: From Python 3.13 on, json names a comma before a closing bracket.
 _NAMES_TRAILING_COMMA = sys.version_info >= (3, 13)
+_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+_WHITESPACE = " \t\n\r"  # JSON's, which json.decoder.WHITESPACE matches
+
+
+def _json_error(message: str, text: str, at: int) -> ValueError:
+    """json's JSONDecodeError; json is imported only once a text fails."""
+    from json import JSONDecodeError
+
+    return JSONDecodeError(message, text, at)
+
+
+def _scanner(hook: Callable[[dict], object] | None) -> Callable:
+    """json's C scanner as ``json.JSONDecoder(object_hook=hook)`` makes it:
+    ``make_scanner`` reads only these six attributes of the decoder."""
+    return make_scanner(SimpleNamespace(
+        strict=True, object_hook=hook, object_pairs_hook=None,
+        parse_float=float, parse_int=int,
+        parse_constant={"-Infinity": float("-inf"), "Infinity": float("inf"),
+                        "NaN": float("nan")}.__getitem__))
+
+
+def _skip(text: str, at: int) -> int:
+    """Where the run of JSON whitespace at ``at`` ends, read 64 characters
+    at a time, so that a long run is neither walked in Python nor
+    copied whole."""
+    while True:
+        piece = text[at:at + 64]
+        kept = piece.lstrip(_WHITESPACE)
+        at += len(piece) - len(kept)
+        if kept or not piece:
+            return at
+
+
+def _loads(text: str, hook: Callable[[dict], object] | None = None) -> object:
+    """``json.loads(text, object_hook=hook)``: the BOM check of
+    ``json.loads``, then what ``json.JSONDecoder.decode`` does, through
+    the C scanner made once for each hook of the readers. Rejected text
+    raises the JSONDecodeError of ``json.loads``, message and position
+    alike."""
+    if text.startswith("\ufeff"):
+        raise _json_error(_BOM, text, 0)
+    scan = _SCANNERS[hook]
+    try:
+        value, at = scan(text, _skip(text, 0))
+    except StopIteration as stop:
+        raise _json_error("Expecting value", text, stop.value) from None
+    except SystemError:  # Python 3.10's scanner finds its error in json
+        import json  # noqa: F401  (only a failed read gets here)
+
+        return _loads(text, hook)
+    at = _skip(text, at)
+    if at != len(text):
+        raise _json_error("Extra data", text, at)
+    return value
 
 
 def _loads_iteratively(text: str,
                        hook: Callable[[dict], object] | None = None) -> object:
-    """``json.loads(text, object_hook=hook)`` with the open containers on a
-    list, not on the C stack, so that any depth reads. Rejected text raises
-    the JSONDecodeError of ``json.loads``, message and position alike (bar
-    a leading BOM)."""
-    fail = json.JSONDecodeError
+    """``_loads(text, hook)`` with the open containers on a list, not on
+    the C stack, so that any depth reads. Rejected text raises the
+    JSONDecodeError of ``json.loads``, message and position alike. Only
+    text nested past what the C scanner reads comes here, so only here
+    is json imported to read."""
+    import json
+
+    fail, skip = json.JSONDecodeError, json.decoder.WHITESPACE.match
+    scan_scalar = _SCANNERS[None]
+    if text.startswith("\ufeff"):
+        raise fail(_BOM, text, 0)
     opened: list[list] = []  # [members, key of the next one, "]" or "}"]
-    at, keyed = _SKIP(text, 0).end(), False
+    at, keyed = skip(text, 0).end(), False
     while True:
         if keyed:  # a member of the innermost object starts at ``at``
             if text[at:at + 1] != '"':
                 raise fail("Expecting property name enclosed in double "
                            "quotes", text, at)
             opened[-1][1], at = json.decoder.scanstring(text, at + 1)
-            at = _SKIP(text, at).end()
+            at = skip(text, at).end()
             if text[at:at + 1] != ":":
                 raise fail("Expecting ':' delimiter", text, at)
-            at = _SKIP(text, at + 1).end()
+            at = skip(text, at + 1).end()
         char = text[at:at + 1]
         if char == "[" or char == "{":
             close = "]" if char == "[" else "}"
-            at = _SKIP(text, at + 1).end()
+            at = skip(text, at + 1).end()
             if text[at:at + 1] != close:  # read its first member next
                 opened.append([[], None, close])  # an object's as pairs
                 keyed = close == "}"
@@ -182,15 +262,15 @@ def _loads_iteratively(text: str,
                 value = hook(value)
         else:  # the scanner recurses only into containers
             try:
-                value, at = _SCAN_SCALAR(text, at)
+                value, at = scan_scalar(text, at)
             except StopIteration as stop:
                 raise fail("Expecting value", text, stop.value) from None
         while opened:  # store the value, then close what ends after it
             members, key, close = opened[-1]
             members.append(value if close == "]" else (key, value))
-            at = _SKIP(text, at).end()
+            at = skip(text, at).end()
             if text[at:at + 1] == ",":
-                comma, at = at, _SKIP(text, at + 1).end()
+                comma, at = at, skip(text, at + 1).end()
                 if _NAMES_TRAILING_COMMA and text[at:at + 1] == close:
                     raise fail("Illegal trailing comma before end of "
                                + ("array" if close == "]" else "object"),
@@ -206,7 +286,7 @@ def _loads_iteratively(text: str,
                 value = dict(members) if hook is None else hook(dict(members))
             at += 1
         else:
-            at = _SKIP(text, at).end()
+            at = skip(text, at).end()
             if at != len(text):
                 raise fail("Extra data", text, at)
             return value
@@ -226,13 +306,16 @@ def _decode(data: bytes | str,
         data = _utf8(data)
     try:
         try:
-            return json.loads(data, object_hook=hook)
-        except RecursionError:  # nested past the json module's bound
+            return _loads(data, hook)
+        except RecursionError:  # nested past the C scanner's bound
             return _loads_iteratively(data, hook)
-    except json.JSONDecodeError as exc:
-        raise _TextError(f"JSON parse error at line {exc.lineno} column "
-                         f"{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal over the digit limit
+    except ValueError as exc:
+        from json import JSONDecodeError  # only a failed read loads json
+
+        if isinstance(exc, JSONDecodeError):
+            raise _TextError(f"JSON parse error at line {exc.lineno} column "
+                             f"{exc.colno}: {exc.msg}") from None
+        # an integer literal over the digit limit
         reason = str(exc).partition(";")[0]
         raise DocumentError(f"JSON integer not readable: {reason}") from None
 
@@ -380,7 +463,7 @@ def _net_sound(places: list, transitions: list) -> bool:
 def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     """Parse and schema-check a Petri net document.
 
-    ``json.loads`` turns each well-formed entry into its record as it
+    The scanner turns each well-formed entry into its record as it
     closes the object (``_petri_entry``), so an entry is held as a small
     tuple, not a dict, with tuple arcs, and a text decoded from bytes is
     dropped once it is loaded. ``_net_sound`` then checks, a column at a
@@ -391,7 +474,7 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     is new, its name; a transition's shape, id, that the id is new, its
     arcs (see ``_arc_fault``), its name. A record where no entry of its
     kind belongs is checked as the object it was.
-    json.loads yields only exact types, so the tests are exact.
+    The scanner yields only exact types, so the tests are exact.
     """
     if isinstance(data, bytes):  # decoded here, so the bytes go with it
         data = _utf8(data)
@@ -452,6 +535,10 @@ def read_petri_net(data: bytes | str) -> ModelStore:
 
 
 def petri_net_to_bytes(doc: PetriNetDocument) -> bytes:
+    """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, ``payload``
+    holding each entry as an object, in the document's order."""
+    import json  # only writing a net loads it
+
     payload = {
         "places": [{"id": p.id, "name": p.name} for p in doc.places],
         "transitions": [
@@ -466,7 +553,8 @@ def petri_net_to_bytes(doc: PetriNetDocument) -> bytes:
 # --- Statechart documents ----------------------------------------------------
 
 
-class StatechartDocument(NamedTuple):
+class StatechartDocument(namedtuple("StatechartDocument",
+                                    "uids kinds names children links")):
     """A statechart's containment tree as flat lists indexed by node number.
 
     Node 0 is the Statechart. Nodes are numbered depth by depth: the nodes
@@ -484,13 +572,12 @@ class StatechartDocument(NamedTuple):
     for any document, and both routes end in it: the store route, and the
     flat route that ``pn2sc transform`` runs, from the reduced tree's own
     breadth-first layout.
+
+    Fields: ``uids: list[int]``, ``kinds: list[str]``, ``names: list[str]``,
+    ``children: list[Sequence[int]]``, ``links: list[tuple[int, ...]]``.
     """
 
-    uids: list[int]
-    kinds: list[str]
-    names: list[str]
-    children: list[Sequence[int]]
-    links: list[tuple[int, ...]]
+    __slots__ = ()
 
     def count_of_kind(self, kind: ElementKind) -> int:
         """The tally of one kind, as ``ModelStore.count_of_kind`` gives it
@@ -725,17 +812,14 @@ def write_statechart(sc: ModelStore, result: ReductionResult) -> bytes:
     return statechart_document_to_bytes(document_from_statechart(sc))
 
 
-_INDENT = re.compile(rb"\n +")
-
-
 def statechart_text(chunks: Iterable[bytes]) -> bytes:
     """The bytes of a file, given as ``chunks``, without the spaces that
     follow each line break, for ``parse_statechart``.
 
-    ``json.loads`` rejects a raw line break inside a string, so in a
-    document it can read every run dropped lies between two tokens. Each
-    line break stays, so the tokens stay apart, a document reads as the
-    same value and one it rejects stays rejected. Only the column and the
+    JSON rejects a raw line break inside a string, so in a document that
+    reads every run dropped lies between two tokens. Each line break
+    stays, so the tokens stay apart, a document reads as the same value
+    and one it rejects stays rejected. Only the column and the
     offset an error names move. The bytes 0x0A and 0x20 occur in no
     multi-byte UTF-8 sequence, so the bytes can be cut before they are
     decoded.
@@ -744,6 +828,9 @@ def statechart_text(chunks: Iterable[bytes]) -> bytes:
     dropped too: no chunk is joined to the next, so a file of one line is
     read in time linear in its length.
     """
+    import re  # here, not at start: validate reads most files without it
+
+    indent = re.compile(rb"\n +")
     out = BytesIO()
     after_break = False
     for chunk in chunks:
@@ -751,7 +838,7 @@ def statechart_text(chunks: Iterable[bytes]) -> bytes:
             chunk = chunk.lstrip(b" ")
             if not chunk:
                 continue
-        chunk = _INDENT.sub(b"\n", chunk)
+        chunk = indent.sub(b"\n", chunk)
         out.write(chunk)
         after_break = chunk.endswith(b"\n")
     return out.getvalue()
@@ -821,7 +908,7 @@ def _checked_node(value: object, node_of: dict[int, int] | None = None,
     it has read and the node's number; then the uid must also be new and a
     Statechart must be node 0, and the first fault raises its DocumentError.
     """
-    # json.loads yields only exact dict, list, str and int types (bool
+    # The scanner yields only exact dict, list, str and int types (bool
     # aside), so the type tests below are exact.
     if type(value) is not dict:
         return _node_fault(value, node_of, "node must be an object")
@@ -889,10 +976,15 @@ def _as_object(value: object) -> object:
     return found
 
 
+#: The C scanner of each hook the readers pass ``_loads``, made once
+_SCANNERS = {hook: _scanner(hook) for hook in (None, _petri_entry,
+                                               _checked_node)}
+
+
 def parse_statechart(data: bytes | str) -> StatechartDocument:
     """Parse and schema-check a statechart document.
 
-    ``json.loads`` checks each node's own fields as it closes the node
+    The scanner checks each node's own fields as it closes the node
     (``_checked_node``), so a node is held as a small tuple, not a dict, and
     a text decoded from bytes is dropped once it is loaded. One
     breadth-first pass over the tuples then numbers the nodes, checks what

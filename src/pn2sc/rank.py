@@ -19,10 +19,9 @@ statechart never loads it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, ne
-from typing import TYPE_CHECKING, NamedTuple
 
 from .io import (
     _INT_TYPE,
@@ -32,13 +31,15 @@ from .io import (
     _store_document,
 )
 
+TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
 
     from .model import ModelStore
 
 
-class RankedTrees(NamedTuple):
+class RankedTrees(namedtuple("RankedTrees", "roots kinds names parents "
+                             "children paths ranks")):
     """The containment trees of one or more statechart models, flattened.
 
     Each model's nodes keep the numbers its document gives them, after the
@@ -59,15 +60,14 @@ class RankedTrees(NamedTuple):
     order of (kind, name, the sorted ``paths`` ranks of the Basics a
     HyperEdge links to, of those that link to it, the sorted ``ranks`` of
     the children).
+
+    Fields: ``roots: list[int]``, ``kinds: list[str]``,
+    ``names: list[str]``, ``parents: list[int]``,
+    ``children: list[list[Sequence[int]]]``, ``paths: list[int]``,
+    ``ranks: list[int]``.
     """
 
-    roots: list[int]
-    kinds: list[str]
-    names: list[str]
-    parents: list[int]
-    children: list[list[Sequence[int]]]
-    paths: list[int]
-    ranks: list[int]
+    __slots__ = ()
 
 
 #: One depth of a document: its first node and the end of its range, both
@@ -135,7 +135,8 @@ def _dense(keys: list, base: int, out: list[int],
     return base + len(table)
 
 
-class CheckedStatecharts(NamedTuple):
+class CheckedStatecharts(namedtuple("CheckedStatecharts",
+                                    "docs roots parents levels")):
     """Statechart models that passed the checks ranking needs, as
     documents numbered one after another (see ``check_statecharts``).
 
@@ -143,12 +144,12 @@ class CheckedStatecharts(NamedTuple):
     (the number of nodes before it), ``parents`` every node's parent in
     that shared numbering (-1 for a root) and ``levels`` each document's
     depths as ``_layout`` gives them.
+
+    Fields: ``docs: list[StatechartDocument]``, ``roots: list[int]``,
+    ``parents: list[int]``, ``levels: list[list[_Level]]``.
     """
 
-    docs: list[StatechartDocument]
-    roots: list[int]
-    parents: list[int]
-    levels: list[list[_Level]]
+    __slots__ = ()
 
 
 def check_statecharts(*models: ModelStore | StatechartDocument
@@ -214,7 +215,8 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
     return rank_labelled(checked, label_checked(checked))
 
 
-class LabelledTrees(NamedTuple):
+class LabelledTrees(namedtuple("LabelledTrees", "kinds names parents labels "
+                               "paths signatures")):
     """Passes 1 and 2 of ``rank_statecharts``: the name paths of checked
     models, and what pass 3 ranks their structure from.
 
@@ -226,14 +228,13 @@ class LabelledTrees(NamedTuple):
     equal labels, and with equal signatures or none. ``rank_labelled``
     empties ``signatures`` as it reads them. Pass 1 for the labels alone
     (``_labels``) leaves ``paths`` and ``signatures`` empty.
+
+    Fields: ``kinds: list[str]``, ``names: list[str]``,
+    ``parents: list[int]``, ``labels: list[int]``, ``paths: list[int]``,
+    ``signatures: dict[int, tuple[int, ...]]``.
     """
 
-    kinds: list[str]
-    names: list[str]
-    parents: list[int]
-    labels: list[int]
-    paths: list[int]
-    signatures: dict[int, tuple[int, ...]]
+    __slots__ = ()
 
 
 def _pass_1(checked: CheckedStatecharts, name_paths: bool

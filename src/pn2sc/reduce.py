@@ -33,7 +33,7 @@ the minimum element id is used, so runs are reproducible.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .flat import (AndFiring, FiringObserver, OrFiring, ReductionResult,
                    ReductionStatus, Side, run_rounds)

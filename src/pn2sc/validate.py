@@ -22,10 +22,9 @@ siblings may be matched either way.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum
 from itertools import chain, compress, count
-from typing import TYPE_CHECKING, NamedTuple
 
 from .io import STATECHART_KINDS, ElementKind
 from .rank import (
@@ -39,6 +38,7 @@ from .rank import (
     rank_labelled,
 )
 
+TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from .io import StatechartDocument
     from .model import ModelStore
@@ -52,15 +52,24 @@ class ValidationLevel(Enum):
     FULL = "Full"
 
 
-class Discrepancy(NamedTuple):
-    kind: str  # count-mismatch | missing-node | extra-node |
-    #            wrong-container | next-set-mismatch
-    detail: str
+class Discrepancy(namedtuple("Discrepancy", "kind detail")):
+    """One difference that validation found.
+
+    Fields: ``kind: str``, one of count-mismatch, missing-node,
+    extra-node, wrong-container and next-set-mismatch; ``detail: str``.
+    """
+
+    __slots__ = ()
 
 
-class ValidationReport(NamedTuple):
-    level: ValidationLevel
-    discrepancies: tuple[Discrepancy, ...]
+class ValidationReport(namedtuple("ValidationReport", "level discrepancies")):
+    """The verdict of one validation.
+
+    Fields: ``level: ValidationLevel``,
+    ``discrepancies: tuple[Discrepancy, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

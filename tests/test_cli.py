@@ -297,21 +297,54 @@ def test_cli_import_stays_lean():
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, net_file,
                                                    golden_dir):
+    # Neither the import nor a command loads json, typing or re. The runs
+    # go without site (-S): a .pth file in site-packages may load any of
+    # the three at start and hide a command that loads one.
     out = tmp_path / "out.json"
     golden = str(golden_dir / "chain.statechart.json")
     probe = ("import sys; from pn2sc.cli import main; "
              "code = main(sys.argv[1:]); print(code, *sorted(name for name "
-             "in sys.modules if name.startswith('pn2sc.')))")
+             "in sys.modules if name.startswith('pn2sc.') "
+             "or name in ('json', 'typing', 're')))")
     runs = {
         "transform": ["transform", str(net_file("chain")), "-o", str(out)],
         "validate": ["validate", golden, golden],
     }
-    loaded = {command: _python("-c", probe, *argv).stdout.splitlines()[-1]
-              .split() for command, argv in runs.items()}
+    loaded = {command: _python("-S", "-c", probe, *argv).stdout.splitlines()
+              [-1].split() for command, argv in runs.items()}
     assert loaded["transform"] == ["0", "pn2sc.cli", "pn2sc.flat", "pn2sc.io",
                                    "pn2sc.rank"]
     assert loaded["validate"] == ["0", "pn2sc.cli", "pn2sc.io", "pn2sc.rank",
                                   "pn2sc.validate"]
+
+
+def test_a_process_that_has_not_loaded_json_words_a_malformed_file():
+    # The scanner raises this error itself; on Python 3.10 it can do so
+    # only once json is loaded, which nothing has done here (-S).
+    shown = _python("-S", "-m", "pn2sc.cli", "transform", "/dev/stdin", "-o",
+                    os.devnull, input='{"places" []}', check=False)
+    assert (shown.returncode, shown.stderr) == (
+        65, "error: JSON parse error at line 1 column 11: Expecting ':' "
+        "delimiter\n")
+
+
+def test_a_file_that_starts_with_a_byte_order_mark_is_unreadable(
+        tmp_path, golden_dir, capsys):
+    marked = {}
+    for name in ("chain.net.json", "chain.statechart.json"):
+        marked[name] = tmp_path / name
+        marked[name].write_bytes(b"\xef\xbb\xbf"
+                                 + (golden_dir / name).read_bytes())
+    golden = str(golden_dir / "chain.statechart.json")
+    chart = str(marked["chain.statechart.json"])
+    out = tmp_path / "out.json"
+    for argv in (["transform", str(marked["chain.net.json"]), "-o", str(out)],
+                 ["validate", chart, golden], ["validate", golden, chart]):
+        assert main(argv) == 65
+        assert capsys.readouterr().err == (
+            "error: JSON parse error at line 1 column 1: Unexpected UTF-8 "
+            "BOM (decode using utf-8-sig)\n")
+    assert not out.exists()
 
 
 def test_runs_that_write_no_statechart_never_load_the_ranking(tmp_path):

@@ -9,6 +9,7 @@ accept, fill every dest with the same value.
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -135,6 +136,21 @@ def test_parser_decides_as_argparse(argv):
     if sys.version_info >= (3, 13):
         assume(not _reads_otherwise_on_313(argv))
     assert _ours(argv) == _reference(argv)
+
+
+#: Signs, points, ASCII digits, a space and line breaks, and any character
+#: that ``\d`` or ``str.isdigit`` may take for a digit
+_NUMBER_CHARS = (st.sampled_from("-..0159 \n\n")
+                 | st.characters(categories=("Nd", "No", "Nl")))
+
+
+@given(sign=st.sampled_from(["-", ""]), rest=st.text(_NUMBER_CHARS,
+                                                     max_size=8))
+@settings(max_examples=2000, deadline=None)
+def test_negative_numbers_are_told_as_argparse_tells_them(sign, rest):
+    token = sign + rest
+    assert cli._negative_number(token) == bool(
+        re.match(r"^-\d+$|^-\d*\.\d+$", token))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,7 +8,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -682,10 +682,11 @@ _ANY_JSON = st.recursive(
                                      max_size=4)),
     max_leaves=16,
 )
-#: The characters an edit puts in, and a digit run past Python's limit
+#: The characters an edit puts in, a byte order mark, and a digit run past
+#: Python's limit
 _EDIT_CHARS = st.sampled_from(sorted(set(
     '{}[],:"0123456789-.eE \t\n\r' + "truefalsenullNaNInfinity"))
-    + ["1" * 4400])
+    + ["\ufeff", "1" * 4400])
 
 
 @st.composite
@@ -705,11 +706,18 @@ def _edited_json(draw) -> str:
     return text
 
 
+@pytest.mark.parametrize("load", [scio._loads, scio._loads_iteratively],
+                         ids=["_loads", "_loads_iteratively"])
 @given(text=_edited_json())
+@example(text="\ufeff[]")  # json.loads names a leading BOM
+@example(text="[\ufeff]")  # and takes any other for a character
 @settings(max_examples=2000, deadline=None)
-def test_iterative_fallback_reads_as_json_loads_does(text):
+def test_iterative_fallback_reads_as_json_loads_does(load, text):
+    """Both readers, the C scanner's and the one for deep text, accept
+    what ``json.loads`` accepts, as the same value, and reject the rest
+    with its message at its position."""
     expected = _outcome(json.loads, text)
-    actual = _outcome(scio._loads_iteratively, text)
+    actual = _outcome(load, text)
     assert actual[0] == expected[0], (actual, expected)
     if expected[0] == "value":
         assert _same_json(actual[1], expected[1])
