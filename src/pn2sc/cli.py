@@ -13,7 +13,8 @@ import none of ``json``, ``typing`` and ``re``: the readers call json's C
 scanner directly, the records are ``collections.namedtuple`` classes,
 and a negative number is told by ``str.isdecimal``. ``json`` loads only
 to word a file that fails to read, to read one nested past the scanner's
-bound, and for ``generate`` and ``bench``.
+bound, and for ``generate`` and ``bench``. No command imports ``enum``:
+element kinds, firing sides and verdicts are plain strings.
 
 ``run()``, the entry of ``-m`` and of the ``pn2sc`` script, calls
 ``main()``, then ``gc.freeze()``, then ``sys.exit()``. Shutdown runs full
@@ -157,7 +158,7 @@ def _cmd_validate(args: SimpleNamespace) -> int:
     hidden = len(report.discrepancies) - MAX_PRINTED_DISCREPANCIES
     if hidden > 0:
         print(f"... and {hidden} more")
-    print(f"{report.level.value} validation "
+    print(f"{report.level} validation "
           f"{'passed' if report.passed else 'failed'}")
     return EX_OK if report.passed else EX_VALIDATION_FAILED
 

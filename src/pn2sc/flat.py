@@ -60,21 +60,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Sequence
-from enum import Enum
 from itertools import compress, count
 from operator import itemgetter
 
 from .io import ElementKind, PetriNetDocument, StatechartDocument
 
 
-class Side(Enum):
-    PRE = "prep"
-    POST = "postp"
-
-
-class ReductionStatus(Enum):
-    SUCCESS = "Success"
-    IRREDUCIBLE = "Irreducible"
+#: The side of a transition an AND firing merges, as its slot name
+Side = namedtuple("Side", "PRE POST")("prep", "postp")
+#: The verdict of a reduction
+ReductionStatus = namedtuple("ReductionStatus", "SUCCESS IRREDUCIBLE")(
+    "Success", "Irreducible")
 
 
 class ReductionResult(namedtuple(
@@ -82,7 +78,8 @@ class ReductionResult(namedtuple(
         "remaining_transitions top_or_count")):
     """The verdict of a reduction and what was left of the net.
 
-    Fields: ``status: ReductionStatus``, ``statechart_root: int | None``,
+    Fields: ``status: str``, one of ``ReductionStatus``,
+    ``statechart_root: int | None``,
     ``remaining_places: int``, ``remaining_transitions: int``,
     ``top_or_count: int``.
     """
@@ -91,13 +88,14 @@ class ReductionResult(namedtuple(
 
     @property
     def ok(self) -> bool:
-        return self.status is ReductionStatus.SUCCESS
+        return self.status == ReductionStatus.SUCCESS
 
 
 class AndFiring(namedtuple("AndFiring", "transition side merged_places")):
     """One AND-rule application: ``merged_places`` places became parallel.
 
-    Fields: ``transition: int``, ``side: Side``, ``merged_places: int``.
+    Fields: ``transition: int``, ``side: str``, one of ``Side``,
+    ``merged_places: int``.
     """
 
     __slots__ = ()
@@ -114,12 +112,6 @@ class OrFiring(namedtuple("OrFiring", "transition identity")):
 
 Firing = AndFiring | OrFiring
 FiringObserver = Callable[[Firing], None]
-
-_OR = ElementKind.OR.value
-_AND = ElementKind.AND.value
-_BASIC = ElementKind.BASIC.value
-_HYPER_EDGE = ElementKind.HYPER_EDGE.value
-_STATECHART = ElementKind.STATECHART.value
 
 
 def run_rounds(
@@ -221,24 +213,26 @@ class FlatModel:
         or_of_place = [0] * len(places)
         edge_of = [-1] * len(transitions)
         edges: list[int] = []  # transitions in HyperEdge creation order
+        or_basic = (ElementKind.OR, ElementKind.BASIC)
+        hyper_edge = ElementKind.HYPER_EDGE
         # Each place's OR and Basic, then the HyperEdges its transitions do
         # not have yet; last those of transitions with no arcs
         for p, place in enumerate(places):
             or_state = or_of_place[p] = len(kinds)
-            kinds += (_OR, _BASIC)
+            kinds += or_basic
             names += ("", place.name)
             children += ([or_state + 1], ())
             for t in producers[p] + consumers[p]:
                 if edge_of[t] < 0:
                     edge_of[t] = len(kinds)
-                    kinds.append(_HYPER_EDGE)
+                    kinds.append(hyper_edge)
                     names.append(transitions[t].name)
                     children.append(())
                     edges.append(t)
         for t in range(len(transitions)):
             if edge_of[t] < 0:
                 edge_of[t] = len(kinds)
-                kinds.append(_HYPER_EDGE)
+                kinds.append(hyper_edge)
                 names.append(transitions[t].name)
                 children.append(())
                 edges.append(t)
@@ -286,7 +280,7 @@ class FlatModel:
                     index.setdefault(p, set()).add(t)
         offset = len(p_pre)
 
-        def and_step(t: int, side_places: list, side: Side):
+        def and_step(t: int, side_places: list, side: str):
             places = side_places[t]
             if places is None or len(places) <= 1:
                 return None
@@ -299,7 +293,7 @@ class FlatModel:
                 if p_pre[other] != pre_set or p_post[other] != post_set:
                     return None
             new_or = len(kinds)
-            kinds.extend((_OR, _AND))
+            kinds.extend((ElementKind.OR, ElementKind.AND))
             names.extend(("", ""))
             children.extend(([new_or + 1], [or_of_place[p] for p in ordered]))
             or_of_place[survivor] = new_or
@@ -387,7 +381,7 @@ class FlatModel:
                                    len(live), remaining_transitions,
                                    len(live))
         root = self.root = len(self.kinds)
-        self.kinds += (_STATECHART, _AND)
+        self.kinds += (ElementKind.STATECHART, ElementKind.AND)
         self.names += ("", "")
         self.children += ([root + 1], [self.or_of_place[live[0]]])
         return ReductionResult(ReductionStatus.SUCCESS, root, 1,

@@ -63,7 +63,8 @@ writer escapes names with ``_json.encode_basestring_ascii``. Importing
 ``json`` would compile six regular expressions that neither uses, so it
 is imported only to raise a JSONDecodeError, to read text nested past
 the scanner's bound and to write a Petri net; ``statechart_text`` alone
-imports ``re``.
+imports ``re``. Nothing imports ``enum``: ``ElementKind`` is a namedtuple
+of the kind names as the files spell them.
 
 The converters to and from ``ModelStore`` import ``pn2sc.model``, and
 ``document_from_statechart`` imports ``pn2sc.rank``, when they run, so
@@ -75,7 +76,6 @@ from __future__ import annotations
 import sys
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from enum import Enum
 from functools import partial
 from io import BytesIO
 from itertools import chain, compress, islice
@@ -121,16 +121,11 @@ class _TextError(DocumentError):
     """A document is not UTF-8 or not JSON, at a position the error names."""
 
 
-class ElementKind(Enum):
-    """The element kinds, by the names the file formats give them."""
-
-    PLACE = "Place"
-    TRANSITION = "Transition"
-    BASIC = "Basic"
-    OR = "OR"
-    AND = "AND"
-    HYPER_EDGE = "HyperEdge"
-    STATECHART = "Statechart"
+#: The element kinds, as the strings the file formats give them: an
+#: immutable namespace that also iterates the seven names.
+ElementKind = namedtuple(
+    "ElementKind", "PLACE TRANSITION BASIC OR AND HYPER_EDGE STATECHART")(
+    "Place", "Transition", "Basic", "OR", "AND", "HyperEdge", "Statechart")
 
 
 # --- Petri net documents ---------------------------------------------------
@@ -374,22 +369,11 @@ def _petri_object(value: object) -> object:
     return value
 
 
-def _arcs_sound(pre: Sequence, post: Sequence,
-                place_ids: frozenset[str]) -> bool:
-    """Whether each side holds only known places, none twice."""
-    try:
-        return (place_ids.issuperset(pre) and place_ids.issuperset(post)
-                and len(set(pre)) == len(pre)
-                and len(set(post)) == len(post))
-    except TypeError:  # an unhashable entry
-        return False
-
-
 def _arc_fault(tid: str, pre: object, post: object,
-               place_ids: frozenset[str]) -> str:
-    """The message for the first fault in transition ``tid``'s arcs: each
-    side must be a list of strings, then hold no place twice and only
-    known places."""
+               place_ids: frozenset[str]) -> str | None:
+    """The message for the first fault in transition ``tid``'s arcs, or
+    None if they have none: each side must be a list of strings, then
+    hold no place twice and only known places."""
     sides = (("pre", pre), ("post", post))
     for side, pids in sides:
         if type(pids) is not list:
@@ -402,39 +386,7 @@ def _arc_fault(tid: str, pre: object, post: object,
         for pid in pids:
             if pid not in place_ids:
                 return f"transition {tid!r} references unknown place {pid!r}"
-    raise AssertionError(f"the arcs of {tid!r} have no fault")
-
-
-def _place_fault(item: object, seen_ids: set[str]) -> str:
-    """The message for the first fault of a place entry that is not a
-    ``PlaceSpec``; a fault of its shape raises here."""
-    _expect_object(item, "place", _PLACE_FIELDS)
-    pid = item["id"]
-    if type(pid) is not str:
-        return "place id must be a string"
-    if pid in seen_ids:
-        return f"duplicate id {pid!r}"
-    if type(item["name"]) is not str:
-        return "place name must be a string"
-    raise AssertionError(f"place {pid!r} has no fault")
-
-
-def _transition_fault(item: object, seen_ids: set[str],
-                      place_ids: frozenset[str]) -> str:
-    """The message for the first fault of a transition entry that is not a
-    ``TransitionSpec``; a fault of its shape raises here."""
-    _expect_object(item, "transition", _TRANSITION_FIELDS)
-    tid, pre, post = item["id"], item["pre"], item["post"]
-    if type(tid) is not str:
-        return "transition id must be a string"
-    if tid in seen_ids:
-        return f"duplicate id {tid!r}"
-    if (type(pre) is not list or type(post) is not list
-            or not _arcs_sound(pre, post, place_ids)):
-        return _arc_fault(tid, pre, post, place_ids)
-    if type(item["name"]) is not str:
-        return "name must be a string"
-    raise AssertionError(f"transition {tid!r} has no fault")
+    return None
 
 
 def _net_sound(places: list, transitions: list) -> bool:
@@ -469,11 +421,11 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     dropped once it is loaded. ``_net_sound`` then checks, a column at a
     time, what needs more than the entry: that each id is new and that
     each side of a transition names known places, none twice. Only a net
-    that fails is walked, each entry once, in an order that makes its
-    first fault name the DocumentError: a place's shape, id, that the id
-    is new, its name; a transition's shape, id, that the id is new, its
-    arcs (see ``_arc_fault``), its name. A record where no entry of its
-    kind belongs is checked as the object it was.
+    that fails is walked, each entry once as the object it was read from
+    (``_petri_object``), in an order that makes its first fault name the
+    DocumentError: a place's shape, id, that the id is new, its name; a
+    transition's shape, id, that the id is new, its arcs (see
+    ``_arc_fault``), its name.
     The scanner yields only exact types, so the tests are exact.
     """
     if isinstance(data, bytes):  # decoded here, so the bytes go with it
@@ -486,29 +438,32 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     del raw
     if not isinstance(places, list) or not isinstance(transitions, list):
         raise DocumentError("'places' and 'transitions' must be lists")
-    if _net_sound(places, transitions):
-        return PetriNetDocument(tuple(places), tuple(transitions))
-    seen_ids: set[str] = set()
-    for item in places:
-        if type(item) is not PlaceSpec:
-            raise DocumentError(_place_fault(_petri_object(item), seen_ids))
-        pid, _ = item
-        if pid in seen_ids:
-            raise DocumentError(f"duplicate id {pid!r}")
-        seen_ids.add(pid)
-    place_ids = frozenset(seen_ids)
-
-    for item in transitions:
-        if type(item) is not TransitionSpec:
-            raise DocumentError(_transition_fault(_petri_object(item),
-                                                  seen_ids, place_ids))
-        tid, _, pre, post = item
-        if tid in seen_ids:
-            raise DocumentError(f"duplicate id {tid!r}")
-        if not _arcs_sound(pre, post, place_ids):
-            raise DocumentError(_arc_fault(tid, list(pre), list(post),
-                                           place_ids))
-        seen_ids.add(tid)
+    if not _net_sound(places, transitions):  # word its first fault
+        seen_ids: set[str] = set()
+        for item in map(_petri_object, places):
+            _expect_object(item, "place", _PLACE_FIELDS)
+            pid = item["id"]
+            if type(pid) is not str:
+                raise DocumentError("place id must be a string")
+            if pid in seen_ids:
+                raise DocumentError(f"duplicate id {pid!r}")
+            if type(item["name"]) is not str:
+                raise DocumentError("place name must be a string")
+            seen_ids.add(pid)
+        place_ids = frozenset(seen_ids)
+        for item in map(_petri_object, transitions):
+            _expect_object(item, "transition", _TRANSITION_FIELDS)
+            tid = item["id"]
+            if type(tid) is not str:
+                raise DocumentError("transition id must be a string")
+            if tid in seen_ids:
+                raise DocumentError(f"duplicate id {tid!r}")
+            fault = _arc_fault(tid, item["pre"], item["post"], place_ids)
+            if fault is not None:
+                raise DocumentError(fault)
+            if type(item["name"]) is not str:
+                raise DocumentError("name must be a string")
+            seen_ids.add(tid)
     return PetriNetDocument(tuple(places), tuple(transitions))
 
 
@@ -579,23 +534,21 @@ class StatechartDocument(namedtuple("StatechartDocument",
 
     __slots__ = ()
 
-    def count_of_kind(self, kind: ElementKind) -> int:
+    def count_of_kind(self, kind: str) -> int:
         """The tally of one kind, as ``ModelStore.count_of_kind`` gives it
         for a store."""
-        return self.kinds.count(kind.value)
+        return self.kinds.count(kind)
 
 
 #: The kinds a statechart file holds, in the order of its counts object.
 STATECHART_KINDS = (ElementKind.STATECHART, ElementKind.AND, ElementKind.OR,
                     ElementKind.BASIC, ElementKind.HYPER_EDGE)
-_COUNT_KEYS = tuple(kind.value.lower() for kind in STATECHART_KINDS)
-_KIND_BY_NAME = {kind.value: kind for kind in STATECHART_KINDS}
+_COUNT_KEYS = tuple(kind.lower() for kind in STATECHART_KINDS)
 #: One string object per kind name, which the reader stores for every node
 #: of that kind: it holds one object, not one per node, and ranking reads
 #: the same five objects throughout.
-_KIND_TEXTS = {kind.value: kind.value for kind in STATECHART_KINDS}
+_KIND_TEXTS = {kind: kind for kind in STATECHART_KINDS}
 _LINKED_KINDS = (ElementKind.BASIC, ElementKind.HYPER_EDGE)
-_LINKED_KIND_NAMES = tuple(kind.value for kind in _LINKED_KINDS)
 _NODE_FIELDS = ("uid", "kind", "name", "children")
 _LINKED_NODE_FIELDS = ("uid", "kind", "name", "next", "children")
 _INT_TYPE = frozenset((int,))  # exact: bool is a subclass, and rejected
@@ -606,7 +559,7 @@ def kind_counts(kinds: list[str]) -> dict[str, int]:
     ``kinds``: each statechart kind's tally under its count key, the
     lower-cased kind name, in file order."""
     tally = Counter(kinds)
-    return {kind.value.lower(): tally[kind.value] for kind in STATECHART_KINDS}
+    return {kind.lower(): tally[kind] for kind in STATECHART_KINDS}
 
 
 def _store_document(sc: ModelStore) -> StatechartDocument:
@@ -636,14 +589,14 @@ def _store_document(sc: ModelStore) -> StatechartDocument:
     for node, eid in enumerate(uids):
         node_of[eid] = node
         kind = sc.kind_of(eid)
-        kinds.append(kind.value)
+        kinds.append(kind)
         names.append(sc.name_of(eid))
         if kind in _LINKED_KINDS:
             pending.append((node, eid, sc.refs(eid, "next")))
             children.append(())
             continue
         first = len(uids)
-        if kind is ElementKind.STATECHART:
+        if kind == ElementKind.STATECHART:
             uids.append(top)
         else:
             uids += sc.view(eid, "contains")
@@ -699,14 +652,14 @@ def statechart_document_chunks(doc: StatechartDocument) -> Iterator[bytes]:
     the output nor the square of the depth.
     """
     encode_str = encode_basestring_ascii
-    linked = _LINKED_KIND_NAMES
+    linked = _LINKED_KINDS
     max_bytes = _CHUNK_BYTES
     uids, kinds, names, children, links = (
         doc.uids, doc.kinds, doc.names, doc.children, doc.links
     )
     kind_text = {
         kind: b'"kind": %b,' % encode_str(kind).encode("ascii")
-        for kind in _KIND_BY_NAME
+        for kind in STATECHART_KINDS
     }
     # With indent=2 a node at tree depth d opens at JSON nesting 2d + 1
     # (each tree level is one object inside one "children" list), so its
@@ -913,7 +866,7 @@ def _checked_node(value: object, node_of: dict[int, int] | None = None,
     if type(value) is not dict:
         return _node_fault(value, node_of, "node must be an object")
     kind = value.get("kind")
-    linked = kind in _LINKED_KIND_NAMES
+    linked = kind in _LINKED_KINDS
     try:  # every field there, and no other: the keys are exactly a node's
         uid, name, children = value["uid"], value["name"], value["children"]
         targets = value["next"] if linked else None
@@ -1082,7 +1035,7 @@ def store_from_statechart(doc: StatechartDocument) -> ModelStore:
     from .model import ModelStore
 
     sc = ModelStore()
-    eids = [sc.create(_KIND_BY_NAME[kind], name)
+    eids = [sc.create(kind, name)
             for kind, name in zip(doc.kinds, doc.names)]
     children = doc.children
     for node in range(len(eids) - 1, 0, -1):

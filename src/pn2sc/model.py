@@ -64,7 +64,7 @@ _LEAF_KINDS = (_B, _H)
 _NO_VALUES: KeysView[int] = {}.keys()
 
 #: owner kind -> slot -> allowed target kinds
-ALLOWED_SLOTS: dict[ElementKind, dict[str, frozenset[ElementKind]]] = {
+ALLOWED_SLOTS: dict[str, dict[str, frozenset[str]]] = {
     _P: {"pret": frozenset({_T}), "postt": frozenset({_T})},
     _T: {"prep": frozenset({_P}), "postp": frozenset({_P})},
     _B: {
@@ -86,7 +86,7 @@ ALLOWED_SLOTS: dict[ElementKind, dict[str, frozenset[ElementKind]]] = {
 class _Element:
     __slots__ = ("kind", "name", "slots")
 
-    def __init__(self, kind: ElementKind, name: str):
+    def __init__(self, kind: str, name: str):
         self.kind = kind
         self.name = name
         # slot name -> ordered set of element ids (dict preserves insertion
@@ -100,15 +100,15 @@ class ModelStore:
     def __init__(self) -> None:
         self._next_id = 0
         self._elements: dict[int, _Element] = {}
-        self._by_kind: dict[ElementKind, dict[int, None]] = {
+        self._by_kind: dict[str, dict[int, None]] = {
             kind: {} for kind in ElementKind
         }
 
     # -- lifecycle ---------------------------------------------------------
 
-    def create(self, kind: ElementKind, name: str = "") -> int:
+    def create(self, kind: str, name: str = "") -> int:
         """Create a live element and return its fresh id."""
-        if not isinstance(kind, ElementKind):
+        if kind not in ElementKind:
             raise ModelError(f"not an element kind: {kind!r}")
         eid = self._next_id
         self._next_id = eid + 1
@@ -130,7 +130,7 @@ class ModelStore:
         el.slots.clear()
         # topState has no opposite slot, so incoming references need a sweep;
         # only Statechart elements can own one.
-        if el.kind is _A:
+        if el.kind == _A:
             for sid in self._by_kind[_S]:
                 slot = self._elements[sid].slots.get("topState")
                 if slot is not None:
@@ -143,17 +143,17 @@ class ModelStore:
 
     # -- introspection -----------------------------------------------------
 
-    def kind_of(self, eid: int) -> ElementKind:
+    def kind_of(self, eid: int) -> str:
         return self._require(eid).kind
 
     def name_of(self, eid: int) -> str:
         return self._require(eid).name
 
-    def all_of_kind(self, kind: ElementKind) -> list[int]:
+    def all_of_kind(self, kind: str) -> list[int]:
         """All live elements of a kind, ascending by id."""
         return list(self._by_kind[kind])
 
-    def count_of_kind(self, kind: ElementKind) -> int:
+    def count_of_kind(self, kind: str) -> int:
         return len(self._by_kind[kind])
 
     def refs(self, owner: int, slot: str) -> tuple[int, ...]:
@@ -204,8 +204,8 @@ class ModelStore:
         allowed = self._check_slot(owner_el.kind, slot)
         if target_el.kind not in allowed:
             raise ModelError(
-                f"slot {slot!r} of {owner_el.kind.value} cannot hold "
-                f"a {target_el.kind.value}"
+                f"slot {slot!r} of {owner_el.kind} cannot hold "
+                f"a {target_el.kind}"
             )
         values = owner_el.slots.get(slot)
         if values is not None and target in values:
@@ -257,7 +257,7 @@ class ModelStore:
                 allowed = ALLOWED_SLOTS[el.kind].get(slot)
                 if allowed is None:
                     raise ModelError(
-                        f"illegal slot {slot!r} on {el.kind.value} {eid}"
+                        f"illegal slot {slot!r} on {el.kind} {eid}"
                     )
                 if slot in SINGLE_VALUED_SLOTS and len(targets) > 1:
                     raise ModelError(f"slot {slot!r} of {eid} holds "
@@ -270,7 +270,7 @@ class ModelStore:
                         )
                     if other.kind not in allowed:
                         raise ModelError(
-                            f"{eid}.{slot} holds a {other.kind.value}"
+                            f"{eid}.{slot} holds a {other.kind}"
                         )
                     opp = OPPOSITE_SLOT[slot]
                     if opp is not None and eid not in other.slots.get(opp, {}):
@@ -288,10 +288,10 @@ class ModelStore:
             raise LivenessError(f"element {eid} is deleted or unknown")
         return el
 
-    def _check_slot(self, kind: ElementKind, slot: str) -> frozenset[ElementKind]:
+    def _check_slot(self, kind: str, slot: str) -> frozenset[str]:
         allowed = ALLOWED_SLOTS[kind].get(slot)
         if allowed is None:
-            raise ModelError(f"{kind.value} has no slot {slot!r}")
+            raise ModelError(f"{kind} has no slot {slot!r}")
         return allowed
 
     def _detach(self, owner: int, slot: str, target: int) -> None:

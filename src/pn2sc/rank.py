@@ -300,7 +300,6 @@ def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
 
     # Only a HyperEdge whose name is repeated at its level needs its
     # signature: a label alone at its level ranks the node by itself.
-    hyper_edge = ElementKind.HYPER_EDGE.value
     for doc, offset in zip(docs, roots):
         links, doc_kinds = doc.links, doc.kinds
         path_of = paths[offset:offset + len(links)]
@@ -308,7 +307,7 @@ def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
         incoming: list[list[int] | None] = [None] * len(links)
         edges = []
         for node in compress(range(len(links)), links):
-            if doc_kinds[node] == hyper_edge:
+            if doc_kinds[node] == ElementKind.HYPER_EDGE:
                 if shared[node]:
                     edges.append(node)
                 continue
@@ -335,7 +334,7 @@ def label_checked(checked: CheckedStatecharts) -> LabelledTrees:
                 else (*sorted([path_of[t] for t in targets]), -1, *sources)
             )
         for node in compress(range(len(links)), incoming):
-            if doc_kinds[node] == hyper_edge:
+            if doc_kinds[node] == ElementKind.HYPER_EDGE:
                 signatures[offset + node] = (-1, *sorted(incoming[node]))
         del path_of, shared, incoming
     return labelled
@@ -423,7 +422,7 @@ def canonical_document(doc: StatechartDocument) -> StatechartDocument:
 def _edge_names_repeat(docs: Sequence[StatechartDocument]) -> bool:
     """Whether two HyperEdges of one document share a name."""
     return any(len(set(names)) < len(names) for names in (list(compress(
-        doc.names, map(eq, doc.kinds, repeat(ElementKind.HYPER_EDGE.value))))
+        doc.names, map(eq, doc.kinds, repeat(ElementKind.HYPER_EDGE))))
         for doc in docs))
 
 
@@ -453,9 +452,6 @@ def _in_rank_order(doc: StatechartDocument,
     return StatechartDocument(uids, doc.kinds, doc.names, children, links)
 
 
-_NAMED_KINDS = (ElementKind.BASIC.value, ElementKind.HYPER_EDGE.value)
-
-
 def _images_by_name(doc_a: StatechartDocument, doc_e: StatechartDocument,
                     first: int) -> list[int] | None:
     """For each node of ``doc_a``, the node of ``doc_e`` (numbered from
@@ -468,7 +464,7 @@ def _images_by_name(doc_a: StatechartDocument, doc_e: StatechartDocument,
     kinds_a, kinds_e, names_a, names_e = (doc_a.kinds, doc_e.kinds,
                                           doc_a.names, doc_e.names)
     found: dict[str, Iterator[int]] = {}  # kind -> images in node order
-    for kind in _NAMED_KINDS:
+    for kind in (ElementKind.BASIC, ElementKind.HYPER_EDGE):
         is_kind = list(map(eq, repeat(kind), kinds_e))
         node_of = dict(zip(compress(names_e, is_kind),
                            compress(count(first), is_kind)))

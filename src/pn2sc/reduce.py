@@ -46,18 +46,10 @@ class ReductionError(Exception):
     """The reduction pipeline was driven from an illegal state."""
 
 
-_PLACE = ElementKind.PLACE
-_TRANSITION = ElementKind.TRANSITION
-_OR = ElementKind.OR
-_AND = ElementKind.AND
-_HYPER_EDGE = ElementKind.HYPER_EDGE
-_STATECHART = ElementKind.STATECHART
-
-
 def _and_step(
     pn: ModelStore,
     sc: ModelStore,
-    side: Side,
+    side: str,
     or_of_place: dict[int, int],
     transition: int,
     on_fire: FiringObserver | None,
@@ -66,7 +58,7 @@ def _and_step(
     return ``_marks`` of the surviving place, or None."""
     if not pn.is_live(transition):
         return None
-    companions = pn.view(transition, side.value)
+    companions = pn.view(transition, side)
     if len(companions) <= 1:
         return None
     ordered = sorted(companions)
@@ -77,8 +69,8 @@ def _and_step(
         if (pn.view(other, "pret") != pre_set
                 or pn.view(other, "postt") != post_set):
             return None
-    new_or = sc.create(_OR)
-    new_and = sc.create(_AND)
+    new_or = sc.create(ElementKind.OR)
+    new_and = sc.create(ElementKind.AND)
     for place in ordered:
         sc.add_ref(new_and, "contains", or_of_place[place])
     sc.add_ref(new_or, "contains", new_and)
@@ -143,7 +135,7 @@ def _marks(pn: ModelStore, place: int) -> tuple[tuple[int, ...], ...]:
 def _one_pass(pn: ModelStore, step: Callable[[int], object]) -> bool:
     """Run ``step`` on every transition; True iff it fired at least once."""
     applied = False
-    for transition in pn.all_of_kind(_TRANSITION):
+    for transition in pn.all_of_kind(ElementKind.TRANSITION):
         if step(transition) is not None:
             applied = True
     return applied
@@ -152,7 +144,7 @@ def _one_pass(pn: ModelStore, step: Callable[[int], object]) -> bool:
 def and_rule(
     pn: ModelStore,
     sc: ModelStore,
-    side: Side,
+    side: str,
     or_of_place: dict[int, int],
     on_fire: FiringObserver | None = None,
 ) -> bool:
@@ -203,7 +195,7 @@ def fixpoint(
         lambda t: _and_step(pn, sc, Side.PRE, or_of_place, t, on_fire),
         lambda t: _and_step(pn, sc, Side.POST, or_of_place, t, on_fire),
         lambda t: _or_step(pn, sc, or_of_place, t, on_fire),
-    ), (pn.all_of_kind(_TRANSITION),) * 3)
+    ), (pn.all_of_kind(ElementKind.TRANSITION),) * 3)
 
 
 def create_top(pn: ModelStore, sc: ModelStore) -> ReductionResult:
@@ -215,11 +207,11 @@ def create_top(pn: ModelStore, sc: ModelStore) -> ReductionResult:
     """
     top_ors = [
         or_state
-        for or_state in sc.all_of_kind(_OR)
+        for or_state in sc.all_of_kind(ElementKind.OR)
         if sc.ref(or_state, "rcontains") is None
     ]
-    remaining_places = pn.count_of_kind(_PLACE)
-    remaining_transitions = pn.count_of_kind(_TRANSITION)
+    remaining_places = pn.count_of_kind(ElementKind.PLACE)
+    remaining_transitions = pn.count_of_kind(ElementKind.TRANSITION)
     if len(top_ors) != 1:
         return ReductionResult(
             ReductionStatus.IRREDUCIBLE,
@@ -228,8 +220,8 @@ def create_top(pn: ModelStore, sc: ModelStore) -> ReductionResult:
             remaining_transitions,
             len(top_ors),
         )
-    root = sc.create(_STATECHART)
-    top = sc.create(_AND)
+    root = sc.create(ElementKind.STATECHART)
+    top = sc.create(ElementKind.AND)
     sc.set_ref(root, "topState", top)
     sc.add_ref(top, "contains", top_ors[0])
     return ReductionResult(
@@ -252,7 +244,7 @@ def assign_hyperedges(sc: ModelStore) -> None:
     directly into the top AND state. Requires a successfully created top
     state.
     """
-    statecharts = sc.all_of_kind(_STATECHART)
+    statecharts = sc.all_of_kind(ElementKind.STATECHART)
     if len(statecharts) != 1:
         raise ReductionError(
             f"hyperedge assignment needs exactly one Statechart, "
@@ -271,7 +263,7 @@ def assign_hyperedges(sc: ModelStore) -> None:
             parent[child] = node
             depth[child] = below
             stack.append(child)
-    for edge in sc.all_of_kind(_HYPER_EDGE):
+    for edge in sc.all_of_kind(ElementKind.HYPER_EDGE):
         container: int | None = None
         for member in (*sc.view(edge, "next"), *sc.view(edge, "rnext")):
             other = parent.get(member)

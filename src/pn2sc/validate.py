@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from enum import Enum
 from itertools import chain, compress, count
 
 from .io import STATECHART_KINDS, ElementKind
@@ -47,9 +46,9 @@ if TYPE_CHECKING:
     Statechart = ModelStore | StatechartDocument
 
 
-class ValidationLevel(Enum):
-    COUNTS = "Counts"
-    FULL = "Full"
+#: The rigor of a validation, as ``pn2sc validate`` names it
+ValidationLevel = namedtuple("ValidationLevel", "COUNTS FULL")(
+    "Counts", "Full")
 
 
 class Discrepancy(namedtuple("Discrepancy", "kind detail")):
@@ -65,7 +64,7 @@ class Discrepancy(namedtuple("Discrepancy", "kind detail")):
 class ValidationReport(namedtuple("ValidationReport", "level discrepancies")):
     """The verdict of one validation.
 
-    Fields: ``level: ValidationLevel``,
+    Fields: ``level: str``, one of ``ValidationLevel``,
     ``discrepancies: tuple[Discrepancy, ...]``.
     """
 
@@ -87,7 +86,7 @@ def validate_counts(actual: Statechart,
             found.append(
                 Discrepancy(
                     "count-mismatch",
-                    f"{kind.value}: actual {got}, expected {want}",
+                    f"{kind}: actual {got}, expected {want}",
                 )
             )
     return ValidationReport(ValidationLevel.COUNTS, tuple(found))
@@ -154,7 +153,6 @@ def _label_mismatches(labelled: LabelledTrees,
     kinds, names, _, _, paths, signatures = labelled
     first = checked.roots[1]
     scale = len(paths) + 1  # above every ``paths`` value
-    hyper_edge = ElementKind.HYPER_EDGE.value
     linked = sorted(signatures)
     own_paths = [paths[offset:offset + len(doc.links)] if offset else paths
                  for doc, offset in zip(checked.docs, checked.roots)]
@@ -185,7 +183,7 @@ def _label_mismatches(labelled: LabelledTrees,
                 differ.update(value for value, _ in Counter(values_a).items()
                               ^ Counter(values_e).items())
         if signed[0] != signed[1]:
-            wanted.update((hyper_edge, name) for (name, _), _
+            wanted.update((ElementKind.HYPER_EDGE, name) for (name, _), _
                           in signed[0].items() ^ signed[1].items())
     ends = [divmod(key, scale) for key in links]
     lookup = unequal.union(*ends)
@@ -199,10 +197,11 @@ def _label_mismatches(labelled: LabelledTrees,
                 if paths[node] in unequal:
                     groups.setdefault((kinds[node], names[node]), ([], []))[
                         node >= first].append(node)
-    edges = [holder[source] if kinds[holder[source]] == hyper_edge
+    edges = [holder[source]
+             if kinds[holder[source]] == ElementKind.HYPER_EDGE
              else holder[target] for source, target in ends]
-    wanted.update((hyper_edge, names[edge]) for edge in edges
-                  if kinds[edge] == hyper_edge)
+    wanted.update((ElementKind.HYPER_EDGE, names[edge]) for edge in edges
+                  if kinds[edge] == ElementKind.HYPER_EDGE)
     wanted.update(groups)
     # A label held as often in both models, at other places, is paired
     # over all its nodes, gathered unless no other node has its name.
@@ -326,7 +325,7 @@ def _first_divergence(trees: RankedTrees, actual: int,
         node_a, node_e = stack.pop()
         if ranks[node_a] == ranks[node_e]:
             continue
-        if kinds[node_a] == ElementKind.HYPER_EDGE.value:
+        if kinds[node_a] == ElementKind.HYPER_EDGE:
             found.append(Discrepancy(
                 "next-set-mismatch",
                 f"{_label(trees, node_a)} under "

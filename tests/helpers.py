@@ -5,12 +5,15 @@ from __future__ import annotations
 import functools
 import json
 import random
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from pn2sc import flat
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     PetriNetDocument,
@@ -19,6 +22,7 @@ from pn2sc.io import (
     TransitionSpec,
     parse_petri_net,
     parse_statechart,
+    statechart_document_to_bytes,
     store_from_petri_net,
     write_statechart,
 )
@@ -30,6 +34,7 @@ from pn2sc.reduce import (
     create_statechart,
     or_rule,
 )
+from pn2sc.validate import validate_full
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -70,10 +75,10 @@ def build_net(
 
 
 def kind_counts(store: ModelStore) -> dict[str, int]:
-    return {kind.value: store.count_of_kind(kind) for kind in ElementKind}
+    return {kind: store.count_of_kind(kind) for kind in ElementKind}
 
 
-def element_named(store: ModelStore, kind: ElementKind, name: str) -> int:
+def element_named(store: ModelStore, kind: str, name: str) -> int:
     """The one live element of ``kind`` called ``name``."""
     (found,) = [
         eid for eid in store.all_of_kind(kind) if store.name_of(eid) == name
@@ -129,7 +134,7 @@ def assert_single_tree(sc: ModelStore, top: int) -> None:
                 continue
             chain = ancestors_of(sc, eid)
             assert chain and chain[-1] == top, (
-                f"{kind.value} {eid} not rooted at the top AND"
+                f"{kind} {eid} not rooted at the top AND"
             )
     for and_state in sc.all_of_kind(ElementKind.AND):
         for child in sc.refs(and_state, "contains"):
@@ -228,6 +233,72 @@ def scan_fixpoint(
         fired = or_rule(pn, sc, or_of_place, on_fire) or fired
         if not fired:
             return
+
+
+@contextmanager
+def random_schedule(seed: int) -> Iterator[None]:
+    """While the context lasts, ``pn2sc.flat`` reduces through a
+    ``run_rounds`` that runs the passes of each round, and the
+    transitions of each sweep, in a seeded random order.
+
+    It keeps the dirty sets and marks of ``flat.run_rounds``, whose proof
+    holds for any order: no firing turns a check of its own pass from
+    failing to passing. So a round that fires nothing still ends at a
+    net where no rule matches."""
+    rng = random.Random(seed)
+
+    def run_rounds(steps, starts):
+        starts = list(map(iter, starts))
+        dirty: list[set[int]] = [set() for _ in steps]
+        fired = True
+        while fired:
+            fired = False
+            for current in rng.sample(range(len(steps)), len(steps)):
+                dirty[current].update(starts[current])
+                sweep = sorted(dirty[current])
+                dirty[current].clear()
+                rng.shuffle(sweep)
+                for transition in sweep:
+                    marks = steps[current](transition)
+                    if marks is None:
+                        continue
+                    fired = True
+                    for index, touched in enumerate(marks):
+                        if index != current:
+                            dirty[index].update(touched)
+
+    shipped = flat.run_rounds
+    flat.run_rounds = run_rounds
+    try:
+        yield
+    finally:
+        flat.run_rounds = shipped
+
+
+def assert_schedule_free(net: PetriNetDocument) -> None:
+    """``transform_net`` gives ``net`` the same verdict and the same
+    places and transitions left under the random schedules of seeds 0 to
+    2 as in the shipped order. Where every place and transition has a
+    name of its own it writes the same bytes; otherwise what it writes
+    passes ``validate_full`` against the shipped order's statechart."""
+    doc, result = flat.transform_net(net)
+    names = [p.name for p in net.places] + [t.name for t in net.transitions]
+    unique = len(set(names)) == len(names)
+    data = statechart_document_to_bytes(doc) if doc is not None else None
+    for seed in range(3):
+        with random_schedule(seed):
+            got, got_result = flat.transform_net(net)
+        assert (got_result.status, got_result.remaining_places,
+                got_result.remaining_transitions) == (
+            result.status, result.remaining_places,
+            result.remaining_transitions), (seed, net)
+        if doc is None:
+            assert got is None, (seed, net)
+        elif unique:
+            assert statechart_document_to_bytes(got) == data, (seed, net)
+        else:
+            report = validate_full(got, doc)
+            assert report.passed, (seed, net, report)
 
 
 def reference_statechart_bytes(doc: StatechartDocument) -> bytes:

@@ -156,7 +156,7 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
             for node in level
         ], paths, base)
 
-    hyper_edge = ElementKind.HYPER_EDGE.value
+    hyper_edge = ElementKind.HYPER_EDGE
     sources: dict[int, list[int]] = {}
     for node, targets in enumerate(links):
         if targets and kinds[node] != hyper_edge:
@@ -260,7 +260,7 @@ def label_mismatches(trees, first_expected: int) -> list[Discrepancy]:
                 f"{_path(trees, trees.parents[moved[0]])}, expected "
                 f"{_path(trees, trees.parents[moved[1]])}",
             ))
-        elif label[0] == ElementKind.HYPER_EDGE.value and _first_unequal(
+        elif label[0] == ElementKind.HYPER_EDGE and _first_unequal(
             nodes_a, nodes_e, trees.ranks
         ):
             found.append(Discrepancy(

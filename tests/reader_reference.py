@@ -15,7 +15,7 @@ from pn2sc.io import (
     _COUNT_KEYS,
     _INT_TYPE,
     _KIND_TEXTS,
-    _LINKED_KIND_NAMES,
+    _LINKED_KINDS,
     _LINKED_NODE_FIELDS,
     _NODE_FIELDS,
     DocumentError,
@@ -70,7 +70,7 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
         # json.loads yields only exact dict, list, str and int types (bool
         # aside), so the type tests below are exact.
         linked = (type(value) is dict
-                  and value.get("kind") in _LINKED_KIND_NAMES)
+                  and value.get("kind") in _LINKED_KINDS)
         keys = _LINKED_NODE_KEYS if linked else _NODE_KEYS
         if type(value) is not dict or value.keys() != keys:
             _expect_object(value, "node",

@@ -297,15 +297,15 @@ def test_cli_import_stays_lean():
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, net_file,
                                                    golden_dir):
-    # Neither the import nor a command loads json, typing or re. The runs
-    # go without site (-S): a .pth file in site-packages may load any of
-    # the three at start and hide a command that loads one.
+    # Neither the import nor a command loads json, typing, re or enum. The
+    # runs go without site (-S): a .pth file in site-packages may load any
+    # of the four at start and hide a command that loads one.
     out = tmp_path / "out.json"
     golden = str(golden_dir / "chain.statechart.json")
     probe = ("import sys; from pn2sc.cli import main; "
              "code = main(sys.argv[1:]); print(code, *sorted(name for name "
              "in sys.modules if name.startswith('pn2sc.') "
-             "or name in ('json', 'typing', 're')))")
+             "or name in ('json', 'typing', 're', 'enum')))")
     runs = {
         "transform": ["transform", str(net_file("chain")), "-o", str(out)],
         "validate": ["validate", golden, golden],

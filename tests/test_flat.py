@@ -10,15 +10,19 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rank_reference
 from helpers import (
     GOLDEN_DIR,
     arbitrary_nets,
+    assert_schedule_free,
     choice_net,
     differential_nets,
     nested_fork_join_net,
     net_document,
+    random_schedule,
+    renamed,
 )
 from pn2sc.flat import FlatModel, transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
@@ -66,6 +70,24 @@ def test_flat_core_fires_like_the_store(net):
 @settings(max_examples=200, deadline=None)
 def test_flat_core_fires_like_the_store_on_arbitrary_nets(net):
     _assert_same_as_store(net_document(*net))
+
+
+@given(arbitrary_nets(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_any_schedule_of_the_passes_and_sweeps_gives_the_same_result(
+        net, one_name):
+    net = net_document(*net)
+    assert_schedule_free(renamed(net, "x") if one_name else net)
+
+
+def test_a_random_schedule_reorders_the_firings():
+    # Else the schedule tests would hold the shipped order to itself.
+    net = generate_sp_net(GenSpec(300, 4))
+    shipped = _flat_route(net)
+    with random_schedule(0):
+        shuffled = _flat_route(net)
+    assert shuffled[0] != shipped[0]
+    assert shuffled[2] == shipped[2]
 
 
 @pytest.mark.parametrize("net", differential_nets())

@@ -49,7 +49,7 @@ def test_hyperedge_named_after_transition():
 def test_empty_net():
     pn, _ = build_net([], [])
     sc, or_of_place = initialize_statechart(pn)
-    assert kind_counts(sc) == {kind.value: 0 for kind in ElementKind}
+    assert kind_counts(sc) == {kind: 0 for kind in ElementKind}
     assert or_of_place == {}
 
 
@@ -90,7 +90,7 @@ def test_creation_order():
     created = sorted(
         eid for kind in ElementKind for eid in sc.all_of_kind(kind)
     )
-    elements = [(eid, sc.kind_of(eid).value, sc.name_of(eid)) for eid in created]
+    elements = [(eid, sc.kind_of(eid), sc.name_of(eid)) for eid in created]
     assert elements == [
         (0, "OR", ""), (1, "Basic", "p0"), (2, "HyperEdge", "t2"),
         (3, "HyperEdge", "t1"), (4, "OR", ""), (5, "Basic", "p1"),

@@ -38,6 +38,18 @@ def test_kind_fixed_and_empty_name_allowed():
     assert store.name_of(eid) == ""
 
 
+def test_create_takes_a_kind_name_and_nothing_else():
+    store = ModelStore()
+    eid = store.create("OR")
+    assert store.kind_of(eid) == OR
+    assert store.all_of_kind(OR) == [eid]
+    for kind in ("Foo", None):
+        with pytest.raises(ModelError,
+                           match=f"^not an element kind: {kind!r}$"):
+            store.create(kind)
+    assert store.count_of_kind(OR) == 1
+
+
 def test_ids_not_reused_after_delete():
     store = ModelStore()
     first = store.create(P)

@@ -24,7 +24,12 @@ every place and every transition named alike (``renamed``). For each:
 - with unique names only, the bytes, or for an irreducible net the
   counts of places and transitions left, are the same under every order
   of the places and the transitions. With repeated names some nets give
-  order-dependent bytes (see README, "Limits").
+  order-dependent bytes (see README, "Limits");
+- the verdict and the counts left are the same under three random
+  schedules of the reduction's passes and sweeps
+  (``helpers.assert_schedule_free``), and so are the bytes with unique
+  names; with repeated names the output validates against the shipped
+  order's.
 
 Tier-1 runs 3 places with at most 2 transitions. A wider bound runs as
 a script, for instance::
@@ -47,6 +52,7 @@ import pytest
 
 import rank_reference
 from helpers import (
+    assert_schedule_free,
     firing_faults,
     load_corpus,
     mutated_statechart,
@@ -112,6 +118,7 @@ def check_net(net: PetriNetDocument, unique_names: bool) -> None:
                              parse_statechart(data)).passed, net
         assert firing_faults(doc) == [], net
     rank_reference.assert_written_as_reference(net)
+    assert_schedule_free(net)
     if unique_names:
         outcome = _outcome(net)
         for places, transitions in product(permutations(net.places),
