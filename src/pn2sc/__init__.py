@@ -2,9 +2,10 @@
 
 The transformation that ``pn2sc transform`` runs, on flat int-indexed
 lists (``transform_net``), JSON reading and canonical writing, a
-series-parallel benchmark generator, and a structural validator. The
-same transformation on a ``ModelStore`` (``pn2sc.model``, ``init`` and
-``reduce``) is the tests' reference; nothing exported here imports it.
+series-parallel benchmark generator, and a structural validator.
+``pn2sc.model``, ``init`` and ``reduce`` hold only names that perfbench
+imports, each a call into the flat route; nothing exported here imports
+them.
 
 Importing this package loads none of its modules: each export is
 imported from its module on first use (PEP 562), so a command pays only

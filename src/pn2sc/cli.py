@@ -16,13 +16,13 @@ to word a file that fails to read, to read one nested past the scanner's
 bound, and for ``generate`` and ``bench``. No command imports ``enum``:
 element kinds, firing sides and verdicts are plain strings.
 
-``run()``, the entry of ``-m`` and of the ``pn2sc`` script, calls
-``main()``, then ``gc.freeze()``, then ``sys.exit()``. Shutdown runs full
-collections over every tracked object and skips frozen ones; atexit
-handlers and flushes still run. On one 300-place transform (2 shared
-cores) this saved 10.7 ms a process on CPython 3.11.7 (102 modules at
-start), 5.4 ms on it with ``-S``, 8.5 ms on 3.13.0, 6.3 ms on 3.12.1 and
-1.7 ms on 3.10.13.
+``run()``, the entry of ``python -m pn2sc.cli`` and of the ``pn2sc``
+script, calls ``main()``, then ``gc.freeze()``, then ``sys.exit()``.
+Shutdown runs full collections over every tracked object and skips
+frozen ones; atexit handlers and flushes still run. On one 300-place
+transform (2 shared cores) this saved 10.7 ms a process on CPython
+3.11.7 (102 modules at start), 5.4 ms on it with ``-S``, 8.5 ms on
+3.13.0, 6.3 ms on 3.12.1 and 1.7 ms on 3.10.13.
 """
 
 from __future__ import annotations

@@ -1,24 +1,24 @@
-"""The transformation on flat int-indexed lists, with no ``ModelStore``.
+"""The transformation, on flat int-indexed lists.
 
 ``pn2sc transform`` runs this module: ``transform_net`` takes a parsed
 ``PetriNetDocument`` and returns the canonical ``StatechartDocument``
-(or None) with the ``ReductionResult``. It gives exactly the firings,
-element numbers and output bytes of the store route in ``init.py`` and
-``reduce.py`` (``create_statechart`` then ``write_statechart``), which
-stays as the reference implementation. Both routes use the records and
-``run_rounds`` defined here, and nothing here imports the store. The
-store route and this one both end in ``pn2sc.rank.canonical_document``:
-this one lays its own tree out breadth-first once and puts that layout in
-canonical form, with no second layout. ``FlatModel.document`` imports the
-ranking when it runs, so an irreducible net never loads it.
+(or None) with the ``ReductionResult``. The tests hold the same
+transformation on a typed element store as their reference
+(``tests/store_reference.py``), and this one gives exactly its firings,
+element numbers and output bytes. The reference uses the records and
+``run_rounds`` defined here. Both end in
+``pn2sc.rank.canonical_document``: this one lays its own tree out
+breadth-first once and puts that layout in canonical form, with no
+second layout. ``FlatModel.document`` imports the ranking when it runs,
+so an irreducible net never loads it.
 
 The net is held as per-transition tuples of pre- and post-places and
 per-place sets of producing and consuming transitions. The live tuples
 start as the net's numbered arcs themselves, shared, not copied: a
 firing replaces a transition's tuple and never changes one, so the
 original arcs stay for the hyperedges and the links. Places are
-numbered 0, 1, ... in file order and transitions after them, as
-``store_from_petri_net`` numbers them, so a firing event names the same
+numbered 0, 1, ... in file order and transitions after them, as the
+reference store numbers them, so a firing event names the same
 transition number by either route; inside this module transition ``t``
 is list index ``t - place_count``. A deleted element's tuples or sets
 become None.
@@ -33,8 +33,8 @@ out in the same order too. ``or_of_place`` is a list. Links never change
 during the reduction, so they are read from the net's original arcs when
 the document is built.
 
-The reduction runs ``run_rounds`` with finer starts and marks than
-``reduce.fixpoint`` gives it. A transition with at most one place on a
+The reduction runs ``run_rounds`` with finer starts and marks than the
+reference's ``fixpoint`` gives it. A transition with at most one place on a
 side never matches AND on that side, because arcs never grow, so the
 AND-pre pass starts from the transitions with at least two pre-places,
 the AND-post pass from those with at least two post-places, and the OR
@@ -60,8 +60,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Sequence
-from itertools import compress, count
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import eq, itemgetter
 
 from .io import ElementKind, PetriNetDocument, StatechartDocument
 
@@ -179,9 +179,9 @@ class FlatModel:
     """A Petri net and its statechart under construction, as flat lists.
 
     Building one is the initialization; ``fixpoint``, ``create_top``,
-    ``assign_hyperedges`` and ``document`` then do what their namesakes in
-    ``reduce.py`` and ``io.py`` do to a pair of stores, and ``reduce``
-    runs the middle three.
+    ``assign_hyperedges`` and ``document`` then do what their namesakes
+    in the reference do to a pair of stores, and ``reduce`` runs the
+    middle three.
 
     ``pre`` and ``post`` hold each transition's original arcs as tuples
     of place numbers; ``t_pre`` and ``t_post`` its live arcs, and
@@ -255,9 +255,9 @@ class FlatModel:
         self.p_post: list[Collection[int] | None] = consumers
 
     def fixpoint(self, on_fire: FiringObserver | None = None) -> None:
-        """Fire what ``reduce.fixpoint`` fires, in the same order, through
-        ``run_rounds`` with the finer starts and marks of the module
-        docstring.
+        """Fire what the reference's ``fixpoint`` fires, in the same order,
+        through ``run_rounds`` with the finer starts and marks of the
+        module docstring.
         """
         kinds, names, children = self.kinds, self.names, self.children
         or_of_place = self.or_of_place
@@ -372,8 +372,8 @@ class FlatModel:
 
     def create_top(self) -> ReductionResult:
         """Wrap the one live place's OR, the only container-less OR, in a
-        Statechart with an AND top state, as ``reduce.create_top`` does;
-        with more or fewer live places, report the net irreducible."""
+        Statechart with an AND top state, as the reference does; with
+        more or fewer live places, report the net irreducible."""
         live = [p for p, arcs in enumerate(self.p_pre) if arcs is not None]
         remaining_transitions = len(self.t_pre) - self.t_pre.count(None)
         if len(live) != 1:
@@ -389,8 +389,8 @@ class FlatModel:
 
     def assign_hyperedges(self) -> None:
         """Append every HyperEdge, in element order, to the nearest state
-        that contains all the Basics it links, as
-        ``reduce.assign_hyperedges`` does. Needs ``create_top``'s success.
+        that contains all the Basics it links, as the reference does.
+        Needs ``create_top``'s success.
         """
         children = self.children
         top = self.root + 1
@@ -423,10 +423,10 @@ class FlatModel:
     def document(self) -> StatechartDocument:
         """The canonical document of the finished statechart.
 
-        The tree is laid out breadth-first in containment order, as
-        ``document_from_statechart`` lays out a store, and that layout is
-        checked, ranked and put in rank order by
-        ``rank.canonical_document``, the route of every other document.
+        The tree is laid out breadth-first in containment order, as the
+        reference lays out a store, and that layout is checked, ranked and
+        put in rank order by ``rank.canonical_document``, the route of
+        every other document.
         """
         from .rank import canonical_document
 
@@ -468,6 +468,18 @@ class FlatModel:
                     [basics[p] for p in targets])
         return canonical_document(StatechartDocument(
             order, kinds, names, tree_children, links))
+
+    def count_of_kind(self, kind: str) -> int:
+        """The number of live statechart elements of ``kind``, as the
+        reference store counts them: an OR merged away keeps its number
+        but holds nothing, so it is not counted. Places and transitions
+        are no statechart elements and count 0. For perfbench and the
+        tests."""
+        found = self.kinds.count(kind)
+        if kind == ElementKind.OR:
+            found -= list(compress(self.children, map(
+                eq, self.kinds, repeat(kind)))).count(())
+        return found
 
     def reduce(self, on_fire: FiringObserver | None = None) -> ReductionResult:
         """Reduce to a fixpoint, create the top state and, on success,

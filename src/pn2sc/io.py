@@ -49,12 +49,10 @@ small tuple, not a dict, drops the text once it is loaded, then fills the
 lists in one breadth-first pass that drops each tuple once read. The
 writer walks the lists with an explicit stack, and the ranking takes
 them as they stand, so ``pn2sc validate`` goes from bytes to a verdict
-without building a ``ModelStore``; ``store_from_statechart`` builds one,
-with no recursion, for callers that want a store. Readers accept any
-well-formed document but reject unknown fields. A document nested past
-what the scanner reads is read by ``_loads_iteratively``: memory is the
-only bound on depth. One with an integer over Python's digit limit is a
-DocumentError.
+with no other model built. Readers accept any well-formed document but
+reject unknown fields. A document nested past what the scanner reads is
+read by ``_loads_iteratively``: memory is the only bound on depth. One
+with an integer over Python's digit limit is a DocumentError.
 
 Both readers parse through ``_loads``, which does what ``json.loads``
 does, with the same value and the same error, by calling json's C
@@ -66,9 +64,10 @@ the scanner's bound and to write a Petri net; ``statechart_text`` alone
 imports ``re``. Nothing imports ``enum``: ``ElementKind`` is a namedtuple
 of the kind names as the files spell them.
 
-The converters to and from ``ModelStore`` import ``pn2sc.model``, and
-``document_from_statechart`` imports ``pn2sc.rank``, when they run, so
-importing this module loads neither the store nor the ranking.
+The last section holds names that only perfbench imports, each a line
+or two over ``flat.FlatModel``, the route ``pn2sc transform`` runs; they
+import ``pn2sc.flat`` when they run, so importing this module loads
+neither the transformation nor the ranking. They are not exported.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ from _json import encode_basestring_ascii, make_scanner
 
 TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
-    from .flat import ReductionResult
-    from .model import ModelStore
+    from .flat import FlatModel, ReductionResult
 
 __all__ = [
     "DocumentError",
@@ -97,19 +95,13 @@ __all__ = [
     "PetriNetDocument",
     "StatechartDocument",
     "parse_petri_net",
-    "store_from_petri_net",
-    "read_petri_net",
     "petri_net_to_bytes",
     "STATECHART_KINDS",
     "kind_counts",
-    "document_from_statechart",
     "statechart_document_chunks",
     "statechart_document_to_bytes",
-    "write_statechart",
     "statechart_text",
     "parse_statechart",
-    "store_from_statechart",
-    "read_statechart",
 ]
 
 
@@ -467,28 +459,6 @@ def parse_petri_net(data: bytes | str) -> PetriNetDocument:
     return PetriNetDocument(tuple(places), tuple(transitions))
 
 
-def store_from_petri_net(doc: PetriNetDocument) -> ModelStore:
-    """Materialize a document: places first, then transitions, then arcs."""
-    from .model import ModelStore
-
-    pn = ModelStore()
-    by_doc_id: dict[str, int] = {}
-    for place in doc.places:
-        by_doc_id[place.id] = pn.create(ElementKind.PLACE, place.name)
-    for transition in doc.transitions:
-        tid = pn.create(ElementKind.TRANSITION, transition.name)
-        for pid in transition.pre:
-            pn.add_ref(tid, "prep", by_doc_id[pid])
-        for pid in transition.post:
-            pn.add_ref(tid, "postp", by_doc_id[pid])
-    return pn
-
-
-def read_petri_net(data: bytes | str) -> ModelStore:
-    """Parse a Petri net document into a fresh model store."""
-    return store_from_petri_net(parse_petri_net(data))
-
-
 def petri_net_to_bytes(doc: PetriNetDocument) -> bytes:
     """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, ``payload``
     holding each entry as an object, in the document's order."""
@@ -524,9 +494,8 @@ class StatechartDocument(namedtuple("StatechartDocument",
     ``parse_statechart`` numbers the nodes breadth-first in file order.
     The canonical document has children in rank order, uids in preorder
     and links in ascending uid order. ``rank.canonical_document`` gives it
-    for any document, and both routes end in it: the store route, and the
-    flat route that ``pn2sc transform`` runs, from the reduced tree's own
-    breadth-first layout.
+    for any document, and ``pn2sc transform`` writes through it, from the
+    reduced tree's own breadth-first layout.
 
     Fields: ``uids: list[int]``, ``kinds: list[str]``, ``names: list[str]``,
     ``children: list[Sequence[int]]``, ``links: list[tuple[int, ...]]``.
@@ -535,8 +504,8 @@ class StatechartDocument(namedtuple("StatechartDocument",
     __slots__ = ()
 
     def count_of_kind(self, kind: str) -> int:
-        """The tally of one kind, as ``ModelStore.count_of_kind`` gives it
-        for a store."""
+        """The tally of one kind, as ``FlatModel.count_of_kind`` gives it
+        for a model."""
         return self.kinds.count(kind)
 
 
@@ -560,69 +529,6 @@ def kind_counts(kinds: list[str]) -> dict[str, int]:
     lower-cased kind name, in file order."""
     tally = Counter(kinds)
     return {kind.lower(): tally[kind] for kind in STATECHART_KINDS}
-
-
-def _store_document(sc: ModelStore) -> StatechartDocument:
-    """Flatten the containment tree of a statechart model breadth-first, in
-    containment order; the uids are the element ids.
-
-    The model must contain exactly one Statechart element with a top
-    state, and every link must stay inside the containment tree;
-    otherwise a DocumentError is raised.
-    """
-    charts = sc.all_of_kind(ElementKind.STATECHART)
-    if len(charts) != 1:
-        raise DocumentError(
-            f"expected exactly one Statechart element, found {len(charts)}"
-        )
-    top = sc.ref(charts[0], "topState")
-    if top is None:
-        raise DocumentError("Statechart has no top state")
-    kinds: list[str] = []
-    names: list[str] = []
-    children: list[Sequence[int]] = []
-    node_of: dict[int, int] = {}
-    pending: list[tuple[int, int, tuple[int, ...]]] = []
-    # ``uids`` is also the queue: appending a node's children as it is
-    # read numbers every node breadth-first.
-    uids = [charts[0]]
-    for node, eid in enumerate(uids):
-        node_of[eid] = node
-        kind = sc.kind_of(eid)
-        kinds.append(kind)
-        names.append(sc.name_of(eid))
-        if kind in _LINKED_KINDS:
-            pending.append((node, eid, sc.refs(eid, "next")))
-            children.append(())
-            continue
-        first = len(uids)
-        if kind == ElementKind.STATECHART:
-            uids.append(top)
-        else:
-            uids += sc.view(eid, "contains")
-        children.append(range(first, len(uids)) if len(uids) > first else ())
-    links: list[tuple[int, ...]] = [()] * len(uids)
-    for node, eid, targets in pending:
-        try:
-            links[node] = tuple([node_of[t] for t in targets])
-        except KeyError:
-            raise DocumentError(
-                f"element {eid} links outside the containment tree"
-            ) from None
-    return StatechartDocument(uids, kinds, names, children, links)
-
-
-def document_from_statechart(sc: ModelStore) -> StatechartDocument:
-    """Build the canonical document for a statechart model.
-
-    The model must contain exactly one Statechart element; the tree is the
-    containment hierarchy reachable from it, with the top state as the
-    Statechart's single child, laid out breadth-first in containment order
-    and then put in canonical form by ``rank.canonical_document``.
-    """
-    from .rank import canonical_document
-
-    return canonical_document(_store_document(sc))
 
 
 #: ``statechart_document_chunks`` joins what it holds into one chunk once
@@ -751,18 +657,6 @@ def statechart_document_to_bytes(doc: StatechartDocument) -> bytes:
     buffer = BytesIO()
     buffer.writelines(statechart_document_chunks(doc))
     return buffer.getvalue()
-
-
-def write_statechart(sc: ModelStore, result: ReductionResult) -> bytes:
-    """Serialize a successfully reduced statechart to canonical bytes."""
-    if not result.ok:
-        raise DocumentError(
-            "refusing to serialize an irreducible result: "
-            f"{result.top_or_count} top-level OR states, "
-            f"{result.remaining_places} places and "
-            f"{result.remaining_transitions} transitions remain"
-        )
-    return statechart_document_to_bytes(document_from_statechart(sc))
 
 
 def statechart_text(chunks: Iterable[bytes]) -> bytes:
@@ -1025,31 +919,45 @@ def parse_statechart(data: bytes | str) -> StatechartDocument:
     return StatechartDocument(uids, kinds, names, children, links)
 
 
-def store_from_statechart(doc: StatechartDocument) -> ModelStore:
-    """Materialize a statechart document as a model store.
-
-    Elements are created in node order. Containment is added deepest node
-    first, so a container has no container of its own yet when it takes
-    its children, and each cycle check stops at once.
-    """
-    from .model import ModelStore
-
-    sc = ModelStore()
-    eids = [sc.create(kind, name)
-            for kind, name in zip(doc.kinds, doc.names)]
-    children = doc.children
-    for node in range(len(eids) - 1, 0, -1):
-        owner = eids[node]
-        for kid in children[node]:
-            sc.add_ref(owner, "contains", eids[kid])
-    for kid in children[0]:
-        sc.set_ref(eids[0], "topState", eids[kid])
-    for node, targets in enumerate(doc.links):
-        for target in targets:
-            sc.add_ref(eids[node], "next", eids[target])
-    return sc
+# --- Names perfbench imports -------------------------------------------------
+#
+# Only perfbench (``perfbench/run.py`` and ``perfbench/traced_op.py``)
+# calls these, and they go once it calls what ``pn2sc transform`` and
+# ``pn2sc validate`` call. A ``flat.FlatModel`` stands for both the net
+# and the statechart.
 
 
-def read_statechart(data: bytes | str) -> ModelStore:
-    """Parse a statechart document into a fresh model store."""
-    return store_from_statechart(parse_statechart(data))
+def store_from_petri_net(doc: PetriNetDocument) -> FlatModel:
+    """``FlatModel(doc)``, the initialized model. For perfbench only."""
+    from .flat import FlatModel
+
+    return FlatModel(doc)
+
+
+def read_petri_net(data: bytes | str) -> FlatModel:
+    """``store_from_petri_net(parse_petri_net(data))``. For perfbench
+    only."""
+    return store_from_petri_net(parse_petri_net(data))
+
+
+def document_from_statechart(model: FlatModel) -> StatechartDocument:
+    """``model.document()``. For perfbench only."""
+    return model.document()
+
+
+def write_statechart(model: FlatModel, result: ReductionResult) -> bytes:
+    """The canonical bytes of a reduced model; an irreducible ``result``
+    is a DocumentError. For perfbench only."""
+    if not result.ok:
+        raise DocumentError(
+            "refusing to serialize an irreducible result: "
+            f"{result.top_or_count} top-level OR states, "
+            f"{result.remaining_places} places and "
+            f"{result.remaining_transitions} transitions remain"
+        )
+    return statechart_document_to_bytes(model.document())
+
+
+def store_from_statechart(doc: StatechartDocument) -> StatechartDocument:
+    """``doc``: the validator takes documents. For perfbench only."""
+    return doc

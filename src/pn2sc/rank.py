@@ -11,7 +11,7 @@ it needs: the checks (``check_statecharts``), the certificate of a node
 bijection that unique names force (``_isomorphic``), the labels
 (``_labels``), or the name paths and signatures where HyperEdge names
 repeat (``label_checked``), and the structure (``rank_labelled``).
-A store is flattened by ``pn2sc.io._store_document`` first. The writer
+Every function takes documents (``StatechartDocument``). The writer
 imports this module when it builds a document, so a run that writes no
 statechart never loads it.
 """
@@ -23,19 +23,11 @@ from collections import Counter, namedtuple
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, ne
 
-from .io import (
-    _INT_TYPE,
-    DocumentError,
-    ElementKind,
-    StatechartDocument,
-    _store_document,
-)
+from .io import _INT_TYPE, DocumentError, ElementKind, StatechartDocument
 
 TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
-
-    from .model import ModelStore
 
 
 class RankedTrees(namedtuple("RankedTrees", "roots kinds names parents "
@@ -137,10 +129,10 @@ def _dense(keys: list, base: int, out: list[int],
 
 class CheckedStatecharts(namedtuple("CheckedStatecharts",
                                     "docs roots parents levels")):
-    """Statechart models that passed the checks ranking needs, as
-    documents numbered one after another (see ``check_statecharts``).
+    """Statechart documents that passed the checks ranking needs,
+    numbered one after another (see ``check_statecharts``).
 
-    ``docs`` holds each model's document, ``roots`` each one's root node
+    ``docs`` holds each document, ``roots`` each one's root node
     (the number of nodes before it), ``parents`` every node's parent in
     that shared numbering (-1 for a root) and ``levels`` each document's
     depths as ``_layout`` gives them.
@@ -152,21 +144,15 @@ class CheckedStatecharts(namedtuple("CheckedStatecharts",
     __slots__ = ()
 
 
-def check_statecharts(*models: ModelStore | StatechartDocument
-                      ) -> CheckedStatecharts:
-    """Check ``models`` once for ranking: flatten each store
-    breadth-first, check that every document's links are its node
-    numbers and lay each document out depth by depth (``_layout``),
-    numbering the nodes of each model after those of the models before
-    it.
+def check_statecharts(*docs: StatechartDocument) -> CheckedStatecharts:
+    """Check ``docs`` once for ranking: check that every document's
+    links are its node numbers and lay each document out depth by depth
+    (``_layout``), numbering the nodes of each document after those of
+    the documents before it.
 
     A DocumentError is raised for a document not numbered depth by depth
-    or with children or links that are not its node numbers, and for a
-    store without exactly one Statechart element with a top state, or
-    with a link outside the containment tree.
+    or with children or links that are not its node numbers.
     """
-    docs = [model if isinstance(model, StatechartDocument)
-            else _store_document(model) for model in models]
     roots = []
     total = 0
     for doc in docs:
@@ -181,11 +167,11 @@ def check_statecharts(*models: ModelStore | StatechartDocument
     parents = [-1] * total
     levels = [_layout(doc.children, offset, parents)
               for doc, offset in zip(docs, roots)]
-    return CheckedStatecharts(docs, roots, parents, levels)
+    return CheckedStatecharts(list(docs), roots, parents, levels)
 
 
-def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
-    """Rank the containment trees of ``models`` into one canonical form,
+def rank_statecharts(*docs: StatechartDocument) -> RankedTrees:
+    """Rank the containment trees of ``docs`` into one canonical form,
     after ``check_statecharts``, so it raises what that raises.
 
     This is the level-by-level tree isomorphism scheme of Aho, Hopcroft
@@ -211,7 +197,7 @@ def rank_statecharts(*models: ModelStore | StatechartDocument) -> RankedTrees:
        key is then one int, its label scaled above every tail rank plus
        its own, so each level sorts and hashes ints.
     """
-    checked = check_statecharts(*models)
+    checked = check_statecharts(*docs)
     return rank_labelled(checked, label_checked(checked))
 
 

@@ -4,8 +4,8 @@ Two rigor levels: ``Counts`` compares per-kind element totals only, while
 ``Full`` looks for a containment-tree isomorphism matching kind and name at
 every node and, under it, equality of every hyperedge's next and rnext
 sets, where a linked Basic is identified by its name path from the root.
-Both take parsed documents (``pn2sc.io.parse_statechart``), model stores,
-or one of each; a document is compared as it stands, with no store built.
+Both take documents (``pn2sc.io.parse_statechart``), compared as they
+stand, with no other model built.
 
 ``Full`` passes a pair at once on the node bijection that unique Basic
 and HyperEdge names force (``rank._isomorphic``). Any other pair has its
@@ -40,10 +40,7 @@ from .rank import (
 TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from .io import StatechartDocument
-    from .model import ModelStore
     from .rank import CheckedStatecharts
-
-    Statechart = ModelStore | StatechartDocument
 
 
 #: The rigor of a validation, as ``pn2sc validate`` names it
@@ -75,8 +72,8 @@ class ValidationReport(namedtuple("ValidationReport", "level discrepancies")):
         return not self.discrepancies
 
 
-def validate_counts(actual: Statechart,
-                    expected: Statechart) -> ValidationReport:
+def validate_counts(actual: StatechartDocument,
+                    expected: StatechartDocument) -> ValidationReport:
     """Compare per-kind instance totals (a document tallies its ``kinds``)."""
     found = []
     for kind in STATECHART_KINDS:
@@ -316,15 +313,15 @@ def _first_divergence(trees: RankedTrees, actual: int,
     descended into: children of equal rank pair off, and each other actual
     child pairs with the unmatched expected child of its kind and name
     whose children share the most ranks with its own (the first such one
-    in rank order). What is left over is missing or extra.
+    in rank order). What is left over is missing or extra. ``actual`` and
+    ``expected`` must rank unequal, and so does every pair descended
+    into: no expected child of a surplus child's rank is left unmatched.
     """
     ranks, kinds, names = trees.ranks, trees.kinds, trees.names
     found: list[Discrepancy] = []
     stack = [(actual, expected)]
     while stack:
         node_a, node_e = stack.pop()
-        if ranks[node_a] == ranks[node_e]:
-            continue
         if kinds[node_a] == ElementKind.HYPER_EDGE:
             found.append(Discrepancy(
                 "next-set-mismatch",
@@ -371,8 +368,8 @@ def _first_divergence(trees: RankedTrees, actual: int,
     return found
 
 
-def validate_full(actual: Statechart,
-                  expected: Statechart) -> ValidationReport:
+def validate_full(actual: StatechartDocument,
+                  expected: StatechartDocument) -> ValidationReport:
     """Compare containment trees and hyperedge link sets.
 
     Both models are checked once (``check_statecharts``). They pass at
@@ -387,9 +384,8 @@ def validate_full(actual: Statechart,
     equal signatures, which split no label. The pair matches when its
     roots rank alike, else the trees are descended (``_first_divergence``).
     Raises ValueError (a DocumentError) unless each document is numbered
-    depth by depth and each store holds one Statechart with a top state
-    and keeps its links inside the containment tree; a parsed document
-    meets all by construction.
+    depth by depth with children and links that are its node numbers; a
+    parsed document meets both by construction.
     """
     checked = check_statecharts(actual, expected)
     if _isomorphic(checked):

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import strategies as st
 
 from pn2sc import flat
+from pn2sc.flat import FiringObserver, Side
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
+    ElementKind,
     PetriNetDocument,
     PlaceSpec,
     StatechartDocument,
@@ -23,18 +25,14 @@ from pn2sc.io import (
     parse_petri_net,
     parse_statechart,
     statechart_document_to_bytes,
-    store_from_petri_net,
-    write_statechart,
-)
-from pn2sc.model import ElementKind, ModelStore
-from pn2sc.reduce import (
-    FiringObserver,
-    Side,
-    and_rule,
-    create_statechart,
-    or_rule,
 )
 from pn2sc.validate import validate_full
+
+if __package__:  # imported as ``tests.helpers``
+    from . import store_reference as reference
+else:
+    import store_reference as reference
+
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -63,22 +61,23 @@ def net_document(places: list[str],
 
 def build_net(
     places: list[str], transitions: list[tuple[str, list[str], list[str]]]
-) -> tuple[ModelStore, dict[str, int]]:
+) -> tuple[reference.ModelStore, dict[str, int]]:
     """The store of ``net_document(places, transitions)`` and the id of
     every place and transition by name (places first, then transitions,
     in argument order)."""
-    pn = store_from_petri_net(net_document(places, transitions))
+    pn = reference.store_from_petri_net(net_document(places, transitions))
     ids = {pn.name_of(eid): eid
            for kind in (ElementKind.PLACE, ElementKind.TRANSITION)
            for eid in pn.all_of_kind(kind)}
     return pn, ids
 
 
-def kind_counts(store: ModelStore) -> dict[str, int]:
+def kind_counts(store: reference.ModelStore) -> dict[str, int]:
     return {kind: store.count_of_kind(kind) for kind in ElementKind}
 
 
-def element_named(store: ModelStore, kind: str, name: str) -> int:
+def element_named(store: reference.ModelStore, kind: str,
+                  name: str) -> int:
     """The one live element of ``kind`` called ``name``."""
     (found,) = [
         eid for eid in store.all_of_kind(kind) if store.name_of(eid) == name
@@ -86,7 +85,7 @@ def element_named(store: ModelStore, kind: str, name: str) -> int:
     return found
 
 
-def ancestors_of(sc: ModelStore, element: int) -> list[int]:
+def ancestors_of(sc: reference.ModelStore, element: int) -> list[int]:
     """Strict containment ancestors, nearest first."""
     chain = []
     node = sc.ref(element, "rcontains")
@@ -96,7 +95,7 @@ def ancestors_of(sc: ModelStore, element: int) -> list[int]:
     return chain
 
 
-def nca_oracle(sc: ModelStore, edge: int) -> int:
+def nca_oracle(sc: reference.ModelStore, edge: int) -> int:
     """Brute-force nearest-common-ancestor oracle for one hyperedge.
 
     Intersects the full ancestor sets of every linked Basic and picks the
@@ -120,7 +119,7 @@ def nca_oracle(sc: ModelStore, edge: int) -> int:
     return max(common, key=lambda node: (depth[node], -node))
 
 
-def assert_single_tree(sc: ModelStore, top: int) -> None:
+def assert_single_tree(sc: reference.ModelStore, top: int) -> None:
     """Every Basic/OR/AND/HyperEdge must sit in the tree rooted at top;
     AND children are ORs and Basic containers are ORs."""
     for kind in (
@@ -219,8 +218,8 @@ def firing_faults(doc: StatechartDocument) -> list[str]:
 
 
 def scan_fixpoint(
-    pn: ModelStore,
-    sc: ModelStore,
+    pn: reference.ModelStore,
+    sc: reference.ModelStore,
     or_of_place: dict[int, int],
     on_fire: FiringObserver | None = None,
 ) -> None:
@@ -228,9 +227,10 @@ def scan_fixpoint(
     pre-places, the AND rule on post-places and the OR rule, in rounds,
     until a round fires nothing."""
     while True:
-        fired = and_rule(pn, sc, Side.PRE, or_of_place, on_fire)
-        fired = and_rule(pn, sc, Side.POST, or_of_place, on_fire) or fired
-        fired = or_rule(pn, sc, or_of_place, on_fire) or fired
+        fired = reference.and_rule(pn, sc, Side.PRE, or_of_place, on_fire)
+        fired = reference.and_rule(
+            pn, sc, Side.POST, or_of_place, on_fire) or fired
+        fired = reference.or_rule(pn, sc, or_of_place, on_fire) or fired
         if not fired:
             return
 
@@ -439,8 +439,9 @@ def statechart_cases() -> list[tuple[str, bytes]]:
         ("spines5x9", nested_fork_join_net(5, 9)),
     ]
     for name, net in nets:
-        sc, result = create_statechart(store_from_petri_net(net))
-        cases.append((name, write_statechart(sc, result)))
+        sc, result = reference.create_statechart(
+            reference.store_from_petri_net(net))
+        cases.append((name, reference.write_statechart(sc, result)))
     return cases
 
 
@@ -558,10 +559,10 @@ def chain_document(depth: int) -> StatechartDocument:
                               children, [()] * count)
 
 
-def twin_regions(move: bool) -> ModelStore:
+def twin_regions(move: bool) -> reference.ModelStore:
     """A top AND over two unnamed ORs, holding Basics a1-a3 and b1-b3;
     with ``move``, a1 sits in the second OR instead."""
-    sc = ModelStore()
+    sc = reference.ModelStore()
     chart = sc.create(ElementKind.STATECHART)
     top = sc.create(ElementKind.AND)
     sc.set_ref(chart, "topState", top)

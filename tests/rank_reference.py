@@ -26,10 +26,10 @@ from pn2sc.io import (
     ElementKind,
     PetriNetDocument,
     StatechartDocument,
-    _store_document,
     statechart_document_chunks,
 )
 from pn2sc.validate import Discrepancy
+from store_reference import ModelStore, _store_document
 
 
 class RankedTrees(NamedTuple):

@@ -9,19 +9,19 @@ import time
 
 from helpers import corpus_entry, nca_oracle
 from pn2sc.cli import main, run_bench
-from pn2sc.flat import transform_net
+from pn2sc.flat import AndFiring, FlatModel, OrFiring, transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
-from pn2sc.io import petri_net_to_bytes, store_from_petri_net, write_statechart
-from pn2sc.model import ElementKind
-from pn2sc.reduce import (
-    AndFiring,
-    OrFiring,
+from pn2sc.io import ElementKind, petri_net_to_bytes
+from pn2sc.validate import validate_full
+from store_reference import (
+    _store_document,
     create_statechart,
     create_top,
     fixpoint,
+    initialize_statechart,
+    store_from_petri_net,
+    write_statechart,
 )
-from pn2sc.init import initialize_statechart
-from pn2sc.validate import validate_full
 
 SEEDS = range(50)
 GOLDEN_FIXTURES = ("chain", "self_loop", "fork_join")
@@ -70,35 +70,57 @@ def test_criterion_2_count_laws():
           f"Basic/HyperEdge conservation")
 
 
+def _delta_checker(counts):
+    """An observer that checks each firing's change of ``counts()``, the
+    (OR, AND, place, transition) tallies, against the rule's, and the
+    state it keeps: the last counts and the firings it checked."""
+    state = {"counts": counts(), "checked": 0}
+
+    def observe(event):
+        before = state["counts"]
+        after = counts()
+        delta = tuple(a - b for a, b in zip(after, before))
+        if isinstance(event, AndFiring):
+            expected = (1, 1, -(event.merged_places - 1), 0)
+        else:
+            assert isinstance(event, OrFiring)
+            expected = (0, 0, 0, -1) if event.identity else (-1, 0, -1, -1)
+        assert delta == expected, f"{event}: {delta} != {expected}"
+        state["counts"] = after
+        state["checked"] += 1
+
+    return observe, state
+
+
 def test_criterion_3_per_firing_deltas():
     checked = 0
     for seed in SEEDS:
         pn = store_from_petri_net(generate_sp_net(GenSpec(1_000, seed)))
         sc, or_of_place = initialize_statechart(pn)
-        state = {
-            "counts": (sc.count_of_kind(OR), sc.count_of_kind(AND),
-                       pn.count_of_kind(P), pn.count_of_kind(T))
-        }
-
-        def observe(event):
-            nonlocal checked
-            before = state["counts"]
-            after = (sc.count_of_kind(OR), sc.count_of_kind(AND),
-                     pn.count_of_kind(P), pn.count_of_kind(T))
-            delta = tuple(a - b for a, b in zip(after, before))
-            if isinstance(event, AndFiring):
-                expected = (1, 1, -(event.merged_places - 1), 0)
-            else:
-                assert isinstance(event, OrFiring)
-                expected = (0, 0, 0, -1) if event.identity else (-1, 0, -1, -1)
-            assert delta == expected, f"{event}: {delta} != {expected}"
-            state["counts"] = after
-            checked += 1
-
+        observe, state = _delta_checker(
+            lambda: (sc.count_of_kind(OR), sc.count_of_kind(AND),
+                     pn.count_of_kind(P), pn.count_of_kind(T)))
         fixpoint(pn, sc, or_of_place, observe)
         assert create_top(pn, sc).ok
+        checked += state["checked"]
     print(f"\ncriterion 3 PASS: {checked} firings matched the per-rule "
           f"count deltas exactly")
+
+
+def test_criterion_3_per_firing_deltas_on_the_flat_model():
+    checked = 0
+    for seed in SEEDS:
+        model = FlatModel(generate_sp_net(GenSpec(1_000, seed)))
+        # a deleted place's or transition's arcs become None
+        observe, state = _delta_checker(
+            lambda: (model.count_of_kind(OR), model.count_of_kind(AND),
+                     len(model.p_pre) - model.p_pre.count(None),
+                     len(model.t_pre) - model.t_pre.count(None)))
+        model.fixpoint(observe)
+        assert model.create_top().ok
+        checked += state["checked"]
+    print(f"\ncriterion 3 PASS on the flat model: {checked} firings matched "
+          f"the per-rule count deltas exactly")
 
 
 def test_criterion_4_nca_oracle_equivalence():
@@ -157,7 +179,8 @@ def test_criterion_5_mutation_detection():
         for label, corrupt in _corruptions().items():
             mutated, _ = _transform_fixture(name)
             corrupt(mutated)
-            report = validate_full(mutated, pristine)
+            report = validate_full(_store_document(mutated),
+                                   _store_document(pristine))
             assert not report.passed, f"{label} on {name} went undetected"
             detections += 1
     assert detections == 9

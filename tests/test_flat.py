@@ -1,6 +1,7 @@
-"""The flat transform core against the store pipeline it replaces on the
-CLI path: same firings, same bytes, same irreducible counts; and its
-writer against the reference ranking (``rank_reference.written_bytes``)."""
+"""The flat transform core against the store pipeline of
+``store_reference``: same firings, same bytes, same irreducible counts;
+and its writer against the reference ranking
+(``rank_reference.written_bytes``)."""
 
 from __future__ import annotations
 
@@ -28,15 +29,17 @@ from pn2sc.flat import FlatModel, transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
     PetriNetDocument,
-    document_from_statechart,
     kind_counts,
     parse_statechart,
     statechart_document_to_bytes,
+)
+from pn2sc.rank import canonical_document
+from store_reference import (
+    create_statechart,
+    document_from_statechart,
     store_from_petri_net,
     write_statechart,
 )
-from pn2sc.rank import canonical_document
-from pn2sc.reduce import create_statechart
 
 
 def _store_route(net: PetriNetDocument):

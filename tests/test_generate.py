@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import generate_reference
 from helpers import load_corpus
 from pn2sc.generate import GenSpec, SplitMix64, generate_sp_net
-from pn2sc.io import kind_counts, petri_net_to_bytes, store_from_petri_net
-from pn2sc.model import ElementKind
-from pn2sc.reduce import create_statechart
+from pn2sc.io import ElementKind, kind_counts, petri_net_to_bytes
+from store_reference import create_statechart, store_from_petri_net
 
 
 def test_splitmix_reference_values():
@@ -159,7 +158,8 @@ def test_known_corpus_shape():
 
 
 def test_corpus_nets_transform_to_expected_outcome(golden_dir):
-    from pn2sc.io import statechart_document_to_bytes, write_statechart
+    from pn2sc.io import statechart_document_to_bytes
+    from store_reference import write_statechart
 
     for fx in load_corpus():
         pn = store_from_petri_net(fx.net)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_net, element_named, kind_counts
-from pn2sc.init import initialize_statechart
-from pn2sc.model import ElementKind
+from pn2sc.io import ElementKind
+from store_reference import initialize_statechart
 
 B = ElementKind.BASIC
 H = ElementKind.HYPER_EDGE

@@ -31,13 +31,22 @@ from pn2sc import io as scio
 from pn2sc import rank
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
-from pn2sc.model import ElementKind
-from pn2sc.reduce import create_statechart
+from pn2sc.io import ElementKind
 from pn2sc.validate import validate_full
+from store_reference import (
+    _store_document,
+    create_statechart,
+    document_from_statechart,
+    read_petri_net,
+    read_statechart,
+    store_from_petri_net,
+    store_from_statechart,
+    write_statechart,
+)
 
 
 def test_empty_document_round_trip():
-    pn = scio.read_petri_net(b'{"places": [], "transitions": []}')
+    pn = read_petri_net(b'{"places": [], "transitions": []}')
     assert pn.all_of_kind(ElementKind.PLACE) == []
     assert pn.all_of_kind(ElementKind.TRANSITION) == []
 
@@ -49,7 +58,7 @@ def test_chain_document_wiring():
             {"id": "T1", "name": "T1", "pre": ["P1"], "post": ["P2"]}
         ],
     })
-    pn = scio.read_petri_net(data)
+    pn = read_petri_net(data)
     (t1,) = pn.all_of_kind(ElementKind.TRANSITION)
     p1, p2 = pn.all_of_kind(ElementKind.PLACE)
     assert pn.refs(t1, "prep") == (p1,)
@@ -65,7 +74,7 @@ def test_unresolved_place_id_is_named_in_error():
         ],
     })
     with pytest.raises(scio.DocumentError, match="PX"):
-        scio.read_petri_net(data)
+        read_petri_net(data)
 
 
 def test_duplicate_id_rejected():
@@ -74,18 +83,18 @@ def test_duplicate_id_rejected():
         "transitions": [],
     })
     with pytest.raises(scio.DocumentError, match="duplicate"):
-        scio.read_petri_net(data)
+        read_petri_net(data)
 
 
 def test_parse_error_reports_position():
     with pytest.raises(scio.DocumentError, match="line 1"):
-        scio.read_petri_net(b'{"places": [,]}')
+        read_petri_net(b'{"places": [,]}')
 
 
 def test_unknown_fields_rejected():
     data = json.dumps({"places": [], "transitions": [], "extra": 1})
     with pytest.raises(scio.DocumentError, match="unknown"):
-        scio.read_petri_net(data)
+        read_petri_net(data)
 
 
 
@@ -165,21 +174,21 @@ def test_malformed_petri_net_entry_message(data, message):
 
 def _chain_statechart():
     return create_statechart(
-        scio.store_from_petri_net(corpus_entry("chain").net)
+        store_from_petri_net(corpus_entry("chain").net)
     )
 
 
 def test_write_statechart_counts():
     sc, result = _chain_statechart()
-    doc = json.loads(scio.write_statechart(sc, result))
+    doc = json.loads(write_statechart(sc, result))
     assert doc["counts"] == {
         "statechart": 1, "and": 1, "or": 1, "basic": 2, "hyperedge": 1
     }
 
 
 def test_write_is_deterministic():
-    first = scio.write_statechart(*_chain_statechart())
-    second = scio.write_statechart(*_chain_statechart())
+    first = write_statechart(*_chain_statechart())
+    second = write_statechart(*_chain_statechart())
     assert first == second
 
 
@@ -188,53 +197,55 @@ def test_write_refuses_irreducible_result():
     sc, result = create_statechart(pn)
     assert not result.ok
     with pytest.raises(scio.DocumentError, match="irreducible"):
-        scio.write_statechart(sc, result)
+        write_statechart(sc, result)
 
 
 def test_round_trip_preserves_structure():
     sc, result = _chain_statechart()
-    data = scio.write_statechart(sc, result)
-    rebuilt = scio.read_statechart(data)
-    assert validate_full(rebuilt, sc).passed
+    data = write_statechart(sc, result)
+    rebuilt = read_statechart(data)
+    assert validate_full(_store_document(rebuilt),
+                         _store_document(sc)).passed
     # canonical writing is idempotent across a round trip
     assert scio.statechart_document_to_bytes(
-        scio.document_from_statechart(rebuilt)
+        document_from_statechart(rebuilt)
     ) == data
 
 
 def test_read_accepts_non_canonical_child_order():
     sc, result = _chain_statechart()
-    doc = json.loads(scio.write_statechart(sc, result))
+    doc = json.loads(write_statechart(sc, result))
     children = doc["root"]["children"][0]["children"][0]["children"]
     children.reverse()
-    rebuilt = scio.read_statechart(json.dumps(doc))
-    assert validate_full(rebuilt, sc).passed
+    rebuilt = read_statechart(json.dumps(doc))
+    assert validate_full(_store_document(rebuilt),
+                         _store_document(sc)).passed
 
 
 def test_malformed_kind_rejected():
     sc, result = _chain_statechart()
-    doc = json.loads(scio.write_statechart(sc, result))
+    doc = json.loads(write_statechart(sc, result))
     doc["root"]["kind"] = "Sketchchart"
     with pytest.raises(scio.DocumentError, match="kind"):
-        scio.read_statechart(json.dumps(doc))
+        read_statechart(json.dumps(doc))
 
 
 def test_counts_must_match_tree():
     sc, result = _chain_statechart()
-    doc = json.loads(scio.write_statechart(sc, result))
+    doc = json.loads(write_statechart(sc, result))
     doc["counts"]["basic"] = 5
     with pytest.raises(scio.DocumentError, match="counts"):
-        scio.read_statechart(json.dumps(doc))
+        read_statechart(json.dumps(doc))
 
 
 def test_next_must_point_at_basics():
     sc, result = _chain_statechart()
-    doc = json.loads(scio.write_statechart(sc, result))
+    doc = json.loads(write_statechart(sc, result))
     inner = doc["root"]["children"][0]["children"][0]["children"]
     edge = next(node for node in inner if node["kind"] == "HyperEdge")
     edge["next"] = [2]  # uid 2 is the OR state
     with pytest.raises(scio.DocumentError, match="not a Basic"):
-        scio.read_statechart(json.dumps(doc))
+        read_statechart(json.dumps(doc))
 
 
 @pytest.mark.parametrize("targets", [[True], [1, False], ["3"], [3.0], "3"])
@@ -269,9 +280,10 @@ def test_hand_written_expected_document_is_usable():
       }
     }
     """
-    expected = scio.read_statechart(text)
+    expected = read_statechart(text)
     sc, _ = _chain_statechart()
-    assert validate_full(sc, expected).passed
+    assert validate_full(_store_document(sc),
+                         _store_document(expected)).passed
 
 
 def _escape_net() -> scio.PetriNetDocument:
@@ -310,9 +322,9 @@ def _writer_cases():
 
 @pytest.mark.parametrize("make_net", _writer_cases())
 def test_writer_bytes_match_json_dumps_reference(make_net):
-    sc, result = create_statechart(scio.store_from_petri_net(make_net()))
+    sc, result = create_statechart(store_from_petri_net(make_net()))
     assert result.ok
-    doc = scio.document_from_statechart(sc)
+    doc = document_from_statechart(sc)
     assert scio.statechart_document_to_bytes(doc) == (
         reference_statechart_bytes(doc)
     )
@@ -408,14 +420,15 @@ def _order_cases():
 @pytest.mark.parametrize("make_net", _order_cases())
 def test_output_does_not_depend_on_input_order(make_net):
     net = make_net()
-    sc, result = create_statechart(scio.store_from_petri_net(net))
-    data = scio.write_statechart(sc, result)
+    sc, result = create_statechart(store_from_petri_net(net))
+    data = write_statechart(sc, result)
     for seed in range(3):
         shuffled, shuffled_result = create_statechart(
-            scio.store_from_petri_net(shuffled_net(net, seed))
+            store_from_petri_net(shuffled_net(net, seed))
         )
-        assert scio.write_statechart(shuffled, shuffled_result) == data
-        assert validate_full(shuffled, sc).passed
+        assert write_statechart(shuffled, shuffled_result) == data
+        assert validate_full(_store_document(shuffled),
+                             _store_document(sc)).passed
 
 
 @pytest.mark.parametrize("name, data", statechart_cases(),
@@ -433,12 +446,12 @@ def test_store_flattens_back_to_the_document(name, data):
         if partner is None:
             continue
         doc = scio.parse_statechart(partner)
-        store = scio.store_from_statechart(doc)
-        flat = scio._store_document(store)
+        store = store_from_statechart(doc)
+        flat = _store_document(store)
         assert [doc.uids[eid] for eid in flat.uids] == doc.uids
         assert (flat.kinds, flat.names, flat.children, flat.links) == (
             doc.kinds, doc.names, doc.children, doc.links)
-        assert rank.rank_statecharts(store) == rank.rank_statecharts(doc)
+        assert rank.rank_statecharts(flat) == rank.rank_statecharts(doc)
 
 
 def test_parse_numbers_nodes_breadth_first():
@@ -456,7 +469,7 @@ def test_parse_numbers_nodes_breadth_first():
     assert doc.count_of_kind(ElementKind.BASIC) == 4
     assert doc.kinds.count("Basic") == 4
     assert doc.count_of_kind(ElementKind.PLACE) == 0
-    store = scio.store_from_statechart(doc)
+    store = store_from_statechart(doc)
     for kind in ElementKind:
         assert doc.count_of_kind(kind) == store.count_of_kind(kind), kind
 

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_net
-from pn2sc.model import (
-    ElementKind,
-    LivenessError,
-    ModelError,
-    ModelStore,
-)
+from pn2sc.io import ElementKind
+from store_reference import LivenessError, ModelError, ModelStore
 
 P = ElementKind.PLACE
 T = ElementKind.TRANSITION

@@ -3,18 +3,19 @@
 ``rank_reference`` holds the earlier ranking verbatim. On the same models,
 which may be documents as read (every children list a range), canonical
 documents, documents with each level's node numbers shuffled (children
-lists in any order) or stores, both must give the same roots, kinds,
-names and parents, the same children lists and the same ``paths`` and
-``ranks``, and the validator's ``_children``, which sorts a node's
-children only when its descent reads them, must give the reference's
-canonical children order. The ``RankedTrees`` docstring fixes rank
-values (dense within a level, distinct between levels, ``paths`` rising
-and ``ranks`` falling with depth), so equal lists are the same equality
-classes in the same order within each level. Canonical bytes and
-validation reports built on either ranking must be equal too, and equal
-to the report of ``validate_full``, which ranks no pair that its node
-bijection proves equal, and compares the labels of any other pair first,
-ranking its structure only where they agree.
+lists in any order) or stores flattened by ``store_reference``, both must
+give the same roots, kinds, names and parents, the same children lists
+and the same ``paths`` and ``ranks``, and the validator's ``_children``,
+which sorts a node's children only when its descent reads them, must
+give the reference's canonical children order. The ``RankedTrees``
+docstring fixes rank values (dense within a level, distinct between
+levels, ``paths`` rising and ``ranks`` falling with depth), so equal
+lists are the same equality classes in the same order within each
+level. Canonical bytes and validation reports built on either ranking
+must be equal too, and equal to the report of ``validate_full``, which
+ranks no pair that its node bijection proves equal, and compares the
+labels of any other pair first, ranking its structure only where they
+agree.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import rank_reference
 from helpers import (
     NETS,
     PARTNER_CHANGES,
+    chain_document,
     edge_moved_up,
     json_nodes,
     mutated_statechart,
     named_from,
+    nested_fork_join_net,
     renamed,
     rotated_ors,
     shuffled_net,
@@ -46,6 +49,11 @@ from pn2sc import rank
 from pn2sc import validate
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
+from store_reference import (
+    _store_document,
+    document_from_statechart,
+    read_statechart,
+)
 from test_small_scope import small_nets
 
 
@@ -139,12 +147,12 @@ def check_pair(data: bytes, partner: bytes) -> None:
     other = scio.parse_statechart(partner)
     canonical = rank.canonical_document(other)
     permuted = level_permuted(other, len(partner))
-    for model in (doc, other, canonical, permuted,
-                  scio.read_statechart(partner)):
+    stored = _store_document(read_statechart(partner))
+    for model in (doc, other, canonical, permuted, stored):
         assert_same_ranking(model)
     for first, second in ((doc, other), (other, doc), (canonical, doc),
                           (permuted, doc), (doc, permuted),
-                          (doc, scio.read_statechart(partner))):
+                          (doc, stored)):
         assert_same_ranking(first, second)
         assert_same_report(first, second)
     for model in (doc, other, canonical, permuted):
@@ -178,8 +186,8 @@ def test_arbitrary_nets_rank_as_before(net, shuffle, pool, change, seed):
 
 
 @pytest.mark.parametrize("actual, expected", [
-    (scio.document_from_statechart(twin_regions(True)),
-     scio.document_from_statechart(twin_regions(False))),
+    (document_from_statechart(twin_regions(True)),
+     document_from_statechart(twin_regions(False))),
     (rotated_ors(6, 0, ("x",)), rotated_ors(6, 1, ("x",))),
 ], ids=["basic-moved-between-twin-ors", "rotated-twin-ors"])
 def test_pairs_only_the_descent_tells_apart_rank_as_before(actual, expected):
@@ -269,11 +277,12 @@ def test_labels_that_force_a_bijection_pass_without_ranking():
                 assert validate.validate_full(
                     scio.parse_statechart(actual),
                     scio.parse_statechart(expected)).passed
-        store = scio.read_statechart(sp300)
+        store = read_statechart(sp300)
+        stored = _store_document(store)
         for doc in (scio.parse_statechart(sp300),
-                    scio.document_from_statechart(store)):
-            assert validate.validate_full(store, doc).passed
-            assert validate.validate_full(doc, store).passed
+                    document_from_statechart(store)):
+            assert validate.validate_full(stored, doc).passed
+            assert validate.validate_full(doc, stored).passed
     for data, partner in tied:
         pair = scio.parse_statechart(data), scio.parse_statechart(partner)
         with mock.patch.object(validate, "rank_labelled",
@@ -383,3 +392,40 @@ def test_pairs_with_unequal_labels_report_without_ranking_structure():
                 kinds.update(kind for kind, _ in report.discrepancies)
     assert kinds == {"missing-node", "extra-node", "wrong-container",
                      "next-set-mismatch"}, kinds
+
+
+def test_documents_of_different_depths_rank_as_before():
+    # The deeper document's last levels have no counterpart in the other,
+    # so the structural pass skips the shallower one there.
+    for pair in ((chain_document(3), chain_document(6)),
+                 tuple(scio.parse_statechart(_written(nested_fork_join_net(
+                     depth))) for depth in (2, 5))):
+        levels = rank.check_statecharts(*pair).levels
+        assert len(levels[0]) < len(levels[1])
+        for models in (pair, pair[::-1]):
+            assert_same_ranking(*models)
+            assert_same_report(*models)
+
+
+def _one_region(*leaves: tuple[str, str]) -> scio.StatechartDocument:
+    """A top AND over one unnamed OR that holds ``leaves``, as (kind,
+    name) pairs, with no links."""
+    size = 3 + len(leaves)
+    return scio.StatechartDocument(
+        list(range(size)),
+        ["Statechart", "AND", "OR", *(kind for kind, _ in leaves)],
+        ["", "", "", *(name for _, name in leaves)],
+        [range(1, 2), range(2, 3), range(3, size)] + [()] * len(leaves),
+        [()] * size)
+
+
+def test_a_basic_name_repeated_in_the_actual_model_only_reports_as_before():
+    # The two models have as many nodes at every level, and every Basic
+    # name of the actual one is in the expected one, where it is unique;
+    # but the actual one holds it twice, so no bijection is forced.
+    actual = _one_region(("Basic", "a"), ("Basic", "a"))
+    expected = _one_region(("Basic", "a"), ("HyperEdge", "h"))
+    assert rank._images_by_name(actual, expected, len(actual.kinds)) is None
+    for pair in ((actual, expected), (expected, actual)):
+        assert not validate.validate_full(*pair).passed
+        assert_same_report(*pair)

@@ -201,6 +201,53 @@ def test_a_node_without_its_kind_gets_the_reference_message(kind,
     assert found[1].startswith("node has unknown fields: "), found
 
 
+def _with_fault(fault: str) -> dict:
+    """The chain golden's JSON value with one fault that only these
+    edits make: a name that is not a string, a Basic with children, or
+    a Statechart whose children are not one AND."""
+    value = json.loads((GOLDEN_DIR / "chain.statechart.json").read_bytes())
+    root = value["root"]
+    (top,) = root["children"]
+    (region,) = top["children"]
+    basic = next(node for node in region["children"]
+                 if node["kind"] == "Basic")
+    if fault == "name-not-a-string":
+        basic["name"] = 7
+    elif fault == "basic-with-children":
+        basic["children"] = [{"uid": 99, "kind": "OR", "name": "",
+                              "children": []}]
+    elif fault == "statechart-over-an-or":
+        root["children"] = [region]
+        value["counts"]["and"] = 0
+    else:
+        root["children"].append({"uid": 99, "kind": "AND", "name": "",
+                                 "children": []})
+        value["counts"]["and"] += 1
+    return value
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("name-not-a-string", "node name must be a string"),
+    ("basic-with-children", "Basic nodes cannot have children"),
+    ("statechart-over-an-or",
+     "Statechart must have exactly one AND child (its top state)"),
+    ("statechart-over-two-ands",
+     "Statechart must have exactly one AND child (its top state)"),
+])
+def test_a_faulty_node_gets_the_reference_message(fault, message, tmp_path,
+                                                  capsys):
+    data = json.dumps(_with_fault(fault), indent=2).encode("utf-8")
+    found = _read(scio.parse_statechart, data)
+    assert found == _read(reader_reference.parse_statechart, data)
+    assert found == ("DocumentError", message)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    golden = GOLDEN_DIR / "chain.statechart.json"
+    capsys.readouterr()
+    assert cli.main(["validate", str(bad), str(golden)]) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_an_unedited_chart_nested_past_json_still_reads():
     value = json.loads((GOLDEN_DIR / "fork_join.statechart.json")
                        .read_bytes())

@@ -6,22 +6,22 @@ from __future__ import annotations
 
 import pytest
 
-from pn2sc.generate import GenSpec
-from pn2sc.io import (
-    PetriNetDocument,
-    PlaceSpec,
-    StatechartDocument,
-    TransitionSpec,
-)
-from pn2sc.model import ElementKind
-from pn2sc.rank import RankedTrees
-from pn2sc.reduce import (
+from pn2sc.flat import (
     AndFiring,
     OrFiring,
     ReductionResult,
     ReductionStatus,
     Side,
 )
+from pn2sc.generate import GenSpec
+from pn2sc.io import (
+    ElementKind,
+    PetriNetDocument,
+    PlaceSpec,
+    StatechartDocument,
+    TransitionSpec,
+)
+from pn2sc.rank import RankedTrees
 from pn2sc.validate import Discrepancy, ValidationLevel, ValidationReport
 
 RECORDS = [

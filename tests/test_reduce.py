@@ -18,22 +18,25 @@ from helpers import (
     net_document,
     scan_fixpoint,
 )
-from pn2sc.init import initialize_statechart
-from pn2sc.io import PetriNetDocument, store_from_petri_net, write_statechart
-from pn2sc.model import ElementKind
-from pn2sc.reduce import (
+from pn2sc.flat import (
     AndFiring,
     OrFiring,
-    ReductionError,
     ReductionStatus,
     Side,
+    run_rounds,
+)
+from pn2sc.io import ElementKind, PetriNetDocument
+from store_reference import (
+    ReductionError,
     and_rule,
     assign_hyperedges,
     create_statechart,
     create_top,
     fixpoint,
+    initialize_statechart,
     or_rule,
-    run_rounds,
+    store_from_petri_net,
+    write_statechart,
 )
 
 P = ElementKind.PLACE

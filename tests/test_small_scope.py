@@ -63,14 +63,16 @@ from pn2sc.flat import transform_net
 from pn2sc.io import (
     PetriNetDocument,
     StatechartDocument,
-    _store_document,
     parse_statechart,
     statechart_document_to_bytes,
+)
+from pn2sc.validate import validate_full
+from store_reference import (
+    _store_document,
+    create_statechart,
     store_from_petri_net,
     write_statechart,
 )
-from pn2sc.reduce import create_statechart
-from pn2sc.validate import validate_full
 
 
 def small_nets(places: int,

@@ -34,28 +34,32 @@ from pn2sc import validate
 from pn2sc.flat import transform_net
 from pn2sc.generate import GenSpec, generate_sp_net
 from pn2sc.io import (
+    ElementKind,
     StatechartDocument,
-    document_from_statechart,
     parse_statechart,
-    read_statechart,
     statechart_document_to_bytes,
-    store_from_petri_net,
-    store_from_statechart,
 )
-from pn2sc.model import ElementKind, ModelStore
 from pn2sc.rank import (
     check_statecharts,
     label_checked,
     rank_labelled,
     rank_statecharts,
 )
-from pn2sc.reduce import create_statechart
 from pn2sc.validate import (
     Discrepancy,
     ValidationLevel,
     ValidationReport,
     validate_counts,
     validate_full,
+)
+from store_reference import (
+    ModelStore,
+    _store_document,
+    create_statechart,
+    document_from_statechart,
+    read_statechart,
+    store_from_petri_net,
+    store_from_statechart,
 )
 
 B = ElementKind.BASIC
@@ -77,20 +81,37 @@ def chain_statechart():
     return golden_statechart("chain")
 
 
+def full(actual: ModelStore, expected: ModelStore) -> ValidationReport:
+    """``validate_full`` of two stores, each flattened by the reference."""
+    return validate_full(_store_document(actual), _store_document(expected))
+
+
+def counts(actual: ModelStore, expected: ModelStore) -> ValidationReport:
+    """``validate_counts`` of two stores, each flattened by the
+    reference."""
+    return validate_counts(_store_document(actual),
+                           _store_document(expected))
+
+
+def stored(data: bytes) -> StatechartDocument:
+    """``data`` read into a reference store and flattened back."""
+    return _store_document(read_statechart(data))
+
+
 def fork_join_statechart():
     return golden_statechart("fork_join")
 
 
 class TestCounts:
     def test_identical_models_pass(self):
-        report = validate_counts(chain_statechart(), chain_statechart())
+        report = counts(chain_statechart(), chain_statechart())
         assert report.passed
         assert report.level is ValidationLevel.COUNTS
 
     def test_missing_or_is_reported_once(self):
         actual = chain_statechart()
         expected = fork_join_statechart()
-        report = validate_counts(actual, expected)
+        report = counts(actual, expected)
         assert not report.passed
         or_items = [d for d in report.discrepancies if "OR" in d.detail]
         assert len(or_items) == 1
@@ -99,12 +120,12 @@ class TestCounts:
     def test_chain_against_expected_tallies(self):
         sc = chain_statechart()
         expected = store_from_statechart(corpus_entry("chain").expected)
-        assert validate_counts(sc, expected).passed
+        assert counts(sc, expected).passed
 
 
 class TestFull:
     def test_self_isomorphism(self):
-        report = validate_full(chain_statechart(), chain_statechart())
+        report = full(chain_statechart(), chain_statechart())
         assert report.passed
         assert report.level is ValidationLevel.FULL
 
@@ -114,16 +135,16 @@ class TestFull:
                 continue
             pn = store_from_petri_net(fx.net)
             sc, _ = create_statechart(pn)
-            assert validate_full(sc, sc).passed
+            assert full(sc, sc).passed
             expected = store_from_statechart(fx.expected)
-            assert validate_full(sc, expected).passed
+            assert full(sc, expected).passed
 
     def test_missing_next_link_detected(self):
         actual = chain_statechart()
         (edge,) = actual.all_of_kind(H)
         (target,) = actual.refs(edge, "next")
         actual.remove_ref(edge, "next", target)
-        report = validate_full(actual, chain_statechart())
+        report = full(actual, chain_statechart())
         assert not report.passed
         assert any(d.kind == "next-set-mismatch" for d in report.discrepancies)
 
@@ -131,7 +152,7 @@ class TestFull:
         actual = chain_statechart()
         (or_state,) = actual.all_of_kind(OR)
         actual.add_ref(or_state, "contains", actual.create(B, "stowaway"))
-        report = validate_full(actual, chain_statechart())
+        report = full(actual, chain_statechart())
         assert not report.passed
         assert any(d.kind == "extra-node" for d in report.discrepancies)
 
@@ -141,7 +162,7 @@ class TestFull:
             b for b in actual.all_of_kind(B) if actual.name_of(b) == "P2"
         )
         actual.delete(basic)
-        report = validate_full(actual, chain_statechart())
+        report = full(actual, chain_statechart())
         assert not report.passed
         assert any(d.kind == "missing-node" for d in report.discrepancies)
 
@@ -155,7 +176,7 @@ class TestFull:
             if basic not in actual.refs(o, "contains")
         )
         actual.set_ref(basic, "rcontains", sibling)
-        report = validate_full(actual, fork_join_statechart())
+        report = full(actual, fork_join_statechart())
         assert not report.passed
         assert any(d.kind == "wrong-container" for d in report.discrepancies)
 
@@ -166,15 +187,15 @@ class TestFull:
             pn = store_from_petri_net(fx.net)
             sc, _ = create_statechart(pn)
             expected = store_from_statechart(fx.expected)
-            if validate_full(sc, expected).passed:
-                assert validate_counts(sc, expected).passed
+            if full(sc, expected).passed:
+                assert counts(sc, expected).passed
 
     def test_duplicate_names_compare_by_structure(self):
         # two same-named sibling ORs with different contents: swapping the
         # wrapper order must not matter, changing the contents must
         def tangled(swap: bool, extra: str) -> object:
             sc = build_net([], [])[0]
-            from pn2sc.model import ElementKind as EK
+            from pn2sc.io import ElementKind as EK
 
             chart = sc.create(EK.STATECHART)
             top = sc.create(EK.AND)
@@ -192,14 +213,14 @@ class TestFull:
             sc.add_ref(right, "contains", sc.create(EK.BASIC, extra))
             return sc
 
-        assert validate_full(tangled(False, "b"), tangled(True, "b")).passed
-        assert not validate_full(tangled(False, "b"), tangled(False, "c")).passed
+        assert full(tangled(False, "b"), tangled(True, "b")).passed
+        assert not full(tangled(False, "b"), tangled(False, "c")).passed
 
     def test_rejects_non_statechart_model(self):
         pn, _ = build_net(["P1", "P2"], [])
         sc, _ = create_statechart(pn)  # irreducible: no Statechart element
         with pytest.raises(ValueError):
-            validate_full(sc, chain_statechart())
+            full(sc, chain_statechart())
 
 
 def test_deep_trees_rank_without_recursion():
@@ -213,14 +234,14 @@ def test_deep_trees_rank_without_recursion():
         assert result.ok
         return sc
 
-    assert validate_full(transformed(300), transformed(300)).passed
+    assert full(transformed(300), transformed(300)).passed
     # two spines of one shape side by side: siblings that differ only in
     # the names deep inside them
     twins = transformed(300, 300)
     doc = document_from_statechart(twins)
     assert doc.count_of_kind(B) == 2 * (3 * 300 + 1) + 2
-    assert validate_full(twins, twins).passed
-    assert not validate_full(twins, transformed(300, 299)).passed
+    assert full(twins, twins).passed
+    assert not full(twins, transformed(300, 299)).passed
 
 
 def test_basic_moved_between_twin_ors_is_one_move():
@@ -233,7 +254,7 @@ def test_basic_moved_between_twin_ors_is_one_move():
 
     actual, expected = twin_regions(True), twin_regions(False)
     region = "Statechart()/AND()/OR()"
-    for report in (validate_full(actual, expected),
+    for report in (full(actual, expected),
                    validate_full(as_document(actual), as_document(expected))):
         assert sorted((d.kind, d.detail) for d in report.discrepancies) == [
             ("extra-node", f"unexpected Basic(a1) under {region}"),
@@ -486,15 +507,12 @@ def test_document_and_store_routes_agree(name, data):
             for actual, expected in ((partner, data), (data, partner)):
                 by_document = validate_full(parse_statechart(actual),
                                             parse_statechart(expected))
-                by_store = validate_full(read_statechart(actual),
-                                         read_statechart(expected))
+                by_store = validate_full(stored(actual), stored(expected))
                 assert by_document == by_store, (change, seed)
                 assert by_document.passed == (change in ("none", "reordered"))
                 assert validate_counts(
                     parse_statechart(actual), parse_statechart(expected)
-                ) == validate_counts(
-                    read_statechart(actual), read_statechart(expected)
-                )
+                ) == validate_counts(stored(actual), stored(expected))
 
 
 def test_repeated_next_uids_count_once(golden_dir):
@@ -506,7 +524,7 @@ def test_repeated_next_uids_count_once(golden_dir):
                 node["next"] += node["next"]
         repeated = json.dumps(doc)
         assert parse_statechart(repeated) == parse_statechart(base)
-        for route in (parse_statechart, read_statechart):
+        for route in (parse_statechart, stored):
             for pair in ((repeated, golden), (golden, repeated)):
                 plain = tuple(base if side is repeated else side
                               for side in pair)
@@ -517,7 +535,7 @@ def test_repeated_next_uids_count_once(golden_dir):
 
 def test_deep_documents_read_and_validate_without_recursion():
     doc = chain_document(3000)
-    store = store_from_statechart(doc)
+    store = _store_document(store_from_statechart(doc))
     assert validate_full(doc, store).passed
     assert validate_full(store, doc).passed
     deeper = chain_document(3001)
